@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -375,101 +374,6 @@ func writeForkSweepBenchJSON(b *testing.B, st sim.WarmStats, trunk, branch, cold
 		b.Fatalf("write %s: %v", path, err)
 	}
 	b.Logf("wrote %s", path)
-}
-
-// BenchmarkParallelScaling measures the sharded engine's scaling curve:
-// one dense configuration (64 cores, small caches, so lookahead windows
-// carry enough same-cycle events to fan out instead of running inline)
-// at Workers 1/2/4/8. Results are byte-identical across the whole curve
-// — the differential harness pins that — so this benchmark reports pure
-// wall-clock. Each point raises GOMAXPROCS to its shard count (restored
-// afterwards); the artifact records the host's true P count so numbers
-// from oversubscribed single-CPU runners are never mistaken for real
-// scaling.
-func BenchmarkParallelScaling(b *testing.B) {
-	base := DefaultConfig(MechBuMP, WebSearch())
-	base.Cores = 192
-	base.L1Bytes = 8 << 10
-	base.LLCBytes = 512 << 10
-	base.WarmupCycles = 20_000
-	base.MeasureCycles = 60_000
-
-	type point struct {
-		Workers         int     `json:"workers"`
-		NsPerOp         float64 `json:"ns_per_op"`
-		EventsPerSec    float64 `json:"events_per_sec"`
-		SpeedupVsSeq    float64 `json:"speedup_vs_sequential"`
-		Windows         uint64  `json:"windows"`
-		ParallelWindows uint64  `json:"parallel_windows"`
-		BarrierStallPct float64 `json:"barrier_stall_pct"`
-	}
-	hostProcs := runtime.GOMAXPROCS(0)
-	var points []point
-	for _, wk := range []int{1, 2, 4, 8} {
-		b.Run("workers="+strconv.Itoa(wk), func(b *testing.B) {
-			if prev := runtime.GOMAXPROCS(0); wk > prev {
-				runtime.GOMAXPROCS(wk)
-				defer runtime.GOMAXPROCS(prev)
-			}
-			var events uint64
-			var last sim.ParallelStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := base
-				cfg.Workers = wk
-				res, err := sim.RunOneWithHooks(cfg, sim.Hooks{
-					Parallel: func(st sim.ParallelStats) { last = st },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			b.StopTimer()
-			pt := point{
-				Workers:      wk,
-				NsPerOp:      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				EventsPerSec: float64(events) / b.Elapsed().Seconds(),
-			}
-			if last.RunNs > 0 {
-				pt.Windows = last.Windows
-				pt.ParallelWindows = last.ParallelWindows
-				pt.BarrierStallPct = 100 * float64(last.BarrierStallNs) / float64(last.RunNs)
-			}
-			b.ReportMetric(pt.EventsPerSec, "events/sec")
-			points = append(points, pt)
-		})
-	}
-	for i := range points {
-		if points[0].NsPerOp > 0 {
-			points[i].SpeedupVsSeq = points[0].NsPerOp / points[i].NsPerOp
-		}
-		b.Logf("workers=%d: %.2fx vs sequential (%d/%d windows parallel, %.1f%% barrier stall)",
-			points[i].Workers, points[i].SpeedupVsSeq,
-			points[i].ParallelWindows, points[i].Windows, points[i].BarrierStallPct)
-	}
-	if path := os.Getenv("BENCH_JSON"); path != "" && len(points) > 0 {
-		payload := map[string]any{
-			"benchmark":       "ParallelScaling",
-			"host_gomaxprocs": hostProcs,
-			"config": map[string]any{
-				"cores":          base.Cores,
-				"mechanism":      MechBuMP.String(),
-				"workload":       base.Workload.Name,
-				"warmup_cycles":  base.WarmupCycles,
-				"measure_cycles": base.MeasureCycles,
-			},
-			"points": points,
-		}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			b.Fatalf("marshal bench json: %v", err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatalf("write %s: %v", path, err)
-		}
-		b.Logf("wrote %s", path)
-	}
 }
 
 // writeBenchJSON records the throughput metrics as a machine-readable

@@ -60,7 +60,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8344", "listen address")
 		workers  = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-		simWork  = flag.Int("sim-workers", 0, "default parallel shards per run for jobs that don't set workers (0 = sequential; a resource knob — results and job identity are unchanged)")
 		cacheSz  = flag.Int("cache", 256, "result-cache entries")
 		retain   = flag.Int("retain", 4096, "terminal job records kept for status queries")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "default per-job timeout (0 = none)")
@@ -98,7 +97,7 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	// Observability: every pool/cache/warm/parallel statistic becomes a
+	// Observability: every pool/cache/warm statistic becomes a
 	// scrapeable series, and every job records a span timeline served at
 	// GET /v1/jobs/{id}/trace.
 	metrics := obs.NewRegistry()
@@ -120,7 +119,6 @@ func main() {
 	}
 	pool := service.NewPool(service.Options{
 		Workers:          *workers,
-		SimWorkers:       *simWork,
 		CacheEntries:     *cacheSz,
 		RetainJobs:       *retain,
 		DefaultTimeout:   *timeout,

@@ -47,7 +47,6 @@ func main() {
 		params       = flag.Bool("params", false, "print the architectural (Table II) and energy (Table III) parameters and exit")
 		ckptSave     = flag.String("checkpoint-save", "", "write a warmup-end checkpoint to this file")
 		ckptLoad     = flag.String("checkpoint-load", "", "restore a checkpoint instead of simulating the warmup")
-		workers      = flag.Int("workers", 0, "parallel simulation shards (0 or 1 = sequential; capped by GOMAXPROCS; results are byte-identical at any value)")
 	)
 	flag.Parse()
 
@@ -100,7 +99,6 @@ func main() {
 		cfg = bump.DefaultConfig(m, w)
 	}
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	if *warmup > 0 {
 		cfg.WarmupCycles = *warmup
 	}

@@ -163,7 +163,6 @@ func main() {
 		warm         = flag.Bool("warm", false, "share warmup-end checkpoints between in-process sweep points that differ only in measured parameters")
 		forkAt       = flag.String("fork-at", "", "comma-separated absolute cycles inside the measurement window where -mode fairness points fork from a shared canonical trunk (deepest cut binds the streak cap; implies deferred measured parameters)")
 		jsonOnly     = flag.Bool("json-only", false, "talk HTTP/JSON to -server even when it advertises a binary wire listener")
-		workers      = flag.Int("workers", 0, "parallel shards per simulation (0 or 1 = sequential; a resource knob only — results, coalescing and caching are identical at any value)")
 	)
 	flag.Parse()
 
@@ -273,7 +272,6 @@ func main() {
 			Mechanism:     m.String(),
 			WarmupCycles:  *warmup,
 			MeasureCycles: *measure,
-			Workers:       *workers,
 		}
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }

@@ -826,12 +826,7 @@ func (c *Coordinator) Health() service.HealthPayload {
 		h.Stats.Cache.Hits += s.Cache.Hits
 		h.Stats.Cache.Misses += s.Cache.Misses
 		h.Stats.Cache.Evictions += s.Cache.Evictions
-		h.Stats.Warm.Hits += s.Warm.Hits
-		h.Stats.Warm.Misses += s.Warm.Misses
-		h.Stats.Warm.Skipped += s.Warm.Skipped
-		h.Stats.Warm.WarmupCyclesSimulated += s.Warm.WarmupCyclesSimulated
-		h.Stats.Warm.WarmupCyclesReused += s.Warm.WarmupCyclesReused
-		h.Stats.Warm.Installed += s.Warm.Installed
+		h.Stats.Warm.Add(s.Warm)
 	}
 	h.WireAddr = c.wireAddr
 	h.Conns = service.SharedConnStats()

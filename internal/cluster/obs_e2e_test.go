@@ -199,7 +199,7 @@ func TestClusterE2EMetricsAndTrace(t *testing.T) {
 	for _, series := range []string{
 		"bump_pool_workers", "bump_cache_entries", "bump_warm_hits_total",
 		`bump_warm_cycles_simulated_total{kind="warmup"}`,
-		"bump_parallel_tokens", "bump_conns_requests_total",
+		"bump_warm_fork_hits_total", "bump_conns_requests_total",
 	} {
 		if _, ok := postWorker[series]; !ok {
 			t.Errorf("worker /metrics missing %s", series)

@@ -125,7 +125,7 @@ type Controller struct {
 	cfg    Config
 	mapper *Mapper
 	dram   *dram.DRAM
-	eng    event.Sink
+	eng    *event.Engine
 	queues []channelQueue
 	stats  Stats
 
@@ -153,9 +153,8 @@ func init() {
 	})
 }
 
-// New wires a controller to a DRAM device and an event sink (the engine
-// itself, or a shard-aware port when the simulator runs parallel).
-func New(cfg Config, d *dram.DRAM, eng event.Sink) (*Controller, error) {
+// New wires a controller to a DRAM device and an event engine.
+func New(cfg Config, d *dram.DRAM, eng *event.Engine) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

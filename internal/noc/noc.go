@@ -55,13 +55,3 @@ func (x *Crossbar) Send(kind Kind, withPC bool) uint64 {
 
 // Stats returns a copy of the counters.
 func (x *Crossbar) Stats() Stats { return x.stats }
-
-// AbsorbStats folds src's counters into x and zeroes src. The parallel
-// simulator gives each shard a private crossbar for delta accounting and
-// merges them into the authoritative one at observation boundaries.
-func (x *Crossbar) AbsorbStats(src *Crossbar) {
-	x.stats.ControlMsgs += src.stats.ControlMsgs
-	x.stats.DataMsgs += src.stats.DataMsgs
-	x.stats.PCMsgs += src.stats.PCMsgs
-	src.stats = Stats{}
-}

@@ -26,7 +26,9 @@ var ErrNotHashable = errors.New("service: config with custom Streams is not hash
 // v4: sim.Config gained Workers; it is zeroed before the walk (a
 // resource knob must never split job identity — a Workers=8 submit
 // coalesces with, and is served from the cache of, a sequential one).
-const hashVersion = "bump-config-v4"
+// v5: sim.Config lost Workers (the sharded engine is gone), which drops
+// its always-zero line from the encoding.
+const hashVersion = "bump-config-v5"
 
 // canonBuf holds the reusable scratch state of one canonical encoding:
 // the output bytes and the current field path. Hashing runs on every
@@ -50,7 +52,6 @@ func Hash(cfg sim.Config) (string, error) {
 	if cfg.Streams != nil {
 		return "", ErrNotHashable
 	}
-	cfg.Workers = 0 // execution-resource knob, not identity
 	b := canonPool.Get().(*canonBuf)
 	defer canonPool.Put(b)
 	b.out = append(b.out[:0], hashVersion...)

@@ -70,9 +70,9 @@ func TestHashIgnoresSchedulingFields(t *testing.T) {
 	spec := specFixture()
 	spec.Priority = 9
 	spec.TimeoutMS = 1234
-	spec.Workers = 8
+	spec.TraceID = "t-1"
 	if mustHash(t, spec) != base {
-		t.Error("priority/timeout/workers are resource knobs and must not change the hash")
+		t.Error("priority/timeout/trace ID never reach sim.Config and must not change the hash")
 	}
 }
 

@@ -3,9 +3,9 @@ package service
 import "bump/internal/obs"
 
 // RegisterPoolCollectors adapts the pool's existing stats surfaces —
-// PoolStats, CacheStats, WarmStats, ParallelPoolStats and the shared
-// transport's ConnStats — as scrape-time collectors on reg, so every
-// number /v1/healthz reports is also a Prometheus series. Called by
+// PoolStats, CacheStats, WarmStats and the shared transport's ConnStats
+// — as scrape-time collectors on reg, so every number /v1/healthz
+// reports is also a Prometheus series. Called by
 // NewPool when Options.Metrics is set; the collectors read snapshots
 // (Pool.Stats, SharedConnStats), never pool internals, so they take no
 // lock the job path contends on beyond the stats snapshot itself.
@@ -37,13 +37,6 @@ func RegisterPoolCollectors(reg *obs.Registry, p *Pool) {
 		g.Counter("bump_warm_cycles_simulated_total", "Cycles simulated, by kind.", float64(st.Warm.BranchCyclesSimulated), "kind", "branch")
 		g.Counter("bump_warm_cycles_reused_total", "Cycles satisfied by a checkpoint restore, by kind.", float64(st.Warm.WarmupCyclesReused), "kind", "warmup")
 		g.Counter("bump_warm_cycles_reused_total", "Cycles satisfied by a checkpoint restore, by kind.", float64(st.Warm.ForkCyclesReused), "kind", "fork")
-
-		g.Gauge("bump_parallel_tokens", "CPU-token budget bounding pool x shard concurrency.", float64(st.Parallel.Tokens))
-		g.Gauge("bump_parallel_tokens_in_use", "CPU tokens held by running jobs.", float64(st.Parallel.TokensInUse))
-		g.Counter("bump_parallel_runs_total", "Completed runs that used the parallel engine.", float64(st.Parallel.Runs))
-		g.Gauge("bump_parallel_max_workers", "Largest effective shard count observed.", float64(st.Parallel.MaxWorkers))
-		g.Counter("bump_parallel_barriers_total", "Epoch barriers across parallel runs.", float64(st.Parallel.Barriers))
-		g.Gauge("bump_parallel_barrier_stall_pct", "Share of parallel wall time spent waiting on shards.", st.Parallel.BarrierStallPct)
 
 		conns := SharedConnStats()
 		g.Counter("bump_conns_requests_total", "HTTP requests over the shared transport.", float64(conns.Requests))

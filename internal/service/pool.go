@@ -38,10 +38,6 @@ type Options struct {
 	// Workers bounds concurrent simulations (default: GOMAXPROCS, which
 	// respects user and cgroup CPU limits).
 	Workers int
-	// SimWorkers is the default in-run shard count for jobs that do not
-	// set spec.Workers (0 = sequential). A resource knob only: results,
-	// hashes and coalescing are identical at any value.
-	SimWorkers int
 	// CacheEntries sizes the LRU result cache (default 256).
 	CacheEntries int
 	// RetainJobs bounds terminal job records kept for status queries
@@ -74,13 +70,13 @@ type Options struct {
 	WarmBackend sim.WarmBackend
 	// Metrics, when non-nil, registers the pool's series on the given
 	// registry: phase-latency histograms updated on the job path, plus
-	// scrape-time collectors adapting PoolStats/CacheStats/WarmStats/
-	// ParallelPoolStats (everything /v1/healthz reports).
+	// scrape-time collectors adapting PoolStats/CacheStats/WarmStats
+	// (everything /v1/healthz reports).
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records per-job spans (queue wait, warm-key
-	// resolution, restore, trunk extension, warmup, measurement,
-	// sequencer barriers, encode) for GET /v1/jobs/{id}/trace. Trace IDs
-	// arrive on JobSpec.TraceID or are minted at submit.
+	// resolution, restore, trunk extension, warmup, measurement, encode)
+	// for GET /v1/jobs/{id}/trace. Trace IDs arrive on JobSpec.TraceID or
+	// are minted at submit.
 	Tracer *obs.Tracer
 	// TraceSample additionally records fine-grained per-interval slice
 	// spans for one in every TraceSample executions (0 = off, the
@@ -155,31 +151,6 @@ type PoolStats struct {
 	// Warm reports warm-checkpoint reuse (zero value when WarmStarts is
 	// off).
 	Warm sim.WarmStats `json:"warm"`
-	// Parallel reports in-run shard parallelism and the CPU-token budget
-	// bounding pool×shard concurrency.
-	Parallel ParallelPoolStats `json:"parallel"`
-}
-
-// ParallelPoolStats aggregates the parallel engine's work across the
-// pool's runs, plus the token budget that keeps pool-level and in-run
-// parallelism from oversubscribing the machine.
-type ParallelPoolStats struct {
-	// Tokens is the CPU-token budget; TokensInUse is the current
-	// aggregate cost of running jobs (a job costs min(max(1, Workers),
-	// Tokens) tokens).
-	Tokens      int `json:"tokens"`
-	TokensInUse int `json:"tokens_in_use"`
-	// Runs counts completed runs that used the parallel engine;
-	// MaxWorkers is the largest effective shard count observed.
-	Runs       uint64 `json:"runs"`
-	MaxWorkers int    `json:"max_workers"`
-	// Barriers totals epoch barriers across parallel runs;
-	// BarriersPerSec and BarrierStallPct are derived from the runners'
-	// wall time (barrier rate, and the share of it the coordinator spent
-	// waiting on shards).
-	Barriers        uint64  `json:"barriers"`
-	BarriersPerSec  float64 `json:"barriers_per_sec"`
-	BarrierStallPct float64 `json:"barrier_stall_pct"`
 }
 
 // ErrClosed is returned by Submit after Close.
@@ -215,18 +186,6 @@ type Pool struct {
 	executions uint64
 	coalesced  uint64
 
-	// CPU-token budget: pool slots cost the job's effective Workers
-	// count, so in-run shard parallelism and pool-level job parallelism
-	// together stay bounded by max(GOMAXPROCS, Workers option).
-	tokens      int
-	tokensInUse int
-	// Parallel-engine aggregates (runs that used the sharded runner).
-	parRuns       uint64
-	parMaxWorkers int
-	parBarriers   uint64
-	parStallNs    int64
-	parRunNs      int64
-
 	wg sync.WaitGroup
 }
 
@@ -243,7 +202,7 @@ func NewPool(opts Options) *Pool {
 		p.phaseHist = make(map[string]*obs.Histogram)
 		for _, name := range []string{
 			"queue", "warm.resolve", "restore", "trunk.extend",
-			"warmup", "measure", "encode", "execute", "parallel.barriers",
+			"warmup", "measure", "encode", "execute",
 		} {
 			p.phaseHist[name] = p.opts.Metrics.Histogram(
 				"bump_sim_phase_seconds",
@@ -251,10 +210,6 @@ func NewPool(opts Options) *Pool {
 				obs.DurationBuckets, "phase", name)
 		}
 		RegisterPoolCollectors(p.opts.Metrics, p)
-	}
-	p.tokens = runtime.GOMAXPROCS(0)
-	if p.opts.Workers > p.tokens {
-		p.tokens = p.opts.Workers
 	}
 	if p.opts.WarmStarts || p.opts.WarmBackend != nil {
 		p.warm = sim.NewWarmStoreBacked(p.opts.WarmEntries, p.opts.WarmBackend)
@@ -480,23 +435,8 @@ func (p *Pool) Cancel(id string) bool {
 	}
 	if j.cancel != nil {
 		j.cancel()
-		p.cond.Broadcast() // a token-blocked worker re-checks its context
 	}
 	return true
-}
-
-// recordParallel folds one finished run's parallel-engine statistics
-// into the pool aggregates.
-func (p *Pool) recordParallel(st sim.ParallelStats) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.parRuns++
-	if st.Workers > p.parMaxWorkers {
-		p.parMaxWorkers = st.Workers
-	}
-	p.parBarriers += st.Barriers
-	p.parStallNs += st.BarrierStallNs
-	p.parRunNs += st.RunNs
 }
 
 // Stats snapshots pool health.
@@ -509,18 +449,6 @@ func (p *Pool) Stats() PoolStats {
 		Completed:  p.completed,
 		Executions: p.executions,
 		Coalesced:  p.coalesced,
-		Parallel: ParallelPoolStats{
-			Tokens:      p.tokens,
-			TokensInUse: p.tokensInUse,
-			Runs:        p.parRuns,
-			MaxWorkers:  p.parMaxWorkers,
-			Barriers:    p.parBarriers,
-		},
-	}
-	if p.parRunNs > 0 {
-		secs := float64(p.parRunNs) / 1e9
-		st.Parallel.BarriersPerSec = float64(p.parBarriers) / secs
-		st.Parallel.BarrierStallPct = 100 * float64(p.parStallNs) / float64(p.parRunNs)
 	}
 	p.mu.Unlock()
 	st.Cache = p.cache.stats()
@@ -604,29 +532,14 @@ func (p *Pool) worker() {
 		j.state = StateRunning
 		p.running++
 		p.executions++
-		// Acquire the job's CPU tokens: a Workers=N job costs N of the
-		// shared budget, so pool×shard concurrency never oversubscribes.
-		// The job is already claimed (other workers keep draining the
-		// queue), and cost <= tokens, so every waiter eventually runs.
-		if j.cfg.Workers == 0 && p.opts.SimWorkers > 0 {
-			j.cfg.Workers = p.opts.SimWorkers
-		}
-		cost := j.cfg.Workers
-		if cost < 1 {
-			cost = 1
-		}
-		if cost > p.tokens {
-			cost = p.tokens
-		}
-		ctx, cancel := context.WithCancel(context.Background())
+		var ctx context.Context
+		var cancel context.CancelFunc
 		if j.timeout > 0 {
 			ctx, cancel = context.WithTimeout(context.Background(), j.timeout)
+		} else {
+			ctx, cancel = context.WithCancel(context.Background())
 		}
-		j.cancel = cancel // set before the token wait so Cancel reaches a token-blocked job
-		for p.tokensInUse+cost > p.tokens && !p.closed && ctx.Err() == nil {
-			p.cond.Wait()
-		}
-		p.tokensInUse += cost
+		j.cancel = cancel
 		p.mu.Unlock()
 
 		started := time.Now()
@@ -638,18 +551,6 @@ func (p *Pool) worker() {
 			Interval: p.opts.ProgressInterval,
 			Progress: func(pr sim.Progress) { p.publish(j, pr) },
 			Cancel:   func() bool { return ctx.Err() != nil },
-			Parallel: func(st sim.ParallelStats) {
-				p.recordParallel(st)
-				if st.Barriers > 0 {
-					// The engine reports aggregate stall, not per-barrier
-					// intervals; render it as one synthetic span ending now.
-					end := time.Now()
-					p.span(j, "parallel.barriers", end.Add(-time.Duration(st.BarrierStallNs)), end,
-						obs.SpanArg{Key: "barriers", Val: st.Barriers},
-						obs.SpanArg{Key: "workers", Val: st.Workers})
-					p.observePhase("parallel.barriers", float64(st.BarrierStallNs)/1e9)
-				}
-			},
 		}
 		if p.tracer != nil || p.phaseHist != nil {
 			hooks.Phase = func(name string, start, end time.Time) {
@@ -688,14 +589,11 @@ func (p *Pool) worker() {
 
 		finished := time.Now()
 		p.span(j, "execute", started, finished,
-			obs.SpanArg{Key: "hash", Val: j.hash},
-			obs.SpanArg{Key: "workers", Val: j.cfg.Workers})
+			obs.SpanArg{Key: "hash", Val: j.hash})
 		p.observePhase("execute", finished.Sub(started).Seconds())
 
 		p.mu.Lock()
 		p.running--
-		p.tokensInUse -= cost
-		p.cond.Broadcast() // wake token waiters (Signal could pick a queue waiter)
 		j.cancel = nil
 		switch {
 		case err == nil:

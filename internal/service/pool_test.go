@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -374,102 +373,5 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 	}
 	if _, err := p.Job(ids[2]); err != nil {
 		t.Errorf("newest terminal job must be retained: %v", err)
-	}
-}
-
-// raiseProcs lifts GOMAXPROCS to n for the test (restored afterwards) so
-// the parallel engine can engage on single-CPU CI runners. Correctness,
-// unlike speedup, does not need real cores.
-func raiseProcs(t *testing.T, n int) {
-	t.Helper()
-	if prev := runtime.GOMAXPROCS(0); prev < n {
-		runtime.GOMAXPROCS(n)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
-
-// TestParallelTokenBudgetBoundsConcurrency pins the pool's CPU-token
-// accounting: two full-cost parallel jobs never hold tokens at once,
-// even with idle pool workers, and canceling drains the budget to zero.
-func TestParallelTokenBudgetBoundsConcurrency(t *testing.T) {
-	raiseProcs(t, 4)
-	p := newTestPool(t, Options{Workers: 2})
-	tokens := p.Stats().Parallel.Tokens
-	if tokens < 2 {
-		t.Fatalf("token budget %d, want >= 2 (max of GOMAXPROCS and pool workers)", tokens)
-	}
-
-	a := longSpec()
-	a.Workers = tokens
-	b := longSpec()
-	b.Workers = tokens
-	b.Seed = 99 // distinct hash: no coalescing
-	stA, err := p.Submit(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := p.Submit(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Both jobs are claimed by workers, but only one can hold its
-	// tokens; the budget must plateau at exactly `tokens`.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := p.Stats()
-		if st.Running == 2 && st.Parallel.TokensInUse == tokens {
-			break
-		}
-		if st.Parallel.TokensInUse > tokens {
-			t.Fatalf("tokens in use %d exceeds budget %d", st.Parallel.TokensInUse, tokens)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("budget never plateaued: %+v", st.Parallel)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Cancel reaches both the executing job and the token-blocked one.
-	p.Cancel(stA.ID)
-	p.Cancel(stB.ID)
-	ctx, cancelWait := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelWait()
-	for _, id := range []string{stA.ID, stB.ID} {
-		st, err := p.Wait(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateCanceled {
-			t.Fatalf("job %s: state %s, want canceled", id, st.State)
-		}
-	}
-	if st := p.Stats(); st.Parallel.TokensInUse != 0 {
-		t.Fatalf("tokens leaked: %d in use after both jobs finished", st.Parallel.TokensInUse)
-	}
-}
-
-// TestPoolReportsParallelStats runs one genuinely parallel job through
-// the pool and checks the /v1/healthz aggregates populate.
-func TestPoolReportsParallelStats(t *testing.T) {
-	raiseProcs(t, 4)
-	p := newTestPool(t, Options{Workers: 1})
-	spec := specFixture()
-	spec.Workers = 4
-	if _, err := p.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats().Parallel
-	if st.Runs != 1 {
-		t.Fatalf("parallel runs = %d, want 1", st.Runs)
-	}
-	if st.MaxWorkers < 2 {
-		t.Fatalf("max workers = %d, want >= 2", st.MaxWorkers)
-	}
-	if st.Barriers == 0 {
-		t.Fatal("no barriers recorded for a parallel run")
-	}
-	if st.BarriersPerSec <= 0 || st.BarrierStallPct < 0 || st.BarrierStallPct > 100 {
-		t.Fatalf("derived rates out of range: %+v", st)
 	}
 }

@@ -57,12 +57,6 @@ type JobSpec struct {
 	// they are excluded from the config hash.
 	Priority  int   `json:"priority,omitempty"`
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Workers requests parallel in-run execution (sim.Config.Workers).
-	// Results are byte-identical at any value, so like Priority it is a
-	// pure resource knob: excluded from the config hash, irrelevant to
-	// coalescing and caching, and budgeted by the pool so pool×shard
-	// concurrency stays bounded.
-	Workers int `json:"workers,omitempty"`
 	// TraceID is the distributed-tracing correlation ID, minted at
 	// submit (by whichever layer sees the job first) and propagated
 	// through every hop — coordinator routing, wire frames, worker
@@ -125,7 +119,6 @@ func (s JobSpec) Config() (sim.Config, error) {
 	cfg.ForkCycles = s.ForkCycles
 	cfg.DisablePrefetcher = s.DisablePrefetcher
 	cfg.ForceBlockInterleave = s.ForceBlockInterleave
-	cfg.Workers = s.Workers
 	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, err
 	}

@@ -151,16 +151,6 @@ type Config struct {
 	// WarmStore. The cuts never alter simulated behaviour — they only
 	// tell the store where future forks may restore.
 	ForkCycles []uint64
-
-	// Workers requests parallel in-run execution with that many shards
-	// (one uncore shard plus core shards); 0 or 1 selects the sequential
-	// engine, and the effective count is capped by GOMAXPROCS and
-	// Cores+1. Results are byte-identical at every Workers value, so
-	// like Priority or a timeout it is a pure execution-resource knob:
-	// it is excluded from the snapshot structural digest and the service
-	// config hash, and never affects warm-checkpoint sharing or result
-	// coalescing.
-	Workers int
 }
 
 // DefaultConfig returns the paper's system (Table II) for the given
@@ -219,9 +209,6 @@ func (c Config) Validate() error {
 	}
 	if c.Mechanism > BuMPVWQ {
 		return fmt.Errorf("sim: unknown mechanism %d", c.Mechanism)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: workers must be non-negative")
 	}
 	if err := c.BuMP.Validate(); err != nil {
 		return err

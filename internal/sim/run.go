@@ -244,12 +244,6 @@ type Hooks struct {
 	// any event at or after it. The checkpoint tree uses it to snapshot
 	// trunk state mid-measurement. Returning an error aborts the run.
 	AtCycle func(cycle uint64) error
-	// Parallel, if non-nil, receives the parallel runner's execution
-	// statistics when a run with Config.Workers > 1 finishes (including
-	// canceled runs). Never called for sequential runs. The numbers
-	// describe the execution, not the simulated machine, which is why
-	// they are not part of Result.
-	Parallel func(ParallelStats)
 	// Phase, if non-nil, receives coarse wall-clock phase timings: the
 	// engine calls it a handful of times per run (never inside the event
 	// loop) with the phase name and its start/end instants. The
@@ -290,7 +284,7 @@ func (s *System) runUntil(target uint64, h Hooks, step, total uint64) error {
 		if next > target {
 			next = target
 		}
-		s.advanceTo(next)
+		s.eng.Run(next)
 		if h.Progress != nil {
 			var instr uint64
 			for _, c := range s.cores {
@@ -332,15 +326,6 @@ func (s *System) RunWithHooks(h Hooks) (Result, error) {
 			c.arm(0)
 		}
 		s.primed = true
-	}
-	if w := s.effectiveWorkers(); w > 1 {
-		s.startParallel(w)
-		defer func() {
-			s.stopParallel()
-			if h.Parallel != nil {
-				h.Parallel(s.lastParallel)
-			}
-		}()
 	}
 	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles
 	step := h.stride(total)

@@ -7,12 +7,9 @@ import (
 	"io"
 	"sort"
 
-	"bump/internal/core"
-	"bump/internal/dram"
 	"bump/internal/mem"
 	"bump/internal/memctrl"
 	"bump/internal/prefetch"
-	"bump/internal/scenario"
 	"bump/internal/snapshot"
 	"bump/internal/workload"
 )
@@ -33,78 +30,15 @@ const (
 	objRefCoreBase = 16
 )
 
-// structuralConfig mirrors Config's structural fields — everything the
-// digest covers, with the same names, order and types, so the canonical
-// walk produces the same bytes it did when it walked Config directly.
-// Execution-resource knobs (Workers) are deliberately absent: they never
-// change what a run computes, so adding them here would needlessly split
-// the warm-checkpoint space and invalidate every committed digest. Any
-// new *structural* Config field must be added to both structs (a
-// conversion test guards the field sets).
-type structuralConfig struct {
-	Cores int
-
-	WindowSize      int
-	RetireWidth     int
-	L1MSHRs         int
-	L1Bytes         int
-	L1Ways          int
-	L1LatencyCycles uint64
-
-	LLCBytes         int
-	LLCWays          int
-	LLCLatencyCycles uint64
-
-	NOCLatencyCycles uint64
-
-	Mechanism            Mechanism
-	DisablePrefetcher    bool
-	ForceBlockInterleave bool
-	MaxRowHitStreak      int
-	BuMP                 core.Config
-	DRAM                 dram.Config
-
-	Workload workload.Params
-	Scenario scenario.Spec
-	Streams  func(core int) workload.Stream
-	Seed     int64
-
-	WarmupCycles  uint64
-	MeasureCycles uint64
-
-	ForkAt     uint64
-	ForkCycles []uint64
-}
-
 // structuralDigest identifies the configurations a snapshot can restore
-// into: every structural Config field except the *measured* parameters —
-// MeasureCycles and MaxRowHitStreak, which shape only the measurement
-// window, never the structure or the warmed state. Sweeping a measured
-// parameter across a shared warm checkpoint is therefore exact
-// functional warmup, not an approximation of a different machine.
+// into: every Config field except the *measured* parameters —
+// MeasureCycles, MaxRowHitStreak, ForkAt and ForkCycles, which shape only
+// the measurement window, never the structure or the warmed state.
+// Sweeping a measured parameter across a shared warm checkpoint is
+// therefore exact functional warmup, not an approximation of a different
+// machine. The walk covers Config itself, with those fields zeroed, so a
+// new Config field joins the digest automatically.
 func structuralDigest(cfg Config) ([32]byte, error) {
-	c := structuralConfig{
-		Cores:                cfg.Cores,
-		WindowSize:           cfg.WindowSize,
-		RetireWidth:          cfg.RetireWidth,
-		L1MSHRs:              cfg.L1MSHRs,
-		L1Bytes:              cfg.L1Bytes,
-		L1Ways:               cfg.L1Ways,
-		L1LatencyCycles:      cfg.L1LatencyCycles,
-		LLCBytes:             cfg.LLCBytes,
-		LLCWays:              cfg.LLCWays,
-		LLCLatencyCycles:     cfg.LLCLatencyCycles,
-		NOCLatencyCycles:     cfg.NOCLatencyCycles,
-		Mechanism:            cfg.Mechanism,
-		DisablePrefetcher:    cfg.DisablePrefetcher,
-		ForceBlockInterleave: cfg.ForceBlockInterleave,
-		BuMP:                 cfg.BuMP,
-		DRAM:                 cfg.DRAM,
-		Workload:             cfg.Workload,
-		Scenario:             cfg.Scenario,
-		Seed:                 cfg.Seed,
-		WarmupCycles:         cfg.WarmupCycles,
-	}
 	prefix := structuralDigestVersion
 	if cfg.Streams != nil {
 		// Code has no canonical value: the digest records only that the
@@ -112,7 +46,10 @@ func structuralDigest(cfg Config) ([32]byte, error) {
 		// supply the same streams themselves.
 		prefix += "+custom-streams"
 	}
-	return snapshot.CanonicalDigest(prefix, c)
+	cfg.MeasureCycles, cfg.MaxRowHitStreak = 0, 0
+	cfg.ForkAt, cfg.ForkCycles = 0, nil
+	cfg.Streams = nil
+	return snapshot.CanonicalDigest(prefix, cfg)
 }
 
 // latePrefix names the measured-parameter trajectory the simulated

@@ -259,28 +259,51 @@ func TestWarmStoreSharesOneWarmup(t *testing.T) {
 	}
 }
 
-// TestWarmStoreIdenticalConfigBitIdentical: a warm-restored run of the
-// *same* configuration matches a cold run exactly.
+// TestWarmStoreIdenticalConfigBitIdentical: a run of the *same*
+// configuration through the warm store matches a cold run byte for
+// byte, both on the pass that builds the trunk checkpoints and on the
+// pass that restores them — for a stationary workload, a scenario, and
+// a checkpoint-tree fork (deferred MaxRowHitStreak bound mid-measurement
+// at one published cut).
 func TestWarmStoreIdenticalConfigBitIdentical(t *testing.T) {
-	cfg := smallConfig(BuMPVWQ, workload.WebServing(), 6)
-	cold, err := RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
+	fork := smallConfig(BaseClose, workload.WebSearch(), 8)
+	fork.MaxRowHitStreak = 4
+	fork.ForkAt = fork.WarmupCycles + fork.MeasureCycles/4
+	fork.ForkCycles = []uint64{fork.ForkAt}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"stationary/bump+vwq-web-serving", smallConfig(BuMPVWQ, workload.WebServing(), 6)},
+		{"scenario/sms+vwq-test-burst", smallScenarioConfig(SMSVWQ, testBurstSpec(), 7)},
+		{"fork/base-close-web-search", fork},
 	}
-	ws := NewWarmStore(2)
-	first, err := ws.Run(cfg) // miss: simulates warmup, publishes checkpoint
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ws.Run(cfg) // hit: restores the checkpoint
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, cold) || !reflect.DeepEqual(second, cold) {
-		t.Fatal("warm-restored run diverges from cold run for an identical config")
-	}
-	if st := ws.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("warm store stats %+v, want 1 hit / 1 miss", st)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cold, err := RunOne(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := marshalResult(t, cold)
+			ws := NewWarmStore(4)
+			for _, pass := range []string{"build", "restore"} {
+				res, err := ws.Run(tc.cfg)
+				if err != nil {
+					t.Fatalf("%s pass: %v", pass, err)
+				}
+				if got := marshalResult(t, res); !bytes.Equal(got, want) {
+					t.Fatalf("%s pass diverges from the cold run.\ngot:\n%s\nwant:\n%s", pass, got, want)
+				}
+			}
+			st := ws.Stats()
+			restores := st.Hits
+			if tc.cfg.ForkAt > 0 {
+				restores = st.ForkHits
+			}
+			if st.Misses != 1 || restores != 1 {
+				t.Fatalf("warm store stats %+v, want one warmup built and one restore of the run's node", st)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"bump/internal/cache"
 	"bump/internal/core"
 	"bump/internal/dram"
@@ -92,11 +90,6 @@ func init() {
 type System struct {
 	cfg Config
 	eng *event.Engine
-	// unc is the uncore's posting endpoint (the LLC/memory path and the
-	// memory controller post through it). It forwards to eng outside
-	// parallel windows; the parallel runner binds it to shard 0 inside
-	// them (see parallel.go).
-	unc *event.Port
 
 	cores    []*coreRunner
 	llc      *cache.Cache
@@ -139,13 +132,6 @@ type System struct {
 	// clock, never serialized: a system built with ForkAt > 0 starts
 	// canonical and binds when the run reaches the fork cycle.
 	measuredBound bool
-
-	// par is the active parallel-execution state (nil when running the
-	// sequential engine); lastParallel keeps the most recent run's
-	// parallel statistics readable after the runner is stopped. Neither
-	// is simulated state: snapshots and results never include them.
-	par          *parallelState
-	lastParallel ParallelStats
 }
 
 // New builds a system from cfg.
@@ -154,7 +140,6 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	eng := event.New()
-	unc := event.NewPort(eng)
 	d := dram.New(cfg.DRAM)
 	ctrlCfg := cfg
 	if cfg.ForkAt > 0 {
@@ -164,14 +149,13 @@ func New(cfg Config) (*System, error) {
 		// byte-shared with every sibling branch.
 		ctrlCfg.MaxRowHitStreak = 0
 	}
-	mc, err := memctrl.New(ctrlCfg.controllerConfig(), d, unc)
+	mc, err := memctrl.New(ctrlCfg.controllerConfig(), d, eng)
 	if err != nil {
 		return nil, err
 	}
 	s := &System{
 		cfg:         cfg,
 		eng:         eng,
-		unc:         unc,
 		llc:         cache.New(cfg.LLCBytes, cfg.LLCWays),
 		llcMSHRs:    cache.NewMSHRTable(1 << 16), // effectively unbounded fill queue
 		xbar:        noc.New(cfg.NOCLatencyCycles),
@@ -242,9 +226,6 @@ func New(cfg Config) (*System, error) {
 			stream: stream,
 			l1:     cache.New(cfg.L1Bytes, cfg.L1Ways),
 			chains: make(map[uint32]bool),
-			port:   event.NewPort(eng),
-			ctr:    &s.counters,
-			xbar:   s.xbar,
 		}
 	}
 	return s, nil
@@ -265,25 +246,8 @@ func (s *System) bindMeasured() {
 // Predictor exposes the BuMP predictor, if the mechanism has one.
 func (s *System) Predictor() *core.Predictor { return s.bump }
 
-// newToken hands the issuing core a waiter token for an access leaving
-// for the LLC. Sequentially it allocates the slab slot on the spot;
-// inside a parallel window the allocation is logged for the barrier
-// replay and a provisional token stands in (see parallel.go) — only the
-// posted llcAccess event ever carries it, and that event is patched to
-// the real token before entering the engine.
-func (s *System) newToken(acc mem.Access, core int, load bool, pos uint64, issue uint64) uint64 {
-	if sr := s.cores[core].port.Shard(); sr != nil {
-		sh := &s.par.shards[s.cores[core].port.Tag]
-		id := uint64(len(sh.allocs))
-		sh.allocs = append(sh.allocs, allocRec{acc: acc, pos: pos, issue: issue, core: int32(core), load: load})
-		sh.realTok = append(sh.realTok, 0)
-		sr.Op(opAllocWaiter, id)
-		return provTokFlag | uint64(s.cores[core].port.Tag)<<provTokShardShift | id
-	}
-	return s.allocWaiter(acc, core, load, pos, issue)
-}
-
-// allocWaiter is the sequential slab allocation.
+// allocWaiter hands the issuing core a waiter token for an access
+// leaving for the LLC, allocating its slab slot.
 func (s *System) allocWaiter(acc mem.Access, core int, load bool, pos uint64, issue uint64) uint64 {
 	idx := s.freeWaiter
 	if idx >= 0 {
@@ -326,13 +290,6 @@ type coreRunner struct {
 	sys    *System
 	stream workload.Stream
 	l1     *cache.Cache
-	// port is the core's posting endpoint; ctr and xbar are where its
-	// stall counters and NOC sends land. Sequentially they alias the
-	// system's authoritative structures; under parallel execution they
-	// point at the core's shard-private deltas (merged at barriers).
-	port *event.Port
-	ctr  *Counters
-	xbar *noc.Crossbar
 
 	cur     mem.Access
 	hasCur  bool
@@ -351,12 +308,12 @@ func (c *coreRunner) arm(at uint64) {
 		return
 	}
 	c.armed = true
-	c.port.Post(at, coreAdvanceH, c, 0, 0)
+	c.sys.eng.Post(at, coreAdvanceH, c, 0, 0)
 }
 
 func (c *coreRunner) wake() {
 	if !c.armed {
-		c.arm(c.port.Now())
+		c.arm(c.sys.eng.Now())
 	}
 }
 
@@ -366,7 +323,7 @@ func (c *coreRunner) wake() {
 func (c *coreRunner) advance() {
 	c.armed = false
 	s := c.sys
-	now := c.port.Now()
+	now := s.eng.Now()
 	if now < c.freeAt {
 		c.arm(c.freeAt)
 		return
@@ -381,14 +338,14 @@ func (c *coreRunner) advance() {
 		// Data dependency: a chained access waits for the previous
 		// link's data.
 		if a.Chain != 0 && c.chains[a.Chain] {
-			c.ctr.ChainStalls++
+			s.counters.ChainStalls++
 			return // chain completion wakes us
 		}
 		// Window: the oldest outstanding load blocks retirement; we
 		// cannot run more than WindowSize instructions past it.
 		newPos := c.pos + uint64(a.Work) + 1
 		if len(c.pending) > 0 && newPos-c.pending[0] > uint64(s.cfg.WindowSize) {
-			c.ctr.WindowStalls++
+			s.counters.WindowStalls++
 			return // load completion wakes us
 		}
 
@@ -396,7 +353,7 @@ func (c *coreRunner) advance() {
 		block := a.Addr.Block()
 		l1Hit := isLoad && c.l1.Lookup(block, true) != nil
 		if !l1Hit && c.mshrs >= s.cfg.L1MSHRs {
-			c.ctr.MSHRStalls++
+			s.counters.MSHRStalls++
 			return // MSHR release wakes us
 		}
 
@@ -413,7 +370,7 @@ func (c *coreRunner) advance() {
 			if acc.Chain != 0 {
 				c.chains[acc.Chain] = true
 				done := issueAt + s.cfg.L1LatencyCycles
-				c.port.Post(done, chainDoneH, c, uint64(acc.Chain), 0)
+				s.eng.Post(done, chainDoneH, c, uint64(acc.Chain), 0)
 			}
 		} else {
 			c.mshrs++
@@ -423,9 +380,9 @@ func (c *coreRunner) advance() {
 					c.chains[acc.Chain] = true
 				}
 			}
-			tok := s.newToken(acc, c.id, isLoad, c.pos, issueAt)
-			lat := c.xbar.Send(noc.Control, s.carriesPC)
-			c.port.Post(issueAt+lat, llcAccessH, s, tok, 0)
+			tok := s.allocWaiter(acc, c.id, isLoad, c.pos, issueAt)
+			lat := s.xbar.Send(noc.Control, s.carriesPC)
+			s.eng.Post(issueAt+lat, llcAccessH, s, tok, 0)
 		}
 
 		if c.freeAt > now {
@@ -454,7 +411,7 @@ func (s *System) llcAccess(tok uint64) {
 	a := w.acc
 	b := a.Addr.Block()
 	isStore := a.Type == mem.Store
-	now := s.unc.Now()
+	now := s.eng.Now()
 
 	s.prof.OnDemandAccess(b)
 	if s.bump != nil {
@@ -517,7 +474,7 @@ func (s *System) generateBulkRead(pc mem.PC, trigger mem.BlockAddr, pattern uint
 		s.counters.BulkReads++
 		s.mc.Enqueue(mem.Request{
 			Op: mem.MemRead, Kind: mem.ReadPrefetch, Addr: nb.Addr(), PC: pc,
-			Bulk: true, BulkGroup: uint64(region) + 1, Issue: s.unc.Now(),
+			Bulk: true, BulkGroup: uint64(region) + 1, Issue: s.eng.Now(),
 		})
 	}
 }
@@ -535,7 +492,7 @@ func (s *System) issuePrefetches(blocks []mem.BlockAddr, pc mem.PC) {
 		s.counters.PrefetchReads++
 		s.mc.Enqueue(mem.Request{
 			Op: mem.MemRead, Kind: mem.ReadPrefetch, Addr: nb.Addr(), PC: pc,
-			Issue: s.unc.Now(),
+			Issue: s.eng.Now(),
 		})
 	}
 }
@@ -551,7 +508,7 @@ func (s *System) finishWaiter(tok uint64, b mem.BlockAddr, at uint64) {
 	if w.load {
 		s.xbar.Send(noc.Data, false)
 	}
-	s.unc.Post(at+s.cfg.NOCLatencyCycles, deliverH, s, tok, uint64(b))
+	s.eng.Post(at+s.cfg.NOCLatencyCycles, deliverH, s, tok, uint64(b))
 }
 
 // deliver lands the response at the core: latency accounting, MSHR and
@@ -564,21 +521,10 @@ func (s *System) deliver(tok uint64, b mem.BlockAddr) {
 	}
 	load, pos, chain, issue := w.load, w.pos, w.chain, w.issue
 	cr := s.cores[w.core]
-	now := cr.port.Now()
-	if sr := cr.port.Shard(); sr != nil {
-		// Parallel window: the slot free and the latency sample are slab
-		// side effects — log them for the barrier replay (global order).
-		// The slot stays claimed until then, which is invisible inside
-		// the window: its only other readers run in later windows.
-		sr.Op(opFreeWaiter, uint64(idx))
-		if load && now >= s.cfg.WarmupCycles && now < s.cfg.WarmupCycles+s.cfg.MeasureCycles {
-			sr.Op(opLoadSample, math.Float64bits(float64(now-issue)))
-		}
-	} else {
-		s.freeWaiterSlot(idx)
-		if load && now >= s.cfg.WarmupCycles && now < s.cfg.WarmupCycles+s.cfg.MeasureCycles {
-			s.loadLatency.Add(float64(now - issue))
-		}
+	now := s.eng.Now()
+	s.freeWaiterSlot(idx)
+	if load && now >= s.cfg.WarmupCycles && now < s.cfg.WarmupCycles+s.cfg.MeasureCycles {
+		s.loadLatency.Add(float64(now - issue))
 	}
 	cr.mshrs--
 	if load {
@@ -637,7 +583,7 @@ func (s *System) onMemComplete(cp memctrl.Completion) {
 		s.onEvict(ev.Line)
 	}
 	if m, ok := s.llcMSHRs.Complete(b); ok {
-		now := s.unc.Now()
+		now := s.eng.Now()
 		for _, tok := range m.Waiters {
 			_, w := s.waiterByTok(tok)
 			if w == nil || w.state != waiterActive {
@@ -685,7 +631,7 @@ func (s *System) onEvict(l cache.Line) {
 
 	if l.Dirty {
 		s.counters.DemandWrites++
-		s.mc.Enqueue(mem.Request{Op: mem.MemWrite, Addr: b.Addr(), Issue: s.unc.Now()})
+		s.mc.Enqueue(mem.Request{Op: mem.MemWrite, Addr: b.Addr(), Issue: s.eng.Now()})
 		s.decDirty(region, b)
 		// With BuMP+VWQ, VWQ handles only the dirty evictions BuMP did
 		// not claim (non-high-density regions, Section V.G footnote).
@@ -694,7 +640,7 @@ func (s *System) onEvict(l cache.Line) {
 				s.llc.CleanBlock(nb)
 				s.counters.EagerWrites++
 				s.decDirty(nb.Region(s.regionShift), nb)
-				s.mc.Enqueue(mem.Request{Op: mem.MemWrite, Addr: nb.Addr(), Bulk: true, Issue: s.unc.Now()})
+				s.mc.Enqueue(mem.Request{Op: mem.MemWrite, Addr: nb.Addr(), Bulk: true, Issue: s.eng.Now()})
 			}
 		}
 	}
@@ -708,7 +654,7 @@ func (s *System) onEvict(l cache.Line) {
 			s.decDirty(region, db)
 			s.mc.Enqueue(mem.Request{
 				Op: mem.MemWrite, Addr: db.Addr(), Bulk: true,
-				BulkGroup: uint64(region) + 1, Issue: s.unc.Now(),
+				BulkGroup: uint64(region) + 1, Issue: s.eng.Now(),
 			})
 		}
 	}
