@@ -4,10 +4,15 @@
 // The cache is a pure state container — lookup, fill, eviction, dirty
 // tracking, LRU replacement — with no notion of time. Latency, banking
 // conflicts and MSHR occupancy are imposed by the simulator driving it.
-// Each line carries the metadata BuMP and the statistics need: the PC that
-// triggered the fill, whether the fill was a prefetch/bulk transfer, and
-// whether a demand access referenced it after the fill (overfetch
-// accounting, Fig. 8).
+// Each line carries the state bits BuMP and the statistics need: whether
+// it is dirty, whether the fill was a prefetch/bulk transfer, and whether
+// a demand access referenced it after the fill (overfetch accounting,
+// Fig. 8).
+//
+// The state is laid out struct-of-arrays: a tag array that lookups and
+// region scans read (a 16-way set's tags span two host cache lines), an
+// LRU-stamp array that only the fill's victim search reads, and one flag
+// byte per line.
 package cache
 
 import (
@@ -16,29 +21,39 @@ import (
 	"bump/internal/mem"
 )
 
-// Line is one cache block's bookkeeping state.
-type Line struct {
-	Block mem.BlockAddr
-	Valid bool
-	Dirty bool
+// invalidTag marks an empty way. Block addresses are byte addresses
+// shifted right by mem.BlockShift, so no block reaches it.
+const invalidTag = ^mem.BlockAddr(0)
+
+// Flags are a line's state bits. Checkpoints store them as they are, with
+// the snapshot encoding's valid bit in bit 0, so renumbering them changes
+// the snapshot format.
+type Flags uint8
+
+// Line state bits.
+const (
+	// Dirty marks a line modified since its fill or its last eager
+	// writeback.
+	Dirty Flags = 1 << (iota + 1)
 	// Prefetched marks lines filled by a prefetcher or bulk transfer
 	// rather than a demand miss.
-	Prefetched bool
-	// Referenced marks lines touched by a demand access since fill;
-	// a Prefetched line evicted with Referenced == false is overfetch.
-	Referenced bool
-	// PC is the instruction that triggered the fill (demand) or the
-	// bulk trigger instruction (bulk fills).
-	PC mem.PC
-	// Core is the originating core of the fill.
-	Core int
+	Prefetched
+	// Referenced marks lines touched by a demand access since fill; a
+	// Prefetched line evicted without Referenced is overfetch.
+	Referenced
 	// Cleaned marks lines whose dirty data was written back eagerly
 	// (VWQ / BuMP bulk writes) while staying resident; re-dirtying such
 	// a line means the eager writeback was premature (Fig. 8's "extra
 	// writebacks").
-	Cleaned bool
+	Cleaned
 
-	lastUse uint64
+	allFlags = Dirty | Prefetched | Referenced | Cleaned
+)
+
+// Line is a copy of one resident line's state.
+type Line struct {
+	Block mem.BlockAddr
+	Flags Flags
 }
 
 // Eviction describes the victim displaced by a fill.
@@ -48,6 +63,14 @@ type Eviction struct {
 	// Line is a copy of the displaced line's state.
 	Line Line
 }
+
+// Way names one line of the cache: its index in the set-major line
+// arrays. NoWay is a miss. A Way stays valid until the next Fill or
+// Invalidate in its set.
+type Way int
+
+// NoWay is the Way of a block that is not resident.
+const NoWay Way = -1
 
 // Stats aggregates the cache's event counters.
 type Stats struct {
@@ -67,9 +90,12 @@ type Stats struct {
 // Cache is a set-associative, write-back, write-allocate cache with LRU
 // replacement.
 type Cache struct {
-	sets  int
-	ways  int
-	lines []Line // sets*ways, set-major
+	sets int
+	ways int
+	// Per-line state, sets*ways entries each, set-major.
+	tags  []mem.BlockAddr // invalidTag for an empty way
+	stamp []uint64        // LRU clock value of the line's last use
+	flags []Flags
 	tick  uint64
 	stats Stats
 }
@@ -92,7 +118,17 @@ func New(totalBytes, ways int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a power of two", sets))
 	}
-	return &Cache{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+	c := &Cache{
+		sets:  sets,
+		ways:  ways,
+		tags:  make([]mem.BlockAddr, blocks),
+		stamp: make([]uint64, blocks),
+		flags: make([]Flags, blocks),
+	}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	return c
 }
 
 // Sets returns the number of sets.
@@ -106,83 +142,103 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) setOf(b mem.BlockAddr) int { return int(uint64(b) & uint64(c.sets-1)) }
 
-func (c *Cache) set(b mem.BlockAddr) []Line {
-	s := c.setOf(b)
-	return c.lines[s*c.ways : (s+1)*c.ways]
-}
-
-// Lookup finds the line holding block b. When touch is true the access
-// updates LRU state, marks the line Referenced, and counts in hit/miss
-// statistics; probe-only lookups (touch == false) leave all state intact.
-// The returned pointer stays valid until the next fill in the same set.
-func (c *Cache) Lookup(b mem.BlockAddr, touch bool) *Line {
-	set := c.set(b)
-	if touch {
-		c.stats.Lookups++
-	}
-	for i := range set {
-		if set[i].Valid && set[i].Block == b {
-			if touch {
-				c.stats.Hits++
-				c.tick++
-				set[i].lastUse = c.tick
-				if set[i].Prefetched && !set[i].Referenced {
-					c.stats.PrefetchUsed++
-				}
-				set[i].Referenced = true
-			}
-			return &set[i]
+// find returns the Way holding block b, touching no state.
+func (c *Cache) find(b mem.BlockAddr) Way {
+	base := c.setOf(b) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == b {
+			return Way(base + i)
 		}
 	}
-	if touch {
-		c.stats.Misses++
+	return NoWay
+}
+
+// Lookup finds the line holding block b, returning NoWay on a miss. When
+// touch is true the access updates LRU state, marks the line Referenced,
+// and counts in hit/miss statistics; probe-only lookups (touch == false)
+// leave all state intact.
+func (c *Cache) Lookup(b mem.BlockAddr, touch bool) Way {
+	w := c.find(b)
+	if !touch {
+		return w
 	}
-	return nil
+	c.stats.Lookups++
+	if w == NoWay {
+		c.stats.Misses++
+		return NoWay
+	}
+	c.stats.Hits++
+	c.tick++
+	c.stamp[w] = c.tick
+	f := c.flags[w]
+	if f&(Prefetched|Referenced) == Prefetched {
+		c.stats.PrefetchUsed++
+	}
+	c.flags[w] = f | Referenced
+	return w
 }
 
 // Contains reports whether block b is resident, without touching any state.
-func (c *Cache) Contains(b mem.BlockAddr) bool { return c.Lookup(b, false) != nil }
+func (c *Cache) Contains(b mem.BlockAddr) bool { return c.find(b) != NoWay }
+
+// Flags returns the state bits of the line at w.
+func (c *Cache) Flags(w Way) Flags { return c.flags[w] }
+
+// SetFlags replaces the state bits of the line at w.
+func (c *Cache) SetFlags(w Way, f Flags) { c.flags[w] = f }
 
 // Fill inserts block b, evicting the LRU line of its set if necessary, and
 // returns the new line plus the eviction record. Filling a block that is
-// already resident refreshes its metadata but keeps its dirty bit.
-func (c *Cache) Fill(b mem.BlockAddr, pc mem.PC, core int, prefetched bool) (*Line, Eviction) {
-	set := c.set(b)
+// already resident refreshes its LRU position and keeps its state bits.
+func (c *Cache) Fill(b mem.BlockAddr, prefetched bool) (Way, Eviction) {
+	if b == invalidTag {
+		panic(fmt.Sprintf("cache: block %#x is reserved", uint64(b)))
+	}
 	c.stats.Fills++
-	// Already resident: refresh.
-	for i := range set {
-		if set[i].Valid && set[i].Block == b {
+	base := c.setOf(b) * c.ways
+	tags := c.tags[base : base+c.ways]
+	victim := -1
+	for i, t := range tags {
+		if t == b { // already resident: refresh
 			c.tick++
-			set[i].lastUse = c.tick
-			return &set[i], Eviction{}
+			c.stamp[base+i] = c.tick
+			return Way(base + i), Eviction{}
 		}
-	}
-	victim := 0
-	for i := range set {
-		if !set[i].Valid {
-			victim = i
-			break
-		}
-		if set[i].lastUse < set[victim].lastUse {
+		if t == invalidTag && victim < 0 {
 			victim = i
 		}
 	}
+	if victim < 0 { // full set: the least recently used line goes
+		stamps := c.stamp[base : base+c.ways]
+		victim = 0
+		for i := 1; i < len(stamps); i++ {
+			if stamps[i] < stamps[victim] {
+				victim = i
+			}
+		}
+	}
+	w := base + victim
 	var ev Eviction
-	if set[victim].Valid {
-		ev = Eviction{Valid: true, Line: set[victim]}
-		c.noteEvict(&set[victim])
+	if tags[victim] != invalidTag {
+		ev = Eviction{Valid: true, Line: Line{Block: tags[victim], Flags: c.flags[w]}}
+		c.noteEvict(c.flags[w])
 	}
 	c.tick++
-	set[victim] = Line{Block: b, Valid: true, PC: pc, Core: core, Prefetched: prefetched, lastUse: c.tick}
-	return &set[victim], ev
+	tags[victim] = b
+	c.stamp[w] = c.tick
+	c.flags[w] = 0
+	if prefetched {
+		c.flags[w] = Prefetched
+	}
+	return Way(w), ev
 }
 
-func (c *Cache) noteEvict(l *Line) {
+func (c *Cache) noteEvict(f Flags) {
 	c.stats.Evictions++
-	if l.Dirty {
+	if f&Dirty != 0 {
 		c.stats.DirtyEvicts++
 	}
-	if l.Prefetched && !l.Referenced {
+	if f&(Prefetched|Referenced) == Prefetched {
 		c.stats.PrefetchUnused++
 	}
 }
@@ -190,28 +246,26 @@ func (c *Cache) noteEvict(l *Line) {
 // Invalidate removes block b, returning a copy of the removed line. Used
 // for eager writeback mechanisms that clean or remove blocks out of band.
 func (c *Cache) Invalidate(b mem.BlockAddr) (Line, bool) {
-	set := c.set(b)
-	for i := range set {
-		if set[i].Valid && set[i].Block == b {
-			c.noteEvict(&set[i])
-			l := set[i]
-			set[i] = Line{}
-			return l, true
-		}
+	w := c.find(b)
+	if w == NoWay {
+		return Line{}, false
 	}
-	return Line{}, false
+	l := Line{Block: b, Flags: c.flags[w]}
+	c.noteEvict(l.Flags)
+	c.tags[w], c.stamp[w], c.flags[w] = invalidTag, 0, 0
+	return l, true
 }
 
 // CleanBlock clears the dirty bit of block b if resident, returning whether
 // the block was dirty. Eager writeback (VWQ, BuMP bulk writes) uses this to
 // write back blocks without evicting them.
 func (c *Cache) CleanBlock(b mem.BlockAddr) (wasDirty bool) {
-	if l := c.Lookup(b, false); l != nil && l.Dirty {
-		l.Dirty = false
-		l.Cleaned = true
-		return true
+	w := c.find(b)
+	if w == NoWay || c.flags[w]&Dirty == 0 {
+		return false
 	}
-	return false
+	c.flags[w] = c.flags[w]&^Dirty | Cleaned
+	return true
 }
 
 // DirtyBlocksInRegion returns the resident dirty blocks of region r in
@@ -228,7 +282,7 @@ func (c *Cache) AppendDirtyBlocksInRegion(dst []mem.BlockAddr, r mem.RegionAddr,
 	n := mem.BlocksPerRegion(regionShift)
 	for i := uint(0); i < n; i++ {
 		b := r.Block(regionShift, i)
-		if l := c.Lookup(b, false); l != nil && l.Dirty {
+		if w := c.find(b); w != NoWay && c.flags[w]&Dirty != 0 {
 			dst = append(dst, b)
 		}
 	}
@@ -249,10 +303,7 @@ func (c *Cache) AppendMissingBlocksInRegion(dst []mem.BlockAddr, r mem.RegionAdd
 	n := mem.BlocksPerRegion(regionShift)
 	for i := uint(0); i < n; i++ {
 		b := r.Block(regionShift, i)
-		if b == except {
-			continue
-		}
-		if c.Lookup(b, false) == nil {
+		if b != except && c.find(b) == NoWay {
 			dst = append(dst, b)
 		}
 	}

@@ -34,16 +34,13 @@ func TestNewValidation(t *testing.T) {
 func TestFillLookupHitMiss(t *testing.T) {
 	c := New(64*8, 2) // 4 sets, 2 ways
 	b := mem.BlockAddr(5)
-	if c.Lookup(b, true) != nil {
+	if c.Lookup(b, true) != NoWay {
 		t.Fatal("lookup on empty cache must miss")
 	}
-	c.Fill(b, 0x400, 1, false)
-	l := c.Lookup(b, true)
-	if l == nil || l.Block != b || !l.Valid {
+	filled, _ := c.Fill(b, false)
+	w := c.Lookup(b, true)
+	if w == NoWay || w != filled || c.tags[w] != b {
 		t.Fatal("fill then lookup must hit")
-	}
-	if l.PC != 0x400 || l.Core != 1 {
-		t.Error("line metadata lost")
 	}
 	st := c.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 || st.Fills != 1 {
@@ -53,10 +50,10 @@ func TestFillLookupHitMiss(t *testing.T) {
 
 func TestLRUReplacement(t *testing.T) {
 	c := New(64*2, 2) // 1 set, 2 ways
-	c.Fill(0, 0, 0, false)
-	c.Fill(1, 0, 0, false)
+	c.Fill(0, false)
+	c.Fill(1, false)
 	c.Lookup(0, true) // make 1 the LRU
-	_, ev := c.Fill(2, 0, 0, false)
+	_, ev := c.Fill(2, false)
 	if !ev.Valid || ev.Line.Block != 1 {
 		t.Errorf("expected eviction of block 1, got %+v", ev)
 	}
@@ -67,8 +64,8 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestProbeDoesNotDisturbState(t *testing.T) {
 	c := New(64*2, 2)
-	c.Fill(0, 0, 0, false)
-	c.Fill(1, 0, 0, false)
+	c.Fill(0, false)
+	c.Fill(1, false)
 	before := c.Stats()
 	c.Lookup(0, false) // probe must not promote or count
 	after := c.Stats()
@@ -76,7 +73,7 @@ func TestProbeDoesNotDisturbState(t *testing.T) {
 		t.Error("probe changed statistics")
 	}
 	// Block 0 must still be LRU: fill evicts it.
-	_, ev := c.Fill(2, 0, 0, false)
+	_, ev := c.Fill(2, false)
 	if !ev.Valid || ev.Line.Block != 0 {
 		t.Errorf("probe promoted block 0: eviction = %+v", ev)
 	}
@@ -84,10 +81,10 @@ func TestProbeDoesNotDisturbState(t *testing.T) {
 
 func TestDirtyEvictionAccounting(t *testing.T) {
 	c := New(64*2, 1) // 2 sets, direct-mapped
-	l, _ := c.Fill(0, 0, 0, false)
-	l.Dirty = true
-	_, ev := c.Fill(2, 0, 0, false) // same set (2 mod 2 == 0)
-	if !ev.Valid || !ev.Line.Dirty {
+	w, _ := c.Fill(0, false)
+	c.SetFlags(w, Dirty)
+	_, ev := c.Fill(2, false) // same set (2 mod 2 == 0)
+	if !ev.Valid || ev.Line.Block != 0 || ev.Line.Flags&Dirty == 0 {
 		t.Fatalf("expected dirty eviction, got %+v", ev)
 	}
 	if st := c.Stats(); st.DirtyEvicts != 1 || st.Evictions != 1 {
@@ -97,22 +94,22 @@ func TestDirtyEvictionAccounting(t *testing.T) {
 
 func TestRefillKeepsDirtyBit(t *testing.T) {
 	c := New(64*4, 2)
-	l, _ := c.Fill(3, 0, 0, false)
-	l.Dirty = true
-	l2, ev := c.Fill(3, 0x99, 2, true)
+	w, _ := c.Fill(3, false)
+	c.SetFlags(w, Dirty)
+	w2, ev := c.Fill(3, true)
 	if ev.Valid {
 		t.Error("refill of resident block must not evict")
 	}
-	if !l2.Dirty {
-		t.Error("refill lost the dirty bit")
+	if w2 != w || c.Flags(w2) != Dirty {
+		t.Errorf("refill changed the line's state bits to %#x", c.Flags(w2))
 	}
 }
 
 func TestPrefetchUseAccounting(t *testing.T) {
 	c := New(64*2, 1)
-	c.Fill(0, 0, 0, true) // prefetched
-	c.Fill(1, 0, 0, true) // prefetched, other set
-	c.Lookup(0, true)     // demand touches block 0
+	c.Fill(0, true)   // prefetched
+	c.Fill(1, true)   // prefetched, other set
+	c.Lookup(0, true) // demand touches block 0
 	c.Invalidate(0)
 	c.Invalidate(1)
 	st := c.Stats()
@@ -123,7 +120,7 @@ func TestPrefetchUseAccounting(t *testing.T) {
 		t.Errorf("PrefetchUnused = %d, want 1", st.PrefetchUnused)
 	}
 	// A second demand hit must not double-count PrefetchUsed.
-	c.Fill(2, 0, 0, true)
+	c.Fill(2, true)
 	c.Lookup(2, true)
 	c.Lookup(2, true)
 	if st := c.Stats(); st.PrefetchUsed != 2 {
@@ -133,10 +130,13 @@ func TestPrefetchUseAccounting(t *testing.T) {
 
 func TestCleanBlock(t *testing.T) {
 	c := New(64*4, 2)
-	l, _ := c.Fill(7, 0, 0, false)
-	l.Dirty = true
+	w, _ := c.Fill(7, false)
+	c.SetFlags(w, Dirty)
 	if !c.CleanBlock(7) {
 		t.Error("CleanBlock must report dirty")
+	}
+	if c.Flags(w) != Cleaned {
+		t.Errorf("cleaned line flags = %#x, want Cleaned only", c.Flags(w))
 	}
 	if c.CleanBlock(7) {
 		t.Error("second CleanBlock must report clean")
@@ -152,9 +152,9 @@ func TestRegionScans(t *testing.T) {
 	r := mem.RegionAddr(9)
 	// Fill blocks 0,2,4 of region 9; dirty 2 and 4.
 	for _, i := range []uint{0, 2, 4} {
-		l, _ := c.Fill(r.Block(shift, i), 0, 0, false)
+		w, _ := c.Fill(r.Block(shift, i), false)
 		if i != 0 {
-			l.Dirty = true
+			c.SetFlags(w, Dirty)
 		}
 	}
 	dirty := c.DirtyBlocksInRegion(r, shift)
@@ -188,7 +188,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				was := c.Contains(b)
-				_, ev := c.Fill(b, 0, 0, false)
+				_, ev := c.Fill(b, false)
 				if !c.Contains(b) {
 					return false
 				}

@@ -1,6 +1,9 @@
 package cache
 
-import "bump/internal/mem"
+import (
+	"bump/internal/addrmap"
+	"bump/internal/mem"
+)
 
 // MSHR is one miss-status holding register: an outstanding fill and the
 // demand accesses coalesced onto it.
@@ -14,10 +17,12 @@ type MSHR struct {
 }
 
 // MSHRTable tracks outstanding misses with a bounded number of entries,
-// modelling the 10 L1-D MSHRs of Table II and the LLC's fill queue.
+// modelling the 10 L1-D MSHRs of Table II and the LLC's fill queue. The
+// index grows with the live entries, not with the capacity: the LLC's
+// fill queue is bounded at 65,536 but holds hundreds.
 type MSHRTable struct {
 	cap     int
-	entries map[mem.BlockAddr]*MSHR
+	entries addrmap.Map[mem.BlockAddr, *MSHR]
 	// pool recycles completed entries (and their Waiters backing arrays)
 	// so steady-state miss traffic allocates nothing.
 	pool []*MSHR
@@ -35,38 +40,49 @@ func NewMSHRTable(capacity int) *MSHRTable {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHRTable{cap: capacity, entries: make(map[mem.BlockAddr]*MSHR, capacity)}
+	return &MSHRTable{cap: capacity}
 }
 
 // Cap returns the capacity.
 func (t *MSHRTable) Cap() int { return t.cap }
 
 // Len returns the number of outstanding entries.
-func (t *MSHRTable) Len() int { return len(t.entries) }
+func (t *MSHRTable) Len() int { return t.entries.Len() }
 
 // Full reports whether a new allocation would be rejected.
-func (t *MSHRTable) Full() bool { return len(t.entries) >= t.cap }
+func (t *MSHRTable) Full() bool { return t.entries.Len() >= t.cap }
 
 // Lookup returns the outstanding entry for block b, if any.
 func (t *MSHRTable) Lookup(b mem.BlockAddr) (*MSHR, bool) {
-	e, ok := t.entries[b]
-	return e, ok
+	if p := t.entries.Find(b); p != nil {
+		return *p, true
+	}
+	return nil, false
 }
 
 // Allocate records a miss on block b. If an entry already exists the
 // request merges onto it and merged == true. If the table is full and no
 // entry exists, ok == false and the caller must retry later.
 func (t *MSHRTable) Allocate(b mem.BlockAddr, demand bool, waiter uint64) (m *MSHR, merged, ok bool) {
-	if e, exists := t.entries[b]; exists {
-		t.Merges++
-		e.Demand = e.Demand || demand
-		e.Waiters = append(e.Waiters, waiter)
-		return e, true, true
+	var p **MSHR
+	if t.Full() { // only a merge can succeed
+		if p = t.entries.Find(b); p == nil {
+			t.Stalls++
+			return nil, false, false
+		}
+	} else if p, merged = t.entries.Upsert(b); !merged {
+		*p = t.newEntry(b, demand, waiter)
+		t.Allocs++
+		return *p, false, true
 	}
-	if t.Full() {
-		t.Stalls++
-		return nil, false, false
-	}
+	e := *p
+	t.Merges++
+	e.Demand = e.Demand || demand
+	e.Waiters = append(e.Waiters, waiter)
+	return e, true, true
+}
+
+func (t *MSHRTable) newEntry(b mem.BlockAddr, demand bool, waiter uint64) *MSHR {
 	var e *MSHR
 	if n := len(t.pool); n > 0 {
 		e = t.pool[n-1]
@@ -78,20 +94,13 @@ func (t *MSHRTable) Allocate(b mem.BlockAddr, demand bool, waiter uint64) (m *MS
 	if waiter != 0 {
 		e.Waiters = append(e.Waiters, waiter)
 	}
-	t.entries[b] = e
-	t.Allocs++
-	return e, false, true
+	return e
 }
 
 // Complete removes and returns the entry for block b when its fill
 // arrives. Returns false if no entry is outstanding.
 func (t *MSHRTable) Complete(b mem.BlockAddr) (*MSHR, bool) {
-	e, ok := t.entries[b]
-	if !ok {
-		return nil, false
-	}
-	delete(t.entries, b)
-	return e, true
+	return t.entries.Delete(b)
 }
 
 // Release returns a completed entry to the table's pool for reuse. The

@@ -2,20 +2,16 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"bump/internal/addrmap"
 	"bump/internal/mem"
 	"bump/internal/snapshot"
 )
 
-// Line flag bits in the snapshot encoding.
-const (
-	lineValid      = 1 << 0
-	lineDirty      = 1 << 1
-	linePrefetched = 1 << 2
-	lineReferenced = 1 << 3
-	lineCleaned    = 1 << 4
-)
+// lineValid is the snapshot encoding's valid bit; a valid line's byte
+// carries its Flags in the bits above it.
+const lineValid = 1 << 0
 
 // SnapshotTo serializes the cache: geometry (validated on restore), LRU
 // clock, statistics, and every line. Invalid lines collapse to a single
@@ -26,30 +22,14 @@ func (c *Cache) SnapshotTo(w *snapshot.Writer) {
 	w.U32(uint32(c.ways))
 	w.U64(c.tick)
 	w.Any(c.stats)
-	for i := range c.lines {
-		l := &c.lines[i]
-		if !l.Valid {
+	for i, t := range c.tags {
+		if t == invalidTag {
 			w.U8(0)
 			continue
 		}
-		var flags uint8 = lineValid
-		if l.Dirty {
-			flags |= lineDirty
-		}
-		if l.Prefetched {
-			flags |= linePrefetched
-		}
-		if l.Referenced {
-			flags |= lineReferenced
-		}
-		if l.Cleaned {
-			flags |= lineCleaned
-		}
-		w.U8(flags)
-		w.U64(uint64(l.Block))
-		w.U64(uint64(l.PC))
-		w.I64(int64(l.Core))
-		w.U64(l.lastUse)
+		w.U8(lineValid | uint8(c.flags[i]))
+		w.U64(uint64(t))
+		w.U64(c.stamp[i])
 	}
 }
 
@@ -66,34 +46,41 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 	}
 	c.tick = r.U64()
 	r.AnyInto(&c.stats)
-	for i := range c.lines {
-		flags := r.U8()
+	for i := range c.tags {
+		bits := r.U8()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if flags&lineValid == 0 {
-			if flags != 0 {
-				return fmt.Errorf("cache: invalid line with non-zero flags %#x", flags)
+		if bits&lineValid == 0 {
+			if bits != 0 {
+				return fmt.Errorf("cache: invalid line with non-zero flags %#x", bits)
 			}
-			c.lines[i] = Line{}
+			c.tags[i], c.stamp[i], c.flags[i] = invalidTag, 0, 0
 			continue
 		}
-		c.lines[i] = Line{
-			Block:      mem.BlockAddr(r.U64()),
-			Valid:      true,
-			Dirty:      flags&lineDirty != 0,
-			Prefetched: flags&linePrefetched != 0,
-			Referenced: flags&lineReferenced != 0,
-			Cleaned:    flags&lineCleaned != 0,
-			PC:         mem.PC(r.U64()),
-			Core:       int(r.I64()),
-			lastUse:    r.U64(),
+		f := Flags(bits &^ lineValid)
+		if f&^allFlags != 0 {
+			return fmt.Errorf("cache: line %d has unknown flags %#x", i, bits)
+		}
+		b := mem.BlockAddr(r.U64())
+		stamp := r.U64()
+		if r.Err() != nil {
+			return r.Err()
 		}
 		// A resident line must live in the set its address indexes, or
-		// lookups would silently miss it after restore.
-		if r.Err() == nil && c.setOf(c.lines[i].Block) != i/c.ways {
-			return fmt.Errorf("cache: line %d holds block %#x belonging to set %d", i, uint64(c.lines[i].Block), c.setOf(c.lines[i].Block))
+		// lookups would silently miss it after restore; and a set must
+		// hold a block at most once, or lookups would see only the first
+		// copy while the second could still be evicted and written back.
+		set := i / c.ways
+		if b == invalidTag || c.setOf(b) != set {
+			return fmt.Errorf("cache: line %d holds block %#x belonging to set %d", i, uint64(b), c.setOf(b))
 		}
+		for j := set * c.ways; j < i; j++ {
+			if c.tags[j] == b {
+				return fmt.Errorf("cache: set %d holds block %#x in ways %d and %d", set, uint64(b), j-set*c.ways, i-set*c.ways)
+			}
+		}
+		c.tags[i], c.stamp[i], c.flags[i] = b, stamp, f
 	}
 	return r.Err()
 }
@@ -107,14 +94,10 @@ func (t *MSHRTable) SnapshotTo(w *snapshot.Writer) {
 	w.U64(t.Allocs)
 	w.U64(t.Merges)
 	w.U64(t.Stalls)
-	blocks := make([]mem.BlockAddr, 0, len(t.entries))
-	for b := range t.entries {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	blocks := slices.Sorted(t.entries.Keys())
 	w.U32(uint32(len(blocks)))
 	for _, b := range blocks {
-		e := t.entries[b]
+		e := *t.entries.Find(b)
 		w.U64(uint64(b))
 		w.Bool(e.Demand)
 		w.U32(uint32(len(e.Waiters)))
@@ -145,7 +128,7 @@ func (t *MSHRTable) RestoreFrom(r *snapshot.Reader) error {
 	if n > t.cap {
 		return fmt.Errorf("cache: %d outstanding MSHRs exceed capacity %d", n, t.cap)
 	}
-	t.entries = make(map[mem.BlockAddr]*MSHR, n)
+	t.entries = addrmap.Map[mem.BlockAddr, *MSHR]{}
 	t.pool = nil
 	for i := 0; i < n; i++ {
 		b := mem.BlockAddr(r.U64())
@@ -158,10 +141,14 @@ func (t *MSHRTable) RestoreFrom(r *snapshot.Reader) error {
 		for j := range e.Waiters {
 			e.Waiters[j] = r.U64()
 		}
-		if _, dup := t.entries[b]; dup {
+		if b == invalidTag {
+			return fmt.Errorf("cache: MSHR for reserved block %#x", uint64(b))
+		}
+		p, dup := t.entries.Upsert(b)
+		if dup {
 			return fmt.Errorf("cache: duplicate MSHR for block %#x", uint64(b))
 		}
-		t.entries[b] = e
+		*p = e
 	}
 	return r.Err()
 }

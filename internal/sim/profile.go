@@ -9,6 +9,7 @@ package sim
 import (
 	"math/bits"
 
+	"bump/internal/addrmap"
 	"bump/internal/mem"
 )
 
@@ -95,11 +96,11 @@ type Profile struct {
 	regionShift uint
 	perRegion   uint
 
-	// Generation state is held by value: the maps churn once per region
-	// residency, and boxing every generation behind a pointer made the
-	// profiler a leading allocation site.
-	readGens  map[mem.RegionAddr]readGen
-	writeGens map[mem.RegionAddr]writeGen
+	// Generation state is held by value in open-addressed tables: they
+	// churn once per region residency, and every demand access updates
+	// one in place.
+	readGens  addrmap.Map[mem.RegionAddr, readGen]
+	writeGens addrmap.Map[mem.RegionAddr, writeGen]
 }
 
 type readGen struct {
@@ -118,21 +119,17 @@ func NewProfile(regionShift uint) *Profile {
 	return &Profile{
 		regionShift: regionShift,
 		perRegion:   mem.BlocksPerRegion(regionShift),
-		readGens:    make(map[mem.RegionAddr]readGen),
-		writeGens:   make(map[mem.RegionAddr]writeGen),
 	}
 }
 
 // OnDemandAccess observes every demand access reaching the LLC, opening a
 // read generation for the region if none is active.
 func (p *Profile) OnDemandAccess(b mem.BlockAddr) {
-	r := b.Region(p.regionShift)
-	g, ok := p.readGens[r]
-	if !ok {
+	g, found := p.readGens.Upsert(b.Region(p.regionShift))
+	if !found {
 		p.ReadGenerations++
 	}
 	g.pattern |= 1 << b.Offset(p.regionShift)
-	p.readGens[r] = g
 }
 
 // OnDRAMRead attributes one DRAM read (demand miss) to its region's
@@ -144,18 +141,15 @@ func (p *Profile) OnDRAMRead(b mem.BlockAddr, storeTriggered bool) {
 	} else {
 		p.LoadReads++
 	}
-	r := b.Region(p.regionShift)
-	if g, ok := p.readGens[r]; ok {
+	if g := p.readGens.Find(b.Region(p.regionShift)); g != nil {
 		g.reads++
-		p.readGens[r] = g
 	}
 }
 
 // OnDirty observes a block becoming dirty in the LLC (store completion).
 func (p *Profile) OnDirty(b mem.BlockAddr) {
-	r := b.Region(p.regionShift)
-	g, ok := p.writeGens[r]
-	if !ok {
+	g, found := p.writeGens.Upsert(b.Region(p.regionShift))
+	if !found {
 		p.WriteEpochs++
 	}
 	bit := uint64(1) << b.Offset(p.regionShift)
@@ -166,24 +160,21 @@ func (p *Profile) OnDirty(b mem.BlockAddr) {
 			p.LateDirtyBlocks++
 		}
 	}
-	p.writeGens[r] = g
 }
 
 // OnDRAMWrite attributes one DRAM write (writeback) to its region's write
 // epoch, classifying it by the epoch's modified-block density (Fig. 5 W).
 func (p *Profile) OnDRAMWrite(b mem.BlockAddr) {
 	p.Writes++
-	r := b.Region(p.regionShift)
-	g, ok := p.writeGens[r]
-	if !ok {
+	g, found := p.writeGens.Upsert(b.Region(p.regionShift))
+	if !found {
 		// Writeback with no recorded store (e.g. warmup leakage):
 		// attribute as a single-block epoch.
-		g = writeGen{dirtied: 1}
+		g.dirtied = 1
 		p.WriteEpochs++
 	}
 	g.writebacks++
 	g.closed = true
-	p.writeGens[r] = g
 	p.WritesByClass[classify(uint(bits.OnesCount64(g.dirtied)), p.perRegion)]++
 }
 
@@ -191,10 +182,8 @@ func (p *Profile) OnDRAMWrite(b mem.BlockAddr) {
 // (the paper's generation boundary: first eviction of a block of the
 // region) and classifying its DRAM reads by final density.
 func (p *Profile) OnEvict(b mem.BlockAddr, dirty bool) {
-	r := b.Region(p.regionShift)
-	if g, ok := p.readGens[r]; ok {
+	if g, ok := p.readGens.Delete(b.Region(p.regionShift)); ok {
 		p.ReadsByClass[classify(uint(bits.OnesCount64(g.pattern)), p.perRegion)] += g.reads
-		delete(p.readGens, r)
 	}
 	_ = dirty
 }
@@ -202,18 +191,16 @@ func (p *Profile) OnEvict(b mem.BlockAddr, dirty bool) {
 // OnWriteEpochEnd closes a write epoch once the region has no dirty
 // blocks left in the LLC; the next store opens a fresh epoch.
 func (p *Profile) OnWriteEpochEnd(b mem.BlockAddr) {
-	delete(p.writeGens, b.Region(p.regionShift))
+	p.writeGens.Delete(b.Region(p.regionShift))
 }
 
 // Flush closes all open generations (end of measurement).
 func (p *Profile) Flush() {
-	for r, g := range p.readGens {
+	for _, g := range p.readGens.All() {
 		p.ReadsByClass[classify(uint(bits.OnesCount64(g.pattern)), p.perRegion)] += g.reads
-		delete(p.readGens, r)
 	}
-	for r := range p.writeGens {
-		delete(p.writeGens, r)
-	}
+	p.readGens.Clear()
+	p.writeGens.Clear()
 }
 
 // Reads returns total DRAM demand reads.

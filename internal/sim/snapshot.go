@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
+	"bump/internal/addrmap"
 	"bump/internal/mem"
 	"bump/internal/memctrl"
 	"bump/internal/prefetch"
@@ -194,15 +196,11 @@ func (s *System) writeState(w *snapshot.Writer) error {
 	}
 
 	// Region dirty counts, sorted for canonical bytes.
-	regions := make([]mem.RegionAddr, 0, len(s.dirtyCount))
-	for r := range s.dirtyCount {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
+	regions := slices.Sorted(s.dirtyCount.Keys())
 	w.U32(uint32(len(regions)))
 	for _, r := range regions {
 		w.U64(uint64(r))
-		w.I64(int64(s.dirtyCount[r]))
+		w.I64(int64(*s.dirtyCount.Find(r)))
 	}
 
 	// Waiter slab: preserved slot-for-slot (tokens in flight embed slot
@@ -358,7 +356,7 @@ func (s *System) readState(r *snapshot.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	s.dirtyCount = make(map[mem.RegionAddr]int, nDirty)
+	s.dirtyCount = addrmap.Map[mem.RegionAddr, int]{}
 	for i := 0; i < nDirty; i++ {
 		region := mem.RegionAddr(r.U64())
 		count := int(r.I64())
@@ -368,7 +366,11 @@ func (s *System) readState(r *snapshot.Reader) error {
 		if count <= 0 {
 			return fmt.Errorf("sim: restore: non-positive dirty count for region %#x", uint64(region))
 		}
-		s.dirtyCount[region] = count
+		n, err := restoreRegion(&s.dirtyCount, region, "dirty count")
+		if err != nil {
+			return err
+		}
+		*n = count
 	}
 
 	nWaiters := r.Len(1 + 4)
@@ -584,26 +586,18 @@ func writeProfile(w *snapshot.Writer, p *Profile) {
 	w.Section("profile")
 	w.U32(uint32(p.regionShift))
 	w.Any(p.ProfileCounters)
-	readRegions := make([]mem.RegionAddr, 0, len(p.readGens))
-	for r := range p.readGens {
-		readRegions = append(readRegions, r)
-	}
-	sort.Slice(readRegions, func(i, j int) bool { return readRegions[i] < readRegions[j] })
+	readRegions := slices.Sorted(p.readGens.Keys())
 	w.U32(uint32(len(readRegions)))
 	for _, region := range readRegions {
-		g := p.readGens[region]
+		g := p.readGens.Find(region)
 		w.U64(uint64(region))
 		w.U64(g.pattern)
 		w.U64(g.reads)
 	}
-	writeRegions := make([]mem.RegionAddr, 0, len(p.writeGens))
-	for r := range p.writeGens {
-		writeRegions = append(writeRegions, r)
-	}
-	sort.Slice(writeRegions, func(i, j int) bool { return writeRegions[i] < writeRegions[j] })
+	writeRegions := slices.Sorted(p.writeGens.Keys())
 	w.U32(uint32(len(writeRegions)))
 	for _, region := range writeRegions {
-		g := p.writeGens[region]
+		g := p.writeGens.Find(region)
 		w.U64(uint64(region))
 		w.U64(g.dirtied)
 		w.U64(g.writebacks)
@@ -625,19 +619,48 @@ func readProfile(r *snapshot.Reader, p *Profile) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	p.readGens = make(map[mem.RegionAddr]readGen, nRead)
+	p.readGens = addrmap.Map[mem.RegionAddr, readGen]{}
 	for i := 0; i < nRead; i++ {
 		region := mem.RegionAddr(r.U64())
-		p.readGens[region] = readGen{pattern: r.U64(), reads: r.U64()}
+		g := readGen{pattern: r.U64(), reads: r.U64()}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		slot, err := restoreRegion(&p.readGens, region, "read generation")
+		if err != nil {
+			return err
+		}
+		*slot = g
 	}
 	nWrite := r.Len(8*3 + 1)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	p.writeGens = make(map[mem.RegionAddr]writeGen, nWrite)
+	p.writeGens = addrmap.Map[mem.RegionAddr, writeGen]{}
 	for i := 0; i < nWrite; i++ {
 		region := mem.RegionAddr(r.U64())
-		p.writeGens[region] = writeGen{dirtied: r.U64(), writebacks: r.U64(), closed: r.Bool()}
+		g := writeGen{dirtied: r.U64(), writebacks: r.U64(), closed: r.Bool()}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		slot, err := restoreRegion(&p.writeGens, region, "write epoch")
+		if err != nil {
+			return err
+		}
+		*slot = g
 	}
 	return r.Err()
+}
+
+// restoreRegion adds a decoded region to a per-region table, rejecting
+// the reserved key and a region the checkpoint lists twice.
+func restoreRegion[V any](m *addrmap.Map[mem.RegionAddr, V], region mem.RegionAddr, what string) (*V, error) {
+	if region == ^mem.RegionAddr(0) {
+		return nil, fmt.Errorf("sim: restore: %s for reserved region %#x", what, uint64(region))
+	}
+	v, dup := m.Upsert(region)
+	if dup {
+		return nil, fmt.Errorf("sim: restore: duplicate %s for region %#x", what, uint64(region))
+	}
+	return v, nil
 }

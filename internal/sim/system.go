@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bump/internal/addrmap"
 	"bump/internal/cache"
 	"bump/internal/core"
 	"bump/internal/dram"
@@ -105,7 +106,8 @@ type System struct {
 	regionShift uint
 	carriesPC   bool
 
-	dirtyCount map[mem.RegionAddr]int
+	// dirtyCount holds each region's dirty-block count in the LLC.
+	dirtyCount addrmap.Map[mem.RegionAddr, int]
 	waiters    []waiterSlot
 	freeWaiter int32
 
@@ -163,7 +165,6 @@ func New(cfg Config) (*System, error) {
 		dram:        d,
 		prof:        NewProfile(cfg.BuMP.RegionShift),
 		regionShift: cfg.BuMP.RegionShift,
-		dirtyCount:  make(map[mem.RegionAddr]int),
 		freeWaiter:  -1,
 
 		measuredBound: cfg.ForkAt == 0,
@@ -351,7 +352,7 @@ func (c *coreRunner) advance() {
 
 		isLoad := a.Type == mem.Load
 		block := a.Addr.Block()
-		l1Hit := isLoad && c.l1.Lookup(block, true) != nil
+		l1Hit := isLoad && c.l1.Lookup(block, true) != cache.NoWay
 		if !l1Hit && c.mshrs >= s.cfg.L1MSHRs {
 			s.counters.MSHRStalls++
 			return // MSHR release wakes us
@@ -419,10 +420,9 @@ func (s *System) llcAccess(tok uint64) {
 	}
 
 	core := int(w.core)
-	line := s.llc.Lookup(b, true)
-	if line != nil {
+	if way := s.llc.Lookup(b, true); way != cache.NoWay {
 		if isStore {
-			s.markDirty(line)
+			s.markDirty(way, b)
 		}
 		s.finishWaiter(tok, b, now+s.cfg.LLCLatencyCycles)
 		if !isStore && s.pf != nil {
@@ -537,32 +537,36 @@ func (s *System) deliver(tok uint64, b mem.BlockAddr) {
 		if chain != 0 {
 			delete(cr.chains, chain)
 		}
-		cr.l1.Fill(b, 0, cr.id, false)
+		cr.l1.Fill(b, false)
 	}
 	cr.wake()
 }
 
-// markDirty transitions an LLC line to dirty, maintaining the region
-// dirty-count and premature-writeback accounting.
-func (s *System) markDirty(line *cache.Line) {
-	if line.Dirty {
+// markDirty transitions the LLC line of block b at way to dirty,
+// maintaining the region dirty-count and premature-writeback accounting.
+func (s *System) markDirty(way cache.Way, b mem.BlockAddr) {
+	f := s.llc.Flags(way)
+	if f&cache.Dirty != 0 {
 		return
 	}
-	if line.Cleaned {
+	if f&cache.Cleaned != 0 {
 		s.counters.PrematureWrites++
-		line.Cleaned = false
 	}
-	line.Dirty = true
-	s.dirtyCount[line.Block.Region(s.regionShift)]++
-	s.prof.OnDirty(line.Block)
+	s.llc.SetFlags(way, f&^cache.Cleaned|cache.Dirty)
+	n, _ := s.dirtyCount.Upsert(b.Region(s.regionShift))
+	*n++
+	s.prof.OnDirty(b)
 }
 
+// decDirty drops one dirty block of region r (b is that block); the
+// region's write epoch ends with its last dirty block.
 func (s *System) decDirty(r mem.RegionAddr, b mem.BlockAddr) {
-	s.dirtyCount[r]--
-	if s.dirtyCount[r] <= 0 {
-		delete(s.dirtyCount, r)
-		s.prof.OnWriteEpochEnd(b)
+	if n := s.dirtyCount.Find(r); n != nil && *n > 1 {
+		*n--
+		return
 	}
+	s.dirtyCount.Delete(r)
+	s.prof.OnWriteEpochEnd(b)
 }
 
 // onMemComplete handles DRAM completions: writebacks finish silently;
@@ -577,8 +581,7 @@ func (s *System) onMemComplete(cp memctrl.Completion) {
 	if cp.Req.Kind != mem.ReadPrefetch {
 		s.prof.OnDRAMRead(b, cp.Req.Kind == mem.ReadDemandStore)
 	}
-	prefetched := cp.Req.Kind == mem.ReadPrefetch
-	line, ev := s.llc.Fill(b, cp.Req.PC, cp.Req.Core, prefetched)
+	way, ev := s.llc.Fill(b, cp.Req.Kind == mem.ReadPrefetch)
 	if ev.Valid {
 		s.onEvict(ev.Line)
 	}
@@ -589,14 +592,14 @@ func (s *System) onMemComplete(cp memctrl.Completion) {
 			if w == nil || w.state != waiterActive {
 				continue
 			}
-			if line.Prefetched && !line.Referenced {
+			if f := s.llc.Flags(way); f&(cache.Prefetched|cache.Referenced) == cache.Prefetched {
 				// The demand request raced the bulk/prefetch fill:
 				// the block is used, but it was not timely.
 				s.counters.LateBulkReads++
-				line.Referenced = true
+				s.llc.SetFlags(way, f|cache.Referenced)
 			}
 			if !w.load {
-				s.markDirty(line)
+				s.markDirty(way, b)
 			}
 			s.finishWaiter(tok, b, now+s.cfg.LLCLatencyCycles)
 		}
@@ -610,26 +613,27 @@ type llcProber struct{ s *System }
 // ProbeDirty implements writeback.DirtyProber.
 func (p llcProber) ProbeDirty(b mem.BlockAddr) bool {
 	p.s.counters.LLCProbes++
-	l := p.s.llc.Lookup(b, false)
-	return l != nil && l.Dirty
+	way := p.s.llc.Lookup(b, false)
+	return way != cache.NoWay && p.s.llc.Flags(way)&cache.Dirty != 0
 }
 
 // onEvict processes an LLC eviction: writeback, BuMP termination/DRT,
 // VWQ eager writeback, SMS generation closure, density profiling.
 func (s *System) onEvict(l cache.Line) {
 	b := l.Block
+	dirty := l.Flags&cache.Dirty != 0
 	region := b.Region(s.regionShift)
-	s.prof.OnEvict(b, l.Dirty)
+	s.prof.OnEvict(b, dirty)
 	if s.pf != nil {
 		s.pf.OnEvict(b)
 	}
 
 	var bulkWB bool
 	if s.bump != nil {
-		bulkWB = s.bump.Evict(b, l.Dirty)
+		bulkWB = s.bump.Evict(b, dirty)
 	}
 
-	if l.Dirty {
+	if dirty {
 		s.counters.DemandWrites++
 		s.mc.Enqueue(mem.Request{Op: mem.MemWrite, Addr: b.Addr(), Issue: s.eng.Now()})
 		s.decDirty(region, b)

@@ -47,8 +47,9 @@ import (
 // History: v1 had no hello flags; v2 added the flags word and the
 // trace-context field in job-carrying bodies (the snapshot codec is
 // positional, so the extra JobSpec field alone forces the bump); v3
-// dropped the JobSpec workers field.
-const FormatVersion = 3
+// dropped the JobSpec workers field; v4 follows snapshot format 3
+// (cache lines without PC and core).
+const FormatVersion = 4
 
 // Hello flag bits, advertised symmetrically in the hello's flags word.
 const (
