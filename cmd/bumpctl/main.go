@@ -1,8 +1,9 @@
 // Command bumpctl coordinates a fleet of bumpd workers behind one
-// endpoint. It speaks the same /v1 wire protocol as a single bumpd, so
-// every existing client (sweep -server, curl scripts, service.Client)
-// works unchanged — plus cluster-only endpoints for topology and whole-
-// sweep batches.
+// endpoint. It serves the same /v1 job API as a single bumpd — the same
+// handler (service.MountJobs) and wire server, over the coordinator's
+// service.Backend — so every existing client (sweep -server, curl
+// scripts, service.Client) works unchanged, plus cluster-only endpoints
+// for topology and whole-sweep batches.
 //
 // Jobs are routed by warm-affinity key: every point of a measured-
 // parameter sweep shares one structural config digest, so the whole
@@ -31,9 +32,9 @@
 //
 //	POST   /v1/jobs             submit a job (affinity-routed, durable ID)
 //	GET    /v1/jobs/{id}        poll a job (answered across restarts)
-//	GET    /v1/jobs/{id}/events SSE progress stream (proxied)
+//	GET    /v1/jobs/{id}/events SSE progress stream (follows failover)
 //	GET    /v1/jobs/{id}/trace  stitched coordinator+worker trace JSON
-//	DELETE /v1/jobs/{id}        cancel a job (proxied)
+//	DELETE /v1/jobs/{id}        cancel a job (404 unknown, 409 terminal)
 //	POST   /v1/batch            run a whole sweep; SSE per-point events
 //	GET    /v1/batch/{id}       sweep progress/aggregate, survives restarts
 //	GET    /v1/results/{hash}   cached result, fleet-wide lookup
@@ -176,8 +177,8 @@ func main() {
 		Addr:        *addr,
 		Handler:     logRequests(coord.Handler()),
 		ReadTimeout: 30 * time.Second,
-		// No WriteTimeout: proxied SSE streams stay open for a job's
-		// lifetime; worker-side timeouts bound them instead.
+		// No WriteTimeout: SSE streams stay open for a job's lifetime;
+		// worker-side timeouts bound them instead.
 	}
 
 	errc := make(chan error, 1)

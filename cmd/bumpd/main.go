@@ -29,7 +29,8 @@
 //	GET    /v1/jobs/{id}        poll a job
 //	GET    /v1/jobs/{id}/events SSE progress stream
 //	GET    /v1/jobs/{id}/trace  Chrome trace-event JSON for the job
-//	DELETE /v1/jobs/{id}        cancel a job
+//	DELETE /v1/jobs/{id}        cancel a job (404 unknown, 409 terminal)
+//	POST   /v1/batch            run a whole sweep
 //	GET    /v1/results/{hash}   cached result by config hash
 //	GET    /v1/healthz          liveness + statistics
 //	GET    /metrics             Prometheus text exposition

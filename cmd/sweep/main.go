@@ -6,11 +6,14 @@
 // default the batch executes on an in-process service.Pool (bounded
 // workers, duplicate coalescing, result caching); with -server the same
 // batch is submitted to a running bumpd or bumpctl instance (one POST
-// /v1/batch request), so many sweep clients can share one simulation
-// service and its cache. A comma-separated -server list of bumpd
-// workers embeds an in-process cluster coordinator instead: points are
-// routed by warm-affinity key across the fleet with automatic failover,
-// and a per-worker warm/cache report is printed after the sweep.
+// /v1/batch request, or one batch call over the wire protocol), so many
+// sweep clients can share one simulation service and its cache. A
+// comma-separated -server list of bumpd workers embeds an in-process
+// cluster coordinator instead: points are routed by warm-affinity key
+// across the fleet with automatic failover, and a per-worker warm/cache
+// report is printed after the sweep. Each of the three is a
+// service.Backend, so a sweep is one Backend.Batch call whichever runs
+// it.
 //
 // With -warm the in-process pool shares warmup-end checkpoints between
 // sweep points whose configurations differ only in measured parameters:
@@ -44,7 +47,6 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -58,97 +60,22 @@ import (
 	"bump/internal/sim"
 )
 
-// runner executes a spec batch and returns results in batch order.
-type runner interface {
-	runAll(specs []service.JobSpec) ([]sim.Result, error)
-}
-
-// unwrapBatch converts an ordered batch aggregate into bare results,
-// failing on the first point that did not complete.
-func unwrapBatch(res service.BatchResult) ([]sim.Result, error) {
+// runAll executes a spec batch on b and returns the results in batch
+// order, exiting on the first point that did not complete.
+func runAll(b service.Backend, specs []service.JobSpec) []sim.Result {
+	res, err := b.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)
+	if err != nil {
+		fatal(err)
+	}
 	payloads, err := res.Results()
 	if err != nil {
-		return nil, err
+		fatal(err)
 	}
 	results := make([]sim.Result, len(payloads))
 	for i, p := range payloads {
 		results[i] = *p.Result
 	}
-	return results, nil
-}
-
-// localRunner drives an in-process pool: the whole batch is submitted
-// up front (deduplicated, cached, executed on bounded workers), then
-// collected in order.
-type localRunner struct{ pool *service.Pool }
-
-func (l localRunner) runAll(specs []service.JobSpec) ([]sim.Result, error) {
-	res, err := service.RunBatch(context.Background(), l.pool, service.BatchSpec{Specs: specs}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return unwrapBatch(res)
-}
-
-// remoteRunner submits the batch to a bumpd or bumpctl server — one
-// POST /v1/batch when the server speaks it, falling back to per-job
-// submit-and-poll against older daemons.
-type remoteRunner struct{ client *service.Client }
-
-func (r remoteRunner) runAll(specs []service.JobSpec) ([]sim.Result, error) {
-	ctx := context.Background()
-	res, err := r.client.Batch(ctx, service.BatchSpec{Specs: specs}, nil)
-	if err == nil {
-		return unwrapBatch(res)
-	}
-	var apiErr *service.APIError
-	if !errors.As(err, &apiErr) || (apiErr.Code != 404 && apiErr.Code != 405) {
-		return nil, err
-	}
-	// Pre-batch server: submit each spec and poll it down.
-	ids := make([]string, len(specs))
-	terminal := make([]*service.JobStatus, len(specs))
-	for i, spec := range specs {
-		st, err := r.client.Submit(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		if st.State.Terminal() {
-			s := st
-			terminal[i] = &s
-		}
-		ids[i] = st.ID
-	}
-	results := make([]sim.Result, len(specs))
-	for i := range specs {
-		st := terminal[i]
-		if st == nil {
-			s, err := r.client.Wait(ctx, ids[i])
-			if err != nil {
-				return nil, err
-			}
-			st = &s
-		}
-		if st.State != service.StateDone || st.Result == nil {
-			return nil, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-		}
-		results[i] = *st.Result
-	}
-	return results, nil
-}
-
-// clusterRunner embeds an in-process coordinator over a worker fleet:
-// each point is routed to its warm-affinity worker with failover, so a
-// measured-parameter sweep warms once per distinct structural config
-// fleet-wide.
-type clusterRunner struct{ coord *cluster.Coordinator }
-
-func (c clusterRunner) runAll(specs []service.JobSpec) ([]sim.Result, error) {
-	res, err := c.coord.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return unwrapBatch(res)
+	return results
 }
 
 func main() {
@@ -185,10 +112,12 @@ func main() {
 		}
 	}
 
+	// Every mode runs its batch through one Backend: the in-process
+	// pool, a remote bumpd/bumpctl, or an embedded coordinator.
 	var pool *service.Pool
 	var coord *cluster.Coordinator
 	var cl *service.Client
-	var run runner
+	var run service.Backend
 	switch {
 	case *server != "" && strings.Contains(*server, ","):
 		// A comma-separated worker list: embed an in-process coordinator
@@ -209,18 +138,18 @@ func main() {
 		if up := coord.Registry().UpCount(); up == 0 {
 			fatal(fmt.Errorf("no healthy workers among %s", *server))
 		}
-		run = clusterRunner{coord: coord}
+		run = coord
 	case *server != "":
 		if *warm {
 			fmt.Fprintln(os.Stderr, "sweep: -warm applies to in-process runs; enable warm starts on bumpd with its -warm flag")
 		}
 		cl = service.NewClient(*server)
 		cl.DisableWire = *jsonOnly
-		run = remoteRunner{client: cl}
+		run = cl
 	default:
 		pool = service.NewPool(service.Options{WarmStarts: *warm})
 		defer pool.Close()
-		run = localRunner{pool: pool}
+		run = service.NewPoolWireBackend(pool)
 	}
 	// After the sweep, show where the fleet spent and saved its warmup
 	// work — the per-worker view of warm-affinity routing — and how the
@@ -347,10 +276,7 @@ func main() {
 				labels = append(labels, row.label)
 			}
 		}
-		results, err := run.runAll(specs)
-		if err != nil {
-			fatal(err)
-		}
+		results := runAll(run, specs)
 		w.Write([]string{"workload", "mechanism", "row_hit", "ipc", "epa_nj", "read_coverage", "read_overfetch", "write_coverage"})
 		for i, res := range results {
 			w.Write([]string{labels[i], specs[i].Mechanism, f(res.RowHitRatio()), f(res.IPC()),
@@ -373,10 +299,7 @@ func main() {
 				labels = append(labels, name)
 			}
 		}
-		results, err := run.runAll(specs)
-		if err != nil {
-			fatal(err)
-		}
+		results := runAll(run, specs)
 		w.Write([]string{"scenario", "mechanism", "row_hit", "ipc", "epa_nj", "read_coverage", "read_overfetch", "write_coverage"})
 		for i, res := range results {
 			w.Write([]string{labels[i], specs[i].Mechanism, f(res.RowHitRatio()), f(res.IPC()),
@@ -400,10 +323,7 @@ func main() {
 				}
 			}
 		}
-		results, err := run.runAll(specs)
-		if err != nil {
-			fatal(err)
-		}
+		results := runAll(run, specs)
 		w.Write([]string{"workload", "region_bytes", "threshold_blocks", "row_hit", "epa_nj", "read_coverage", "read_overfetch"})
 		for i, res := range results {
 			w.Write([]string{labels[i], strconv.Itoa(1 << specs[i].RegionShift), strconv.Itoa(int(specs[i].DensityThreshold)),
@@ -427,10 +347,7 @@ func main() {
 			}
 			specs = append(specs, spec)
 		}
-		results, err := run.runAll(specs)
-		if err != nil {
-			fatal(err)
-		}
+		results := runAll(run, specs)
 		w.Write([]string{"streak_cap", "row_hit", "ipc", "epa_nj", "read_qdelay"})
 		for i, res := range results {
 			cap := "off"
@@ -462,10 +379,7 @@ func main() {
 			specs[i] = point()
 			specs[i].Seed = seeds[i]
 		}
-		rs, err := run.runAll(specs)
-		if err != nil {
-			fatal(err)
-		}
+		rs := runAll(run, specs)
 		w.Write([]string{"seed", "row_hit", "ipc", "epa_nj"})
 		for i, r := range rs {
 			w.Write([]string{strconv.FormatInt(seeds[i], 10), f(r.RowHitRatio()), f(r.IPC()), f(r.EPATotal * 1e9)})

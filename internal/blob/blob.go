@@ -24,14 +24,13 @@ import (
 
 // Stats is a point-in-time view of the store.
 type Stats struct {
-	Blobs          int    `json:"blobs"`
-	Bytes          int64  `json:"bytes"`
-	Capacity       int64  `json:"capacity"`
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	Puts           uint64 `json:"puts"`
-	Evictions      uint64 `json:"evictions"`
-	FillsCoalesced uint64 `json:"fills_coalesced"`
+	Blobs     int    `json:"blobs"`
+	Bytes     int64  `json:"bytes"`
+	Capacity  int64  `json:"capacity"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Puts      uint64 `json:"puts"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // entry tracks one blob. dead marks a logically evicted blob whose
@@ -53,7 +52,6 @@ type Store struct {
 	entries map[string]*entry
 	bytes   int64
 	clock   uint64
-	filling map[string]chan struct{}
 	stats   Stats
 	closed  bool
 }
@@ -75,7 +73,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		dir:     dir,
 		max:     maxBytes,
 		entries: make(map[string]*entry),
-		filling: make(map[string]chan struct{}),
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -338,44 +335,6 @@ func (r *blobReader) Close() error {
 		r.s.mu.Unlock()
 	})
 	return err
-}
-
-// Fetch returns the blob, invoking fill at most once across concurrent
-// callers of the same missing key (single-flight); waiters block on the
-// leader and then read the stored blob.
-func (s *Store) Fetch(key string, fill func() ([]byte, error)) ([]byte, error) {
-	for {
-		if data, ok := s.Get(key); ok {
-			return data, nil
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("blob: store closed")
-		}
-		if ch, busy := s.filling[key]; busy {
-			s.stats.FillsCoalesced++
-			s.mu.Unlock()
-			<-ch
-			continue // leader done: hit the store, or take over on its failure
-		}
-		ch := make(chan struct{})
-		s.filling[key] = ch
-		s.mu.Unlock()
-
-		data, err := fill()
-		if err == nil {
-			err = s.Put(key, data)
-		}
-		s.mu.Lock()
-		delete(s.filling, key)
-		s.mu.Unlock()
-		close(ch)
-		if err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
 }
 
 // Keys lists live blob digests, sorted.

@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // key returns a valid 64-hex digest deterministically derived from i.
@@ -50,62 +48,6 @@ func TestPutGetRoundtrip(t *testing.T) {
 	st := s.Stats()
 	if st.Blobs != 1 || st.Puts != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestFetchSingleFlight: concurrent fetches of the same missing digest
-// run the fill exactly once; everyone gets the same bytes.
-func TestFetchSingleFlight(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 1<<20)
-	var fills atomic.Int64
-	gate := make(chan struct{})
-	data := []byte("filled once")
-
-	const callers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	got := make([][]byte, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = s.Fetch(key(0), func() ([]byte, error) {
-				fills.Add(1)
-				<-gate // hold the leader so everyone else piles up
-				return data, nil
-			})
-		}(i)
-	}
-	// Let waiters accumulate on the in-flight fill, then release it.
-	for s.Stats().FillsCoalesced == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-
-	if n := fills.Load(); n != 1 {
-		t.Fatalf("fill ran %d times, want 1 (single-flight)", n)
-	}
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil || !bytes.Equal(got[i], data) {
-			t.Fatalf("caller %d: %v %q", i, errs[i], got[i])
-		}
-	}
-}
-
-// TestFetchLeaderFailureHandsOver: a failed fill doesn't poison the
-// key — the error goes to the leader, and a later fetch fills fresh.
-func TestFetchLeaderFailureHandsOver(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 1<<20)
-	if _, err := s.Fetch(key(0), func() ([]byte, error) {
-		return nil, fmt.Errorf("source unreachable")
-	}); err == nil {
-		t.Fatal("fill failure swallowed")
-	}
-	data := []byte("second try")
-	got, err := s.Fetch(key(0), func() ([]byte, error) { return data, nil })
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("retry fetch: %v %q", err, got)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -11,14 +12,16 @@ import (
 	"bump/internal/sim"
 )
 
-// This file carries the coordinator's protocol-independent request
-// cores — shared by the HTTP handlers and the binary wire backend so
-// both paths run identical logic — plus the checkpoint transfer
-// machinery (prefetch-on-failover and background replication).
+// This file is the coordinator's service.Backend — the /v1 job API
+// that service.MountJobs serves over HTTP and service.NewWireHandler
+// over the wire protocol — plus the checkpoint transfer machinery
+// (prefetch-on-failover and background replication).
 
-// coerceAPIError maps any worker/coordinator error onto an APIError so
-// both protocols report the same code: API errors pass through,
-// transport failures become 502 (the HTTP proxyError mapping).
+var _ service.Backend = (*Coordinator)(nil)
+
+// coerceAPIError maps a worker-call failure onto an APIError: API
+// errors pass through with the worker's code, transport failures
+// become 502.
 func coerceAPIError(err error) error {
 	var apiErr *service.APIError
 	if errors.As(err, &apiErr) {
@@ -27,11 +30,18 @@ func coerceAPIError(err error) error {
 	return &service.APIError{Code: http.StatusBadGateway, Message: err.Error()}
 }
 
-// SubmitJob routes a spec to its affinity worker, records the job
-// durably under a coordinator-minted ID, and spawns its driver — the
-// protocol-independent core of POST /v1/jobs. Errors are *service.
-// APIError with the same codes the HTTP handler serves.
-func (c *Coordinator) SubmitJob(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
+// unknownJob is the Backend error for an ID the store does not hold.
+func unknownJob(id string) error {
+	return fmt.Errorf("%w %s", service.ErrUnknownJob, id)
+}
+
+// Submit routes a spec to its affinity worker (failing over on submit
+// errors), records the job durably under a coordinator-minted ID, and
+// spawns its driver. The answer is the worker's status under that ID —
+// the same queued/cached semantics as a single worker — and the ID is
+// persisted before the caller sees it, so it stays answerable across a
+// coordinator restart.
+func (c *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
 	key, _, err := RouteKey(spec)
 	if err != nil {
 		return service.JobStatus{}, &service.APIError{Code: http.StatusBadRequest, Message: err.Error()}
@@ -44,14 +54,14 @@ func (c *Coordinator) SubmitJob(ctx context.Context, spec service.JobSpec) (serv
 		spec.TraceID = obs.NewTraceID()
 	}
 	routeT0 := time.Now()
-	st, wk, err := c.router.Submit(ctx, key, spec, nil)
+	st, wk, err := c.place(ctx, key, spec, nil)
 	switch {
 	case errors.Is(err, ErrNoWorkers):
 		return service.JobStatus{}, &service.APIError{Code: http.StatusServiceUnavailable, Message: err.Error()}
 	case err != nil:
 		return service.JobStatus{}, coerceAPIError(err)
 	}
-	id := JoinJobID(c.store.NextJobID(), wk.ID)
+	id := c.store.NextJobID()
 	if c.tracer != nil {
 		c.tracer.Begin(id, spec.TraceID)
 		c.noteKeyJob(key, id)
@@ -83,37 +93,91 @@ func (c *Coordinator) SubmitJob(ctx context.Context, spec service.JobSpec) (serv
 	return st, nil
 }
 
-// JobByID answers a status query — live from the assigned worker when
-// reachable, from the store otherwise — the core of GET /v1/jobs/{id}.
-func (c *Coordinator) JobByID(ctx context.Context, id string) (service.JobStatus, error) {
-	if rec, ok := c.store.Job(id); ok {
-		if !rec.State.Terminal() && rec.Worker != "" {
-			if wk, okw := c.reg.Worker(rec.Worker); okw {
-				if st, err := wk.Client.Job(ctx, rec.Local); err == nil {
-					st.ID = rec.ID
-					return st, nil
-				}
+// Job answers a status query: live from the assigned worker when
+// reachable, from the store otherwise (the driver is re-routing behind
+// the scenes).
+func (c *Coordinator) Job(ctx context.Context, id string) (service.JobStatus, error) {
+	rec, ok := c.store.Job(id)
+	if !ok {
+		return service.JobStatus{}, unknownJob(id)
+	}
+	if !rec.State.Terminal() && rec.Worker != "" {
+		if wk, okw := c.reg.Worker(rec.Worker); okw {
+			if st, err := wk.Client.Job(ctx, rec.Local); err == nil {
+				st.ID = rec.ID
+				return st, nil
 			}
-			// Worker unreachable: the stored view stands in; the driver
-			// is re-routing behind the scenes.
 		}
-		return statusFromRecord(rec), nil
 	}
-	wk, jobID, err := c.resolve(id)
-	if err != nil {
-		return service.JobStatus{}, &service.APIError{Code: http.StatusNotFound, Message: err.Error()}
-	}
-	st, err := wk.Client.Job(ctx, jobID)
-	if err != nil {
-		return service.JobStatus{}, coerceAPIError(err)
-	}
-	st.ID = JoinJobID(st.ID, wk.ID)
-	return st, nil
+	return statusFromRecord(rec), nil
 }
 
-// ResultFleet looks a cached result up across the admitted fleet — the
-// core of GET /v1/results/{hash}.
-func (c *Coordinator) ResultFleet(ctx context.Context, hash string) (sim.Result, bool, error) {
+// Cancel aborts a job: a placed one on its worker, an unplaced one in
+// the store, where its driver sees the terminal record and stands down.
+func (c *Coordinator) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
+	rec, ok := c.store.Job(id)
+	switch {
+	case !ok:
+		return service.JobStatus{}, unknownJob(id)
+	case rec.State.Terminal():
+		return service.JobStatus{}, fmt.Errorf("%w: %s", service.ErrTerminal, id)
+	}
+	if rec.Worker != "" {
+		if wk, okw := c.reg.Worker(rec.Worker); okw {
+			st, err := wk.Client.Cancel(ctx, rec.Local)
+			if err != nil {
+				return service.JobStatus{}, coerceAPIError(err)
+			}
+			st.ID = rec.ID
+			return st, nil
+		}
+	}
+	rec.State = service.StateCanceled
+	if err := c.store.PutJob(rec); err != nil {
+		return service.JobStatus{}, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
+	}
+	return statusFromRecord(rec), nil
+}
+
+// Watch follows a job to its terminal state, relaying its worker's
+// progress. A job mid-failover (unplaced, or its worker just died) is
+// re-polled on the retry cadence rather than erroring: the driver is
+// re-placing it, and the watch resumes on the new worker. A failed
+// worker watch strikes the worker, as a failed wait does.
+func (c *Coordinator) Watch(ctx context.Context, id string, onProgress func(sim.Progress)) (service.JobStatus, error) {
+	for {
+		rec, ok := c.store.Job(id)
+		if !ok {
+			return service.JobStatus{}, unknownJob(id)
+		}
+		if rec.State.Terminal() {
+			return statusFromRecord(rec), nil
+		}
+		if wk, okw := c.reg.Worker(rec.Worker); okw && rec.Worker != "" {
+			st, err := wk.Client.Watch(ctx, rec.Local, onProgress)
+			if err == nil {
+				st.ID = rec.ID
+				return st, nil
+			}
+			if ctx.Err() == nil {
+				c.reg.ReportFailure(wk.ID, err)
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return service.JobStatus{}, ctx.Err()
+		case <-c.ctx.Done():
+			return service.JobStatus{}, c.ctx.Err()
+		case <-time.After(c.opts.RetryInterval):
+		}
+	}
+}
+
+// ResultByHash looks a cached result up across the admitted fleet: the
+// affinity worker cannot be derived from the hash alone (hashes cover
+// measured parameters, warm keys do not), so admitted workers are asked
+// in turn.
+func (c *Coordinator) ResultByHash(ctx context.Context, hash string) (sim.Result, bool, error) {
 	for _, wk := range c.reg.Workers() {
 		if !c.reg.Up(wk.ID) {
 			continue
@@ -125,75 +189,6 @@ func (c *Coordinator) ResultFleet(ctx context.Context, hash string) (sim.Result,
 		return res, true, nil
 	}
 	return sim.Result{}, false, nil
-}
-
-// ---- WireBackend ------------------------------------------------------
-
-// The coordinator serves the binary wire protocol directly (bumpctl
-// -wire-addr): the same tracked-job semantics as the HTTP surface.
-var _ service.WireBackend = (*Coordinator)(nil)
-
-func (c *Coordinator) WireSubmit(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
-	return c.SubmitJob(ctx, spec)
-}
-
-func (c *Coordinator) WireJob(ctx context.Context, id string) (service.JobStatus, error) {
-	return c.JobByID(ctx, id)
-}
-
-func (c *Coordinator) WireResult(ctx context.Context, hash string) (sim.Result, bool, error) {
-	return c.ResultFleet(ctx, hash)
-}
-
-func (c *Coordinator) WireBatch(ctx context.Context, spec service.BatchSpec, onPoint func(service.BatchPoint)) (service.BatchResult, error) {
-	id, err := c.StartBatch(spec)
-	if err != nil {
-		return service.BatchResult{}, &service.APIError{Code: http.StatusBadRequest, Message: err.Error()}
-	}
-	return c.WaitBatch(ctx, id, onPoint)
-}
-
-// WireWatch follows a tracked job to its terminal state, proxying
-// worker progress. A job mid-failover (unplaced, or its worker just
-// died) is re-polled on the retry cadence rather than erroring: the
-// driver is re-placing it behind the scenes.
-func (c *Coordinator) WireWatch(ctx context.Context, id string, onProgress func(sim.Progress)) (service.JobStatus, error) {
-	for {
-		rec, ok := c.store.Job(id)
-		if !ok {
-			// Legacy namespaced ID ("jNNN@wK"): proxy the worker directly.
-			wk, jobID, err := c.resolve(id)
-			if err != nil {
-				return service.JobStatus{}, &service.APIError{Code: http.StatusNotFound, Message: err.Error()}
-			}
-			st, err := wk.Client.Watch(ctx, jobID, onProgress)
-			if err != nil {
-				return service.JobStatus{}, coerceAPIError(err)
-			}
-			st.ID = JoinJobID(st.ID, wk.ID)
-			return st, nil
-		}
-		if rec.State.Terminal() {
-			return statusFromRecord(rec), nil
-		}
-		if rec.Worker != "" {
-			if wk, okw := c.reg.Worker(rec.Worker); okw {
-				if st, err := wk.Client.Watch(ctx, rec.Local, onProgress); err == nil {
-					st.ID = rec.ID
-					return st, nil
-				}
-				// Worker lost mid-watch: fall through to re-poll; the
-				// driver fails the job over and the record converges.
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return service.JobStatus{}, ctx.Err()
-		case <-c.ctx.Done():
-			return service.JobStatus{}, c.ctx.Err()
-		case <-time.After(c.opts.RetryInterval):
-		}
-	}
 }
 
 // ---- Checkpoint transfer ----------------------------------------------
@@ -213,7 +208,7 @@ const defaultReplicaTargets = 2
 // remembered before it may be retried.
 const replicateMemo = 30 * time.Second
 
-// prefetchCheckpoint is the Router.Prefetch hook: if the picked worker
+// prefetchCheckpoint runs before each placement: if the picked worker
 // does not hold key's warm checkpoint but an admitted peer does, ask
 // the worker to fetch it before the spec lands — a failover placement
 // then restores the warmup instead of re-simulating it. Best-effort:

@@ -297,11 +297,11 @@ func TestChaosDrainCordonLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, wid, err := SplitJobID(st.ID)
-		if err != nil {
-			t.Fatal(err)
+		rec, ok := coord.Store().Job(st.ID)
+		if !ok {
+			t.Fatalf("job %s has no coordinator record", st.ID)
 		}
-		return st, wid
+		return st, rec.Worker
 	}
 
 	// The worker that owns this workload's warm key.

@@ -383,12 +383,12 @@ func TestClusterWireProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, workerID, err := SplitJobID(st.ID); err != nil || !coord.Registry().Up(workerID) {
-		t.Fatalf("job ID %q must name an admitted worker (err %v)", st.ID, err)
+	if rec, ok := coord.Store().Job(st.ID); !ok || !coord.Registry().Up(rec.Worker) {
+		t.Fatalf("job %q must be recorded on an admitted worker (record %+v)", st.ID, rec)
 	}
 
-	// SSE through the proxy: progress events, then a terminal event
-	// whose payload carries the namespaced ID.
+	// SSE through the coordinator: progress events, then a terminal
+	// event whose payload carries the coordinator's ID.
 	var progress int
 	var terminal service.JobPayload
 	err = client.Events(context.Background(), st.ID, func(ev service.Event) error {

@@ -1,0 +1,398 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bump/internal/service"
+	"bump/internal/sim"
+	"bump/internal/wire"
+)
+
+// jobAPI drives the /v1 job routes of one daemon over one transport,
+// reporting each answer as an HTTP status plus the JSON payload a
+// client sees (nil on errors).
+type jobAPI interface {
+	submit(t *testing.T, spec service.JobSpec) (int, []byte)
+	job(t *testing.T, id string) (int, []byte)
+	cancel(t *testing.T, id string) (int, []byte)
+	// watch follows a job to its terminal payload, counting progress
+	// snapshots on the way.
+	watch(t *testing.T, id string) (progress, code int, payload []byte)
+	result(t *testing.T, hash string) (int, []byte)
+}
+
+// httpAPI speaks raw HTTP, so the statuses are the ones on the wire.
+type httpAPI struct{ base string }
+
+func (a httpAPI) do(t *testing.T, method, path string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, a.base+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	return resp, data
+}
+
+func (a httpAPI) submit(t *testing.T, spec service.JobSpec) (int, []byte) {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := a.do(t, http.MethodPost, "/v1/jobs", body)
+	return resp.StatusCode, data
+}
+
+func (a httpAPI) job(t *testing.T, id string) (int, []byte) {
+	resp, data := a.do(t, http.MethodGet, "/v1/jobs/"+id, nil)
+	return resp.StatusCode, data
+}
+
+func (a httpAPI) cancel(t *testing.T, id string) (int, []byte) {
+	resp, data := a.do(t, http.MethodDelete, "/v1/jobs/"+id, nil)
+	return resp.StatusCode, data
+}
+
+func (a httpAPI) result(t *testing.T, hash string) (int, []byte) {
+	resp, data := a.do(t, http.MethodGet, "/v1/results/"+hash, nil)
+	return resp.StatusCode, data
+}
+
+func (a httpAPI) watch(t *testing.T, id string) (int, int, []byte) {
+	resp, data := a.do(t, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
+	if resp.StatusCode != http.StatusOK {
+		return 0, resp.StatusCode, nil
+	}
+	var progress int
+	var name, last string
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			name = strings.TrimPrefix(line, "event: ")
+			if name == "progress" {
+				progress++
+			}
+		case strings.HasPrefix(line, "data: ") && name != "progress":
+			last = strings.TrimPrefix(line, "data: ")
+		}
+	}
+	if !service.State(name).Terminal() {
+		t.Fatalf("event stream for %s ended on %q, not a terminal event", id, name)
+	}
+	var p service.JobPayload
+	if err := json.Unmarshal([]byte(last), &p); err != nil || string(p.State) != name {
+		t.Fatalf("terminal event %q carries state %q (%v)", name, p.State, err)
+	}
+	return progress, http.StatusOK, []byte(last)
+}
+
+// clientAPI goes through service.Client over the wire protocol (Cancel,
+// which has no wire frame, rides HTTP). Successes are reported with the
+// status the HTTP route would answer, errors with the code they carry.
+type clientAPI struct{ c *service.Client }
+
+func errCode(t *testing.T, err error) int {
+	t.Helper()
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("transport failure: %v", err)
+	}
+	return apiErr.Code
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// clientStatus reports a client call's outcome: the error's code, or
+// ok with the payload the HTTP route would have sent.
+func clientStatus(t *testing.T, st service.JobStatus, err error, ok int) (int, []byte) {
+	t.Helper()
+	if err != nil {
+		return errCode(t, err), nil
+	}
+	return ok, mustJSON(t, service.PayloadFor(st))
+}
+
+func (a clientAPI) submit(t *testing.T, spec service.JobSpec) (int, []byte) {
+	st, err := a.c.Submit(context.Background(), spec)
+	ok := http.StatusAccepted
+	if st.State.Terminal() {
+		ok = http.StatusOK
+	}
+	return clientStatus(t, st, err, ok)
+}
+
+func (a clientAPI) job(t *testing.T, id string) (int, []byte) {
+	st, err := a.c.Job(context.Background(), id)
+	return clientStatus(t, st, err, http.StatusOK)
+}
+
+func (a clientAPI) cancel(t *testing.T, id string) (int, []byte) {
+	st, err := a.c.Cancel(context.Background(), id)
+	return clientStatus(t, st, err, http.StatusOK)
+}
+
+func (a clientAPI) watch(t *testing.T, id string) (int, int, []byte) {
+	var progress int
+	st, err := a.c.Watch(context.Background(), id, func(sim.Progress) { progress++ })
+	code, payload := clientStatus(t, st, err, http.StatusOK)
+	return progress, code, payload
+}
+
+func (a clientAPI) result(t *testing.T, hash string) (int, []byte) {
+	res, ok, err := a.c.ResultByHash(context.Background(), hash)
+	switch {
+	case err != nil:
+		return errCode(t, err), nil
+	case !ok:
+		return http.StatusNotFound, nil
+	}
+	return http.StatusOK, mustJSON(t, service.ResultPayload{Hash: hash, Result: res, Metrics: service.MetricsFor(res)})
+}
+
+// conformanceStep is one answer of the script: its status and the
+// payload fields compared across daemons and transports (IDs aside).
+type conformanceStep struct {
+	name    string
+	code    int
+	payload string
+}
+
+// conformanceScript runs the job-API script against one daemon over
+// one transport and returns its transcript.
+func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
+	var steps []conformanceStep
+	record := func(name string, code int, payload []byte, keep ...string) map[string]any {
+		fields := map[string]any{}
+		if payload != nil {
+			if err := json.Unmarshal(payload, &fields); err != nil {
+				t.Fatalf("%s: payload %q: %v", name, payload, err)
+			}
+		}
+		kept := map[string]any{}
+		for _, k := range keep {
+			if v, ok := fields[k]; ok {
+				kept[k] = v
+			}
+		}
+		steps = append(steps, conformanceStep{name, code, string(mustJSON(t, kept))})
+		return fields
+	}
+
+	short := sweepSpec("web-search", 0)
+	short.MeasureCycles = 400_000 // long enough to watch progress events
+	long := sweepSpec("data-serving", 0)
+	long.MeasureCycles = 200_000_000 // canceled long before it ends
+
+	code, body := api.submit(t, short)
+	sub := record("submit", code, body, "hash", "state", "cached", "spec")
+	id, _ := sub["id"].(string)
+	hash, _ := sub["hash"].(string)
+	code, body = api.job(t, id)
+	record("status", code, body, "hash", "spec")
+	progress, code, body := api.watch(t, id)
+	if progress == 0 {
+		t.Error("watch: no progress snapshot before the terminal payload")
+	}
+	record("watch", code, body, "hash", "state", "cached", "spec", "result", "metrics", "error")
+	code, body = api.submit(t, short)
+	record("resubmit", code, body, "hash", "state", "cached", "spec", "result", "metrics")
+	code, body = api.result(t, hash)
+	record("result", code, body, "hash", "result", "metrics")
+	code, _ = api.result(t, strings.Repeat("0", 64))
+	record("result-unknown", code, nil)
+
+	code, _ = api.job(t, "j-missing")
+	record("status-unknown", code, nil)
+	code, _ = api.cancel(t, "j-missing")
+	record("cancel-unknown", code, nil)
+	_, code, _ = api.watch(t, "j-missing")
+	record("watch-unknown", code, nil)
+
+	code, body = api.submit(t, long)
+	lid, _ := record("submit-long", code, body, "hash", "state", "spec")["id"].(string)
+	code, body = api.cancel(t, lid)
+	record("cancel", code, body, "hash", "spec")
+	_, code, body = api.watch(t, lid)
+	record("watch-canceled", code, body, "hash", "state", "spec")
+	code, _ = api.cancel(t, lid)
+	record("cancel-canceled", code, nil)
+	code, _ = api.cancel(t, id)
+	record("cancel-done", code, nil)
+	return steps
+}
+
+// serveCoordinator puts a coordinator behind HTTP and a wire listener
+// advertised in its health, as bumpctl does, returning the base URL.
+func serveCoordinator(t *testing.T, coord *Coordinator) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.Serve(l, service.NewWireHandler(coord))
+	t.Cleanup(ws.Close)
+	coord.SetWireAddr(l.Addr().String())
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+	return front.URL
+}
+
+// TestJobAPIConformance runs one job-API script against bumpd and
+// bumpctl, each over HTTP and over the wire protocol: every status and
+// every compared payload field must agree across the four. A failover
+// row then kills the worker running a watched coordinator job: the
+// watch must still end in done over both protocols.
+func TestJobAPIConformance(t *testing.T) {
+	opts := service.Options{Workers: 1}
+	daemons := []struct {
+		name  string
+		start func(t *testing.T) string
+	}{
+		{"bumpd", func(t *testing.T) string { return newWireFleet(t, 1, opts)[0].srv.URL }},
+		{"bumpctl", func(t *testing.T) string {
+			return serveCoordinator(t, newTestCoordinator(t, newWireFleet(t, 2, opts)))
+		}},
+	}
+	want := map[string]int{
+		"submit": 202, "status": 200, "watch": 200, "resubmit": 200,
+		"result": 200, "result-unknown": 404,
+		"status-unknown": 404, "cancel-unknown": 404, "watch-unknown": 404,
+		"submit-long": 202, "cancel": 200, "watch-canceled": 200,
+		"cancel-canceled": 409, "cancel-done": 409,
+	}
+	var refName string
+	var ref []conformanceStep
+	for _, d := range daemons {
+		for _, proto := range []string{"http", "wire"} {
+			name := d.name + "/" + proto
+			t.Run(name, func(t *testing.T) {
+				url := d.start(t)
+				var api jobAPI = httpAPI{base: url}
+				var client *service.Client
+				if proto == "wire" {
+					client = service.NewClient(url)
+					t.Cleanup(client.Close)
+					api = clientAPI{c: client}
+				}
+				steps := conformanceScript(t, api)
+				if client != nil {
+					if ws := client.WireStats(); ws.Calls == 0 || ws.Fallbacks != 0 {
+						t.Errorf("wire row did not stay on the wire protocol: %+v", ws)
+					}
+				}
+				for _, s := range steps {
+					if s.code != want[s.name] {
+						t.Errorf("%s: status %d, want %d", s.name, s.code, want[s.name])
+					}
+				}
+				if ref == nil {
+					refName, ref = name, steps
+					return
+				}
+				for i, s := range steps {
+					if s != ref[i] {
+						t.Errorf("%s diverges from %s:\n got  %d %s\n want %d %s", s.name, refName, s.code, s.payload, ref[i].code, ref[i].payload)
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("bumpctl/failover", func(t *testing.T) {
+		fleet := newWireFleet(t, 2, opts)
+		coord := newTestCoordinator(t, fleet)
+		url := serveCoordinator(t, coord)
+		httpClient := service.NewClient(url)
+		httpClient.DisableWire = true
+		wireClient := service.NewClient(url)
+		t.Cleanup(wireClient.Close)
+
+		spec := sweepSpec("media-streaming", 0)
+		spec.MeasureCycles = 1_000_000
+		st, err := httpClient.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type watched struct {
+			proto string
+			st    service.JobStatus
+			err   error
+		}
+		done := make(chan watched, 2)
+		var progress [2]atomic.Int64
+		for i, c := range []*service.Client{httpClient, wireClient} {
+			proto := [...]string{"http", "wire"}[i]
+			go func() {
+				fin, err := c.Watch(context.Background(), st.ID, func(sim.Progress) { progress[i].Add(1) })
+				done <- watched{proto, fin, err}
+			}()
+		}
+		waitUntil(t, 30*time.Second, func() bool { return progress[0].Load() > 0 && progress[1].Load() > 0 },
+			"both watches never saw progress")
+
+		// Kill the worker running the job: wire, HTTP, then its pool.
+		rec, ok := coord.Store().Job(st.ID)
+		if !ok || rec.Worker == "" {
+			t.Fatalf("job %s is not placed: %+v", st.ID, rec)
+		}
+		dead := rec.Worker
+		wk, _ := coord.Registry().Worker(dead)
+		for _, w := range fleet {
+			if w.srv.URL == wk.URL {
+				w.wire.Close()
+				w.srv.CloseClientConnections()
+				w.srv.Close()
+				w.pool.Close()
+			}
+		}
+
+		var results []string
+		for range 2 {
+			w := <-done
+			if w.err != nil || w.st.State != service.StateDone || w.st.Result == nil {
+				t.Fatalf("%s watch across the failover: %v %+v", w.proto, w.err, w.st)
+			}
+			results = append(results, resultJSON(t, *w.st.Result))
+		}
+		if results[0] != results[1] {
+			t.Error("the two watches saw different results")
+		}
+		waitUntil(t, 30*time.Second, func() bool {
+			rec, ok := coord.Store().Job(st.ID)
+			return ok && rec.State.Terminal()
+		}, "coordinator never recorded the job terminal")
+		if rec, _ := coord.Store().Job(st.ID); rec.Worker == dead {
+			t.Errorf("job finished on the killed worker %s: no failover happened", dead)
+		}
+	})
+}

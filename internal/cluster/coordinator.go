@@ -76,11 +76,10 @@ type Options struct {
 // carry each one to a terminal state, failing over across workers and
 // surviving coordinator restarts (drivers are respawned from the WAL).
 type Coordinator struct {
-	reg    *Registry
-	router *Router
-	store  *Store
-	opts   Options
-	start  time.Time
+	reg   *Registry
+	store *Store
+	opts  Options
+	start time.Time
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -174,7 +173,6 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	rctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		reg:        reg,
-		router:     NewRouter(reg),
 		store:      store,
 		opts:       opts,
 		start:      time.Now(),
@@ -194,9 +192,6 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	if opts.Metrics != nil {
 		c.registerCollectors(opts.Metrics)
 	}
-	// Failover checkpoint transfer: before a spec lands on a worker that
-	// does not hold its warm checkpoint, pull it from a peer that does.
-	c.router.Prefetch = c.prefetchCheckpoint
 	c.recover()
 	c.wg.Add(1)
 	go c.replicateLoop()
@@ -359,7 +354,7 @@ func (c *Coordinator) driveJob(id string) {
 				c.noteKeyJob(rec.Key, id)
 			}
 			routeT0 := time.Now()
-			st, wk, err := c.router.Submit(c.ctx, rec.Key, rec.Spec, tried)
+			st, wk, err := c.place(c.ctx, rec.Key, rec.Spec, tried)
 			switch {
 			case errors.Is(err, ErrNoWorkers):
 				tried = make(map[string]bool)
@@ -591,15 +586,6 @@ func (b *batchEntry) subscribe() (<-chan service.BatchPoint, func()) {
 		delete(b.subs, id)
 		b.mu.Unlock()
 	}
-}
-
-// Run executes one spec through the cluster: affinity-routed, failing
-// over to the next worker in the key's preference sequence on worker
-// loss. The Go-API twin of POST /v1/jobs + wait (untracked: callers
-// that want durability submit over HTTP).
-func (c *Coordinator) Run(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
-	st, _, err := c.router.Run(ctx, spec)
-	return st, err
 }
 
 // StartBatch durably registers a sweep and spawns its point drivers.
@@ -851,234 +837,26 @@ func (c *Coordinator) Health() service.HealthPayload {
 	return h
 }
 
-// Handler exposes the coordinator over HTTP. The /v1/jobs* routes speak
-// the exact single-worker wire protocol (job IDs are coordinator-minted
-// but remain opaque strings to clients); /v1/cluster and /v1/batch are
-// the cluster-level additions, including the admin verbs
-// register/cordon/uncordon/drain.
+// Handler exposes the coordinator over HTTP: the /v1 job routes of
+// service.MountJobs over the coordinator's Backend (job IDs are
+// coordinator-minted but remain opaque strings to clients), plus the
+// cluster-level additions — /v1/batch sweeps with durable IDs, the
+// stitched job trace, /v1/cluster and its admin verbs
+// register/cordon/uncordon/drain, aggregated health and metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.submit)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.job)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.cancelJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.events)
+	service.MountJobs(mux, c)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.trace)
 	mux.HandleFunc("POST /v1/batch", c.batch)
 	mux.HandleFunc("GET /v1/batch/{id}", c.batchStatus)
-	mux.HandleFunc("GET /v1/results/{hash}", c.result)
 	mux.HandleFunc("GET /v1/healthz", c.healthz)
 	mux.HandleFunc("GET /v1/cluster", c.cluster)
 	mux.HandleFunc("POST /v1/cluster/register", c.register)
 	mux.HandleFunc("POST /v1/cluster/cordon", c.lifecycleVerb(LifecycleCordoned))
 	mux.HandleFunc("POST /v1/cluster/uncordon", c.lifecycleVerb(LifecycleActive))
 	mux.HandleFunc("POST /v1/cluster/drain", c.drain)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.trace)
 	mux.HandleFunc("GET /metrics", c.metrics)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// proxyError maps a worker-call failure onto the coordinator's own
-// response: API errors pass through their status code (worker identity
-// already embedded in the message); transport failures become 502.
-func proxyError(w http.ResponseWriter, err error) {
-	var apiErr *service.APIError
-	if errors.As(err, &apiErr) {
-		writeError(w, apiErr.Code, "%s", apiErr.Message)
-		return
-	}
-	writeError(w, http.StatusBadGateway, "%v", err)
-}
-
-// submit routes a job to its affinity worker (failing over on submit
-// errors), records it durably, spawns its driver, and returns the
-// worker's response under the coordinator-minted job ID — the same
-// 200/202 semantics as a single worker. The ID is persisted before the
-// client sees it, so it stays answerable across a coordinator restart.
-func (c *Coordinator) submit(w http.ResponseWriter, r *http.Request) {
-	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
-		return
-	}
-	if spec.TraceID == "" {
-		spec.TraceID = r.Header.Get(service.TraceHeader)
-	}
-	st, err := c.SubmitJob(r.Context(), spec)
-	if err != nil {
-		proxyError(w, err)
-		return
-	}
-	code := http.StatusAccepted
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, service.PayloadFor(st))
-}
-
-// resolve parses a legacy namespaced job ID ("jNNN@wK", minted by
-// Router.Run) and returns its worker.
-func (c *Coordinator) resolve(id string) (*Worker, string, error) {
-	jobID, workerID, err := SplitJobID(id)
-	if err != nil {
-		return nil, "", err
-	}
-	wk, ok := c.reg.Worker(workerID)
-	if !ok {
-		return nil, "", fmt.Errorf("cluster: unknown worker %q in job ID %q", workerID, id)
-	}
-	return wk, jobID, nil
-}
-
-func (c *Coordinator) job(w http.ResponseWriter, r *http.Request) {
-	st, err := c.JobByID(r.Context(), r.PathValue("id"))
-	if err != nil {
-		proxyError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, service.PayloadFor(st))
-}
-
-func (c *Coordinator) cancelJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if rec, ok := c.store.Job(id); ok {
-		if rec.State.Terminal() {
-			writeError(w, http.StatusConflict, "job %s is unknown or already terminal", id)
-			return
-		}
-		if rec.Worker != "" {
-			if wk, okw := c.reg.Worker(rec.Worker); okw {
-				st, err := wk.Client.Cancel(r.Context(), rec.Local)
-				if err != nil {
-					proxyError(w, err)
-					return
-				}
-				st.ID = rec.ID
-				writeJSON(w, http.StatusOK, service.PayloadFor(st))
-				return
-			}
-		}
-		// Unplaced: settle it directly; the driver observes the terminal
-		// record and stands down.
-		rec.State = service.StateCanceled
-		if err := c.store.PutJob(rec); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, service.PayloadFor(statusFromRecord(rec)))
-		return
-	}
-	wk, jobID, err := c.resolve(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	st, err := wk.Client.Cancel(r.Context(), jobID)
-	if err != nil {
-		proxyError(w, err)
-		return
-	}
-	st.ID = JoinJobID(st.ID, wk.ID)
-	writeJSON(w, http.StatusOK, service.PayloadFor(st))
-}
-
-// events streams a job's progress as SSE. For tracked jobs the worker's
-// stream is proxied with terminal payload IDs rewritten to the
-// coordinator's; already-terminal jobs get their single terminal event
-// straight from the store.
-func (c *Coordinator) events(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	fl, flOK := w.(http.Flusher)
-	if !flOK {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	startStream := func() {
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("Connection", "keep-alive")
-		w.WriteHeader(http.StatusOK)
-		fl.Flush()
-	}
-	var wk *Worker
-	var local string
-	var mapID func(p *service.JobPayload)
-	if rec, ok := c.store.Job(id); ok {
-		if rec.State.Terminal() {
-			startStream()
-			data, err := json.Marshal(service.PayloadFor(statusFromRecord(rec)))
-			if err == nil {
-				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", rec.State, data)
-				fl.Flush()
-			}
-			return
-		}
-		if rec.Worker == "" {
-			writeError(w, http.StatusServiceUnavailable, "job %s awaits placement; retry", id)
-			return
-		}
-		wkk, okw := c.reg.Worker(rec.Worker)
-		if !okw {
-			writeError(w, http.StatusBadGateway, "worker %s unavailable", rec.Worker)
-			return
-		}
-		wk, local = wkk, rec.Local
-		mapID = func(p *service.JobPayload) { p.ID = id }
-	} else {
-		var err error
-		wk, local, err = c.resolve(id)
-		if err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		mapID = func(p *service.JobPayload) { p.ID = JoinJobID(p.ID, wk.ID) }
-	}
-	started := false
-	err := wk.Client.Events(r.Context(), local, func(ev service.Event) error {
-		if !started {
-			startStream()
-			started = true
-		}
-		data := ev.Data
-		if service.State(ev.Name).Terminal() {
-			var p service.JobPayload
-			if err := json.Unmarshal(ev.Data, &p); err == nil {
-				mapID(&p)
-				if re, err := json.Marshal(p); err == nil {
-					data = re
-				}
-			}
-		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name, data)
-		fl.Flush()
-		return nil
-	})
-	if err == nil || r.Context().Err() != nil {
-		return
-	}
-	// The worker failed, not the client: strike it so ejection does not
-	// wait for the next probe round, and tell the client the stream
-	// broke (a silent end is indistinguishable from a worker that never
-	// emitted its terminal event).
-	c.reg.ReportFailure(wk.ID, err)
-	if !started {
-		proxyError(w, err)
-		return
-	}
-	data, _ := json.Marshal(map[string]string{"error": err.Error()})
-	fmt.Fprintf(w, "event: error\ndata: %s\n\n", data)
-	fl.Flush()
 }
 
 // batch runs a whole sweep through the cluster; wire-compatible with
@@ -1089,53 +867,38 @@ func (c *Coordinator) batch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
 		return
 	}
-	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+	if !service.WantsSSE(r) {
 		res, err := c.Batch(r.Context(), spec, nil)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			service.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		service.WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	id, err := c.StartBatch(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	writeEvent := func(name string, v any) {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
-		fl.Flush()
+	fl, ok := service.StartSSE(w)
+	if !ok {
+		return
 	}
 	// Announce the durable ID first: a client watching a sweep can
 	// requery GET /v1/batch/{id} after a coordinator restart.
-	writeEvent("batch-start", map[string]string{"id": id})
+	service.WriteSSE(w, fl, "batch-start", map[string]string{"id": id})
 	res, err := c.WaitBatch(r.Context(), id, func(pt service.BatchPoint) {
-		writeEvent("point", pt)
+		service.WriteSSE(w, fl, "point", pt)
 	})
 	if err != nil {
-		writeEvent("error", map[string]string{"error": err.Error()})
+		service.WriteSSE(w, fl, "error", map[string]string{"error": err.Error()})
 		return
 	}
-	writeEvent("batch", res)
+	service.WriteSSE(w, fl, "batch", res)
 }
 
 // BatchStatusPayload is served by GET /v1/batch/{id}: sweep progress
@@ -1151,35 +914,18 @@ func (c *Coordinator) batchStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, ok, pending := c.batchResult(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown batch %q", id)
+		service.WriteError(w, http.StatusNotFound, "unknown batch %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchStatusPayload{ID: id, Done: pending == 0, Pending: pending, Result: res})
-}
-
-// result looks a cached result up across the fleet: the affinity worker
-// cannot be derived from the hash alone (hashes cover measured
-// parameters, warm keys do not), so admitted workers are asked in turn.
-func (c *Coordinator) result(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	res, ok, err := c.ResultFleet(r.Context(), hash)
-	if err != nil {
-		proxyError(w, err)
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %s", hash)
-		return
-	}
-	writeJSON(w, http.StatusOK, service.ResultPayload{Hash: hash, Result: res, Metrics: service.MetricsFor(res)})
+	service.WriteJSON(w, http.StatusOK, BatchStatusPayload{ID: id, Done: pending == 0, Pending: pending, Result: res})
 }
 
 func (c *Coordinator) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Health())
+	service.WriteJSON(w, http.StatusOK, c.Health())
 }
 
 func (c *Coordinator) cluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Topology())
+	service.WriteJSON(w, http.StatusOK, c.Topology())
 }
 
 // register handles a worker heartbeat (POST /v1/cluster/register):
@@ -1191,27 +937,27 @@ func (c *Coordinator) register(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid register request: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid register request: %v", err)
 		return
 	}
 	if strings.TrimSpace(req.URL) == "" {
-		writeError(w, http.StatusBadRequest, "register: url required")
+		service.WriteError(w, http.StatusBadRequest, "register: url required")
 		return
 	}
 	info, changed, err := c.reg.Register(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if changed {
 		if err := c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: info.Lifecycle}); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			service.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		c.log.Info("worker registered", "worker", info.ID, "url", info.URL,
 			"lifecycle", info.Lifecycle)
 	}
-	writeJSON(w, http.StatusOK, service.RegisterResponse{
+	service.WriteJSON(w, http.StatusOK, service.RegisterResponse{
 		ID:        info.ID,
 		State:     string(info.State),
 		Lifecycle: string(info.Lifecycle),
@@ -1227,12 +973,12 @@ func (c *Coordinator) workerParam(w http.ResponseWriter, r *http.Request) (strin
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return "", false
 	}
 	id, ok := c.reg.Resolve(req.Worker)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown worker %q", req.Worker)
+		service.WriteError(w, http.StatusNotFound, "unknown worker %q", req.Worker)
 		return "", false
 	}
 	return id, true
@@ -1249,15 +995,15 @@ func (c *Coordinator) lifecycleVerb(lc Lifecycle) http.HandlerFunc {
 		}
 		info, err := c.reg.SetLifecycle(id, lc)
 		if err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
+			service.WriteError(w, http.StatusNotFound, "%v", err)
 			return
 		}
 		if err := c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: info.Lifecycle}); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			service.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		c.log.Info("worker lifecycle set", "worker", info.ID, "lifecycle", lc)
-		writeJSON(w, http.StatusOK, info)
+		service.WriteJSON(w, http.StatusOK, info)
 	}
 }
 
@@ -1272,11 +1018,11 @@ func (c *Coordinator) drain(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := c.reg.SetLifecycle(id, LifecycleDraining)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		service.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if err := c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: LifecycleDraining}); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		service.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	c.log.Info("worker draining", "worker", info.ID)
@@ -1289,5 +1035,5 @@ func (c *Coordinator) drain(w http.ResponseWriter, r *http.Request) {
 	if cur, okc := c.reg.InfoFor(id); okc {
 		info = cur
 	}
-	writeJSON(w, http.StatusOK, info)
+	service.WriteJSON(w, http.StatusOK, info)
 }

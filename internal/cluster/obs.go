@@ -118,7 +118,7 @@ func (c *Coordinator) spanForKey(key, name string, start, end time.Time, args ..
 // metrics serves the coordinator's registry as Prometheus text.
 func (c *Coordinator) metrics(w http.ResponseWriter, r *http.Request) {
 	if c.opts.Metrics == nil {
-		writeError(w, http.StatusNotFound, "metrics are not enabled")
+		service.WriteError(w, http.StatusNotFound, "metrics are not enabled")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -133,12 +133,12 @@ func (c *Coordinator) metrics(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) trace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if c.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing is not enabled")
+		service.WriteError(w, http.StatusNotFound, "tracing is not enabled")
 		return
 	}
 	exp, ok := c.tracer.Export(id, 1, "bumpctl")
 	if !ok {
-		writeError(w, http.StatusNotFound, "no trace for job %s", id)
+		service.WriteError(w, http.StatusNotFound, "no trace for job %s", id)
 		return
 	}
 	if rec, okr := c.store.Job(id); okr && rec.Worker != "" && rec.Local != "" {
@@ -150,5 +150,5 @@ func (c *Coordinator) trace(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, exp)
+	service.WriteJSON(w, http.StatusOK, exp)
 }

@@ -64,9 +64,10 @@ type RegistryOptions struct {
 	// ProbeTimeout bounds each probe request (default: ProbeInterval).
 	ProbeTimeout time.Duration
 	// FailAfter is the consecutive-failure count that ejects a worker
-	// (default 3). Router-reported request failures count like probe
-	// failures, so a dead worker is ejected by the traffic it drops, not
-	// only by the next probe round.
+	// (default 3). Failures the coordinator reports from its own calls
+	// (placements, waits, watches) count like probe failures, so a dead
+	// worker is ejected by the traffic it drops, not only by the next
+	// probe round.
 	FailAfter int
 	// BackoffBase/BackoffMax shape the readmission probe backoff of a
 	// down worker: base doubles per failed readmission probe up to max
@@ -116,9 +117,9 @@ func (o RegistryOptions) withDefaults() RegistryOptions {
 
 // Worker is one registered bumpd backend.
 type Worker struct {
-	// ID is the stable short name ("w0", "w1", …) used in namespaced
-	// job IDs; URL is the backend base URL and the worker's ring
-	// identity.
+	// ID is the stable short name ("w0", "w1", …) that job records and
+	// batch points name the worker by; URL is the backend base URL and
+	// the worker's ring identity.
 	ID  string
 	URL string
 	// Client is the configured API client for this worker.
@@ -568,7 +569,7 @@ func (r *Registry) Info() []WorkerInfo {
 }
 
 // ReportFailure records a request-level failure against a worker (the
-// router calls this when a submit/wait fails): it counts toward the
+// coordinator calls this when a submit, wait or watch fails): it counts toward the
 // same consecutive-failure ejection threshold as a failed probe, so
 // traffic ejects a dead worker faster than the probe cadence would.
 func (r *Registry) ReportFailure(id string, err error) {

@@ -91,15 +91,3 @@ func TestRingEmptyAndSingle(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitJobID(t *testing.T) {
-	job, worker, err := SplitJobID(JoinJobID("j00000042", "w7"))
-	if err != nil || job != "j00000042" || worker != "w7" {
-		t.Fatalf("round trip: %q %q %v", job, worker, err)
-	}
-	for _, bad := range []string{"", "plain", "@w0", "j1@", "@"} {
-		if _, _, err := SplitJobID(bad); err == nil {
-			t.Errorf("SplitJobID(%q) must fail", bad)
-		}
-	}
-}

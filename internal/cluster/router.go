@@ -31,24 +31,6 @@ func RouteKey(spec service.JobSpec) (key string, warm bool, err error) {
 	return hash, false, nil
 }
 
-// Router executes jobs against the fleet: consistent-hash placement by
-// affinity key, then failover down the key's preference sequence when a
-// worker fails mid-flight. Re-execution on the next worker is safe
-// because results are a deterministic function of the configuration.
-type Router struct {
-	reg *Registry
-	// Prefetch, when set, runs after a worker is picked and before the
-	// spec is submitted to it: the coordinator uses it to pull the key's
-	// warm checkpoint onto a failover placement from a peer that still
-	// holds it, so the new worker restores instead of re-simulating the
-	// warmup. Must be best-effort and bounded: a slow or failing
-	// prefetch only delays the submit, never fails it.
-	Prefetch func(ctx context.Context, w *Worker, key string)
-}
-
-// NewRouter returns a router over the registry's fleet.
-func NewRouter(reg *Registry) *Router { return &Router{reg: reg} }
-
 // ErrNoWorkers is returned when no admitted worker remains to try.
 var ErrNoWorkers = errors.New("cluster: no healthy workers")
 
@@ -57,10 +39,10 @@ var ErrNoWorkers = errors.New("cluster: no healthy workers")
 // by worker ID). Routable means healthy AND lifecycle-active: cordoned,
 // draining and ejected workers take no new placements, so a drained
 // worker's warm-affinity keys remap to its ring successors here.
-func (rt *Router) pick(key string, tried map[string]bool) (*Worker, bool) {
-	for _, url := range rt.reg.Ring().Sequence(key) {
-		w, ok := rt.reg.WorkerByURL(url)
-		if !ok || tried[w.ID] || !rt.reg.Routable(w.ID) {
+func (c *Coordinator) pick(key string, tried map[string]bool) (*Worker, bool) {
+	for _, url := range c.reg.Ring().Sequence(key) {
+		w, ok := c.reg.WorkerByURL(url)
+		if !ok || tried[w.ID] || !c.reg.Routable(w.ID) {
 			continue
 		}
 		return w, true
@@ -80,13 +62,18 @@ func clientFault(err error) bool {
 	return apiErr.Code == http.StatusBadRequest
 }
 
-// Submit places a spec on the key's preference sequence with failover:
-// each worker-side submit failure strikes the worker (counting toward
-// ejection) and moves down the ring. tried accumulates struck worker
-// IDs so a caller retrying after a later failure (e.g. a lost wait)
-// never resubmits to a worker it already gave up on; pass nil to start
-// fresh. The returned status carries the worker-local job ID.
-func (rt *Router) Submit(ctx context.Context, key string, spec service.JobSpec, tried map[string]bool) (service.JobStatus, *Worker, error) {
+// place submits a spec down the key's preference sequence: consistent-
+// hash placement by affinity key, each worker-side submit failure
+// striking the worker (counting toward ejection) and moving down the
+// ring. Before each submit, a worker that lacks the key's warm
+// checkpoint fetches it from a peer (prefetchCheckpoint), so a failover
+// placement restores the warmup instead of re-simulating it. tried
+// accumulates struck worker IDs so a caller retrying after a later
+// failure (e.g. a lost wait) never resubmits to a worker it already
+// gave up on; pass nil to start fresh. The returned status carries the
+// worker-local job ID. Re-execution on the next worker is safe because
+// results are a deterministic function of the configuration.
+func (c *Coordinator) place(ctx context.Context, key string, spec service.JobSpec, tried map[string]bool) (service.JobStatus, *Worker, error) {
 	if tried == nil {
 		tried = make(map[string]bool)
 	}
@@ -95,16 +82,14 @@ func (rt *Router) Submit(ctx context.Context, key string, spec service.JobSpec, 
 		if err := ctx.Err(); err != nil {
 			return service.JobStatus{}, nil, err
 		}
-		w, ok := rt.pick(key, tried)
+		w, ok := c.pick(key, tried)
 		if !ok {
 			if lastErr != nil {
 				return service.JobStatus{}, nil, fmt.Errorf("cluster: all workers failed, last: %w", lastErr)
 			}
 			return service.JobStatus{}, nil, ErrNoWorkers
 		}
-		if rt.Prefetch != nil {
-			rt.Prefetch(ctx, w, key)
-		}
+		c.prefetchCheckpoint(ctx, w, key)
 		st, err := w.Client.Submit(ctx, spec)
 		switch {
 		case err == nil:
@@ -115,60 +100,8 @@ func (rt *Router) Submit(ctx context.Context, key string, spec service.JobSpec, 
 			return service.JobStatus{}, nil, err
 		}
 		// Worker-side failure: strike it, move down the sequence.
-		rt.reg.ReportFailure(w.ID, err)
+		c.reg.ReportFailure(w.ID, err)
 		tried[w.ID] = true
 		lastErr = err
 	}
-}
-
-// Run executes one spec with affinity routing and failover, returning
-// the terminal status (its ID namespaced "jNNN@worker") and the worker
-// that served it. A worker lost *after* submit (wait fails, job gone)
-// is struck like a failed submit and the job re-executes on the next
-// worker in the sequence — safe because results are a deterministic
-// function of the configuration.
-func (rt *Router) Run(ctx context.Context, spec service.JobSpec) (service.JobStatus, string, error) {
-	key, _, err := RouteKey(spec)
-	if err != nil {
-		return service.JobStatus{}, "", err
-	}
-	tried := make(map[string]bool)
-	for {
-		st, w, err := rt.Submit(ctx, key, spec, tried)
-		if err != nil {
-			return service.JobStatus{}, "", err
-		}
-		if !st.State.Terminal() {
-			st, err = w.Client.Wait(ctx, st.ID)
-		}
-		if err == nil {
-			st.ID = JoinJobID(st.ID, w.ID)
-			return st, w.ID, nil
-		}
-		if ctx.Err() != nil {
-			return service.JobStatus{}, "", ctx.Err()
-		}
-		rt.reg.ReportFailure(w.ID, err)
-		tried[w.ID] = true
-	}
-}
-
-// JoinJobID namespaces a worker-local job ID with its worker:
-// "j00000001" on w2 becomes "j00000001@w2". Clients treat job IDs as
-// opaque, so namespaced IDs flow through the /v1 protocol unchanged.
-func JoinJobID(jobID, workerID string) string {
-	return jobID + "@" + workerID
-}
-
-// SplitJobID undoes JoinJobID.
-func SplitJobID(id string) (jobID, workerID string, err error) {
-	for i := len(id) - 1; i >= 0; i-- {
-		if id[i] == '@' {
-			if i == 0 || i == len(id)-1 {
-				break
-			}
-			return id[:i], id[i+1:], nil
-		}
-	}
-	return "", "", fmt.Errorf("cluster: job ID %q carries no worker suffix", id)
 }

@@ -113,26 +113,20 @@ type WALStats struct {
 	TrackedBatches int `json:"tracked_batches"`
 }
 
-// NewHandler exposes a Pool over HTTP/JSON:
+// NewHandler exposes a Pool over HTTP/JSON: the five job routes of
+// MountJobs over the pool's Backend, plus
 //
-//	POST /v1/jobs             submit a JobSpec; 200 when served from
-//	                          cache, 202 when queued/coalesced
-//	GET  /v1/jobs/{id}        poll a job's status (result when done)
-//	GET  /v1/jobs/{id}/events SSE progress stream: `progress` events
-//	                          with engine snapshots, then one terminal
-//	                          `done`/`failed`/`canceled` event carrying
-//	                          the full job payload
-//	DELETE /v1/jobs/{id}      cancel a queued or running job
 //	POST /v1/batch            submit a whole sweep; SSE `point` events
 //	                          as points finish, then one `batch` event
 //	                          with the ordered aggregate (plain JSON
 //	                          aggregate for non-SSE clients)
-//	GET  /v1/results/{hash}   cached result lookup by config hash
+//	GET  /v1/jobs/{id}/trace  the job's spans as Chrome trace JSON
 //	GET  /v1/healthz          liveness + queue/cache statistics,
 //	                          snapshot format version and uptime
 //	GET  /v1/checkpoints/{digest}  raw warm checkpoint bytes (404 when
 //	                          not held); POST /v1/checkpoints/fetch pulls
 //	                          a digest from listed peer sources
+//	GET  /metrics             Prometheus text exposition
 func NewHandler(p *Pool) http.Handler {
 	return NewHandlerInfo(p, ServerInfo{})
 }
@@ -156,13 +150,9 @@ type ServerInfo struct {
 func NewHandlerInfo(p *Pool, info ServerInfo) http.Handler {
 	s := &server{pool: p, info: info, start: time.Now()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.submit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.job)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.events)
+	MountJobs(mux, NewPoolWireBackend(p))
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
 	mux.HandleFunc("POST /v1/batch", s.batch)
-	mux.HandleFunc("GET /v1/results/{hash}", s.result)
 	mux.HandleFunc("GET /v1/healthz", s.healthz)
 	mux.HandleFunc("GET /v1/checkpoints/{digest}", s.checkpoint)
 	mux.HandleFunc("POST /v1/checkpoints/fetch", s.checkpointFetch)
@@ -176,22 +166,57 @@ type server struct {
 	start time.Time
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// MountJobs registers the /v1 job routes on mux, served by b:
+//
+//	POST   /v1/jobs             submit a JobSpec; 200 when the status is
+//	                            already terminal (a cache hit), else 202
+//	GET    /v1/jobs/{id}        a job's status (result once done)
+//	DELETE /v1/jobs/{id}        cancel a queued or running job; 409 once
+//	                            it is terminal
+//	GET    /v1/jobs/{id}/events SSE: `progress` events with engine
+//	                            snapshots, then one terminal event named
+//	                            after the final state carrying the job
+//	                            payload
+//	GET    /v1/results/{hash}   cached result by config hash
+//
+// An unknown job ID answers 404 on every route; errStatus maps every
+// other Backend error, exactly as the wire protocol does.
+func MountJobs(mux *http.ServeMux, b Backend) {
+	j := jobRoutes{b: b}
+	mux.HandleFunc("POST /v1/jobs", j.submit)
+	mux.HandleFunc("GET /v1/jobs/{id}", j.job)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", j.cancel)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", j.events)
+	mux.HandleFunc("GET /v1/results/{hash}", j.result)
+}
+
+type jobRoutes struct {
+	b Backend
+}
+
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError writes a {"error": ...} response with the given status.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
+// writeBackendError answers with a Backend error's status and message.
+func writeBackendError(w http.ResponseWriter, err error) {
+	WriteError(w, errStatus(err), "%s", errMessage(err))
+}
+
+func (j jobRoutes) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
 	// The header is the fallback trace-context carrier for clients that
@@ -199,58 +224,79 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	if spec.TraceID == "" {
 		spec.TraceID = r.Header.Get(TraceHeader)
 	}
-	st, err := s.pool.Submit(spec)
-	switch {
-	case err == nil:
-	case err == ErrClosed:
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+	st, err := j.b.Submit(r.Context(), spec)
+	if err != nil {
+		writeBackendError(w, err)
 		return
 	}
 	code := http.StatusAccepted
 	if st.State.Terminal() {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, PayloadFor(st))
+	WriteJSON(w, code, PayloadFor(st))
 }
 
-func (s *server) job(w http.ResponseWriter, r *http.Request) {
-	st, err := s.pool.Job(r.PathValue("id"))
+func (j jobRoutes) job(w http.ResponseWriter, r *http.Request) {
+	st, err := j.b.Job(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeBackendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PayloadFor(st))
+	WriteJSON(w, http.StatusOK, PayloadFor(st))
 }
 
-func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.pool.Cancel(id) {
-		writeError(w, http.StatusConflict, "job %s is unknown or already terminal", id)
-		return
-	}
-	st, err := s.pool.Job(id)
+func (j jobRoutes) cancel(w http.ResponseWriter, r *http.Request) {
+	st, err := j.b.Cancel(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeBackendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PayloadFor(st))
+	WriteJSON(w, http.StatusOK, PayloadFor(st))
 }
 
-func (s *server) result(w http.ResponseWriter, r *http.Request) {
+func (j jobRoutes) result(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	res, ok := s.pool.ResultByHash(hash)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %s", hash)
+	res, ok, err := j.b.ResultByHash(r.Context(), hash)
+	if err != nil {
+		writeBackendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ResultPayload{Hash: hash, Result: res, Metrics: MetricsFor(res)})
+	if !ok {
+		WriteError(w, http.StatusNotFound, "no cached result for %s", hash)
+		return
+	}
+	WriteJSON(w, http.StatusOK, ResultPayload{Hash: hash, Result: res, Metrics: MetricsFor(res)})
+}
+
+// events streams a job's progress as Server-Sent Events through
+// Backend.Watch: one `progress` event per engine snapshot, then one
+// terminal event named after the final state.
+func (j jobRoutes) events(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	// Resolve the ID before committing to a stream: an unknown job
+	// answers 404 like every other route, and a known one gets its
+	// headers at once even while it still waits in a queue.
+	if _, err := j.b.Job(r.Context(), id); err != nil {
+		writeBackendError(w, err)
+		return
+	}
+	fl, ok := StartSSE(w)
+	if !ok {
+		return
+	}
+	st, err := j.b.Watch(r.Context(), id, func(pr sim.Progress) {
+		WriteSSE(w, fl, "progress", pr)
+	})
+	switch {
+	case err == nil:
+		WriteSSE(w, fl, string(st.State), PayloadFor(st))
+	case r.Context().Err() == nil:
+		WriteSSE(w, fl, "error", map[string]string{"error": err.Error()})
+	}
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthPayload{
+	WriteJSON(w, http.StatusOK, HealthPayload{
 		Status:      "ok",
 		Version:     snapshot.FormatVersion,
 		Uptime:      time.Since(s.start).Seconds(),
@@ -268,7 +314,7 @@ const TraceHeader = "X-Bump-Trace"
 // metrics serves the registry in Prometheus text exposition format.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	if s.info.Metrics == nil {
-		writeError(w, http.StatusNotFound, "metrics are not enabled")
+		WriteError(w, http.StatusNotFound, "metrics are not enabled")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -281,15 +327,15 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.info.Tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing is not enabled")
+		WriteError(w, http.StatusNotFound, "tracing is not enabled")
 		return
 	}
 	exp, ok := s.info.Tracer.Export(id, 1, "bumpd")
 	if !ok {
-		writeError(w, http.StatusNotFound, "no trace for job %s", id)
+		WriteError(w, http.StatusNotFound, "no trace for job %s", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, exp)
+	WriteJSON(w, http.StatusOK, exp)
 }
 
 // checkpoint serves a warm checkpoint's raw bytes by digest — the
@@ -299,7 +345,7 @@ func (s *server) checkpoint(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	data, ok := s.pool.WarmCheckpoint(digest)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no checkpoint %s", digest)
+		WriteError(w, http.StatusNotFound, "no checkpoint %s", digest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -327,15 +373,15 @@ func (s *server) checkpointFetch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid fetch request: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid fetch request: %v", err)
 		return
 	}
 	if req.Digest == "" {
-		writeError(w, http.StatusBadRequest, "missing digest")
+		WriteError(w, http.StatusBadRequest, "missing digest")
 		return
 	}
 	if _, ok := s.pool.WarmCheckpoint(req.Digest); ok {
-		writeJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: true})
+		WriteJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: true})
 		return
 	}
 	for _, src := range req.Sources {
@@ -346,13 +392,13 @@ func (s *server) checkpointFetch(w http.ResponseWriter, r *http.Request) {
 			continue // dead or checkpoint-less peer: try the next source
 		}
 		if err := s.pool.InstallWarmCheckpoint(req.Digest, data); err != nil {
-			writeError(w, http.StatusBadGateway, "%v", err)
+			WriteError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: true, Source: src})
+		WriteJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: true, Source: src})
 		return
 	}
-	writeJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: false})
+	WriteJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: false})
 }
 
 // batch executes a whole sweep in one request. SSE clients (Accept:
@@ -364,56 +410,47 @@ func (s *server) batch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
 		return
 	}
-	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+	if !WantsSSE(r) {
 		res, err := RunBatch(r.Context(), s.pool, spec, nil)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	fl, ok := StartSSE(w)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 	// onPoint runs serialized (RunBatch guarantees one goroutine at a
 	// time), so writes to the stream never interleave.
 	res, err := RunBatch(r.Context(), s.pool, spec, func(pt BatchPoint) {
-		writeSSE(w, fl, "point", pt)
+		WriteSSE(w, fl, "point", pt)
 	})
 	if err != nil {
-		writeSSE(w, fl, "error", map[string]string{"error": err.Error()})
+		WriteSSE(w, fl, "error", map[string]string{"error": err.Error()})
 		return
 	}
-	writeSSE(w, fl, "batch", res)
+	WriteSSE(w, fl, "batch", res)
 }
 
-// events streams a job's progress as Server-Sent Events. Each engine
-// snapshot arrives as a `progress` event; the stream ends with one
-// terminal event named after the final state.
-func (s *server) events(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ch, cancelSub, err := s.pool.Subscribe(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer cancelSub()
+// WantsSSE reports whether the request asked for a Server-Sent Event
+// stream.
+func WantsSSE(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+}
+
+// StartSSE commits the response to a Server-Sent Event stream. It
+// answers 500 and returns false when w cannot stream.
+func StartSSE(w http.ResponseWriter) (http.Flusher, bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
+		return nil, false
 	}
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -421,25 +458,11 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-
-	for {
-		select {
-		case pr, open := <-ch:
-			if !open {
-				// Terminal: emit the final payload and end the stream.
-				if st, err := s.pool.Job(id); err == nil {
-					writeSSE(w, fl, string(st.State), PayloadFor(st))
-				}
-				return
-			}
-			writeSSE(w, fl, "progress", pr)
-		case <-r.Context().Done():
-			return
-		}
-	}
+	return fl, true
 }
 
-func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
+// WriteSSE sends one event whose data line is v as JSON.
+func WriteSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return

@@ -160,6 +160,10 @@ var ErrClosed = errors.New("service: pool is closed")
 // tracks.
 var ErrUnknownJob = errors.New("service: unknown job")
 
+// ErrTerminal is returned when canceling a job that is already done,
+// failed or canceled.
+var ErrTerminal = errors.New("service: job is already terminal")
+
 // Pool executes simulation jobs on a bounded set of workers with
 // priority scheduling, duplicate coalescing and result caching.
 type Pool struct {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -111,7 +110,7 @@ func (ws wireStatus) status() JobStatus {
 		State:    State(ws.State),
 		Cached:   ws.Cached,
 		Priority: ws.Priority,
-		Spec:     ws.Spec,
+		Spec:     decodedSpec(ws.Spec),
 		Error:    ws.Error,
 	}
 	if ws.HasProgress {
@@ -123,6 +122,17 @@ func (ws wireStatus) status() JobStatus {
 		st.Result = &r
 	}
 	return st
+}
+
+// decodedSpec undoes the one difference a wire round trip makes to a
+// spec: the codec decodes an empty slice as non-nil, which would make
+// an absent inline scenario reappear (`scenario_spec` is omitzero) when
+// the spec is echoed as JSON.
+func decodedSpec(s JobSpec) JobSpec {
+	if len(s.ScenarioSpec.Tenants) == 0 {
+		s.ScenarioSpec.Tenants = nil
+	}
+	return s
 }
 
 // wireResultMsg answers a result-by-hash lookup.
@@ -151,97 +161,16 @@ type wireErrMsg struct {
 	Message string
 }
 
-// ---- Backend ----------------------------------------------------------
-
-// WireBackend is what a wire listener serves: the hot service surface,
-// implemented by a local Pool (bumpd) or a cluster Coordinator
-// (bumpctl). Errors returned as *APIError cross the wire with their
-// code; other errors map to 400.
-type WireBackend interface {
-	WireSubmit(ctx context.Context, spec JobSpec) (JobStatus, error)
-	WireJob(ctx context.Context, id string) (JobStatus, error)
-	// WireWatch streams progress snapshots to onProgress (serialized,
-	// never called after return) and returns the terminal status.
-	WireWatch(ctx context.Context, id string, onProgress func(sim.Progress)) (JobStatus, error)
-	WireResult(ctx context.Context, hash string) (sim.Result, bool, error)
-	// WireBatch runs the whole sweep, streaming completions to onPoint
-	// (serialized), and returns the aggregate.
-	WireBatch(ctx context.Context, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error)
-}
-
-// poolBackend adapts a local Pool to the wire surface.
-type poolBackend struct {
-	p *Pool
-}
-
-// NewPoolWireBackend serves a Pool over the wire protocol (bumpd's
-// backend; bumpctl uses the cluster Coordinator instead).
-func NewPoolWireBackend(p *Pool) WireBackend { return poolBackend{p: p} }
-
-func (b poolBackend) WireSubmit(ctx context.Context, spec JobSpec) (JobStatus, error) {
-	return b.p.Submit(spec)
-}
-
-func (b poolBackend) WireJob(ctx context.Context, id string) (JobStatus, error) {
-	return b.p.Job(id)
-}
-
-func (b poolBackend) WireWatch(ctx context.Context, id string, onProgress func(sim.Progress)) (JobStatus, error) {
-	ch, cancel, err := b.p.Subscribe(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case pr, ok := <-ch:
-			if !ok {
-				return b.p.Job(id)
-			}
-			if onProgress != nil {
-				onProgress(pr)
-			}
-		}
-	}
-}
-
-func (b poolBackend) WireResult(ctx context.Context, hash string) (sim.Result, bool, error) {
-	res, ok := b.p.ResultByHash(hash)
-	return res, ok, nil
-}
-
-func (b poolBackend) WireBatch(ctx context.Context, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
-	return RunBatch(ctx, b.p, spec, onPoint)
-}
-
 // ---- Server -----------------------------------------------------------
-
-// wireErrCode maps backend errors to the code carried in a wmErr frame,
-// mirroring the HTTP handler's status mapping so both protocols fail
-// identically.
-func wireErrCode(err error) int {
-	var apiErr *APIError
-	switch {
-	case errors.As(err, &apiErr):
-		return apiErr.Code
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrUnknownJob):
-		return http.StatusNotFound
-	default:
-		return http.StatusBadRequest
-	}
-}
 
 // wireIdleTimeout is how long a server-side connection may sit between
 // requests before it is dropped (clients re-dial transparently).
 const wireIdleTimeout = 5 * time.Minute
 
 // NewWireHandler returns a per-connection handler (for wire.Serve)
-// speaking the request/response protocol above against backend.
-func NewWireHandler(backend WireBackend) func(*wire.Conn) {
+// speaking the request/response protocol above against backend. Cancel
+// has no frame: clients send it over HTTP.
+func NewWireHandler(backend Backend) func(*wire.Conn) {
 	return func(c *wire.Conn) {
 		for {
 			c.SetReadDeadline(time.Now().Add(wireIdleTimeout))
@@ -262,17 +191,12 @@ func writeMsg(c *wire.Conn, typ byte, v any) error {
 }
 
 func writeWireErr(c *wire.Conn, err error) error {
-	msg := err.Error()
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		msg = apiErr.Message
-	}
-	return writeMsg(c, wmErr, wireErrMsg{Code: wireErrCode(err), Message: msg})
+	return writeMsg(c, wmErr, wireErrMsg{Code: errStatus(err), Message: errMessage(err)})
 }
 
 // serveWireRequest handles one request frame; false = drop the
 // connection (protocol violation or write failure).
-func serveWireRequest(backend WireBackend, c *wire.Conn, typ byte, body []byte) bool {
+func serveWireRequest(backend Backend, c *wire.Conn, typ byte, body []byte) bool {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -282,7 +206,7 @@ func serveWireRequest(backend WireBackend, c *wire.Conn, typ byte, body []byte) 
 		if err := decodeMsg(body, &req); err != nil {
 			return writeWireErr(c, err) == nil
 		}
-		st, err := backend.WireSubmit(ctx, req.Spec)
+		st, err := backend.Submit(ctx, decodedSpec(req.Spec))
 		if err != nil {
 			return writeWireErr(c, err) == nil
 		}
@@ -293,7 +217,7 @@ func serveWireRequest(backend WireBackend, c *wire.Conn, typ byte, body []byte) 
 		if err := decodeMsg(body, &req); err != nil {
 			return writeWireErr(c, err) == nil
 		}
-		st, err := backend.WireJob(ctx, req.Ref)
+		st, err := backend.Job(ctx, req.Ref)
 		if err != nil {
 			return writeWireErr(c, err) == nil
 		}
@@ -304,7 +228,7 @@ func serveWireRequest(backend WireBackend, c *wire.Conn, typ byte, body []byte) 
 		if err := decodeMsg(body, &req); err != nil {
 			return writeWireErr(c, err) == nil
 		}
-		res, ok, err := backend.WireResult(ctx, req.Ref)
+		res, ok, err := backend.ResultByHash(ctx, req.Ref)
 		if err != nil {
 			return writeWireErr(c, err) == nil
 		}
@@ -316,7 +240,7 @@ func serveWireRequest(backend WireBackend, c *wire.Conn, typ byte, body []byte) 
 			return writeWireErr(c, err) == nil
 		}
 		var writeFailed atomic.Bool
-		st, err := backend.WireWatch(ctx, req.Ref, func(pr sim.Progress) {
+		st, err := backend.Watch(ctx, req.Ref, func(pr sim.Progress) {
 			if writeMsg(c, wmProgress, pr) != nil {
 				writeFailed.Store(true)
 				cancel() // stop the backend stream; the client is gone
@@ -336,7 +260,10 @@ func serveWireRequest(backend WireBackend, c *wire.Conn, typ byte, body []byte) 
 			return writeWireErr(c, err) == nil
 		}
 		var writeFailed atomic.Bool
-		res, err := backend.WireBatch(ctx, BatchSpec{Specs: req.Specs}, func(pt BatchPoint) {
+		for i := range req.Specs {
+			req.Specs[i] = decodedSpec(req.Specs[i])
+		}
+		res, err := backend.Batch(ctx, BatchSpec{Specs: req.Specs}, func(pt BatchPoint) {
 			wp := wirePoint{Index: pt.Index, Worker: pt.Worker, Status: toWireStatus(pt.Status.JobStatus)}
 			if writeMsg(c, wmPoint, wp) != nil {
 				writeFailed.Store(true)

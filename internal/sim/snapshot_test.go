@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -259,32 +260,48 @@ func TestWarmStoreSharesOneWarmup(t *testing.T) {
 	}
 }
 
-// TestWarmStoreIdenticalConfigBitIdentical: a run of the *same*
-// configuration through the warm store matches a cold run byte for
-// byte, both on the pass that builds the trunk checkpoints and on the
-// pass that restores them — for a stationary workload, a scenario, and
-// a checkpoint-tree fork (deferred MaxRowHitStreak bound mid-measurement
-// at one published cut).
+// TestWarmStoreIdenticalConfigBitIdentical: a run through the warm
+// store matches a cold run byte for byte, both on the pass that builds
+// the trunk checkpoints and on the pass that restores them. The cold
+// run is of the same configuration for a stationary workload, a
+// scenario, and a checkpoint-tree fork (deferred MaxRowHitStreak bound
+// mid-measurement at one published cut). A non-zero streak with ForkAt
+// 0 binds at the warmup boundary in the warm store but from cycle 0 in
+// a cold run of the same configuration, so those rows compare against
+// the cold run with ForkAt = WarmupCycles.
 func TestWarmStoreIdenticalConfigBitIdentical(t *testing.T) {
 	fork := smallConfig(BaseClose, workload.WebSearch(), 8)
 	fork.MaxRowHitStreak = 4
 	fork.ForkAt = fork.WarmupCycles + fork.MeasureCycles/4
 	fork.ForkCycles = []uint64{fork.ForkAt}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"stationary/bump+vwq-web-serving", smallConfig(BuMPVWQ, workload.WebServing(), 6)},
-		{"scenario/sms+vwq-test-burst", smallScenarioConfig(SMSVWQ, testBurstSpec(), 7)},
-		{"fork/base-close-web-search", fork},
+	type warmCase struct {
+		name       string
+		cfg        Config
+		coldForkAt uint64 // the matching cold run's ForkAt, when not cfg's
+	}
+	cases := []warmCase{
+		{name: "stationary/bump+vwq-web-serving", cfg: smallConfig(BuMPVWQ, workload.WebServing(), 6)},
+		{name: "scenario/sms+vwq-test-burst", cfg: smallScenarioConfig(SMSVWQ, testBurstSpec(), 7)},
+		{name: "fork/base-close-web-search", cfg: fork},
+	}
+	for _, m := range []Mechanism{BuMP, BaseOpen, SMSVWQ} {
+		for _, streak := range []int{1, 2, 7} {
+			cfg := smallConfig(m, workload.DataServing(), 9)
+			cfg.MaxRowHitStreak = streak
+			cases = append(cases, warmCase{fmt.Sprintf("warmup-bound/%s-data-serving/streak%d", m, streak), cfg, cfg.WarmupCycles})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cold, err := RunOne(tc.cfg)
+			cold := tc.cfg
+			if tc.coldForkAt != 0 {
+				cold.ForkAt = tc.coldForkAt
+			}
+			coldRes, err := RunOne(cold)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := marshalResult(t, cold)
+			want := marshalResult(t, coldRes)
 			ws := NewWarmStore(4)
 			for _, pass := range []string{"build", "restore"} {
 				res, err := ws.Run(tc.cfg)

@@ -455,14 +455,16 @@ func (ws *WarmStore) accountReuse(built bool, cfg Config, cut uint64) {
 // values — and every point, the builders included, measures from
 // restored trunk state. Results are therefore a deterministic function
 // of each point's configuration, independent of submission order or
-// which concurrent job happened to build which node. A point whose
-// measured parameters are already zero is bit-identical to its cold
-// run; points with non-zero measured parameters get the
-// shared-functional-warmup methodology (policy applied from
-// ForkAt, or from the warmup boundary when ForkAt is zero) by
-// construction — also bit-identical to their own cold sequential runs,
-// because a cold run of the same Config binds its measured parameters
-// at the same cycle.
+// which concurrent job happened to build which node. Points with
+// non-zero measured parameters get the shared-functional-warmup
+// methodology by construction: the policy applies from ForkAt, or from
+// the warmup boundary when ForkAt is zero. A point is bit-identical to
+// its own cold run when its measured parameters are zero or its ForkAt
+// is non-zero, because a cold run of the same Config binds them at the
+// same cycle. With non-zero measured parameters and ForkAt zero it is
+// not: the cold run applies them from cycle 0. Such a point is instead
+// bit-identical to the cold run of its Config with ForkAt set to
+// WarmupCycles.
 //
 // A cached node whose restore fails (corrupt blob-tier bytes, version
 // skew) is evicted from both tiers and re-simulated; hits are counted

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"strings"
 	"testing"
@@ -311,5 +312,55 @@ func TestCanonicalDigest(t *testing.T) {
 	}
 	if _, err := CanonicalDigest("v1", map[string]int{}); err == nil {
 		t.Fatal("map accepted")
+	}
+}
+
+// canonMode is a named scalar with a String method: the encoding prints
+// its name, as fmt's %v does, not its ordinal.
+type canonMode int
+
+func (m canonMode) String() string { return [...]string{"off", "on"}[m] }
+
+// TestCanonicalEncoding pins the byte layout every config hash, warm
+// key, fork-node key and checkpoint digest is computed over.
+func TestCanonicalEncoding(t *testing.T) {
+	type inner struct {
+		On   bool
+		Rate float32
+	}
+	type cfg struct {
+		N     int
+		Name  string
+		Mode  canonMode
+		Ratio float64
+		Big   float64
+		Inf   float64
+		Bytes []uint8
+		Pair  [2]int64
+		In    inner
+		Hook  func()
+	}
+	v := cfg{N: -3, Name: "x", Mode: 1, Ratio: 0.1, Big: 1e21, Inf: math.Inf(1),
+		Bytes: []uint8{7}, Pair: [2]int64{1, 2}, In: inner{On: true, Rate: 0.3}}
+	const lines = "{root}.N=-3\n{root}.Name=x\n{root}.Mode=on\n{root}.Ratio=0.1\n" +
+		"{root}.Big=1e+21\n{root}.Inf=+Inf\n{root}.Bytes.len=1\n{root}.Bytes[0]=7\n" +
+		"{root}.Pair.len=2\n{root}.Pair[0]=1\n{root}.Pair[1]=2\n" +
+		"{root}.In.On=true\n{root}.In.Rate=0.3\n"
+	for _, root := range []string{"v", "cfg"} {
+		got, err := CanonicalDigestAt("p1", root, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sha256.Sum256([]byte("p1" + strings.ReplaceAll(lines, "{root}", root)))
+		if got != want {
+			t.Errorf("root %q: digest does not match the documented encoding", root)
+		}
+	}
+	d, err := CanonicalDigest("p1", v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, _ := CanonicalDigestAt("p1", "v", v); d != at {
+		t.Error(`CanonicalDigest must root its paths at "v"`)
 	}
 }
