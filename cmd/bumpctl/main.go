@@ -38,9 +38,9 @@
 //	POST   /v1/batch            run a whole sweep; SSE per-point events
 //	GET    /v1/batch/{id}       sweep progress/aggregate, survives restarts
 //	GET    /v1/results/{hash}   cached result, fleet-wide lookup
-//	GET    /v1/healthz          aggregated fleet health + WAL stats
-//	GET    /v1/cluster          topology: per-worker state, lifecycle, stats
-//	GET    /metrics             Prometheus text exposition
+//	GET    /v1/healthz          self-description: fleet status, version, wire
+//	GET    /v1/cluster          topology: per-worker state, lifecycle
+//	GET    /metrics             Prometheus text: fleet, job, WAL, wire, conn series
 //	POST   /v1/cluster/register worker heartbeat self-registration
 //	POST   /v1/cluster/cordon   stop new placements to a worker (reversible)
 //	POST   /v1/cluster/uncordon restore placements to a cordoned worker
@@ -147,10 +147,10 @@ func main() {
 	}
 	slog.Info("fleet", "up", top.Up, "total", top.Total, "format_version", top.Version)
 	if *dataDir != "" {
-		h := coord.Health()
+		st := coord.Store().Stats()
 		slog.Info("durable state replayed", "dir", *dataDir,
-			"records", h.WAL.ReplayedRecords, "jobs", h.WAL.ReplayedJobs,
-			"recovered_inflight", h.WAL.RecoveredJobs)
+			"records", st.WAL.Replayed, "jobs", st.ReplayedJobs,
+			"recovered_inflight", st.RecoveredJobs)
 	}
 
 	// Binary wire listener: the coordinator serves the same hot surface

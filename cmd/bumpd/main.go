@@ -32,8 +32,8 @@
 //	DELETE /v1/jobs/{id}        cancel a job (404 unknown, 409 terminal)
 //	POST   /v1/batch            run a whole sweep
 //	GET    /v1/results/{hash}   cached result by config hash
-//	GET    /v1/healthz          liveness + statistics
-//	GET    /metrics             Prometheus text exposition
+//	GET    /v1/healthz          self-description: status, version, wire, checkpoints
+//	GET    /metrics             Prometheus text: every pool/cache/warm/conn counter
 package main
 
 import (
@@ -53,7 +53,6 @@ import (
 	"bump/internal/scenario"
 	"bump/internal/service"
 	"bump/internal/sim"
-	"bump/internal/snapshot"
 	"bump/internal/wire"
 )
 
@@ -74,7 +73,6 @@ func main() {
 		coord    = flag.String("coordinator", "", "bumpctl base URL to heartbeat-register with (self-registration; no static -workers entry needed)")
 		adv      = flag.String("advertise", "", "base URL the coordinator reaches this worker at (required with -coordinator)")
 		beat     = flag.Duration("heartbeat", 2*time.Second, "heartbeat interval (with -coordinator)")
-		sample   = flag.Int("trace-sample", 0, "record fine-grained progress-slice spans for every Nth job (0 = coarse phases only)")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
@@ -129,7 +127,6 @@ func main() {
 		WarmBackend:      warmBackend,
 		Metrics:          metrics,
 		Tracer:           tracer,
-		TraceSample:      *sample,
 	})
 
 	// Binary wire listener: the advertised address keeps the flag's host
@@ -184,17 +181,12 @@ func main() {
 		}
 		go func() {
 			registered := false
-			// The heartbeat re-reads warm keys every beat, so freshly
-			// simulated or transferred checkpoints are advertised to the
-			// coordinator within one interval.
+			// Each beat carries the self-description /v1/healthz serves,
+			// so freshly simulated or transferred checkpoints are
+			// advertised to the coordinator within one interval.
 			service.NewClient(*coord).HeartbeatFunc(beatCtx,
 				func() service.RegisterRequest {
-					return service.RegisterRequest{
-						URL:         *adv,
-						Version:     snapshot.FormatVersion,
-						WireAddr:    advertisedWire,
-						Checkpoints: pool.WarmKeys(),
-					}
+					return service.RegisterRequest{URL: *adv, HealthPayload: pool.Health(advertisedWire)}
 				},
 				*beat,
 				func(resp service.RegisterResponse, err error) {

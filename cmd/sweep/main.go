@@ -10,10 +10,11 @@
 // sweep clients can share one simulation service and its cache. A
 // comma-separated -server list of bumpd workers embeds an in-process
 // cluster coordinator instead: points are routed by warm-affinity key
-// across the fleet with automatic failover, and a per-worker warm/cache
-// report is printed after the sweep. Each of the three is a
+// across the fleet with automatic failover. Each of the three is a
 // service.Backend, so a sweep is one Backend.Batch call whichever runs
-// it.
+// it. A server's warm and cache counters are on its GET /metrics; the
+// sweep reports only what this process saw (the in-process -warm
+// ledger, wire fast-path usage).
 //
 // With -warm the in-process pool shares warmup-end checkpoints between
 // sweep points whose configurations differ only in measured parameters:
@@ -151,9 +152,8 @@ func main() {
 		defer pool.Close()
 		run = service.NewPoolWireBackend(pool)
 	}
-	// After the sweep, show where the fleet spent and saved its warmup
-	// work — the per-worker view of warm-affinity routing — and how the
-	// transport behaved (wire fast-path vs HTTP fallback, conn reuse).
+	// After a remote sweep, show how the transport behaved (wire
+	// fast-path vs HTTP fallback, conn reuse).
 	reportWire := func(ws service.WireStats) {
 		if ws.Calls == 0 && ws.Fallbacks == 0 {
 			return
@@ -164,22 +164,9 @@ func main() {
 	defer func() {
 		if cl != nil {
 			reportWire(cl.WireStats())
-			if h, err := cl.Health(context.Background()); err == nil {
-				ws := h.Stats.Warm
-				fmt.Fprintf(os.Stderr, "sweep: server warm: %d hits/%d misses, %d fork hits/%d fork misses, %d warmup cycles reused\n",
-					ws.Hits, ws.Misses, ws.ForkHits, ws.ForkMisses, ws.WarmupCyclesReused)
-			}
 		}
 		if coord == nil {
 			return
-		}
-		// Refresh the stats snapshot so the report reflects this sweep,
-		// not the last periodic probe.
-		coord.Registry().ProbeOnce(context.Background())
-		for _, w := range coord.Topology().Workers {
-			fmt.Fprintf(os.Stderr, "sweep: %s %s [%s] warm %d hits/%d misses, cache %d hits/%d misses, %d executions\n",
-				w.ID, w.URL, w.State, w.Stats.Warm.Hits, w.Stats.Warm.Misses,
-				w.Stats.Cache.Hits, w.Stats.Cache.Misses, w.Stats.Executions)
 		}
 		var ws service.WireStats
 		for _, wk := range coord.Registry().Workers() {

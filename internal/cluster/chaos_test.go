@@ -126,16 +126,16 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 	client2 := service.NewClient(front2.URL)
 	client2.PollInterval = 10 * time.Millisecond
 
-	// The replay is visible in /v1/healthz durability stats.
-	h := c2.Health()
-	if h.WAL == nil || !h.WAL.Durable {
+	// The replay is visible in the store's durability stats.
+	st := c2.Store().Stats()
+	if !st.Durable {
 		t.Fatal("restarted coordinator reports no WAL")
 	}
-	if h.WAL.ReplayedRecords == 0 || h.WAL.ReplayedJobs == 0 {
-		t.Fatalf("restarted coordinator replayed nothing: %+v", h.WAL)
+	if st.WAL.Replayed == 0 || st.ReplayedJobs == 0 {
+		t.Fatalf("restarted coordinator replayed nothing: %+v", st)
 	}
-	if h.WAL.RecoveredJobs == 0 {
-		t.Fatalf("no in-flight jobs recovered despite a mid-sweep crash: %+v", h.WAL)
+	if st.RecoveredJobs == 0 {
+		t.Fatalf("no in-flight jobs recovered despite a mid-sweep crash: %+v", st)
 	}
 
 	// Every pre-crash job ID is still answerable.
@@ -227,7 +227,7 @@ func TestChaosHeartbeatRevivesDroppedWorker(t *testing.T) {
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
 	client.PollInterval = 10 * time.Millisecond
-	resp, err := client.Register(context.Background(), service.RegisterRequest{URL: px.URL(), Version: snapshot.FormatVersion})
+	resp, err := client.Register(context.Background(), service.RegisterRequest{URL: px.URL(), HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +365,10 @@ func TestChaosDrainCordonLifecycle(t *testing.T) {
 	}
 	waitUntil(t, 10*time.Second, func() bool { return lifecycleOf(ownerID) == LifecycleEjected },
 		"drained worker not ejected after its last in-flight job settled")
+	// The ejected worker has left the fleet: a clean drain reads ok.
+	if top := coord.Topology(); top.Status != "ok" || top.Up != 1 || top.Total != 1 {
+		t.Errorf("topology after a clean drain: %s, %d of %d up; want ok, 1 of 1", top.Status, top.Up, top.Total)
+	}
 
 	// Drain of an idle worker ejects immediately.
 	waitUntil(t, 10*time.Second, func() bool {

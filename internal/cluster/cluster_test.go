@@ -428,13 +428,13 @@ func TestClusterWireProtocol(t *testing.T) {
 		t.Error("hash lookup returned a different result")
 	}
 
-	// Aggregated health speaks the worker schema.
+	// Health speaks the worker schema.
 	h, err := client.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Stats.Executions == 0 || h.Version == 0 {
-		t.Errorf("aggregated health: %+v", h)
+	if h.Status != "ok" || h.Version == 0 {
+		t.Errorf("coordinator health: %+v", h)
 	}
 
 	// Cancel via the proxy.
@@ -518,58 +518,6 @@ func TestClusterBatchHTTP(t *testing.T) {
 	}
 	if top.Status != "ok" || top.Up != 2 || top.Total != 2 || len(top.Workers) != 2 {
 		t.Fatalf("topology: %+v", top)
-	}
-	var execs uint64
-	for _, w := range top.Workers {
-		execs += w.Stats.Executions
-	}
-	if execs == 0 {
-		t.Error("topology carries no per-worker execution stats")
-	}
-}
-
-// TestClusterHealthSumsWarmStats: the coordinator's health aggregate
-// carries every warm-store counter of its workers, the checkpoint-tree
-// ones included, so a forked sweep through bumpctl reports its fork hits.
-func TestClusterHealthSumsWarmStats(t *testing.T) {
-	fleet := newTestFleet(t, 2, service.Options{Workers: 2, WarmStarts: true})
-	coord := newTestCoordinator(t, fleet)
-
-	var specs []service.JobSpec
-	for _, wl := range []string{"web-search", "media-streaming"} {
-		for streak := 0; streak < 3; streak++ {
-			s := sweepSpec(wl, streak)
-			s.ForkAt = s.WarmupCycles + s.MeasureCycles/2
-			s.ForkCycles = []uint64{s.ForkAt}
-			specs = append(specs, s)
-		}
-	}
-	res, err := coord.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("%d of %d points failed", res.Failed, len(specs))
-	}
-	// Checkpoint replication keeps installing on the workers for a
-	// moment after the batch, so re-probe until the snapshots settle.
-	var got, want sim.WarmStats
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		coord.Registry().ProbeOnce(context.Background())
-		got, want = coord.Health().Stats.Warm, sim.WarmStats{}
-		for _, w := range fleet {
-			want.Add(w.pool.Stats().Warm)
-		}
-		if got == want || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got != want {
-		t.Fatalf("coordinator warm stats %+v, want the workers' field-wise sum %+v", got, want)
-	}
-	if got.ForkHits == 0 {
-		t.Fatalf("forked sweep reported no fork hits: %+v", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"bump/internal/service"
 	"bump/internal/sim"
+	"bump/internal/snapshot"
 	"bump/internal/wire"
 )
 
@@ -251,6 +252,26 @@ func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
 	return steps
 }
 
+// assertHealthz checks that a daemon's GET /v1/healthz is its
+// self-description and nothing more: the body decodes into
+// HealthPayload with unknown fields disallowed.
+func assertHealthz(t *testing.T, base string) {
+	t.Helper()
+	resp, data := httpAPI{base: base}.do(t, http.MethodGet, "/v1/healthz", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: status %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var h service.HealthPayload
+	if err := dec.Decode(&h); err != nil {
+		t.Fatalf("healthz %s: %v", data, err)
+	}
+	if h.Status != "ok" || h.Version != snapshot.FormatVersion || h.WireAddr == "" {
+		t.Errorf("healthz: %+v", h)
+	}
+}
+
 // serveCoordinator puts a coordinator behind HTTP and a wire listener
 // advertised in its health, as bumpctl does, returning the base URL.
 func serveCoordinator(t *testing.T, coord *Coordinator) string {
@@ -269,7 +290,8 @@ func serveCoordinator(t *testing.T, coord *Coordinator) string {
 
 // TestJobAPIConformance runs one job-API script against bumpd and
 // bumpctl, each over HTTP and over the wire protocol: every status and
-// every compared payload field must agree across the four. A failover
+// every compared payload field must agree across the four, and each
+// daemon's /v1/healthz carries only the HealthPayload fields. A failover
 // row then kills the worker running a watched coordinator job: the
 // watch must still end in done over both protocols.
 func TestJobAPIConformance(t *testing.T) {
@@ -297,6 +319,7 @@ func TestJobAPIConformance(t *testing.T) {
 			name := d.name + "/" + proto
 			t.Run(name, func(t *testing.T) {
 				url := d.start(t)
+				assertHealthz(t, url)
 				var api jobAPI = httpAPI{base: url}
 				var client *service.Client
 				if proto == "wire" {

@@ -79,7 +79,6 @@ type Coordinator struct {
 	reg   *Registry
 	store *Store
 	opts  Options
-	start time.Time
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -175,7 +174,6 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 		reg:        reg,
 		store:      store,
 		opts:       opts,
-		start:      time.Now(),
 		ctx:        rctx,
 		cancel:     cancel,
 		sem:        make(chan struct{}, opts.BatchConcurrency),
@@ -741,27 +739,28 @@ func (c *Coordinator) Batch(ctx context.Context, spec service.BatchSpec, onPoint
 }
 
 // ClusterPayload is served by GET /v1/cluster: coordinator identity and
-// per-worker topology, admission state, lifecycle and statistics.
+// per-worker topology, admission state and lifecycle.
 type ClusterPayload struct {
 	Status string `json:"status"`
 	// Version is the snapshot format version this coordinator requires
-	// of workers; Uptime is coordinator uptime in seconds.
-	Version int     `json:"version"`
-	Uptime  float64 `json:"uptime_s"`
-	// Up of Total workers are currently admitted.
+	// of workers.
+	Version int `json:"version"`
+	// Up of Total members are currently admitted; a worker ejected by a
+	// drain has left the fleet and counts in neither.
 	Up      int          `json:"up"`
 	Total   int          `json:"total"`
 	Workers []WorkerInfo `json:"workers"`
-	// Jobs/Batches count currently tracked (retained) records.
-	Jobs    int `json:"tracked_jobs"`
-	Batches int `json:"tracked_batches"`
 }
 
 // Topology snapshots the cluster for /v1/cluster.
 func (c *Coordinator) Topology() ClusterPayload {
 	infos := c.reg.Info()
-	up := 0
+	up, total := 0, 0
 	for _, w := range infos {
+		if w.Lifecycle == LifecycleEjected {
+			continue
+		}
+		total++
 		if w.State == WorkerUp {
 			up++
 		}
@@ -770,71 +769,16 @@ func (c *Coordinator) Topology() ClusterPayload {
 	switch {
 	case up == 0:
 		status = "down"
-	case up < len(infos):
+	case up < total:
 		status = "degraded"
 	}
-	st := c.store.Stats()
 	return ClusterPayload{
 		Status:  status,
 		Version: c.reg.opts.FormatVersion,
-		Uptime:  time.Since(c.start).Seconds(),
 		Up:      up,
-		Total:   len(infos),
+		Total:   total,
 		Workers: infos,
-		Jobs:    st.Jobs,
-		Batches: st.Batches,
 	}
-}
-
-// Health aggregates the fleet into the single-worker health shape (so
-// existing /v1/healthz clients read cluster-wide statistics unchanged)
-// plus the coordinator's own durability stats.
-func (c *Coordinator) Health() service.HealthPayload {
-	top := c.Topology()
-	h := service.HealthPayload{
-		Status:  top.Status,
-		Version: snapshot.FormatVersion,
-		Uptime:  top.Uptime,
-	}
-	for _, w := range top.Workers {
-		if w.State != WorkerUp {
-			continue
-		}
-		s := w.Stats
-		h.Stats.Workers += s.Workers
-		h.Stats.Queued += s.Queued
-		h.Stats.Running += s.Running
-		h.Stats.Completed += s.Completed
-		h.Stats.Executions += s.Executions
-		h.Stats.Coalesced += s.Coalesced
-		h.Stats.Cache.Entries += s.Cache.Entries
-		h.Stats.Cache.Capacity += s.Cache.Capacity
-		h.Stats.Cache.Hits += s.Cache.Hits
-		h.Stats.Cache.Misses += s.Cache.Misses
-		h.Stats.Cache.Evictions += s.Cache.Evictions
-		h.Stats.Warm.Add(s.Warm)
-	}
-	h.WireAddr = c.wireAddr
-	h.Conns = service.SharedConnStats()
-	st := c.store.Stats()
-	ws := &service.WALStats{
-		Durable:         st.Durable,
-		Segments:        st.WAL.Segments,
-		SizeBytes:       st.WAL.SizeBytes,
-		ReplayedRecords: st.WAL.Replayed,
-		AppendedRecords: st.WAL.Appended,
-		TornTailHealed:  st.WAL.TornTail,
-		Compactions:     st.WAL.Compactions,
-		ReplayedJobs:    st.ReplayedJobs,
-		RecoveredJobs:   st.RecoveredJobs,
-		TrackedJobs:     st.Jobs,
-		TrackedBatches:  st.Batches,
-	}
-	if !st.WAL.LastCompaction.IsZero() {
-		ws.LastCompaction = st.WAL.LastCompaction.UTC().Format(time.RFC3339)
-	}
-	h.WAL = ws
-	return h
 }
 
 // Handler exposes the coordinator over HTTP: the /v1 job routes of
@@ -842,7 +786,7 @@ func (c *Coordinator) Health() service.HealthPayload {
 // coordinator-minted but remain opaque strings to clients), plus the
 // cluster-level additions — /v1/batch sweeps with durable IDs, the
 // stitched job trace, /v1/cluster and its admin verbs
-// register/cordon/uncordon/drain, aggregated health and metrics.
+// register/cordon/uncordon/drain, health and metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	service.MountJobs(mux, c)
@@ -855,7 +799,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/cordon", c.lifecycleVerb(LifecycleCordoned))
 	mux.HandleFunc("POST /v1/cluster/uncordon", c.lifecycleVerb(LifecycleActive))
 	mux.HandleFunc("POST /v1/cluster/drain", c.drain)
-	mux.HandleFunc("GET /metrics", c.metrics)
+	mux.HandleFunc("GET /metrics", service.MetricsHandler(c.opts.Metrics))
 	return mux
 }
 
@@ -920,8 +864,14 @@ func (c *Coordinator) batchStatus(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, BatchStatusPayload{ID: id, Done: pending == 0, Pending: pending, Result: res})
 }
 
+// healthz serves the coordinator's self-description in the worker
+// schema; its status is the fleet's (ok, degraded or down).
 func (c *Coordinator) healthz(w http.ResponseWriter, r *http.Request) {
-	service.WriteJSON(w, http.StatusOK, c.Health())
+	service.WriteJSON(w, http.StatusOK, service.HealthPayload{
+		Status:   c.Topology().Status,
+		Version:  snapshot.FormatVersion,
+		WireAddr: c.wireAddr,
+	})
 }
 
 func (c *Coordinator) cluster(w http.ResponseWriter, r *http.Request) {

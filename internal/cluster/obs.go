@@ -16,16 +16,19 @@ import (
 
 // registerCollectors adapts the coordinator's existing stats surfaces
 // (Topology, Store.Stats, per-worker client WireStats, in-flight
-// assignment counts) as scrape-time collectors. Called by New when
-// Options.Metrics is set.
+// assignment counts, the shared transport's ConnStats) as scrape-time
+// collectors; /metrics is the only place the coordinator publishes
+// these numbers. Called by New when Options.Metrics is set.
 func (c *Coordinator) registerCollectors(reg *obs.Registry) {
+	start := time.Now()
 	reg.Collect(func(g *obs.Gather) {
 		top := c.Topology()
+		st := c.store.Stats()
 		g.Gauge("bump_cluster_workers_up", "Admitted workers currently up.", float64(top.Up))
-		g.Gauge("bump_cluster_workers_total", "Workers in the registry.", float64(top.Total))
-		g.Gauge("bump_cluster_tracked_jobs", "Retained coordinator job records.", float64(top.Jobs))
-		g.Gauge("bump_cluster_tracked_batches", "Retained sweep records.", float64(top.Batches))
-		g.Gauge("bump_cluster_uptime_seconds", "Coordinator uptime.", top.Uptime)
+		g.Gauge("bump_cluster_workers_total", "Workers in the fleet (drain-ejected ones excluded).", float64(top.Total))
+		g.Gauge("bump_cluster_tracked_jobs", "Retained coordinator job records.", float64(st.Jobs))
+		g.Gauge("bump_cluster_tracked_batches", "Retained sweep records.", float64(st.Batches))
+		g.Gauge("bump_cluster_uptime_seconds", "Coordinator uptime.", time.Since(start).Seconds())
 
 		states := make(map[service.State]int)
 		for _, j := range c.store.Jobs() {
@@ -46,17 +49,20 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 		c.mu.Unlock()
 		g.Gauge("bump_cluster_inflight", "Jobs currently assigned to workers.", float64(inflight))
 
-		st := c.store.Stats()
-		durable := 0.0
-		if st.Durable {
-			durable = 1
-		}
-		g.Gauge("bump_wal_durable", "1 when the coordinator writes a WAL.", durable)
+		g.Gauge("bump_wal_durable", "1 when the coordinator writes a WAL.", boolGauge(st.Durable))
 		g.Gauge("bump_wal_segments", "Live WAL segment files.", float64(st.WAL.Segments))
 		g.Gauge("bump_wal_size_bytes", "Total WAL bytes on disk.", float64(st.WAL.SizeBytes))
+		g.Gauge("bump_wal_torn_tail_healed", "1 when startup truncated a torn final WAL record.", boolGauge(st.WAL.TornTail))
 		g.Counter("bump_wal_replayed_records_total", "WAL records replayed at startup.", float64(st.WAL.Replayed))
 		g.Counter("bump_wal_appended_records_total", "WAL records appended since startup.", float64(st.WAL.Appended))
 		g.Counter("bump_wal_compactions_total", "Checkpoint compactions.", float64(st.WAL.Compactions))
+		lastCompaction := 0.0
+		if !st.WAL.LastCompaction.IsZero() {
+			lastCompaction = float64(st.WAL.LastCompaction.UnixNano()) / 1e9
+		}
+		g.Gauge("bump_wal_last_compaction_timestamp_seconds", "Unix time of the latest checkpoint compaction (0 = none).", lastCompaction)
+		g.Counter("bump_wal_replayed_jobs_total", "Job records recovered from the WAL at startup.", float64(st.ReplayedJobs))
+		g.Counter("bump_wal_recovered_jobs_total", "Replayed jobs still in flight at startup, re-driven.", float64(st.RecoveredJobs))
 
 		var ws service.WireStats
 		for _, wk := range c.reg.Workers() {
@@ -70,7 +76,16 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 		g.Counter("bump_wire_fallbacks_total", "Wire calls that fell back to HTTP/JSON.", float64(ws.Fallbacks))
 		g.Counter("bump_wire_dials_total", "Wire connections dialed to workers.", float64(ws.Dials))
 		g.Counter("bump_wire_reuses_total", "Wire connections reused from the pool.", float64(ws.Reuses))
+		service.GatherConnStats(g)
 	})
+}
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // span records one interval on a tracked job (no-op without a tracer).
@@ -113,17 +128,6 @@ func (c *Coordinator) spanForKey(key, name string, start, end time.Time, args ..
 		return
 	}
 	c.tracer.Span(jobID, name, start, end, args...)
-}
-
-// metrics serves the coordinator's registry as Prometheus text.
-func (c *Coordinator) metrics(w http.ResponseWriter, r *http.Request) {
-	if c.opts.Metrics == nil {
-		service.WriteError(w, http.StatusNotFound, "metrics are not enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	c.opts.Metrics.WriteText(w)
 }
 
 // trace serves a tracked job's stitched timeline: the coordinator's own

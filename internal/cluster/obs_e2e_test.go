@@ -196,10 +196,24 @@ func TestClusterE2EMetricsAndTrace(t *testing.T) {
 	if got := sum(`bump_sim_phase_seconds_count{phase="measure"}`); got < float64(len(specs)) {
 		t.Errorf(`fleet bump_sim_phase_seconds_count{phase="measure"} = %v, want >= %d`, got, len(specs))
 	}
+	// /metrics is the only home of these numbers: each pool, cache,
+	// warm-store and connection counter a worker publishes, and its
+	// uptime.
 	for _, series := range []string{
-		"bump_pool_workers", "bump_cache_entries", "bump_warm_hits_total",
+		"bump_pool_uptime_seconds",
+		"bump_pool_workers", "bump_pool_queued", "bump_pool_running",
+		"bump_pool_completed_total", "bump_pool_executions_total", "bump_pool_coalesced_total",
+		"bump_cache_entries", "bump_cache_capacity",
+		"bump_cache_hits_total", "bump_cache_misses_total", "bump_cache_evictions_total",
+		"bump_warm_hits_total", "bump_warm_misses_total", "bump_warm_skipped_total",
+		"bump_warm_installed_total", "bump_warm_evicted_total",
+		"bump_warm_fork_hits_total", "bump_warm_fork_misses_total",
 		`bump_warm_cycles_simulated_total{kind="warmup"}`,
-		"bump_warm_fork_hits_total", "bump_conns_requests_total",
+		`bump_warm_cycles_simulated_total{kind="trunk"}`,
+		`bump_warm_cycles_simulated_total{kind="branch"}`,
+		`bump_warm_cycles_reused_total{kind="warmup"}`,
+		`bump_warm_cycles_reused_total{kind="fork"}`,
+		"bump_conns_requests_total", "bump_conns_dialed_total", "bump_conns_reused_total",
 	} {
 		if _, ok := postWorker[series]; !ok {
 			t.Errorf("worker /metrics missing %s", series)
@@ -208,9 +222,19 @@ func TestClusterE2EMetricsAndTrace(t *testing.T) {
 	if got := postCoord["bump_cluster_workers_up"]; got != 2 {
 		t.Errorf("bump_cluster_workers_up = %v, want 2", got)
 	}
+	// And the coordinator's: fleet, retention, WAL durability and
+	// recovery, and its own connections.
 	for _, series := range []string{
-		"bump_wal_durable", `bump_cluster_jobs{state="done"}`,
-		"bump_cluster_inflight", "bump_wire_calls_total",
+		"bump_cluster_workers_total", "bump_cluster_uptime_seconds",
+		"bump_cluster_tracked_jobs", "bump_cluster_tracked_batches",
+		`bump_cluster_jobs{state="done"}`, "bump_cluster_inflight",
+		"bump_wal_durable", "bump_wal_segments", "bump_wal_size_bytes",
+		"bump_wal_torn_tail_healed", "bump_wal_last_compaction_timestamp_seconds",
+		"bump_wal_replayed_records_total", "bump_wal_appended_records_total",
+		"bump_wal_compactions_total",
+		"bump_wal_replayed_jobs_total", "bump_wal_recovered_jobs_total",
+		"bump_wire_calls_total",
+		"bump_conns_requests_total", "bump_conns_dialed_total", "bump_conns_reused_total",
 	} {
 		if _, ok := postCoord[series]; !ok {
 			t.Errorf("coordinator /metrics missing %s", series)

@@ -132,14 +132,21 @@ type Worker struct {
 	backoff   time.Duration
 	retryAt   time.Time
 	lastErr   string
-	health    service.HealthPayload
 	probed    time.Time
 	beat      time.Time // last heartbeat registration
-	// wireAddr is the worker's advertised binary fast-path listener;
-	// checkpoints the warm-checkpoint digests it can serve. Both refresh
-	// from probes and heartbeats.
+	// version is the snapshot format version the worker last reported;
+	// wireAddr its advertised binary fast-path listener; checkpoints the
+	// warm-checkpoint digests it can serve. All refresh from probes and
+	// heartbeats.
+	version     int
 	wireAddr    string
 	checkpoints map[string]struct{}
+}
+
+// upLocked reports whether w is health-admitted. An ejected worker is
+// not: probes skip it, so its last reading goes stale.
+func (w *Worker) upLocked() bool {
+	return w.state == WorkerUp && w.lifecycle != LifecycleEjected
 }
 
 // WorkerInfo is a worker's exported status snapshot (served by
@@ -151,9 +158,9 @@ type WorkerInfo struct {
 	// Lifecycle is the administrative state
 	// (active|cordoned|draining|ejected).
 	Lifecycle Lifecycle `json:"lifecycle"`
-	// Version and Uptime echo the worker's last successful health probe.
-	Version int     `json:"version,omitempty"`
-	Uptime  float64 `json:"uptime_s,omitempty"`
+	// Version echoes the worker's last self-description (probe or
+	// heartbeat).
+	Version int `json:"version,omitempty"`
 	// Fails is the current consecutive-failure count; LastError the most
 	// recent probe or request error.
 	Fails    int     `json:"fails,omitempty"`
@@ -166,9 +173,6 @@ type WorkerInfo struct {
 	// Checkpoints counts the warm-checkpoint digests it advertises.
 	WireAddr    string `json:"wire_addr,omitempty"`
 	Checkpoints int    `json:"checkpoints,omitempty"`
-	// Stats is the worker pool's statistics at the last probe — per-
-	// worker warm-hit and cache counters live here.
-	Stats service.PoolStats `json:"stats"`
 }
 
 // Registry tracks the worker fleet. Membership is dynamic: workers are
@@ -305,18 +309,7 @@ func (r *Registry) Register(req service.RegisterRequest) (info WorkerInfo, chang
 	defer r.mu.Unlock()
 	now := time.Now()
 	w.beat = now
-	w.probed = now
-	w.fails = 0
-	w.backoff = 0
-	w.lastErr = ""
-	w.health.Version = req.Version
-	w.setAdvertsLocked(req.WireAddr, req.Checkpoints)
-	if req.Version == r.opts.FormatVersion {
-		w.state = WorkerUp
-	} else {
-		w.state = WorkerIncompatible
-		w.lastErr = fmt.Sprintf("snapshot format version %d, coordinator requires %d", req.Version, r.opts.FormatVersion)
-	}
+	r.admitLocked(w, req.HealthPayload, now)
 	if w.lifecycle == LifecycleEjected {
 		w.lifecycle = LifecycleActive
 		changed = true
@@ -367,13 +360,13 @@ func (r *Registry) Workers() []*Worker {
 	return append([]*Worker(nil), r.workers...)
 }
 
-// Up reports whether a worker is currently health-admitted (it may
-// still be unroutable by lifecycle; see Routable).
+// Up reports whether a worker is currently health-admitted (a cordoned
+// or draining worker may still be unroutable; see Routable).
 func (r *Registry) Up(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w, ok := r.byID[id]
-	return ok && w.state == WorkerUp
+	return ok && w.upLocked()
 }
 
 // Routable reports whether a worker takes new placements: healthy AND
@@ -382,7 +375,7 @@ func (r *Registry) Routable(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w, ok := r.byID[id]
-	return ok && w.state == WorkerUp && w.lifecycle.routable()
+	return ok && w.upLocked() && w.lifecycle.routable()
 }
 
 // UpCount returns the number of health-admitted workers.
@@ -391,7 +384,7 @@ func (r *Registry) UpCount() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, w := range r.workers {
-		if w.state == WorkerUp {
+		if w.upLocked() {
 			n++
 		}
 	}
@@ -443,9 +436,7 @@ func (r *Registry) infoLocked(w *Worker, now time.Time) WorkerInfo {
 		Lifecycle: w.lifecycle,
 		Fails:     w.fails,
 		LastErr:   w.lastErr,
-		Stats:     w.health.Stats,
-		Version:   w.health.Version,
-		Uptime:    w.health.Uptime,
+		Version:   w.version,
 	}
 	if info.Lifecycle == "" {
 		info.Lifecycle = LifecycleActive
@@ -505,15 +496,15 @@ func (r *Registry) MarkHolds(id, key string) {
 }
 
 // HoldersOf returns the base URLs of health-admitted workers
-// advertising checkpoint digest key, excluding worker ID exclude.
-// Lifecycle is ignored: a cordoned or draining worker can still serve a
-// checkpoint transfer.
+// advertising checkpoint digest key, excluding worker ID exclude. A
+// cordoned or draining worker counts: it can still serve a checkpoint
+// transfer.
 func (r *Registry) HoldersOf(key, exclude string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var urls []string
 	for _, w := range r.workers {
-		if w.ID == exclude || w.state != WorkerUp {
+		if w.ID == exclude || !w.upLocked() {
 			continue
 		}
 		if _, held := w.checkpoints[key]; held {
@@ -530,7 +521,7 @@ func (r *Registry) CheckpointKeys() []string {
 	defer r.mu.Unlock()
 	set := make(map[string]struct{})
 	for _, w := range r.workers {
-		if w.state != WorkerUp {
+		if !w.upLocked() {
 			continue
 		}
 		for k := range w.checkpoints {
@@ -624,25 +615,33 @@ func (r *Registry) ProbeOnce(ctx context.Context) {
 			h, err := w.Client.Health(pctx)
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			w.probed = time.Now()
 			if err != nil {
+				w.probed = time.Now()
 				r.recordFailureLocked(w, err)
 				return
 			}
-			w.health = h
-			w.setAdvertsLocked(h.WireAddr, h.Checkpoints)
-			w.fails = 0
-			w.backoff = 0
-			w.lastErr = ""
-			if h.Version != r.opts.FormatVersion {
-				w.state = WorkerIncompatible
-				w.lastErr = fmt.Sprintf("snapshot format version %d, coordinator requires %d", h.Version, r.opts.FormatVersion)
-				return
-			}
-			w.state = WorkerUp
+			r.admitLocked(w, h, time.Now())
 		}(w)
 	}
 	wg.Wait()
+}
+
+// admitLocked applies one self-description a worker gave, from a probe
+// of its /v1/healthz or from its heartbeat: the worker is up when it
+// speaks this coordinator's snapshot format version, else incompatible.
+func (r *Registry) admitLocked(w *Worker, h service.HealthPayload, now time.Time) {
+	w.probed = now
+	w.fails = 0
+	w.backoff = 0
+	w.lastErr = ""
+	w.version = h.Version
+	w.setAdvertsLocked(h.WireAddr, h.Checkpoints)
+	if h.Version != r.opts.FormatVersion {
+		w.state = WorkerIncompatible
+		w.lastErr = fmt.Sprintf("snapshot format version %d, coordinator requires %d", h.Version, r.opts.FormatVersion)
+		return
+	}
+	w.state = WorkerUp
 }
 
 // recordFailureLocked applies one failure: bump the consecutive count,

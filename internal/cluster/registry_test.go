@@ -20,6 +20,9 @@ type fakeWorker struct {
 	failing atomic.Bool
 	version atomic.Int64
 	probes  atomic.Int64
+	// checkpoints are the digests it advertises; set before the first
+	// probe.
+	checkpoints []string
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -37,9 +40,9 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 			return
 		}
 		json.NewEncoder(w).Encode(service.HealthPayload{
-			Status:  "ok",
-			Version: int(f.version.Load()),
-			Uptime:  1,
+			Status:      "ok",
+			Version:     int(f.version.Load()),
+			Checkpoints: f.checkpoints,
 		})
 	}))
 	t.Cleanup(f.srv.Close)
@@ -183,7 +186,7 @@ func TestRegistryFleetValidation(t *testing.T) {
 // and revives an ejected one.
 func TestRegistryHeartbeatRegistration(t *testing.T) {
 	r := newManualRegistry(t, RegistryOptions{})
-	info, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344/", Version: snapshot.FormatVersion})
+	info, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344/", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestRegistryHeartbeatRegistration(t *testing.T) {
 	}
 
 	// Re-registration of the same URL (trailing slash and all): no change.
-	again, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344", Version: snapshot.FormatVersion})
+	again, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestRegistryHeartbeatRegistration(t *testing.T) {
 	}
 
 	// A version-skewed heartbeat registers but is held out of routing.
-	skew, _, err := r.Register(service.RegisterRequest{URL: "http://skew:8344", Version: snapshot.FormatVersion + 1})
+	skew, _, err := r.Register(service.RegisterRequest{URL: "http://skew:8344", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +228,52 @@ func TestRegistryHeartbeatRegistration(t *testing.T) {
 	if r.Routable(info.ID) {
 		t.Fatal("ejected worker must not be routable")
 	}
-	revived, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344", Version: snapshot.FormatVersion})
+	revived, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !changed || revived.Lifecycle != LifecycleActive || !r.Routable(info.ID) {
 		t.Fatalf("heartbeat did not revive ejected worker: %+v changed=%v", revived, changed)
+	}
+}
+
+// TestRegistryEjectedWorkerIsNotUp: probe rounds skip a drain-ejected
+// worker, so its last reading goes stale. It must not count as up, hold
+// checkpoints or advertise digests, even once it dies, until a
+// heartbeat revives it.
+func TestRegistryEjectedWorkerIsNotUp(t *testing.T) {
+	a, b := newFakeWorker(t), newFakeWorker(t)
+	a.checkpoints = []string{"digest-a"}
+	b.checkpoints = []string{"digest-b"}
+	r := newManualRegistry(t, RegistryOptions{}, a.srv.URL, b.srv.URL)
+	r.ProbeOnce(context.Background())
+	if r.UpCount() != 2 || len(r.HoldersOf("digest-a", "")) != 1 {
+		t.Fatalf("healthy fleet not admitted: up=%d", r.UpCount())
+	}
+
+	if _, err := r.SetLifecycle("w0", LifecycleEjected); err != nil {
+		t.Fatal(err)
+	}
+	a.failing.Store(true)
+	r.ProbeOnce(context.Background())
+	if r.Up("w0") || r.UpCount() != 1 {
+		t.Fatalf("ejected worker still up: Up=%v UpCount=%d", r.Up("w0"), r.UpCount())
+	}
+	if urls := r.HoldersOf("digest-a", ""); len(urls) != 0 {
+		t.Errorf("ejected worker still holds its checkpoint: %v", urls)
+	}
+	if keys := r.CheckpointKeys(); len(keys) != 1 || keys[0] != "digest-b" {
+		t.Errorf("checkpoint keys %v, want only the member's digest-b", keys)
+	}
+
+	req := service.RegisterRequest{URL: a.srv.URL, HealthPayload: service.HealthPayload{
+		Version: snapshot.FormatVersion, Checkpoints: a.checkpoints,
+	}}
+	if _, _, err := r.Register(req); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Up("w0") || r.UpCount() != 2 || len(r.HoldersOf("digest-a", "")) != 1 {
+		t.Fatal("heartbeat did not revive the ejected worker")
 	}
 }
 

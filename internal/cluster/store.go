@@ -447,7 +447,8 @@ func (s *Store) FleetWorkers() []WorkerRecord {
 	return out
 }
 
-// StoreStats reports durability state for /v1/healthz.
+// StoreStats reports durability state, published on the coordinator's
+// /metrics (bump_wal_*, bump_cluster_tracked_*).
 type StoreStats struct {
 	WAL           wal.Stats
 	Durable       bool

@@ -8,7 +8,7 @@
 // Histogram.Observe never allocate and never take the registry lock.
 // The lock guards registration and scrape-time family assembly only.
 // Stats that already live elsewhere (PoolStats, WarmStats, WireStats,
-// WALStats, ...) are adapted as Collectors — scrape-time callbacks that
+// wal.Stats, ...) are adapted as Collectors — scrape-time callbacks that
 // emit samples without duplicating state on the job path.
 package obs
 
@@ -250,7 +250,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 }
 
 // Collector emits point-in-time samples at scrape time — the adapter
-// hook for stats that already live elsewhere (PoolStats, WALStats,
+// hook for stats that already live elsewhere (PoolStats, wal.Stats,
 // WireStats, ...). Collectors run under the registry lock and must not
 // call back into the registry.
 type Collector func(g *Gather)

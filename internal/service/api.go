@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"bump/internal/obs"
 	"bump/internal/sim"
-	"bump/internal/snapshot"
 )
 
 // Metrics are the headline derived metrics of a completed run, included
@@ -57,7 +55,9 @@ type ResultPayload struct {
 	Metrics *Metrics   `json:"metrics"`
 }
 
-// HealthPayload is served by GET /v1/healthz.
+// HealthPayload is a server's self-description, served by GET
+// /v1/healthz on both daemons and sent in worker heartbeats. Counters
+// and gauges live only on GET /metrics.
 type HealthPayload struct {
 	Status string `json:"status"`
 	// Version is the snapshot.FormatVersion this build speaks. Warm
@@ -65,52 +65,16 @@ type HealthPayload struct {
 	// format versions, so a cluster coordinator admits only workers
 	// whose version matches its own.
 	Version int `json:"version"`
-	// Uptime is seconds since this server started.
-	Uptime float64   `json:"uptime_s"`
-	Stats  PoolStats `json:"stats"`
 	// WireAddr is the server's binary fast-path listener ("host:port";
 	// the host may be empty — clients fill it from the base URL). Absent
 	// when no wire listener is serving.
 	WireAddr string `json:"wire_addr,omitempty"`
 	// Checkpoints lists the warm-checkpoint digests this server can
 	// serve via GET /v1/checkpoints/{digest} (sorted; absent when warm
-	// starts are off). The cluster registry mirrors these from probes so
-	// failover placements know where to fetch a warm state from.
+	// starts are off). The cluster registry mirrors these from probes
+	// and heartbeats so failover placements know where to fetch a warm
+	// state from.
 	Checkpoints []string `json:"checkpoints,omitempty"`
-	// Conns reports HTTP connection reuse for the process-wide shared
-	// transport.
-	Conns ConnStats `json:"conns"`
-	// WAL reports a cluster coordinator's durability state (absent on
-	// plain workers).
-	WAL *WALStats `json:"wal,omitempty"`
-}
-
-// WALStats summarises a coordinator's write-ahead log and recovery
-// state for /v1/healthz.
-type WALStats struct {
-	// Durable is false for memory-only coordinators (no -data-dir).
-	Durable bool `json:"durable"`
-	// Segments/SizeBytes describe the live log files.
-	Segments  int   `json:"segments"`
-	SizeBytes int64 `json:"size_bytes"`
-	// ReplayedRecords/AppendedRecords count WAL records read at startup
-	// and written since.
-	ReplayedRecords uint64 `json:"replayed_records"`
-	AppendedRecords uint64 `json:"appended_records"`
-	// TornTailHealed reports that startup truncated a torn final record.
-	TornTailHealed bool `json:"torn_tail_healed,omitempty"`
-	// Compactions counts checkpoint compactions; LastCompaction is the
-	// RFC3339 time of the latest (empty when none).
-	Compactions    uint64 `json:"compactions"`
-	LastCompaction string `json:"last_compaction,omitempty"`
-	// ReplayedJobs is the job-record count recovered at startup;
-	// RecoveredJobs how many of those were still in flight and were
-	// re-driven.
-	ReplayedJobs  int `json:"replayed_jobs"`
-	RecoveredJobs int `json:"recovered_jobs"`
-	// TrackedJobs/TrackedBatches count currently retained records.
-	TrackedJobs    int `json:"tracked_jobs"`
-	TrackedBatches int `json:"tracked_batches"`
 }
 
 // NewHandler exposes a Pool over HTTP/JSON: the five job routes of
@@ -121,8 +85,8 @@ type WALStats struct {
 //	                          with the ordered aggregate (plain JSON
 //	                          aggregate for non-SSE clients)
 //	GET  /v1/jobs/{id}/trace  the job's spans as Chrome trace JSON
-//	GET  /v1/healthz          liveness + queue/cache statistics,
-//	                          snapshot format version and uptime
+//	GET  /v1/healthz          the server's self-description
+//	                          (HealthPayload)
 //	GET  /v1/checkpoints/{digest}  raw warm checkpoint bytes (404 when
 //	                          not held); POST /v1/checkpoints/fetch pulls
 //	                          a digest from listed peer sources
@@ -131,9 +95,8 @@ func NewHandler(p *Pool) http.Handler {
 	return NewHandlerInfo(p, ServerInfo{})
 }
 
-// ServerInfo is what a server advertises about itself beyond pool
-// statistics — the wire fast-path address plus its observability
-// surfaces.
+// ServerInfo is what a server advertises about itself beyond its pool
+// — the wire fast-path address plus its observability surfaces.
 type ServerInfo struct {
 	// WireAddr is the binary protocol listener to advertise in
 	// /v1/healthz (empty = no wire listener).
@@ -148,7 +111,7 @@ type ServerInfo struct {
 
 // NewHandlerInfo is NewHandler with server self-description.
 func NewHandlerInfo(p *Pool, info ServerInfo) http.Handler {
-	s := &server{pool: p, info: info, start: time.Now()}
+	s := &server{pool: p, info: info}
 	mux := http.NewServeMux()
 	MountJobs(mux, NewPoolWireBackend(p))
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
@@ -156,14 +119,13 @@ func NewHandlerInfo(p *Pool, info ServerInfo) http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.healthz)
 	mux.HandleFunc("GET /v1/checkpoints/{digest}", s.checkpoint)
 	mux.HandleFunc("POST /v1/checkpoints/fetch", s.checkpointFetch)
-	mux.HandleFunc("GET /metrics", s.metrics)
+	mux.HandleFunc("GET /metrics", MetricsHandler(info.Metrics))
 	return mux
 }
 
 type server struct {
-	pool  *Pool
-	info  ServerInfo
-	start time.Time
+	pool *Pool
+	info ServerInfo
 }
 
 // MountJobs registers the /v1 job routes on mux, served by b:
@@ -296,30 +258,25 @@ func (j jobRoutes) events(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, HealthPayload{
-		Status:      "ok",
-		Version:     snapshot.FormatVersion,
-		Uptime:      time.Since(s.start).Seconds(),
-		Stats:       s.pool.Stats(),
-		WireAddr:    s.info.WireAddr,
-		Checkpoints: s.pool.WarmKeys(),
-		Conns:       SharedConnStats(),
-	})
+	WriteJSON(w, http.StatusOK, s.pool.Health(s.info.WireAddr))
 }
 
 // TraceHeader carries the trace ID on HTTP submits, for propagation
 // across hops that cannot (or prefer not to) rewrite the spec body.
 const TraceHeader = "X-Bump-Trace"
 
-// metrics serves the registry in Prometheus text exposition format.
-func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	if s.info.Metrics == nil {
-		WriteError(w, http.StatusNotFound, "metrics are not enabled")
-		return
+// MetricsHandler serves reg in Prometheus text exposition format (404
+// when reg is nil): GET /metrics on both daemons.
+func MetricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if reg == nil {
+			WriteError(w, http.StatusNotFound, "metrics are not enabled")
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		reg.WriteText(w)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	s.info.Metrics.WriteText(w)
 }
 
 // trace serves a job's recorded spans as Chrome trace-event JSON

@@ -69,10 +69,10 @@ const MaxBatchPoints = 4096
 // reported by original index.
 func planBatch(spec BatchSpec) []int {
 	type pt struct {
-		idx  int
-		key  string // structural warm key; "" = not warm-cacheable
-		cut  uint64 // restore cut: max(WarmupCycles, ForkAt)
-		pri  int    // user priority, preserved as the leading sort key
+		idx int
+		key string // structural warm key; "" = not warm-cacheable
+		cut uint64 // restore cut: max(WarmupCycles, ForkAt)
+		pri int    // user priority, preserved as the leading sort key
 	}
 	pts := make([]pt, len(spec.Specs))
 	for i, s := range spec.Specs {

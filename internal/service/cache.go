@@ -7,7 +7,8 @@ import (
 	"bump/internal/sim"
 )
 
-// CacheStats reports result-cache behaviour (exposed via /v1/healthz).
+// CacheStats reports result-cache behaviour (published on /metrics as
+// the bump_cache_* series).
 type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`

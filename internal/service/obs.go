@@ -1,16 +1,22 @@
 package service
 
-import "bump/internal/obs"
+import (
+	"time"
+
+	"bump/internal/obs"
+)
 
 // RegisterPoolCollectors adapts the pool's existing stats surfaces —
 // PoolStats, CacheStats, WarmStats and the shared transport's ConnStats
-// — as scrape-time collectors on reg, so every number /v1/healthz
-// reports is also a Prometheus series. Called by
-// NewPool when Options.Metrics is set; the collectors read snapshots
-// (Pool.Stats, SharedConnStats), never pool internals, so they take no
-// lock the job path contends on beyond the stats snapshot itself.
+// — as scrape-time collectors on reg; /metrics is the only place a
+// worker publishes these numbers. Called by NewPool when
+// Options.Metrics is set; the collectors read snapshots (Pool.Stats,
+// SharedConnStats), never pool internals, so they take no lock the job
+// path contends on beyond the stats snapshot itself.
 func RegisterPoolCollectors(reg *obs.Registry, p *Pool) {
+	start := time.Now()
 	reg.Collect(func(g *obs.Gather) {
+		g.Gauge("bump_pool_uptime_seconds", "Seconds since the worker pool started.", time.Since(start).Seconds())
 		st := p.Stats()
 		g.Gauge("bump_pool_workers", "Configured worker-goroutine count.", float64(st.Workers))
 		g.Gauge("bump_pool_queued", "Jobs waiting in the priority queue.", float64(st.Queued))
@@ -38,9 +44,15 @@ func RegisterPoolCollectors(reg *obs.Registry, p *Pool) {
 		g.Counter("bump_warm_cycles_reused_total", "Cycles satisfied by a checkpoint restore, by kind.", float64(st.Warm.WarmupCyclesReused), "kind", "warmup")
 		g.Counter("bump_warm_cycles_reused_total", "Cycles satisfied by a checkpoint restore, by kind.", float64(st.Warm.ForkCyclesReused), "kind", "fork")
 
-		conns := SharedConnStats()
-		g.Counter("bump_conns_requests_total", "HTTP requests over the shared transport.", float64(conns.Requests))
-		g.Counter("bump_conns_dialed_total", "New connections dialed.", float64(conns.Dialed))
-		g.Counter("bump_conns_reused_total", "Requests served over a reused connection.", float64(conns.Reused))
+		GatherConnStats(g)
 	})
+}
+
+// GatherConnStats emits the shared transport's ConnStats; both daemons'
+// collectors call it, since both talk HTTP through that transport.
+func GatherConnStats(g *obs.Gather) {
+	conns := SharedConnStats()
+	g.Counter("bump_conns_requests_total", "HTTP requests over the shared transport.", float64(conns.Requests))
+	g.Counter("bump_conns_dialed_total", "New connections dialed.", float64(conns.Dialed))
+	g.Counter("bump_conns_reused_total", "Requests served over a reused connection.", float64(conns.Reused))
 }

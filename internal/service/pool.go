@@ -70,18 +70,13 @@ type Options struct {
 	WarmBackend sim.WarmBackend
 	// Metrics, when non-nil, registers the pool's series on the given
 	// registry: phase-latency histograms updated on the job path, plus
-	// scrape-time collectors adapting PoolStats/CacheStats/WarmStats
-	// (everything /v1/healthz reports).
+	// scrape-time collectors adapting PoolStats/CacheStats/WarmStats.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records per-job spans (queue wait, warm-key
 	// resolution, restore, trunk extension, warmup, measurement, encode)
 	// for GET /v1/jobs/{id}/trace. Trace IDs arrive on JobSpec.TraceID or
 	// are minted at submit.
 	Tracer *obs.Tracer
-	// TraceSample additionally records fine-grained per-interval slice
-	// spans for one in every TraceSample executions (0 = off, the
-	// default — the hot loop stays allocation-free).
-	TraceSample int
 }
 
 func (o Options) withDefaults() Options {
@@ -139,7 +134,8 @@ type JobStatus struct {
 	Error  string      `json:"error,omitempty"`
 }
 
-// PoolStats summarises pool health (served by /v1/healthz).
+// PoolStats summarises pool health; RegisterPoolCollectors publishes
+// it on /metrics.
 type PoolStats struct {
 	Workers    int        `json:"workers"`
 	Queued     int        `json:"queued"`
@@ -462,6 +458,18 @@ func (p *Pool) Stats() PoolStats {
 	return st
 }
 
+// Health is the self-description a pool's server sends: on GET
+// /v1/healthz and in each heartbeat, with wireAddr its advertised wire
+// listener.
+func (p *Pool) Health(wireAddr string) HealthPayload {
+	return HealthPayload{
+		Status:      "ok",
+		Version:     snapshot.FormatVersion,
+		WireAddr:    wireAddr,
+		Checkpoints: p.WarmKeys(),
+	}
+}
+
 // WarmKeys lists the warm-checkpoint digests this pool can serve (the
 // memory tier plus any durable backend), sorted — advertised in
 // heartbeats so peers know where to fetch a checkpoint from. Nil when
@@ -560,25 +568,6 @@ func (p *Pool) worker() {
 			hooks.Phase = func(name string, start, end time.Time) {
 				p.span(j, name, start, end)
 				p.observePhase(name, end.Sub(start).Seconds())
-			}
-		}
-		// Sampled jobs additionally trace per-interval slices — fine-
-		// grained, so opt-in via TraceSample (1 in N executions).
-		if p.tracer != nil && p.opts.TraceSample > 0 && j.seq%uint64(p.opts.TraceSample) == 0 {
-			inner := hooks.Progress
-			last := started
-			var lastCycle uint64
-			hooks.Progress = func(pr sim.Progress) {
-				inner(pr)
-				now := time.Now()
-				name := "slice.warmup"
-				if pr.Measuring {
-					name = "slice.measure"
-				}
-				p.span(j, name, last, now,
-					obs.SpanArg{Key: "cycle", Val: pr.Cycle},
-					obs.SpanArg{Key: "from_cycle", Val: lastCycle})
-				last, lastCycle = now, pr.Cycle
 			}
 		}
 		var res sim.Result

@@ -8,19 +8,13 @@ import (
 )
 
 // RegisterRequest is a worker's heartbeat self-registration, posted to
-// a coordinator's POST /v1/cluster/register. URL is the worker's
-// advertised base URL (how the coordinator should reach it); Version is
-// the snapshot format version the worker speaks.
+// a coordinator's POST /v1/cluster/register: URL is the worker's
+// advertised base URL (how the coordinator should reach it), and the
+// embedded HealthPayload is the same self-description its /v1/healthz
+// serves, so a heartbeat and a probe admit a worker alike.
 type RegisterRequest struct {
-	URL     string `json:"url"`
-	Version int    `json:"version"`
-	// WireAddr advertises the worker's binary fast-path listener (empty
-	// = HTTP/JSON only).
-	WireAddr string `json:"wire_addr,omitempty"`
-	// Checkpoints lists warm-checkpoint digests the worker can serve via
-	// GET /v1/checkpoints/{digest}, so the coordinator can route
-	// failover placements to a peer holding the warm state.
-	Checkpoints []string `json:"checkpoints,omitempty"`
+	URL string `json:"url"`
+	HealthPayload
 }
 
 // RegisterResponse echoes the coordinator's view of the worker: its
@@ -45,17 +39,12 @@ func (c *Client) Register(ctx context.Context, req RegisterRequest) (RegisterRes
 	return resp, nil
 }
 
-// Heartbeat registers immediately and then re-registers every interval
-// until ctx is canceled. Failures are reported to report (may be nil)
-// and retried on the next tick — a worker outliving a coordinator
-// restart re-joins the fresh coordinator by just continuing to beat.
-func (c *Client) Heartbeat(ctx context.Context, req RegisterRequest, interval time.Duration, report func(RegisterResponse, error)) {
-	c.HeartbeatFunc(ctx, func() RegisterRequest { return req }, interval, report)
-}
-
-// HeartbeatFunc is Heartbeat with a per-beat request builder, for
-// fields that change over a worker's lifetime (the warm-checkpoint
-// digests it advertises).
+// HeartbeatFunc registers immediately and then re-registers every
+// interval until ctx is canceled, building each beat's request with
+// reqFn (the warm-checkpoint digests a worker advertises change over
+// its lifetime). Failures are reported to report (may be nil) and
+// retried on the next tick — a worker outliving a coordinator restart
+// re-joins the fresh coordinator by just continuing to beat.
 func (c *Client) HeartbeatFunc(ctx context.Context, reqFn func() RegisterRequest, interval time.Duration, report func(RegisterResponse, error)) {
 	if interval <= 0 {
 		interval = 2 * time.Second

@@ -28,8 +28,9 @@ var sharedTransport = &http.Transport{
 }
 
 // ConnStats counts HTTP connection reuse process-wide (the transport is
-// shared), surfaced in /v1/healthz so operators can see per-request
-// connection churn — the overhead the wire fast path exists to remove.
+// shared), published on /metrics (GatherConnStats) so operators can see
+// per-request connection churn — the overhead the wire fast path exists
+// to remove.
 type ConnStats struct {
 	Requests uint64 `json:"requests"`
 	Dialed   uint64 `json:"dialed"`

@@ -102,9 +102,9 @@ func writeRoundtripBenchJSON(b *testing.B, jsonNs, jsonAllocs, wireNs, wireAlloc
 		return
 	}
 	payload := map[string]any{
-		"benchmark": "ClientSubmitRoundtrip",
-		"json":      map[string]float64{"ns_per_op": jsonNs, "allocs_per_op": jsonAllocs},
-		"wire":      map[string]float64{"ns_per_op": wireNs, "allocs_per_op": wireAllocs},
+		"benchmark":    "ClientSubmitRoundtrip",
+		"json":         map[string]float64{"ns_per_op": jsonNs, "allocs_per_op": jsonAllocs},
+		"wire":         map[string]float64{"ns_per_op": wireNs, "allocs_per_op": wireAllocs},
 		"time_speedup": jsonNs / wireNs,
 		"alloc_ratio":  jsonAllocs / wireAllocs,
 		"gomaxprocs":   runtime.GOMAXPROCS(0),

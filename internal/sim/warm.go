@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -49,16 +48,6 @@ type WarmStats struct {
 	// Evicted counts poisoned checkpoints purged after a failed
 	// restore (corrupt blob-tier bytes, version skew).
 	Evicted uint64 `json:"evicted"`
-}
-
-// Add accumulates o into s field by field, for fleet-wide totals. The
-// walk is reflective, so a counter added to WarmStats is summed without
-// touching this method (every field is a uint64 counter).
-func (s *WarmStats) Add(o WarmStats) {
-	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
-	for i := 0; i < dst.NumField(); i++ {
-		dst.Field(i).SetUint(dst.Field(i).Uint() + src.Field(i).Uint())
-	}
 }
 
 // WarmBackend persists warm checkpoints beyond the in-memory cache —

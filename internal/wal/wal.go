@@ -71,7 +71,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats snapshots a log's shape for observability (/v1/healthz).
+// Stats snapshots a log's shape for observability (a coordinator
+// publishes it as the bump_wal_* series on /metrics).
 type Stats struct {
 	// Segments is the live segment-file count; SizeBytes their total
 	// size.
