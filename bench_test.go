@@ -73,9 +73,8 @@ func BenchmarkFig02RowBufferHitRatio(b *testing.B) {
 	}
 	var base, ideal []float64
 	for _, w := range Workloads() {
-		r := f.Run(MechBaseOpen, w)
-		base = append(base, r.RowHitRatio())
-		ideal = append(ideal, r.Profile.IdealHitRatio())
+		base = append(base, f.Run(MechBaseOpen, w).RowHitRatio())
+		ideal = append(ideal, f.RunProfile(w).Profile.IdealHitRatio())
 	}
 	b.ReportMetric(100*stats.Mean(base), "%baseHit")
 	b.ReportMetric(100*stats.Mean(ideal), "%idealHit")
@@ -90,7 +89,7 @@ func BenchmarkFig03AccessMix(b *testing.B) {
 	}
 	var writes []float64
 	for _, w := range Workloads() {
-		p := f.Run(MechBaseOpen, w).Profile
+		p := f.RunProfile(w).Profile
 		writes = append(writes, stats.Ratio(p.Writes, p.Accesses()))
 	}
 	// Paper: writes are 21-38% of DRAM traffic.
@@ -106,7 +105,7 @@ func BenchmarkFig05RegionDensity(b *testing.B) {
 	}
 	var hr, hw []float64
 	for _, w := range Workloads() {
-		p := f.Run(MechBaseOpen, w).Profile
+		p := f.RunProfile(w).Profile
 		hr = append(hr, p.HighDensityReadFraction())
 		hw = append(hw, p.HighDensityWriteFraction())
 	}
@@ -124,7 +123,7 @@ func BenchmarkTable1LateWrites(b *testing.B) {
 	}
 	var late []float64
 	for _, w := range Workloads() {
-		late = append(late, f.Run(MechBaseOpen, w).Profile.LateWriteFraction())
+		late = append(late, f.RunProfile(w).Profile.LateWriteFraction())
 	}
 	b.ReportMetric(100*stats.Mean(late), "%lateWrites")
 }

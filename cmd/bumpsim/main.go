@@ -99,6 +99,8 @@ func main() {
 		cfg = bump.DefaultConfig(m, w)
 	}
 	cfg.Seed = *seed
+	// The report prints the region-density profile.
+	cfg.Profile = true
 	if *warmup > 0 {
 		cfg.WarmupCycles = *warmup
 	}

@@ -51,7 +51,7 @@ type runKey struct {
 	workload  string
 	regShift  uint
 	threshold uint
-	raw       bool // prefetcher disabled (characterisation runs)
+	raw       bool // characterisation run: no prefetcher, profiler attached
 }
 
 // NewRunner builds a Runner.
@@ -71,28 +71,35 @@ func (r *Runner) config(m sim.Mechanism, w workload.Params) sim.Config {
 	return cfg
 }
 
-// Run returns the (cached) result for mechanism m on workload w.
+// Run returns the (cached) result for mechanism m on workload w. The run
+// is unprofiled, so its Profile is zero; read profiles from RunProfile.
 func (r *Runner) Run(m sim.Mechanism, w workload.Params) sim.Result {
 	return r.runCfg(r.config(m, w))
 }
 
-// RunProfile returns the characterisation run for workload w: the
+// profileConfig is the characterisation run for workload w: the
 // open-row baseline with prefetching disabled, so the demand-traffic
 // density profile (Figs. 3/5, Table I, Ideal) is not distorted by
-// prefetch absorption.
-func (r *Runner) RunProfile(w workload.Params) sim.Result {
+// prefetch absorption, and with the region-density profiler attached.
+// These are the only runs of a Runner that profile.
+func (r *Runner) profileConfig(w workload.Params) sim.Config {
 	cfg := r.config(sim.BaseOpen, w)
 	cfg.DisablePrefetcher = true
-	return r.runCfg(cfg)
+	cfg.Profile = true
+	return cfg
+}
+
+// RunProfile returns the characterisation run for workload w (see
+// profileConfig); its Result.Profile holds the region-density profile.
+func (r *Runner) RunProfile(w workload.Params) sim.Result {
+	return r.runCfg(r.profileConfig(w))
 }
 
 // PrefillProfiles warms the characterisation-run cache in parallel.
 func (r *Runner) PrefillProfiles() {
 	var cfgs []sim.Config
 	for _, w := range r.opts.workloads() {
-		cfg := r.config(sim.BaseOpen, w)
-		cfg.DisablePrefetcher = true
-		cfgs = append(cfgs, cfg)
+		cfgs = append(cfgs, r.profileConfig(w))
 	}
 	r.prefill(cfgs)
 }

@@ -51,8 +51,10 @@ func TestFig2Shape(t *testing.T) {
 
 func TestFig3SumsToOne(t *testing.T) {
 	r := NewRunner(fastOpts())
-	res := r.Run(1, workload.WebSearch()) // BaseOpen
-	p := res.Profile
+	p := r.RunProfile(workload.WebSearch()).Profile
+	if p.Accesses() == 0 {
+		t.Fatal("characterisation run recorded no DRAM accesses")
+	}
 	tot := p.LoadReads + p.StoreReads + p.Writes
 	if tot != p.Accesses() {
 		t.Errorf("mix components %d != accesses %d", tot, p.Accesses())

@@ -8,7 +8,8 @@ import (
 // TestPlanBatchGroupsByAncestor: submission order groups points by
 // their checkpoint-tree ancestor, shallower restore cuts first within a
 // structural family, with user priority still the leading key and
-// non-cacheable points trailing in their original relative order.
+// points without a warm identity trailing in their original relative
+// order.
 func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	base := JobSpec{Workload: "web-search", Mechanism: "bump",
 		WarmupCycles: 60_000, MeasureCycles: 120_000}
@@ -18,14 +19,19 @@ func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	deep.ForkCycles = []uint64{120_000}
 	deep2 := deep
 	deep2.MaxRowHitStreak = 7
-	cold := base
-	cold.WarmupCycles = 0 // no warm identity
+	// Only an unresolvable spec has no warm identity: an unknown
+	// workload, or a fork cycle outside the run's window.
+	unknown := base
+	unknown.Workload = "no-such-workload"
+	badFork := base
+	badFork.ForkAt = 1
 
-	spec := BatchSpec{Specs: []JobSpec{deep, cold, base, deep2}}
+	spec := BatchSpec{Specs: []JobSpec{deep, unknown, base, deep2, badFork}}
 	got := planBatch(spec)
 	// Root-cut point (base, index 2) leads its family; the two deep
-	// forks follow in submission order; the uncacheable point trails.
-	want := []int{2, 0, 3, 1}
+	// forks follow in submission order; the two unresolvable points
+	// trail in theirs.
+	want := []int{2, 0, 3, 1, 4}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("planBatch order %v, want %v", got, want)
 	}

@@ -24,7 +24,9 @@ var ErrNotHashable = errors.New("service: config with custom Streams is not hash
 // coalesces with, and is served from the cache of, a sequential one).
 // v5: sim.Config lost Workers (the sharded engine is gone), which drops
 // its always-zero line from the encoding.
-const hashVersion = "bump-config-v5"
+// v6: sim.Config gained Profile (the opt-in region-density profiler); a
+// profiled result carries a Profile an unprofiled one leaves zero.
+const hashVersion = "bump-config-v6"
 
 // Hash returns the canonical content hash of a resolved configuration:
 // two configs hash equal iff every identity-bearing field is equal. The

@@ -15,7 +15,9 @@ func TestCalibrationReport(t *testing.T) {
 		t.Skip("full-window calibration is slow")
 	}
 	for _, w := range workload.All() {
-		ro, err := RunOne(DefaultConfig(BaseOpen, w))
+		open := DefaultConfig(BaseOpen, w)
+		open.Profile = true
+		ro, err := RunOne(open)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,9 +103,17 @@ type Config struct {
 	Mechanism Mechanism
 	// DisablePrefetcher removes the mechanism's prefetcher. The
 	// characterisation experiments (Figs. 3 and 5, Table I, the Ideal
-	// system) use this so prefetch absorption does not distort the
-	// demand-traffic density profile.
+	// system) set it together with Profile, so prefetch absorption does
+	// not distort the demand-traffic density profile.
 	DisablePrefetcher bool
+	// Profile attaches the region-density profiler, which fills
+	// Result.Profile. It is a pure observer: every other Result field is
+	// byte-identical with it on or off. It updates a generation table on
+	// every demand access, dirtying, eviction and DRAM operation, so only
+	// runs that read the profile set it. It is part of the run's identity
+	// (config hash, warm key), because a profiled checkpoint carries the
+	// profiler's open generations.
+	Profile bool
 	// ForceBlockInterleave runs an open-row mechanism on the
 	// block-interleaved address mapping (ablation: without
 	// region-interleaving, a bulk transfer spans many banks/rows and no

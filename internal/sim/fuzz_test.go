@@ -10,9 +10,11 @@ import (
 )
 
 // fuzzRestoreConfig is deliberately tiny: the fuzzer builds a fresh
-// System per input.
+// System per input. It is profiled, so the decoder under test reads the
+// superset layout, the region-density profiler's section included.
 func fuzzRestoreConfig() Config {
 	cfg := DefaultConfig(BuMP, workload.WebSearch())
+	cfg.Profile = true
 	cfg.Cores = 1
 	cfg.L1Bytes = 4 << 10
 	cfg.LLCBytes = 64 << 10

@@ -15,7 +15,7 @@ import (
 )
 
 // The golden-state regression corpus: canonical warmup-end checkpoints
-// and full-run results for three seed configurations, committed under
+// and full-run results for five seed configurations, committed under
 // testdata/golden/. Any change that perturbs simulator state — event
 // ordering, counter accounting, predictor behaviour, RNG consumption —
 // fails this test loudly at the byte level, which is a far stronger
@@ -41,7 +41,17 @@ func goldenCases() []goldenCase {
 		{"sms-vwq-data-serving", smallGolden(SMSVWQ, workload.DataServing(), 2)},
 		{"base-close-online-analytics", smallGolden(BaseClose, workload.OnlineAnalytics(), 3)},
 		{"bump-scenario-swap", scenarioGolden(4)},
+		{"base-open-profiled-web-serving", profiledConfig(smallGolden(BaseOpen, workload.WebServing(), 5))},
 	}
+}
+
+// profiledConfig turns cfg into a characterisation run: no prefetcher,
+// region-density profiler attached. The golden corpus thereby pins the
+// profiler's counters and its checkpoint section.
+func profiledConfig(cfg Config) Config {
+	cfg.DisablePrefetcher = true
+	cfg.Profile = true
+	return cfg
 }
 
 // scenarioGolden drives the golden corpus' scenario entry: a two-core
@@ -214,15 +224,20 @@ func readGoldenSnap(t *testing.T, path string) []byte {
 // rather than opaque file errors.
 func TestGoldenCorpusCoversConfiguredMechanisms(t *testing.T) {
 	seen := map[Mechanism]bool{}
+	var profiled bool
 	for _, gc := range goldenCases() {
 		if err := gc.cfg.Validate(); err != nil {
 			t.Fatalf("golden case %s invalid: %v", gc.name, err)
 		}
 		seen[gc.cfg.Mechanism] = true
+		profiled = profiled || gc.cfg.Profile && gc.cfg.DisablePrefetcher
 	}
-	for _, m := range []Mechanism{BuMP, SMSVWQ, BaseClose} {
+	for _, m := range []Mechanism{BuMP, SMSVWQ, BaseClose, BaseOpen} {
 		if !seen[m] {
 			t.Errorf("golden corpus lost coverage of %s", m)
 		}
+	}
+	if !profiled {
+		t.Error("golden corpus lost its profiled, prefetcher-off characterisation run")
 	}
 }

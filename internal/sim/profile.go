@@ -2,8 +2,8 @@
 // the evaluation: trace-driven cores with a bounded out-of-order window,
 // per-core L1-D caches, a shared LLC, the BuMP predictor (or a baseline
 // mechanism) beside the LLC, FR-FCFS memory controllers and DDR3 DRAM,
-// with energy accounting and the region-density profiler that produces
-// the characterisation figures.
+// with energy accounting and the opt-in region-density profiler that
+// produces the characterisation figures.
 package sim
 
 import (
@@ -89,7 +89,7 @@ func (c ProfileCounters) Sub(o ProfileCounters) ProfileCounters {
 // Profile is the region-density characterisation of one run. It feeds
 // Fig. 3 (access mix), Fig. 5 (density breakdown), Table I (late writes)
 // and the Ideal system of Figs. 2/13 (one activation per region
-// generation).
+// generation). A System builds one only when Config.Profile is set.
 type Profile struct {
 	ProfileCounters
 
@@ -181,11 +181,10 @@ func (p *Profile) OnDRAMWrite(b mem.BlockAddr) {
 // OnEvict observes an LLC eviction, closing the region's read generation
 // (the paper's generation boundary: first eviction of a block of the
 // region) and classifying its DRAM reads by final density.
-func (p *Profile) OnEvict(b mem.BlockAddr, dirty bool) {
+func (p *Profile) OnEvict(b mem.BlockAddr) {
 	if g, ok := p.readGens.Delete(b.Region(p.regionShift)); ok {
 		p.ReadsByClass[classify(uint(bits.OnesCount64(g.pattern)), p.perRegion)] += g.reads
 	}
-	_ = dirty
 }
 
 // OnWriteEpochEnd closes a write epoch once the region has no dirty

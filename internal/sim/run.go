@@ -33,7 +33,7 @@ type Result struct {
 	Ctrl     memctrl.Stats
 	LLC      cache.Stats
 	NOC      noc.Stats
-	Profile  ProfileCounters
+	Profile  ProfileCounters // Figs. 3 and 5, Table I; zero unless Config.Profile
 	Counters Counters
 
 	// Load latency (cycles): demand-load round trips inside the window.
@@ -187,15 +187,18 @@ func (s *System) statsSnapshot() snap {
 	for _, cr := range s.cores {
 		c.Instructions += cr.instructions
 	}
-	return snap{
+	sn := snap{
 		cycles: s.eng.Now(),
 		dram:   s.dram.Stats(),
 		ctrl:   s.mc.Stats(),
 		llc:    s.llc.Stats(),
 		noc:    s.xbar.Stats(),
-		prof:   s.prof.ProfileCounters,
 		cnt:    c,
 	}
+	if s.prof != nil {
+		sn.prof = s.prof.ProfileCounters
+	}
+	return sn
 }
 
 // Progress is a periodic mid-run engine snapshot delivered to a
@@ -383,7 +386,9 @@ func (s *System) RunWithHooks(h Hooks) (Result, error) {
 		h.Phase("measure", phaseT0, now)
 		phaseT0 = now
 	}
-	s.prof.Flush()
+	if s.prof != nil {
+		s.prof.Flush()
+	}
 	before := s.base
 	after := s.statsSnapshot()
 

@@ -64,7 +64,9 @@ func TestMechanismStrings(t *testing.T) {
 }
 
 func TestBaselineRunProducesActivity(t *testing.T) {
-	r, err := RunOne(fastConfig(BaseOpen, workload.WebSearch()))
+	cfg := fastConfig(BaseOpen, workload.WebSearch())
+	cfg.Profile = true
+	r, err := RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,9 @@ func TestSMSAndVWQLandBetweenBaseAndBuMP(t *testing.T) {
 
 func TestIdealBoundsEveryone(t *testing.T) {
 	w := workload.OnlineAnalytics()
-	base, _ := RunOne(fastConfig(BaseOpen, w))
+	baseCfg := fastConfig(BaseOpen, w)
+	baseCfg.Profile = true
+	base, _ := RunOne(baseCfg)
 	bmp, _ := RunOne(fastConfig(BuMP, w))
 	ideal := base.Profile.IdealHitRatio()
 	if ideal <= base.RowHitRatio() {
@@ -216,7 +220,9 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestDensityProfilerShape(t *testing.T) {
-	r, _ := RunOne(fastConfig(BaseOpen, workload.MediaStreaming()))
+	cfg := fastConfig(BaseOpen, workload.MediaStreaming())
+	cfg.Profile = true
+	r, _ := RunOne(cfg)
 	p := r.Profile
 	if got := p.HighDensityReadFraction(); got < 0.5 {
 		t.Errorf("media streaming high-density reads %.2f, want majority", got)
@@ -233,7 +239,9 @@ func TestDensityProfilerShape(t *testing.T) {
 }
 
 func TestStoreTriggeredReadsTracked(t *testing.T) {
-	r, _ := RunOne(fastConfig(BaseOpen, workload.WebServing()))
+	cfg := fastConfig(BaseOpen, workload.WebServing())
+	cfg.Profile = true
+	r, _ := RunOne(cfg)
 	if r.Profile.StoreReads == 0 {
 		t.Error("store-triggered reads must appear (Fig. 3)")
 	}

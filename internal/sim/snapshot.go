@@ -23,7 +23,9 @@ import (
 // v3: ForkAt/ForkCycles joined MeasureCycles and MaxRowHitStreak as
 // measured (digest-excluded) parameters — a checkpoint-tree node is
 // shared across every fork schedule of the same structure.
-const structuralDigestVersion = "bump-snapshot-struct-v3"
+// v4: Config gained Profile (covered by the digest walk), so a profiled
+// system never restores a checkpoint that lacks the profiler's state.
+const structuralDigestVersion = "bump-snapshot-struct-v4"
 
 // Stable event-receiver references for the engine snapshot.
 const (
@@ -225,7 +227,9 @@ func (s *System) writeState(w *snapshot.Writer) error {
 	w.I64(int64(s.freeWaiter))
 	s.loadLatency.SnapshotTo(w)
 
-	writeProfile(w, s.prof)
+	if s.prof != nil {
+		writeProfile(w, s.prof)
+	}
 	s.llc.SnapshotTo(w)
 	s.llcMSHRs.SnapshotTo(w)
 	s.xbar.SnapshotTo(w)
@@ -424,8 +428,10 @@ func (s *System) readState(r *snapshot.Reader) error {
 		return err
 	}
 
-	if err := readProfile(r, s.prof); err != nil {
-		return err
+	if s.prof != nil {
+		if err := readProfile(r, s.prof); err != nil {
+			return err
+		}
 	}
 	if err := s.llc.RestoreFrom(r); err != nil {
 		return err

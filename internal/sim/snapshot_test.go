@@ -80,6 +80,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		{"bump+vwq/data-serving", smallConfig(BuMPVWQ, workload.DataServing(), 2)},
 		{"sms+vwq/web-serving", smallConfig(SMSVWQ, workload.WebServing(), 3)},
 		{"base-close/media-streaming", smallConfig(BaseClose, workload.MediaStreaming(), 4)},
+		{"base-open-profiled/online-analytics", profiledConfig(smallConfig(BaseOpen, workload.OnlineAnalytics(), 5))},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range cases {
@@ -169,6 +170,7 @@ func TestRestoreRejectsStructuralMismatch(t *testing.T) {
 		"llc":       func(c *Config) { c.LLCBytes = 512 << 10 },
 		"warmup":    func(c *Config) { c.WarmupCycles = 50_000 },
 		"threshold": func(c *Config) { c.BuMP.DensityThreshold = 4 },
+		"profile":   func(c *Config) { c.Profile = true },
 	}
 	for name, mutate := range variants {
 		bad := cfg

@@ -98,7 +98,7 @@ type System struct {
 	xbar     *noc.Crossbar
 	mc       *memctrl.Controller
 	dram     *dram.DRAM
-	prof     *Profile
+	prof     *Profile // nil unless cfg.Profile
 
 	bump        *core.Predictor
 	pf          prefetch.Prefetcher
@@ -163,13 +163,15 @@ func New(cfg Config) (*System, error) {
 		xbar:        noc.New(cfg.NOCLatencyCycles),
 		mc:          mc,
 		dram:        d,
-		prof:        NewProfile(cfg.BuMP.RegionShift),
 		regionShift: cfg.BuMP.RegionShift,
 		freeWaiter:  -1,
 
 		measuredBound: cfg.ForkAt == 0,
 	}
 	mc.Handler = s.onMemComplete
+	if cfg.Profile {
+		s.prof = NewProfile(cfg.BuMP.RegionShift)
+	}
 
 	switch cfg.Mechanism {
 	case BaseClose, BaseOpen:
@@ -414,7 +416,9 @@ func (s *System) llcAccess(tok uint64) {
 	isStore := a.Type == mem.Store
 	now := s.eng.Now()
 
-	s.prof.OnDemandAccess(b)
+	if s.prof != nil {
+		s.prof.OnDemandAccess(b)
+	}
 	if s.bump != nil {
 		s.bump.Touch(a.PC, b, isStore)
 	}
@@ -555,7 +559,9 @@ func (s *System) markDirty(way cache.Way, b mem.BlockAddr) {
 	s.llc.SetFlags(way, f&^cache.Cleaned|cache.Dirty)
 	n, _ := s.dirtyCount.Upsert(b.Region(s.regionShift))
 	*n++
-	s.prof.OnDirty(b)
+	if s.prof != nil {
+		s.prof.OnDirty(b)
+	}
 }
 
 // decDirty drops one dirty block of region r (b is that block); the
@@ -566,7 +572,9 @@ func (s *System) decDirty(r mem.RegionAddr, b mem.BlockAddr) {
 		return
 	}
 	s.dirtyCount.Delete(r)
-	s.prof.OnWriteEpochEnd(b)
+	if s.prof != nil {
+		s.prof.OnWriteEpochEnd(b)
+	}
 }
 
 // onMemComplete handles DRAM completions: writebacks finish silently;
@@ -574,11 +582,13 @@ func (s *System) decDirty(r mem.RegionAddr, b mem.BlockAddr) {
 func (s *System) onMemComplete(cp memctrl.Completion) {
 	b := cp.Req.Addr.Block()
 	if cp.Req.Op == mem.MemWrite {
-		s.prof.OnDRAMWrite(b)
+		if s.prof != nil {
+			s.prof.OnDRAMWrite(b)
+		}
 		return
 	}
 
-	if cp.Req.Kind != mem.ReadPrefetch {
+	if s.prof != nil && cp.Req.Kind != mem.ReadPrefetch {
 		s.prof.OnDRAMRead(b, cp.Req.Kind == mem.ReadDemandStore)
 	}
 	way, ev := s.llc.Fill(b, cp.Req.Kind == mem.ReadPrefetch)
@@ -623,7 +633,9 @@ func (s *System) onEvict(l cache.Line) {
 	b := l.Block
 	dirty := l.Flags&cache.Dirty != 0
 	region := b.Region(s.regionShift)
-	s.prof.OnEvict(b, dirty)
+	if s.prof != nil {
+		s.prof.OnEvict(b)
+	}
 	if s.pf != nil {
 		s.pf.OnEvict(b)
 	}

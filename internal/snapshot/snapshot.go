@@ -53,7 +53,9 @@ const (
 	// forking) — header grew the meta length/CRC fields.
 	// v3: cache lines no longer carry the filling PC and core, so a
 	// resident line encodes as flags, block and LRU stamp.
-	FormatVersion = 3
+	// v4: a simulator snapshot carries the region-density profiler's
+	// section only when the run is profiled (sim.Config.Profile).
+	FormatVersion = 4
 
 	magic     = "BUMPSNP\x00"
 	headerLen = len(magic) + 2 + 4 + 8 + 4 + 4

@@ -48,8 +48,9 @@ import (
 // trace-context field in job-carrying bodies (the snapshot codec is
 // positional, so the extra JobSpec field alone forces the bump); v3
 // dropped the JobSpec workers field; v4 follows snapshot format 3
-// (cache lines without PC and core).
-const FormatVersion = 4
+// (cache lines without PC and core); v5 follows snapshot format 4 (the
+// profiler section only in profiled snapshots).
+const FormatVersion = 5
 
 // Hello flag bits, advertised symmetrically in the hello's flags word.
 const (
