@@ -13,7 +13,10 @@
 // exponential backoff, readmitted when they recover, and rejected
 // outright when their snapshot format version differs from this
 // build's (warm checkpoints are not portable across versions). A job
-// whose worker dies mid-run fails over to the next worker on the ring.
+// whose worker dies mid-run fails over to the next worker on the ring,
+// which re-simulates the sweep's warmup once; results stay
+// byte-identical because they are a deterministic function of the
+// config.
 //
 // With -data-dir the coordinator is durable: every accepted job ID,
 // sweep and fleet-membership change is written to a write-ahead log
@@ -86,7 +89,6 @@ func main() {
 		retainB   = flag.Int("retain-batches", 0, "completed sweeps retained with their points (0 = 64 default)")
 		wireAddr  = flag.String("wire-addr", ":8346", "binary wire protocol listen address (empty = HTTP/JSON only)")
 		jsonOnly  = flag.Bool("json-only", false, "talk HTTP/JSON to workers even when they advertise a wire listener")
-		replicas  = flag.Int("replicas", 0, "workers kept holding each warm checkpoint and tree node (0 = 2: owner plus failover target)")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
@@ -132,7 +134,6 @@ func main() {
 		CompactEvery:  *compactN,
 		RetainJobs:    *retainJ,
 		RetainBatches: *retainB,
-		Replicas:      *replicas,
 		Metrics:       metrics,
 		Tracer:        tracer,
 		Logger:        logger,

@@ -32,7 +32,7 @@
 //	DELETE /v1/jobs/{id}        cancel a job (404 unknown, 409 terminal)
 //	POST   /v1/batch            run a whole sweep
 //	GET    /v1/results/{hash}   cached result by config hash
-//	GET    /v1/healthz          self-description: status, version, wire, checkpoints
+//	GET    /v1/healthz          self-description: status, version, wire
 //	GET    /metrics             Prometheus text: every pool/cache/warm/conn counter
 package main
 
@@ -67,7 +67,7 @@ func main() {
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		warm     = flag.Bool("warm", false, "share warmup-end checkpoints between jobs that differ only in measured parameters")
 		warmSz   = flag.Int("warm-cache", 64, "warm-checkpoint cache entries (with -warm); fork sweeps hold a tree node per cut alongside the warmup roots, so keep this above cuts x structural variants")
-		warmDir  = flag.String("warm-dir", "", "content-addressed checkpoint store directory (implies -warm; checkpoints survive restarts and transfer to peers)")
+		warmDir  = flag.String("warm-dir", "", "content-addressed checkpoint store directory (implies -warm; a restarted worker restores its warmups from it)")
 		warmDisk = flag.Int64("warm-disk-bytes", blob.DefaultCapacity, "checkpoint store size bound in bytes (with -warm-dir)")
 		wireAddr = flag.String("wire-addr", ":8345", "binary wire protocol listen address (empty = HTTP/JSON only)")
 		coord    = flag.String("coordinator", "", "bumpctl base URL to heartbeat-register with (self-registration; no static -workers entry needed)")
@@ -182,13 +182,9 @@ func main() {
 		go func() {
 			registered := false
 			// Each beat carries the self-description /v1/healthz serves,
-			// so freshly simulated or transferred checkpoints are
-			// advertised to the coordinator within one interval.
-			service.NewClient(*coord).HeartbeatFunc(beatCtx,
-				func() service.RegisterRequest {
-					return service.RegisterRequest{URL: *adv, HealthPayload: pool.Health(advertisedWire)}
-				},
-				*beat,
+			// so a heartbeat admits this worker exactly as a probe would.
+			req := service.RegisterRequest{URL: *adv, HealthPayload: pool.Health(advertisedWire)}
+			service.NewClient(*coord).Heartbeat(beatCtx, req, *beat,
 				func(resp service.RegisterResponse, err error) {
 					switch {
 					case err != nil:

@@ -2,19 +2,18 @@
 // immutable blobs named by their digest (warm keys are hex
 // snapshot-derived structural digests), written atomically
 // (temp-file + rename), evicted LRU under a byte budget with
-// ref-counted GC — a blob still streaming to a peer is logically
-// evicted immediately but physically deleted only when its last reader
-// closes — and rebuilt from the directory on restart.
+// ref-counted GC — a blob still being read is logically evicted
+// immediately but physically deleted only when its last reader is
+// done — and rebuilt from the directory on restart.
 //
 // The store backs sim.WarmStore (it satisfies sim.WarmBackend), giving
-// warm checkpoints a life beyond one process: a restarted or failover
-// worker serves GET /v1/checkpoints/{digest} from here instead of
-// re-simulating the warmup.
+// warm checkpoints a life beyond one process: a worker restarted on
+// the same directory (bumpd -warm-dir) restores its warmups from here
+// instead of re-simulating them.
 package blob
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -187,7 +186,7 @@ func (s *Store) Put(key string, data []byte) error {
 
 // evictLocked enforces the byte budget, LRU first. Blobs with open
 // readers are marked dead (off the budget, unreachable for new Gets)
-// and their files deleted when the last reader closes. keep is never
+// and their files deleted when the last reader finishes. keep is never
 // evicted (the blob just inserted).
 func (s *Store) evictLocked(keep string) {
 	for s.bytes > s.max {
@@ -207,7 +206,7 @@ func (s *Store) evictLocked(keep string) {
 		s.bytes -= ve.size
 		s.stats.Evictions++
 		if ve.refs > 0 {
-			ve.dead = true // deferred delete: a transfer is streaming it
+			ve.dead = true // deferred delete: a Get is still reading it
 			continue
 		}
 		delete(s.entries, victim)
@@ -216,7 +215,7 @@ func (s *Store) evictLocked(keep string) {
 }
 
 // decRefLocked releases one reader reference, completing a deferred
-// eviction when the last reader of a dead blob closes.
+// eviction when the last reader of a dead blob finishes.
 func (s *Store) decRefLocked(key string, e *entry) {
 	e.refs--
 	if e.refs == 0 && e.dead {
@@ -241,8 +240,8 @@ func (s *Store) dropLocked(key string, e *entry) {
 
 // Delete removes a blob out of LRU order — the warm store's poisoning
 // path: bytes whose restore failed must not satisfy any future Get. A
-// blob still streaming to a reader is marked dead and its file removed
-// when the last reader closes, like an eviction.
+// blob still being read is marked dead and its file removed when the
+// last reader is done, like an eviction.
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,70 +284,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	s.stats.Hits++
 	return data, true
-}
-
-// Open returns a streaming reader over the blob, holding a reference
-// that defers eviction's file delete until Close.
-func (s *Store) Open(key string) (io.ReadCloser, int64, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok || e.dead {
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, 0, false
-	}
-	e.refs++
-	s.clock++
-	e.seq = s.clock
-	s.mu.Unlock()
-
-	f, err := os.Open(s.path(key))
-	if err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.decRefLocked(key, e)
-		s.dropLocked(key, e)
-		s.mu.Unlock()
-		return nil, 0, false
-	}
-	s.mu.Lock()
-	s.stats.Hits++
-	s.mu.Unlock()
-	return &blobReader{f: f, s: s, key: key, e: e}, e.size, true
-}
-
-type blobReader struct {
-	f    *os.File
-	s    *Store
-	key  string
-	e    *entry
-	once sync.Once
-}
-
-func (r *blobReader) Read(p []byte) (int, error) { return r.f.Read(p) }
-
-func (r *blobReader) Close() error {
-	err := r.f.Close()
-	r.once.Do(func() {
-		r.s.mu.Lock()
-		r.s.decRefLocked(r.key, r.e)
-		r.s.mu.Unlock()
-	})
-	return err
-}
-
-// Keys lists live blob digests, sorted.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.entries))
-	for k, e := range s.entries {
-		if !e.dead {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Stats returns cumulative counters plus the live blob census.

@@ -3,7 +3,6 @@ package blob
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,52 +50,40 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 }
 
-// TestEvictionSparesStreamingReader: evicting a blob mid-transfer must
-// not yank the file out from under the open reader — the blob goes
-// logically dead immediately but its bytes stream to completion, and
-// the file is deleted only on Close.
-func TestEvictionSparesStreamingReader(t *testing.T) {
+// TestEvictionSparesInFlightRead: evicting a blob while a Get still
+// holds its reference must not delete the file under the read — the
+// blob goes logically dead at once (a miss for new readers, off the
+// budget) and its file is deleted when that reference is released.
+func TestEvictionSparesInFlightRead(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 100)
-	big := bytes.Repeat([]byte{0xAA}, 80)
-	if err := s.Put(key(0), big); err != nil {
+	if err := s.Put(key(0), bytes.Repeat([]byte{0xAA}, 80)); err != nil {
 		t.Fatal(err)
 	}
+	// Take the reference Get holds across its file read.
+	s.mu.Lock()
+	e := s.entries[key(0)]
+	e.refs++
+	s.mu.Unlock()
 
-	rc, size, ok := s.Open(key(0))
-	if !ok || size != int64(len(big)) {
-		t.Fatalf("open: ok=%v size=%d", ok, size)
-	}
-	// Read half, then force an eviction of key(0) by exceeding the
-	// budget with a newer blob.
-	half := make([]byte, 40)
-	if _, err := io.ReadFull(rc, half); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Put(key(1), bytes.Repeat([]byte{0xBB}, 60)); err != nil {
 		t.Fatal(err)
 	}
-
-	// key(0) is logically gone (miss for new readers, off the budget)...
 	if _, ok := s.Get(key(0)); ok {
 		t.Fatal("evicted blob still served to new readers")
 	}
 	if st := s.Stats(); st.Bytes > 100 || st.Evictions == 0 {
-		t.Fatalf("budget not reclaimed under streaming reader: %+v", st)
-	}
-	// ...but the in-flight stream completes with intact bytes.
-	rest, err := io.ReadAll(rc)
-	if err != nil || !bytes.Equal(append(half, rest...), big) {
-		t.Fatalf("stream corrupted by eviction: %v (%d bytes)", err, len(rest))
+		t.Fatalf("budget not reclaimed under an in-flight read: %+v", st)
 	}
 	if _, err := os.Stat(filepath.Join(dir, key(0))); err != nil {
 		t.Fatal("blob file deleted while a reader held it")
 	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
+
+	s.mu.Lock()
+	s.decRefLocked(key(0), e)
+	s.mu.Unlock()
 	if _, err := os.Stat(filepath.Join(dir, key(0))); !os.IsNotExist(err) {
-		t.Fatalf("deferred delete did not run on Close: %v", err)
+		t.Fatalf("deferred delete did not run when the read finished: %v", err)
 	}
 }
 
@@ -119,9 +106,8 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "not-a-digest"), []byte("stray"), 0o644)
 
 	s2 := mustOpen(t, dir, 1<<20)
-	keys := s2.Keys()
-	if len(keys) != 5 {
-		t.Fatalf("reopened index has %d blobs, want 5 (%v)", len(keys), keys)
+	if n := s2.Stats().Blobs; n != 5 {
+		t.Fatalf("reopened index has %d blobs, want 5", n)
 	}
 	for k, want := range blobs {
 		got, ok := s2.Get(k)
@@ -136,13 +122,21 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	// Reopen under a tighter budget: the index must evict down to fit.
 	s2.Close()
 	s3 := mustOpen(t, dir, 250)
-	if st := s3.Stats(); st.Bytes > 250 || st.Blobs >= 5 {
+	st := s3.Stats()
+	if st.Bytes > 250 || st.Blobs >= 5 {
 		t.Fatalf("reopen did not enforce the budget: %+v", st)
 	}
-	for _, k := range s3.Keys() {
-		if got, ok := s3.Get(k); !ok || !bytes.Equal(got, blobs[k]) {
-			t.Fatalf("surviving blob %s unreadable after budget reopen", k)
+	survivors := 0
+	for k, want := range blobs {
+		if got, ok := s3.Get(k); ok {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("surviving blob %s corrupted after budget reopen", k)
+			}
+			survivors++
 		}
+	}
+	if survivors != st.Blobs {
+		t.Fatalf("%d blobs readable after budget reopen, index holds %d", survivors, st.Blobs)
 	}
 }
 

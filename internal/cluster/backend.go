@@ -14,8 +14,7 @@ import (
 
 // This file is the coordinator's service.Backend — the /v1 job API
 // that service.MountJobs serves over HTTP and service.NewWireHandler
-// over the wire protocol — plus the checkpoint transfer machinery
-// (prefetch-on-failover and background replication).
+// over the wire protocol.
 
 var _ service.Backend = (*Coordinator)(nil)
 
@@ -64,7 +63,6 @@ func (c *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (service
 	id := c.store.NextJobID()
 	if c.tracer != nil {
 		c.tracer.Begin(id, spec.TraceID)
-		c.noteKeyJob(key, id)
 		c.span(id, "route", routeT0, time.Now(),
 			obs.SpanArg{Key: "worker", Val: wk.ID},
 			obs.SpanArg{Key: "key", Val: key})
@@ -189,116 +187,4 @@ func (c *Coordinator) ResultByHash(ctx context.Context, hash string) (sim.Result
 		return res, true, nil
 	}
 	return sim.Result{}, false, nil
-}
-
-// ---- Checkpoint transfer ----------------------------------------------
-
-// prefetchTimeout bounds one checkpoint transfer ahead of a submit —
-// generous against warm checkpoints of tens of MB, small against the
-// warmup simulation the transfer replaces.
-const prefetchTimeout = 15 * time.Second
-
-// defaultReplicaTargets is how many leading routable ring successors
-// ReplicateOnce keeps supplied per digest when Options.Replicas is
-// unset: the second is exactly the failover target if the first (the
-// affinity owner) dies.
-const defaultReplicaTargets = 2
-
-// replicateMemo is how long a (worker, digest) replication attempt is
-// remembered before it may be retried.
-const replicateMemo = 30 * time.Second
-
-// prefetchCheckpoint runs before each placement: if the picked worker
-// does not hold key's warm checkpoint but an admitted peer does, ask
-// the worker to fetch it before the spec lands — a failover placement
-// then restores the warmup instead of re-simulating it. Best-effort:
-// any failure just means the worker warms up the slow way.
-func (c *Coordinator) prefetchCheckpoint(ctx context.Context, w *Worker, key string) {
-	if c.reg.Holds(w.ID, key) {
-		return
-	}
-	sources := c.reg.HoldersOf(key, w.ID)
-	if len(sources) == 0 {
-		return
-	}
-	fctx, cancel := context.WithTimeout(ctx, prefetchTimeout)
-	defer cancel()
-	t0 := time.Now()
-	if ok, err := w.Client.FetchCheckpoint(fctx, key, sources); err == nil && ok {
-		c.reg.MarkHolds(w.ID, key)
-		c.spanForKey(key, "checkpoint.prefetch", t0, time.Now(),
-			obs.SpanArg{Key: "worker", Val: w.ID},
-			obs.SpanArg{Key: "digest", Val: key})
-	}
-}
-
-// ReplicateOnce pushes every advertised warm-checkpoint digest —
-// warmup-end roots and mid-measurement checkpoint-tree nodes are
-// indistinguishable here, both being content-addressed blobs — onto the
-// first Options.Replicas routable workers of its ring sequence, so the
-// digest's failover target already holds the warm state before the
-// owner dies. Returns the number of successful transfers.
-func (c *Coordinator) ReplicateOnce(ctx context.Context) int {
-	fetched := 0
-	now := time.Now()
-	for _, key := range c.reg.CheckpointKeys() {
-		placed := 0
-		for _, url := range c.reg.Ring().Sequence(key) {
-			if placed >= c.opts.Replicas {
-				break
-			}
-			w, ok := c.reg.WorkerByURL(url)
-			if !ok || !c.reg.Routable(w.ID) {
-				continue
-			}
-			placed++
-			if c.reg.Holds(w.ID, key) {
-				continue
-			}
-			memo := w.ID + "\x00" + key
-			c.mu.Lock()
-			last, tried := c.replicated[memo]
-			if !tried || now.Sub(last) >= replicateMemo {
-				c.replicated[memo] = now
-				tried = false
-			}
-			c.mu.Unlock()
-			if tried {
-				continue
-			}
-			sources := c.reg.HoldersOf(key, w.ID)
-			if len(sources) == 0 {
-				continue
-			}
-			fctx, cancel := context.WithTimeout(ctx, prefetchTimeout)
-			t0 := time.Now()
-			ok2, err := w.Client.FetchCheckpoint(fctx, key, sources)
-			cancel()
-			if err == nil && ok2 {
-				c.reg.MarkHolds(w.ID, key)
-				c.spanForKey(key, "checkpoint.replicate", t0, time.Now(),
-					obs.SpanArg{Key: "worker", Val: w.ID},
-					obs.SpanArg{Key: "digest", Val: key})
-				fetched++
-			}
-		}
-	}
-	return fetched
-}
-
-// replicateLoop runs ReplicateOnce on the probe cadence, so a fresh
-// checkpoint is replicated to its failover target within roughly one
-// probe round of first being advertised.
-func (c *Coordinator) replicateLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.reg.opts.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-t.C:
-			c.ReplicateOnce(c.ctx)
-		}
-	}
 }

@@ -47,21 +47,13 @@ type Options struct {
 	// (default 250ms). A job is never failed for lack of workers — it
 	// waits out the outage.
 	RetryInterval time.Duration
-	// Replicas is how many leading routable ring successors the
-	// background replicator keeps supplied per advertised checkpoint
-	// digest — warm roots and checkpoint-tree nodes alike (default 2:
-	// the owner plus its exact failover target). Larger fleets sweeping
-	// deep fork trees can raise it to survive multi-worker loss at the
-	// cost of proportional transfer traffic.
-	Replicas int
 	// Metrics, when non-nil, gets the coordinator's collectors (fleet
 	// topology, job states, WAL, aggregated worker wire stats) and is
 	// served at GET /metrics.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records coordinator-side spans (route,
-	// await, failover, checkpoint prefetch/replicate) per tracked job;
-	// GET /v1/jobs/{id}/trace stitches the assigned worker's spans onto
-	// them under one trace ID.
+	// await, failover) per tracked job; GET /v1/jobs/{id}/trace
+	// stitches the assigned worker's spans onto them under one trace ID.
 	Tracer *obs.Tracer
 	// Logger receives structured fleet/job lifecycle events (failovers,
 	// registrations, ejections) with job and trace IDs attached. Nil
@@ -94,17 +86,9 @@ type Coordinator struct {
 	// wireAddr is the coordinator's own advertised binary listener (set
 	// via SetWireAddr before serving traffic; surfaced in /v1/healthz).
 	wireAddr string
-	// replicated memoizes replication attempts (worker ID + digest) so
-	// ReplicateOnce does not re-ask a worker that already fetched or
-	// failed this round cadence.
-	replicated map[string]time.Time
 
-	// tracer records coordinator-side spans; keyJobs maps a warm key to
-	// the traced job that last routed under it, so checkpoint-transfer
-	// spans (keyed by digest, not job) land on the right timeline.
-	tracer  *obs.Tracer
-	keyJobs map[string]string
-	log     *slog.Logger
+	tracer *obs.Tracer // coordinator-side spans (nil = tracing off)
+	log    *slog.Logger
 }
 
 // New builds a coordinator: opens (and replays) the store, seeds the
@@ -124,9 +108,6 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	}
 	if opts.RetainBatches <= 0 {
 		opts.RetainBatches = 64
-	}
-	if opts.Replicas <= 0 {
-		opts.Replicas = defaultReplicaTargets
 	}
 	store, err := OpenStore(StoreOptions{Dir: opts.DataDir, WAL: opts.WAL, CompactEvery: opts.CompactEvery})
 	if err != nil {
@@ -157,7 +138,7 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 		}
 	}
 	for _, url := range opts.Workers {
-		if _, found := reg.WorkerByURL(strings.TrimSpace(strings.TrimRight(url, "/"))); found {
+		if _, found := reg.WorkerByURL(normalizeURL(url)); found {
 			continue
 		}
 		w, err := reg.Add(url, "")
@@ -171,18 +152,16 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	reg.ProbeOnce(ctx)
 	rctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		reg:        reg,
-		store:      store,
-		opts:       opts,
-		ctx:        rctx,
-		cancel:     cancel,
-		sem:        make(chan struct{}, opts.BatchConcurrency),
-		batches:    make(map[string]*batchEntry),
-		inflight:   make(map[string]int),
-		replicated: make(map[string]time.Time),
-		tracer:     opts.Tracer,
-		keyJobs:    make(map[string]string),
-		log:        opts.Logger,
+		reg:      reg,
+		store:    store,
+		opts:     opts,
+		ctx:      rctx,
+		cancel:   cancel,
+		sem:      make(chan struct{}, opts.BatchConcurrency),
+		batches:  make(map[string]*batchEntry),
+		inflight: make(map[string]int),
+		tracer:   opts.Tracer,
+		log:      opts.Logger,
 	}
 	if c.log == nil {
 		c.log = slog.New(slog.DiscardHandler)
@@ -191,8 +170,6 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 		c.registerCollectors(opts.Metrics)
 	}
 	c.recover()
-	c.wg.Add(1)
-	go c.replicateLoop()
 	ok = true
 	return c, nil
 }
@@ -349,7 +326,6 @@ func (c *Coordinator) driveJob(id string) {
 				// their ID minted here, and the worker receives it in the
 				// spec so both sides' spans share one trace.
 				rec.Spec.TraceID = c.tracer.Begin(id, rec.Spec.TraceID)
-				c.noteKeyJob(rec.Key, id)
 			}
 			routeT0 := time.Now()
 			st, wk, err := c.place(c.ctx, rec.Key, rec.Spec, tried)

@@ -102,36 +102,8 @@ func (c *Coordinator) instant(jobID, name string, args ...obs.SpanArg) {
 	}
 }
 
-// noteKeyJob remembers which tracked job last routed under a warm key,
-// so the checkpoint transfer machinery (prefetch hooks, the background
-// replicator) — which sees keys, not jobs — can attach its spans to the
-// job that motivated the transfer.
-func (c *Coordinator) noteKeyJob(key, jobID string) {
-	if c.tracer == nil || key == "" {
-		return
-	}
-	c.mu.Lock()
-	c.keyJobs[key] = jobID
-	c.mu.Unlock()
-}
-
-// spanForKey records a span on the job last routed under key (dropped
-// when no traced job claimed the key).
-func (c *Coordinator) spanForKey(key, name string, start, end time.Time, args ...obs.SpanArg) {
-	if c.tracer == nil {
-		return
-	}
-	c.mu.Lock()
-	jobID, ok := c.keyJobs[key]
-	c.mu.Unlock()
-	if !ok {
-		return
-	}
-	c.tracer.Span(jobID, name, start, end, args...)
-}
-
 // trace serves a tracked job's stitched timeline: the coordinator's own
-// routing/failover/transfer spans (pid 1) plus the assigned worker's
+// routing/await/failover spans (pid 1) plus the assigned worker's
 // spans (pid 2), re-homed under one trace ID. Worker fetch is
 // best-effort: a dead worker still yields the coordinator-side view.
 func (c *Coordinator) trace(w http.ResponseWriter, r *http.Request) {

@@ -206,7 +206,7 @@ func TestClusterE2EMetricsAndTrace(t *testing.T) {
 		"bump_cache_entries", "bump_cache_capacity",
 		"bump_cache_hits_total", "bump_cache_misses_total", "bump_cache_evictions_total",
 		"bump_warm_hits_total", "bump_warm_misses_total", "bump_warm_skipped_total",
-		"bump_warm_installed_total", "bump_warm_evicted_total",
+		"bump_warm_evicted_total",
 		"bump_warm_fork_hits_total", "bump_warm_fork_misses_total",
 		`bump_warm_cycles_simulated_total{kind="warmup"}`,
 		`bump_warm_cycles_simulated_total{kind="trunk"}`,

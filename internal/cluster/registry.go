@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -135,12 +134,10 @@ type Worker struct {
 	probed    time.Time
 	beat      time.Time // last heartbeat registration
 	// version is the snapshot format version the worker last reported;
-	// wireAddr its advertised binary fast-path listener; checkpoints the
-	// warm-checkpoint digests it can serve. All refresh from probes and
-	// heartbeats.
-	version     int
-	wireAddr    string
-	checkpoints map[string]struct{}
+	// wireAddr its advertised binary fast-path listener. Both refresh
+	// from probes and heartbeats.
+	version  int
+	wireAddr string
 }
 
 // upLocked reports whether w is health-admitted. An ejected worker is
@@ -169,10 +166,8 @@ type WorkerInfo struct {
 	// HeartbeatAge is seconds since the last self-registration
 	// heartbeat (absent for workers that never registered themselves).
 	HeartbeatAge float64 `json:"heartbeat_age_s,omitempty"`
-	// WireAddr is the worker's advertised binary fast-path listener;
-	// Checkpoints counts the warm-checkpoint digests it advertises.
-	WireAddr    string `json:"wire_addr,omitempty"`
-	Checkpoints int    `json:"checkpoints,omitempty"`
+	// WireAddr is the worker's advertised binary fast-path listener.
+	WireAddr string `json:"wire_addr,omitempty"`
 }
 
 // Registry tracks the worker fleet. Membership is dynamic: workers are
@@ -231,7 +226,7 @@ func NewRegistry(urls []string, opts RegistryOptions) (*Registry, error) {
 // (positional IDs like "w0" would remap nearly all keys on any
 // fleet-list edit).
 func (r *Registry) Add(url, id string) (*Worker, error) {
-	url = strings.TrimSpace(strings.TrimRight(url, "/"))
+	url = normalizeURL(url)
 	if url == "" {
 		return nil, fmt.Errorf("cluster: empty worker URL")
 	}
@@ -268,6 +263,13 @@ func (r *Registry) Add(url, id string) (*Worker, error) {
 	return w, nil
 }
 
+// normalizeURL is the one spelling of a worker URL that the registry
+// keys by: surrounding whitespace first, then trailing slashes, so
+// "http://h:8344/ " and "http://h:8344" name the same worker.
+func normalizeURL(url string) string {
+	return strings.TrimRight(strings.TrimSpace(url), "/")
+}
+
 // rebuildRingLocked rebuilds the consistent-hash ring over the whole
 // fleet (lifecycle filtering happens at pick time via the Sequence
 // walk, so an ejected worker's keys remap to its ring successors
@@ -287,7 +289,7 @@ func (r *Registry) rebuildRingLocked() {
 // LifecycleActive. changed reports a membership or lifecycle change the
 // caller should persist.
 func (r *Registry) Register(req service.RegisterRequest) (info WorkerInfo, changed bool, err error) {
-	url := strings.TrimSpace(strings.TrimRight(req.URL, "/"))
+	url := normalizeURL(req.URL)
 	r.mu.Lock()
 	w, ok := r.byURL[url]
 	r.mu.Unlock()
@@ -422,7 +424,7 @@ func (r *Registry) Resolve(idOrURL string) (string, bool) {
 	if w, ok := r.byID[idOrURL]; ok {
 		return w.ID, true
 	}
-	if w, ok := r.byURL[strings.TrimRight(idOrURL, "/")]; ok {
+	if w, ok := r.byURL[normalizeURL(idOrURL)]; ok {
 		return w.ID, true
 	}
 	return "", false
@@ -448,92 +450,7 @@ func (r *Registry) infoLocked(w *Worker, now time.Time) WorkerInfo {
 		info.HeartbeatAge = now.Sub(w.beat).Seconds()
 	}
 	info.WireAddr = w.wireAddr
-	info.Checkpoints = len(w.checkpoints)
 	return info
-}
-
-// setAdvertsLocked refreshes a worker's wire-listener and checkpoint
-// advertisements (from a probe or heartbeat), under the registry mutex.
-func (w *Worker) setAdvertsLocked(wireAddr string, checkpoints []string) {
-	w.wireAddr = wireAddr
-	if len(checkpoints) == 0 {
-		w.checkpoints = nil
-		return
-	}
-	set := make(map[string]struct{}, len(checkpoints))
-	for _, k := range checkpoints {
-		set[k] = struct{}{}
-	}
-	w.checkpoints = set
-}
-
-// Holds reports whether a worker advertises checkpoint digest key.
-func (r *Registry) Holds(id, key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	if !ok {
-		return false
-	}
-	_, held := w.checkpoints[key]
-	return held
-}
-
-// MarkHolds records that a worker now serves checkpoint digest key
-// (after a successful transfer), ahead of its next heartbeat/probe
-// re-advertising it.
-func (r *Registry) MarkHolds(id, key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	if !ok {
-		return
-	}
-	if w.checkpoints == nil {
-		w.checkpoints = make(map[string]struct{})
-	}
-	w.checkpoints[key] = struct{}{}
-}
-
-// HoldersOf returns the base URLs of health-admitted workers
-// advertising checkpoint digest key, excluding worker ID exclude. A
-// cordoned or draining worker counts: it can still serve a checkpoint
-// transfer.
-func (r *Registry) HoldersOf(key, exclude string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var urls []string
-	for _, w := range r.workers {
-		if w.ID == exclude || !w.upLocked() {
-			continue
-		}
-		if _, held := w.checkpoints[key]; held {
-			urls = append(urls, w.URL)
-		}
-	}
-	return urls
-}
-
-// CheckpointKeys returns every checkpoint digest advertised by any
-// health-admitted worker, sorted.
-func (r *Registry) CheckpointKeys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := make(map[string]struct{})
-	for _, w := range r.workers {
-		if !w.upLocked() {
-			continue
-		}
-		for k := range w.checkpoints {
-			set[k] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // InfoFor snapshots one worker's status.
@@ -635,7 +552,7 @@ func (r *Registry) admitLocked(w *Worker, h service.HealthPayload, now time.Time
 	w.backoff = 0
 	w.lastErr = ""
 	w.version = h.Version
-	w.setAdvertsLocked(h.WireAddr, h.Checkpoints)
+	w.wireAddr = h.WireAddr
 	if h.Version != r.opts.FormatVersion {
 		w.state = WorkerIncompatible
 		w.lastErr = fmt.Sprintf("snapshot format version %d, coordinator requires %d", h.Version, r.opts.FormatVersion)

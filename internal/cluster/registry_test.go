@@ -20,9 +20,6 @@ type fakeWorker struct {
 	failing atomic.Bool
 	version atomic.Int64
 	probes  atomic.Int64
-	// checkpoints are the digests it advertises; set before the first
-	// probe.
-	checkpoints []string
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -40,9 +37,8 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 			return
 		}
 		json.NewEncoder(w).Encode(service.HealthPayload{
-			Status:      "ok",
-			Version:     int(f.version.Load()),
-			Checkpoints: f.checkpoints,
+			Status:  "ok",
+			Version: int(f.version.Load()),
 		})
 	}))
 	t.Cleanup(f.srv.Close)
@@ -237,17 +233,44 @@ func TestRegistryHeartbeatRegistration(t *testing.T) {
 	}
 }
 
+// TestRegistryNormalizesWorkerURLs: every spelling of one worker's URL
+// — a seed with a trailing slash and whitespace, its heartbeat, a
+// padded admin lookup — names one member, so a worker never sits on
+// the ring twice.
+func TestRegistryNormalizesWorkerURLs(t *testing.T) {
+	f := newFakeWorker(t)
+	r := newManualRegistry(t, RegistryOptions{}, f.srv.URL+"/ ")
+	info, changed, err := r.Register(service.RegisterRequest{URL: f.srv.URL, HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.Workers()); n != 1 || changed || info.ID != "w0" {
+		t.Fatalf("seed and heartbeat of one worker made %d members (heartbeat %+v, changed=%v)", n, info, changed)
+	}
+	for _, s := range []string{" " + f.srv.URL, f.srv.URL + "/", f.srv.URL + "/ \n"} {
+		if id, ok := r.Resolve(s); !ok || id != "w0" {
+			t.Errorf("Resolve(%q) = %q, %v; want w0", s, id, ok)
+		}
+	}
+
+	coord, err := New(context.Background(), Options{Workers: []string{f.srv.URL + "/ ", f.srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if n := len(coord.Registry().Workers()); n != 1 {
+		t.Fatalf("coordinator seeded %d members from two spellings of one URL", n)
+	}
+}
+
 // TestRegistryEjectedWorkerIsNotUp: probe rounds skip a drain-ejected
-// worker, so its last reading goes stale. It must not count as up, hold
-// checkpoints or advertise digests, even once it dies, until a
-// heartbeat revives it.
+// worker, so its last reading goes stale. It must not count as up, even
+// once it dies, until a heartbeat revives it.
 func TestRegistryEjectedWorkerIsNotUp(t *testing.T) {
 	a, b := newFakeWorker(t), newFakeWorker(t)
-	a.checkpoints = []string{"digest-a"}
-	b.checkpoints = []string{"digest-b"}
 	r := newManualRegistry(t, RegistryOptions{}, a.srv.URL, b.srv.URL)
 	r.ProbeOnce(context.Background())
-	if r.UpCount() != 2 || len(r.HoldersOf("digest-a", "")) != 1 {
+	if r.UpCount() != 2 {
 		t.Fatalf("healthy fleet not admitted: up=%d", r.UpCount())
 	}
 
@@ -259,20 +282,14 @@ func TestRegistryEjectedWorkerIsNotUp(t *testing.T) {
 	if r.Up("w0") || r.UpCount() != 1 {
 		t.Fatalf("ejected worker still up: Up=%v UpCount=%d", r.Up("w0"), r.UpCount())
 	}
-	if urls := r.HoldersOf("digest-a", ""); len(urls) != 0 {
-		t.Errorf("ejected worker still holds its checkpoint: %v", urls)
-	}
-	if keys := r.CheckpointKeys(); len(keys) != 1 || keys[0] != "digest-b" {
-		t.Errorf("checkpoint keys %v, want only the member's digest-b", keys)
-	}
 
 	req := service.RegisterRequest{URL: a.srv.URL, HealthPayload: service.HealthPayload{
-		Version: snapshot.FormatVersion, Checkpoints: a.checkpoints,
+		Version: snapshot.FormatVersion,
 	}}
 	if _, _, err := r.Register(req); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Up("w0") || r.UpCount() != 2 || len(r.HoldersOf("digest-a", "")) != 1 {
+	if !r.Up("w0") || r.UpCount() != 2 {
 		t.Fatal("heartbeat did not revive the ejected worker")
 	}
 }

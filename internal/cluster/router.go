@@ -65,14 +65,13 @@ func clientFault(err error) bool {
 // place submits a spec down the key's preference sequence: consistent-
 // hash placement by affinity key, each worker-side submit failure
 // striking the worker (counting toward ejection) and moving down the
-// ring. Before each submit, a worker that lacks the key's warm
-// checkpoint fetches it from a peer (prefetchCheckpoint), so a failover
-// placement restores the warmup instead of re-simulating it. tried
-// accumulates struck worker IDs so a caller retrying after a later
-// failure (e.g. a lost wait) never resubmits to a worker it already
-// gave up on; pass nil to start fresh. The returned status carries the
-// worker-local job ID. Re-execution on the next worker is safe because
-// results are a deterministic function of the configuration.
+// ring. tried accumulates struck worker IDs so a caller retrying after
+// a later failure (e.g. a lost wait) never resubmits to a worker it
+// already gave up on; pass nil to start fresh. The returned status
+// carries the worker-local job ID. Re-execution on the next worker is
+// safe because results are a deterministic function of the
+// configuration, and a worker that lacks the key's warm checkpoint
+// simulates the warmup once.
 func (c *Coordinator) place(ctx context.Context, key string, spec service.JobSpec, tried map[string]bool) (service.JobStatus, *Worker, error) {
 	if tried == nil {
 		tried = make(map[string]bool)
@@ -89,7 +88,6 @@ func (c *Coordinator) place(ctx context.Context, key string, spec service.JobSpe
 			}
 			return service.JobStatus{}, nil, ErrNoWorkers
 		}
-		c.prefetchCheckpoint(ctx, w, key)
 		st, err := w.Client.Submit(ctx, spec)
 		switch {
 		case err == nil:

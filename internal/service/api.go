@@ -69,12 +69,6 @@ type HealthPayload struct {
 	// the host may be empty — clients fill it from the base URL). Absent
 	// when no wire listener is serving.
 	WireAddr string `json:"wire_addr,omitempty"`
-	// Checkpoints lists the warm-checkpoint digests this server can
-	// serve via GET /v1/checkpoints/{digest} (sorted; absent when warm
-	// starts are off). The cluster registry mirrors these from probes
-	// and heartbeats so failover placements know where to fetch a warm
-	// state from.
-	Checkpoints []string `json:"checkpoints,omitempty"`
 }
 
 // NewHandler exposes a Pool over HTTP/JSON: the five job routes of
@@ -87,9 +81,6 @@ type HealthPayload struct {
 //	GET  /v1/jobs/{id}/trace  the job's spans as Chrome trace JSON
 //	GET  /v1/healthz          the server's self-description
 //	                          (HealthPayload)
-//	GET  /v1/checkpoints/{digest}  raw warm checkpoint bytes (404 when
-//	                          not held); POST /v1/checkpoints/fetch pulls
-//	                          a digest from listed peer sources
 //	GET  /metrics             Prometheus text exposition
 func NewHandler(p *Pool) http.Handler {
 	return NewHandlerInfo(p, ServerInfo{})
@@ -117,8 +108,6 @@ func NewHandlerInfo(p *Pool, info ServerInfo) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
 	mux.HandleFunc("POST /v1/batch", s.batch)
 	mux.HandleFunc("GET /v1/healthz", s.healthz)
-	mux.HandleFunc("GET /v1/checkpoints/{digest}", s.checkpoint)
-	mux.HandleFunc("POST /v1/checkpoints/fetch", s.checkpointFetch)
 	mux.HandleFunc("GET /metrics", MetricsHandler(info.Metrics))
 	return mux
 }
@@ -293,69 +282,6 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, exp)
-}
-
-// checkpoint serves a warm checkpoint's raw bytes by digest — the
-// transfer path a failover placement uses to avoid re-simulating a
-// warmup the dead worker's peers already hold.
-func (s *server) checkpoint(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	data, ok := s.pool.WarmCheckpoint(digest)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no checkpoint %s", digest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-// checkpointFetchRequest asks a server to pull a warm checkpoint from
-// one of the listed peer base URLs (tried in order).
-type checkpointFetchRequest struct {
-	Digest  string   `json:"digest"`
-	Sources []string `json:"sources"`
-}
-
-// checkpointFetchResponse reports whether the digest is now held
-// locally and which source supplied it ("" when it was already local).
-type checkpointFetchResponse struct {
-	Fetched bool   `json:"fetched"`
-	Source  string `json:"source,omitempty"`
-}
-
-func (s *server) checkpointFetch(w http.ResponseWriter, r *http.Request) {
-	var req checkpointFetchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid fetch request: %v", err)
-		return
-	}
-	if req.Digest == "" {
-		WriteError(w, http.StatusBadRequest, "missing digest")
-		return
-	}
-	if _, ok := s.pool.WarmCheckpoint(req.Digest); ok {
-		WriteJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: true})
-		return
-	}
-	for _, src := range req.Sources {
-		c := NewClient(src)
-		data, ok, err := c.Checkpoint(r.Context(), req.Digest)
-		c.Close()
-		if err != nil || !ok {
-			continue // dead or checkpoint-less peer: try the next source
-		}
-		if err := s.pool.InstallWarmCheckpoint(req.Digest, data); err != nil {
-			WriteError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: true, Source: src})
-		return
-	}
-	WriteJSON(w, http.StatusOK, checkpointFetchResponse{Fetched: false})
 }
 
 // batch executes a whole sweep in one request. SSE clients (Accept:

@@ -241,51 +241,6 @@ func (c *Client) Health(ctx context.Context) (HealthPayload, error) {
 	return h, nil
 }
 
-// Checkpoint fetches a warm checkpoint's raw bytes by digest. ok=false
-// means the server does not hold it (not an error).
-func (c *Client) Checkpoint(ctx context.Context, digest string) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.requestTimeout())
-	defer cancel()
-	ctx = traceConns(ctx)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/checkpoints/"+digest, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("service: %s: checkpoint: %w", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		return nil, false, nil
-	}
-	if resp.StatusCode >= 400 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return nil, false, c.apiError(resp.StatusCode, resp.Status, data)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, false, fmt.Errorf("service: %s: checkpoint: %w", c.base, err)
-	}
-	return data, true, nil
-}
-
-// FetchCheckpoint asks the server to pull a checkpoint digest from the
-// listed peer base URLs (POST /v1/checkpoints/fetch). It returns
-// whether the server now holds the digest.
-func (c *Client) FetchCheckpoint(ctx context.Context, digest string, sources []string) (bool, error) {
-	body, err := json.Marshal(checkpointFetchRequest{Digest: digest, Sources: sources})
-	if err != nil {
-		return false, err
-	}
-	var resp checkpointFetchResponse
-	if err := c.doJSON(ctx, http.MethodPost, c.base+"/v1/checkpoints/fetch", body, &resp); err != nil {
-		return false, err
-	}
-	return resp.Fetched, nil
-}
-
 // Wait polls until the job reaches a terminal state or ctx expires.
 // Each poll is individually bounded by RequestTimeout, so a worker that
 // hangs mid-wait yields an error instead of blocking forever.

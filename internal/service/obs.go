@@ -34,7 +34,6 @@ func RegisterPoolCollectors(reg *obs.Registry, p *Pool) {
 		g.Counter("bump_warm_hits_total", "Runs started from a restored warm checkpoint.", float64(st.Warm.Hits))
 		g.Counter("bump_warm_misses_total", "Runs that simulated their own warmup.", float64(st.Warm.Misses))
 		g.Counter("bump_warm_skipped_total", "Runs not warm-cacheable.", float64(st.Warm.Skipped))
-		g.Counter("bump_warm_installed_total", "Checkpoints installed from peers.", float64(st.Warm.Installed))
 		g.Counter("bump_warm_evicted_total", "Poisoned checkpoints purged after failed restores.", float64(st.Warm.Evicted))
 		g.Counter("bump_warm_fork_hits_total", "Runs restored from a checkpoint-tree node past warmup.", float64(st.Warm.ForkHits))
 		g.Counter("bump_warm_fork_misses_total", "Checkpoint-tree nodes built by extending the trunk.", float64(st.Warm.ForkMisses))

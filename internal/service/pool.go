@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"container/heap"
 	"context"
 	"errors"
@@ -64,9 +63,9 @@ type Options struct {
 	// WarmEntries bounds retained warm checkpoints (default 16).
 	WarmEntries int
 	// WarmBackend layers a durable tier (internal/blob) under the warm
-	// store: checkpoints spill to it, survive restarts, and become
-	// transferable to peers via /v1/checkpoints/{digest}. Implies
-	// WarmStarts when non-nil.
+	// store: checkpoints spill to it and survive restarts, so a pool
+	// reopened on the same store restores its warmups instead of
+	// re-simulating them. Implies WarmStarts when non-nil.
 	WarmBackend sim.WarmBackend
 	// Metrics, when non-nil, registers the pool's series on the given
 	// registry: phase-latency histograms updated on the job path, plus
@@ -463,46 +462,10 @@ func (p *Pool) Stats() PoolStats {
 // listener.
 func (p *Pool) Health(wireAddr string) HealthPayload {
 	return HealthPayload{
-		Status:      "ok",
-		Version:     snapshot.FormatVersion,
-		WireAddr:    wireAddr,
-		Checkpoints: p.WarmKeys(),
+		Status:   "ok",
+		Version:  snapshot.FormatVersion,
+		WireAddr: wireAddr,
 	}
-}
-
-// WarmKeys lists the warm-checkpoint digests this pool can serve (the
-// memory tier plus any durable backend), sorted — advertised in
-// heartbeats so peers know where to fetch a checkpoint from. Nil when
-// warm starts are off.
-func (p *Pool) WarmKeys() []string {
-	if p.warm == nil {
-		return nil
-	}
-	return p.warm.Keys()
-}
-
-// WarmCheckpoint returns the raw warm checkpoint for a digest, served
-// by GET /v1/checkpoints/{digest}.
-func (p *Pool) WarmCheckpoint(key string) ([]byte, bool) {
-	if p.warm == nil {
-		return nil, false
-	}
-	return p.warm.Checkpoint(key)
-}
-
-// InstallWarmCheckpoint publishes a checkpoint transferred from a peer:
-// the bytes are validated as a well-formed snapshot container before
-// they can satisfy any run. The digest key is trusted from the caller —
-// WarmKey digests are config hashes, not content hashes.
-func (p *Pool) InstallWarmCheckpoint(key string, data []byte) error {
-	if p.warm == nil {
-		return errors.New("service: warm starts are disabled")
-	}
-	if _, err := snapshot.NewReader(bytes.NewReader(data)); err != nil {
-		return fmt.Errorf("service: checkpoint %s: %w", key, err)
-	}
-	p.warm.Install(key, data)
-	return nil
 }
 
 // Close shuts the pool down: queued jobs are canceled, running jobs'

@@ -2,11 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"bump/internal/blob"
 	"bump/internal/sim"
 )
 
@@ -326,6 +328,63 @@ func TestWarmSweepReusesCheckpoint(t *testing.T) {
 	}
 	if st.Warm.WarmupCyclesReused != (points-1)*base.WarmupCycles {
 		t.Errorf("reused %d warmup cycles, want %d", st.Warm.WarmupCyclesReused, (points-1)*base.WarmupCycles)
+	}
+}
+
+// TestRestartedPoolRestoresFromBlobStore: a pool backed by a blob
+// directory spills its warm checkpoint there, so a fresh pool reopened
+// on the same directory (a bumpd restarted with the same -warm-dir)
+// restores the warmup instead of simulating it, and answers exactly as
+// one warm pool running the whole sweep does.
+func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	point := func(streak int) JobSpec {
+		s := specFixture()
+		s.MaxRowHitStreak = streak
+		return s
+	}
+
+	bs, err := blob.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NewPool(Options{Workers: 1, WarmBackend: bs, ProgressInterval: 5_000})
+	if _, err := first.Run(ctx, point(0)); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	bs.Close()
+
+	reopened, err := blob.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reopened.Close)
+	restarted := newTestPool(t, Options{Workers: 1, WarmBackend: reopened})
+	got, err := restarted.Run(ctx, point(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := restarted.Stats().Warm; st.Hits != 1 || st.WarmupCyclesSimulated != 0 {
+		t.Fatalf("restarted pool: %d warm hits, %d warmup cycles simulated; want 1 hit and none", st.Hits, st.WarmupCyclesSimulated)
+	}
+
+	ref := newTestPool(t, Options{Workers: 1, WarmStarts: true})
+	want, err := ref.Run(ctx, point(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotJSON) != string(wantJSON) {
+		t.Error("restored run diverges from a single warm pool's result")
 	}
 }
 

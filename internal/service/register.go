@@ -39,18 +39,17 @@ func (c *Client) Register(ctx context.Context, req RegisterRequest) (RegisterRes
 	return resp, nil
 }
 
-// HeartbeatFunc registers immediately and then re-registers every
-// interval until ctx is canceled, building each beat's request with
-// reqFn (the warm-checkpoint digests a worker advertises change over
-// its lifetime). Failures are reported to report (may be nil) and
-// retried on the next tick — a worker outliving a coordinator restart
-// re-joins the fresh coordinator by just continuing to beat.
-func (c *Client) HeartbeatFunc(ctx context.Context, reqFn func() RegisterRequest, interval time.Duration, report func(RegisterResponse, error)) {
+// Heartbeat registers req immediately and then re-registers it every
+// interval until ctx is canceled. Failures are reported to report (may
+// be nil) and retried on the next tick — a worker outliving a
+// coordinator restart re-joins the fresh coordinator by just continuing
+// to beat.
+func (c *Client) Heartbeat(ctx context.Context, req RegisterRequest, interval time.Duration, report func(RegisterResponse, error)) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
 	beat := func() {
-		resp, err := c.Register(ctx, reqFn())
+		resp, err := c.Register(ctx, req)
 		if report != nil && ctx.Err() == nil {
 			report(resp, err)
 		}

@@ -242,17 +242,6 @@ func (b *forkFakeBackend) Delete(key string) {
 	b.deletes++
 }
 
-func (b *forkFakeBackend) Keys() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keys := make([]string, 0, len(b.m))
-	for k := range b.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestWarmStorePoisonedCheckpointRecovers is the key-poisoning
 // regression test: a cached checkpoint whose restore fails must be
 // evicted from the memory tier AND the backend, the run must fall

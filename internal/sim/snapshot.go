@@ -81,8 +81,8 @@ const forkNodeVersion = "bump-warmtree-v1"
 // ForkNodeKey returns the checkpoint-tree node key for cfg's canonical
 // trunk at the given cut cycle. Cuts at or before the warmup boundary
 // collapse onto the tree root — the plain WarmKey — so warmup-end
-// checkpoints keep their established digest across replication,
-// heartbeat advertisement and the blob tier. Deeper nodes get their own
+// checkpoints keep their established digest in the memory and blob
+// tiers and as the cluster's affinity key. Deeper nodes get their own
 // content address over (structural digest, cut). Keys are lowercase
 // hex, blob-store safe. ok is false when cfg is not warm-cacheable.
 func ForkNodeKey(cfg Config, cut uint64) (key string, ok bool) {

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 )
@@ -28,9 +27,6 @@ type WarmStats struct {
 	// checkpoint instead.
 	WarmupCyclesSimulated uint64 `json:"warmup_cycles_simulated"`
 	WarmupCyclesReused    uint64 `json:"warmup_cycles_reused"`
-	// Installed counts checkpoints published from outside the store —
-	// transferred from a peer worker instead of simulated locally.
-	Installed uint64 `json:"installed"`
 
 	// ForkHits counts runs that restored a checkpoint-tree node cut
 	// past the warmup boundary; ForkMisses counts tree nodes built by
@@ -61,7 +57,6 @@ type WarmBackend interface {
 	// checkpoints whose restore failed, so poisoned bytes cannot
 	// satisfy (and fail) every future run of the key.
 	Delete(key string)
-	Keys() []string
 }
 
 // WarmStore caches canonical trunk checkpoints keyed by ForkNodeKey —
@@ -90,8 +85,7 @@ func NewWarmStore(max int) *WarmStore {
 
 // NewWarmStoreBacked returns a store layered over a durable backend:
 // misses fall through to it before simulating, and published
-// checkpoints are written through so they survive restarts and can be
-// transferred to peers.
+// checkpoints are written through so they survive restarts.
 func NewWarmStoreBacked(max int, backend WarmBackend) *WarmStore {
 	if max <= 0 {
 		max = 16
@@ -130,8 +124,8 @@ func (ws *WarmStore) putLocked(key string, data []byte, spill bool) {
 	ws.entries[key] = data
 	ws.order = append(ws.order, key)
 	if spill && ws.backend != nil {
-		// Best effort: a full or failing blob store degrades durability
-		// and transfer, never the simulation itself.
+		// Best effort: a full or failing blob store degrades durability,
+		// never the simulation itself.
 		_ = ws.backend.Put(key, data)
 	}
 }
@@ -171,21 +165,6 @@ func (ws *WarmStore) evict(key string) {
 	ws.stats.Evicted++
 }
 
-// Install publishes a checkpoint transferred from a peer (see
-// /v1/checkpoints/{digest}): it satisfies future runs exactly like a
-// locally simulated warmup and wakes any single-flight waiters, which
-// then restore instead of warming. The caller is responsible for
-// validating the bytes first.
-func (ws *WarmStore) Install(key string, data []byte) {
-	ws.mu.Lock()
-	ws.putLocked(key, data, true)
-	ws.stats.Installed++
-	ws.mu.Unlock()
-	// Waking waiters is safe even while a leader is mid-warmup: retries
-	// find the entry and restore; the leader's own publish is a no-op.
-	ws.release(key)
-}
-
 // publish installs a locally produced tree node and wakes any
 // single-flight waiters on its key.
 func (ws *WarmStore) publish(key string, data []byte) {
@@ -198,30 +177,6 @@ func (ws *WarmStore) Checkpoint(key string) ([]byte, bool) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.lookupLocked(key)
-}
-
-// Keys lists every warm key currently satisfiable — the memory tier
-// plus the backend — sorted, for heartbeat advertisement. Tree nodes
-// appear alongside warmup-end roots; both replicate and transfer the
-// same way.
-func (ws *WarmStore) Keys() []string {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	set := make(map[string]struct{}, len(ws.entries))
-	for k := range ws.entries {
-		set[k] = struct{}{}
-	}
-	if ws.backend != nil {
-		for _, k := range ws.backend.Keys() {
-			set[k] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // release wakes any waiters for key's in-flight warmup. Idempotent.
@@ -266,9 +221,9 @@ func (ws *WarmStore) Run(cfg Config) (Result, error) {
 	return ws.RunWithHooks(cfg, Hooks{})
 }
 
-// errWarmCheckpointed aborts a trunk run once its checkpoint has been
+// errNodeCaptured aborts a trunk run once its checkpoint has been
 // captured (at warmup end for the root, at the cut for deeper nodes).
-var errWarmCheckpointed = errors.New("sim: warm checkpoint captured")
+var errNodeCaptured = errors.New("sim: warm checkpoint captured")
 
 // parentCut returns the deepest cut strictly below `cut` on cfg's trunk
 // chain — the warmup boundary when no configured fork cycle precedes
@@ -355,9 +310,9 @@ func (ws *WarmStore) buildNode(cfg Config, cut uint64, h Hooks) ([]byte, error) 
 			if err := s.Snapshot(&ck); err != nil {
 				return err
 			}
-			return errWarmCheckpointed
+			return errNodeCaptured
 		}
-		if _, err = s.RunWithHooks(hk); !errors.Is(err, errWarmCheckpointed) {
+		if _, err = s.RunWithHooks(hk); !errors.Is(err, errNodeCaptured) {
 			if err == nil {
 				// Unreachable for cacheable configs (WarmupCycles > 0),
 				// but never let a warm-store bug silently drop a run.
@@ -403,9 +358,9 @@ func (ws *WarmStore) buildNode(cfg Config, cut uint64, h Hooks) ([]byte, error) 
 			if err := s.Snapshot(&ck); err != nil {
 				return err
 			}
-			return errWarmCheckpointed
+			return errNodeCaptured
 		}
-		if _, err = s.RunWithHooks(hk); !errors.Is(err, errWarmCheckpointed) {
+		if _, err = s.RunWithHooks(hk); !errors.Is(err, errNodeCaptured) {
 			if err == nil {
 				err = errors.New("sim: trunk run passed its cut without checkpointing")
 			}
