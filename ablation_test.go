@@ -1,5 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out and the
-// scalability claims of the paper's Section VI. These go beyond the
+// Ablation benchmarks for the design choices of the components listed in
+// the "Repository layout" section of README.md, and for the scalability
+// claims of the paper's Section VI. These go beyond the
 // paper's figures: they vary one structural parameter at a time and
 // report the metric that parameter is supposed to move.
 package bump

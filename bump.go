@@ -21,8 +21,8 @@
 //	if err != nil { ... }
 //	fmt.Printf("row-buffer hit ratio: %.1f%%\n", 100*res.RowHitRatio())
 //
-// See examples/ for runnable programs and DESIGN.md for the system
-// inventory.
+// See examples/ for runnable programs and the "Repository layout"
+// section of README.md for the system inventory.
 package bump
 
 import (

@@ -7,7 +7,6 @@
 //	bumpsim -workload web-search -mechanism bump
 //	bumpsim -params                     # print Table II/III constants
 //	bumpsim -workload data-serving -mechanism full-region -measure 4000000
-//	bumpsim -trace trace.gob -mechanism bump   # replay a tracegen capture
 //	bumpsim -scenario phase-swap -mechanism bump        # built-in scenario
 //	bumpsim -scenario my-scenario.json -mechanism bump  # scenario file
 //
@@ -32,7 +31,6 @@ import (
 	"bump/internal/scenario"
 	"bump/internal/sim"
 	"bump/internal/stats"
-	"bump/internal/trace"
 )
 
 func main() {
@@ -42,7 +40,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "deterministic seed")
 		warmup       = flag.Uint64("warmup", 0, "warmup cycles (0 = default)")
 		measure      = flag.Uint64("measure", 0, "measurement cycles (0 = default)")
-		tracePath    = flag.String("trace", "", "replay a tracegen trace file on every core instead of the synthetic generators")
 		scenarioName = flag.String("scenario", "", "multi-phase multi-tenant scenario driving the streams: a built-in name (consolidated, diurnal-shift, phase-swap, bursty-writer) or a JSON spec file; replaces -workload")
 		params       = flag.Bool("params", false, "print the architectural (Table II) and energy (Table III) parameters and exit")
 		ckptSave     = flag.String("checkpoint-save", "", "write a warmup-end checkpoint to this file")
@@ -55,22 +52,6 @@ func main() {
 		return
 	}
 
-	// With -trace, the trace's recorded workload names the preset (for
-	// identification and parameter validation); -workload is only the
-	// fallback when the trace predates the preset catalogue.
-	var tr *trace.Trace
-	if *tracePath != "" {
-		var err error
-		tr, err = trace.ReadFile(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bumpsim: %v\n", err)
-			os.Exit(1)
-		}
-		if tw, ok := bump.WorkloadByName(tr.Workload); ok {
-			*workloadName = tw.Name
-		}
-	}
-
 	m, ok := sim.MechanismByName(*mechName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "bumpsim: unknown mechanism %q\n", *mechName)
@@ -79,10 +60,6 @@ func main() {
 
 	var cfg bump.Config
 	if *scenarioName != "" {
-		if tr != nil {
-			fmt.Fprintln(os.Stderr, "bumpsim: -scenario cannot be combined with -trace")
-			os.Exit(2)
-		}
 		sc, err := scenario.Resolve(*scenarioName, bump.DefaultConfig(m, bump.Workload{}).Cores)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bumpsim: %v\n", err)
@@ -106,16 +83,6 @@ func main() {
 	}
 	if *measure > 0 {
 		cfg.MeasureCycles = *measure
-	}
-	if tr != nil {
-		streams, err := tr.Streams()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bumpsim: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Streams = streams
-		fmt.Printf("replaying %s (%d accesses, core %d, seed %d) on all %d cores\n",
-			*tracePath, len(tr.Accesses), tr.Core, tr.Seed, cfg.Cores)
 	}
 
 	res, err := runWithCheckpoints(cfg, *ckptSave, *ckptLoad)

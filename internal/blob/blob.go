@@ -166,15 +166,18 @@ func (s *Store) Put(key string, data []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("blob: write %s: %w", key, fmt.Errorf("%v; %v", werr, cerr))
 	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("blob: %w", err)
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok && !e.dead {
+		os.Remove(tmp.Name())
 		return nil // concurrent identical put won the race
+	}
+	// Rename under the lock, so no deferred delete can remove the file
+	// between the rename and the index update below.
+	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("blob: %w", err)
 	}
 	s.clock++
 	s.entries[key] = &entry{size: int64(len(data)), seq: s.clock}
@@ -219,22 +222,27 @@ func (s *Store) evictLocked(keep string) {
 func (s *Store) decRefLocked(key string, e *entry) {
 	e.refs--
 	if e.refs == 0 && e.dead {
-		if cur, ok := s.entries[key]; ok && cur == e {
-			delete(s.entries, key)
-		}
-		os.Remove(s.path(key))
+		s.unlinkLocked(key, e)
 	}
 }
 
 // dropLocked removes a live entry whose file turned out to be
 // unreadable (deleted or corrupted out of band).
 func (s *Store) dropLocked(key string, e *entry) {
-	if cur, ok := s.entries[key]; ok && cur == e {
-		delete(s.entries, key)
-		if !e.dead {
-			s.bytes -= e.size
-		}
+	if !e.dead && s.entries[key] == e {
+		s.bytes -= e.size
 	}
+	s.unlinkLocked(key, e)
+}
+
+// unlinkLocked unindexes e and deletes key's file. A different entry
+// indexed under key is a live replacement that a concurrent Put
+// indexed after e died; the file is then the replacement's and stays.
+func (s *Store) unlinkLocked(key string, e *entry) {
+	if cur, ok := s.entries[key]; ok && cur != e {
+		return
+	}
+	delete(s.entries, key)
 	os.Remove(s.path(key))
 }
 

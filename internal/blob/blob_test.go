@@ -87,6 +87,38 @@ func TestEvictionSparesInFlightRead(t *testing.T) {
 	}
 }
 
+// TestDeferredDeleteSparesLiveReplacement: a Put that began before a
+// key's entry existed re-indexes the key under a fresh entry once that
+// entry is dead. When the dead entry's last reader then finishes, its
+// deferred delete must leave the replacement's file in place.
+func TestDeferredDeleteSparesLiveReplacement(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 1<<20)
+	data := []byte("checkpoint bytes")
+	if err := s.Put(key(0), data); err != nil {
+		t.Fatal(err)
+	}
+	// Take the reference Get holds across its file read.
+	s.mu.Lock()
+	e := s.entries[key(0)]
+	e.refs++
+	s.mu.Unlock()
+
+	s.Delete(key(0)) // marks the read entry dead
+
+	// Put's second half: its file is in place and the indexed entry is
+	// dead, so it indexes a fresh one.
+	s.mu.Lock()
+	s.clock++
+	s.entries[key(0)] = &entry{size: int64(len(data)), seq: s.clock}
+	s.bytes += int64(len(data))
+	s.decRefLocked(key(0), e) // the read finishes
+	s.mu.Unlock()
+
+	if got, ok := s.Get(key(0)); !ok || !bytes.Equal(got, data) {
+		t.Fatalf("live replacement lost its file: ok=%v %q", ok, got)
+	}
+}
+
 // TestReopenRebuildsIndex: a restart re-indexes the directory — every
 // live blob is served again, torn temp files are swept, and the LRU
 // budget still holds.

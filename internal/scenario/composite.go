@@ -65,7 +65,7 @@ const phaseSeedStride = 15485863 // the 1,000,000th prime
 // its timeline's phases in order (looping when Repeat), drawing each
 // phase from a freshly seeded workload.Generator. The entire stream is a
 // deterministic function of (Timeline, seed, draw count), which makes
-// Seekable checkpointing exact: StreamPos is the draw count, and
+// checkpointing exact: StreamPos is the draw count, and
 // SeekStream rebuilds only the phase the position lands in.
 type Composite struct {
 	tl   Timeline
@@ -165,10 +165,10 @@ func (c *Composite) Phase() int {
 	}
 }
 
-// StreamPos implements workload.Seekable: total accesses drawn.
+// StreamPos implements workload.Stream: total accesses drawn.
 func (c *Composite) StreamPos() uint64 { return c.calls }
 
-// SeekStream implements workload.Seekable. Completed access-bounded
+// SeekStream implements workload.Stream. Completed access-bounded
 // phases are skipped arithmetically — their generators are never built,
 // because each phase's sequence depends only on (params, phase seed) —
 // so seek cost is proportional to the draws inside task-bounded phases
@@ -191,7 +191,7 @@ func (c *Composite) SeekStream(pos uint64) error {
 	return nil
 }
 
-// StreamFingerprint implements workload.Seekable: a canonical digest of
+// StreamFingerprint implements workload.Stream: a canonical digest of
 // the resolved timeline and seed. Two composites fingerprint equal iff
 // every phase parameter, duration, the repeat flag and the seed agree,
 // so a checkpoint saved under one scenario can never silently resume

@@ -190,7 +190,7 @@ func TestScenarioTaskBoundedPhase(t *testing.T) {
 	}
 }
 
-// TestScenarioStreamConformance runs the shared Seekable-conformance
+// TestScenarioStreamConformance runs the shared stream-conformance
 // harness over composites whose split points cross several phase
 // boundaries — exercising both the draw-replay and the phase-skip paths
 // of SeekStream.
@@ -206,10 +206,9 @@ func TestScenarioStreamConformance(t *testing.T) {
 	}}
 	caseOf := func(name string, tl Timeline, seed, otherSeed int64) streamtest.Case {
 		return streamtest.Case{
-			Name:     name,
-			New:      func() (workload.Stream, error) { return NewComposite(tl, seed) },
-			Other:    func() (workload.Stream, error) { return NewComposite(tl, otherSeed) },
-			MaxSplit: 20000,
+			Name:  name,
+			New:   func() (workload.Stream, error) { return NewComposite(tl, seed) },
+			Other: func() (workload.Stream, error) { return NewComposite(tl, otherSeed) },
 		}
 	}
 	streamtest.Run(t, []streamtest.Case{

@@ -15,9 +15,9 @@
 // ones.
 //
 // The executable form is Composite (composite.go): a phase-aware
-// workload.Stream that is fully deterministic per seed and implements
-// workload.Seekable, so PR 3's snapshot/warm-start machinery works on
-// scenario runs unchanged.
+// workload.Stream that is fully deterministic per seed, so the
+// simulator's snapshot and warm-start machinery works on scenario runs
+// unchanged.
 package scenario
 
 import (

@@ -64,11 +64,10 @@ const MaxBatchPoints = 4096
 // sees the shallow builders lead and the branches park as waiters,
 // instead of an arbitrary point racing to rebuild an ancestor another
 // point is already simulating. Only a spec that does not resolve to a
-// valid configuration (an unknown workload, say) has no warm identity: a
-// JobSpec carries no custom streams, and a zero warmup selects the
-// default window. Such points keep their relative order at the end. The
-// result is a permutation of spec indices; per-point results are still
-// reported by original index.
+// valid configuration (an unknown workload, say) has no warm identity,
+// since a zero warmup selects the default window. Such points keep their
+// relative order at the end. The result is a permutation of spec
+// indices; per-point results are still reported by original index.
 func planBatch(spec BatchSpec) []int {
 	type pt struct {
 		idx int

@@ -2,16 +2,10 @@ package service
 
 import (
 	"encoding/hex"
-	"errors"
 
 	"bump/internal/sim"
 	"bump/internal/snapshot"
 )
-
-// ErrNotHashable marks configurations whose identity cannot be captured
-// by value — today, configs carrying a Streams hook (the stream is code,
-// not data, so two hooks can never be proven equivalent).
-var ErrNotHashable = errors.New("service: config with custom Streams is not hashable")
 
 // hashVersion is bumped whenever the canonical encoding (or the meaning
 // of an encoded field) changes, so stale cached results can never be
@@ -35,9 +29,6 @@ const hashVersion = "bump-config-v6"
 // a field to any config struct automatically changes the hash space (no
 // silently-unhashed knobs).
 func Hash(cfg sim.Config) (string, error) {
-	if cfg.Streams != nil {
-		return "", ErrNotHashable
-	}
 	sum, err := snapshot.CanonicalDigestAt(hashVersion, "cfg", cfg)
 	if err != nil {
 		return "", err

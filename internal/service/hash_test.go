@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -76,14 +75,6 @@ func TestHashIgnoresSchedulingFields(t *testing.T) {
 	}
 }
 
-func TestHashRejectsStreams(t *testing.T) {
-	cfg := sim.DefaultConfig(sim.BuMP, workload.WebSearch())
-	cfg.Streams = func(core int) workload.Stream { return nil }
-	if _, err := Hash(cfg); !errors.Is(err, ErrNotHashable) {
-		t.Fatalf("Hash with Streams: got %v, want ErrNotHashable", err)
-	}
-}
-
 func TestHashCoversEveryConfigField(t *testing.T) {
 	// The canonical encoder walks the config reflectively, so a freshly
 	// added field is hashed automatically — but only if it is exported
@@ -134,11 +125,6 @@ func referenceCanonical(w io.Writer, v reflect.Value, path string) error {
 			if err := referenceCanonical(w, v.Field(i), path+"."+f.Name); err != nil {
 				return err
 			}
-		}
-		return nil
-	case reflect.Func:
-		if !v.IsNil() {
-			return fmt.Errorf("service: config field %s holds code and cannot be hashed", path)
 		}
 		return nil
 	case reflect.Slice, reflect.Array:

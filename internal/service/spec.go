@@ -15,8 +15,7 @@ import (
 
 // JobSpec is the wire-format description of one simulation job. It names
 // a workload preset and mechanism plus the deltas from the paper's
-// Table II defaults, so specs stay small, serialisable and hashable
-// (unlike a raw sim.Config, whose Streams hook is code).
+// Table II defaults, so specs stay small and serialisable.
 type JobSpec struct {
 	// Workload is a preset name (e.g. "web-search"); Mechanism is a
 	// mechanism name (e.g. "bump", "base-open").

@@ -128,18 +128,13 @@ type Config struct {
 	Workload workload.Params
 	// Scenario, when non-empty, drives the per-core streams with a
 	// multi-phase, multi-tenant composition of presets instead of the
-	// single stationary Workload (which must then be left zero).
-	// Unlike a Streams hook the scenario is pure data, so the service
-	// config hash, the snapshot structural digest and the warm-checkpoint
-	// key all cover it: scenario runs cache, checkpoint and warm-share
-	// exactly like stationary ones.
+	// single stationary Workload (which must then be left zero). Like
+	// the workload it is pure data, so the service config hash, the
+	// snapshot structural digest and the warm-checkpoint key all cover
+	// it: scenario runs cache, checkpoint and warm-share exactly like
+	// stationary ones.
 	Scenario scenario.Spec
-	// Streams optionally overrides the per-core access streams (e.g.
-	// trace replay); when set it must return a stream for every core
-	// index. Workload is still used for identification and validation.
-	// Mutually exclusive with Scenario.
-	Streams func(core int) workload.Stream
-	Seed    int64
+	Seed     int64
 
 	// Measurement windows in CPU cycles.
 	WarmupCycles  uint64
@@ -239,9 +234,6 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Scenario.Enabled() {
-		if c.Streams != nil {
-			return fmt.Errorf("sim: Scenario and Streams are mutually exclusive")
-		}
 		if c.Workload != (workload.Params{}) {
 			return fmt.Errorf("sim: scenario runs must leave Workload zero (the scenario names its workloads)")
 		}

@@ -177,8 +177,8 @@ func TestScenarioWarmSweepOneWarmup(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigValidation: the scenario/workload/streams exclusivity
-// rules, and the workload label.
+// TestScenarioConfigValidation: the scenario/workload exclusivity rule,
+// the core-range check, and the workload label.
 func TestScenarioConfigValidation(t *testing.T) {
 	cfg := smallScenarioConfig(BuMP, testSwapSpec(), 1)
 	if err := cfg.Validate(); err != nil {
@@ -192,14 +192,6 @@ func TestScenarioConfigValidation(t *testing.T) {
 	withWorkload.Workload = workload.WebSearch()
 	if withWorkload.Validate() == nil {
 		t.Error("scenario config with a non-zero Workload accepted")
-	}
-	withStreams := cfg
-	withStreams.Streams = func(core int) workload.Stream {
-		g, _ := workload.NewGenerator(workload.WebSearch(), 1)
-		return g
-	}
-	if withStreams.Validate() == nil {
-		t.Error("scenario config with a Streams hook accepted")
 	}
 	tooFewCores := cfg
 	tooFewCores.Cores = 2 // spec claims cores 0-3

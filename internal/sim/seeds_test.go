@@ -3,18 +3,8 @@ package sim
 import (
 	"testing"
 
-	"bump/internal/mem"
 	"bump/internal/workload"
 )
-
-// recordStream materialises the first n accesses of a stream.
-func recordStream(s workload.Stream, n int) []mem.Access {
-	out := make([]mem.Access, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out
-}
 
 func TestRunSeedsParallelAndOrdered(t *testing.T) {
 	cfg := fastConfig(BaseOpen, workload.WebSearch())
@@ -81,57 +71,5 @@ func TestAggregateResults(t *testing.T) {
 	}
 	if a.RowHitRatio < min || a.RowHitRatio > max {
 		t.Errorf("mean %.3f outside [%.3f, %.3f]", a.RowHitRatio, min, max)
-	}
-}
-
-func TestTraceReplayDrivesSimulator(t *testing.T) {
-	// Record per-core traces from the generator, then drive the
-	// simulator from the recordings: results must match the
-	// generator-driven run exactly (the replay is a faithful stand-in).
-	w := workload.WebSearch()
-	cfg := fastConfig(BaseOpen, w)
-	cfg.MeasureCycles = 200_000
-	direct, err := RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const traceLen = 200_000 // long enough that the replay never wraps
-	cfg2 := cfg
-	cfg2.Streams = func(core int) workload.Stream {
-		gen, err := workload.NewGenerator(w, cfg.Seed+int64(core)*7919)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := workload.NewReplay(recordStream(gen, traceLen))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rp
-	}
-	replayed, err := RunOne(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.DRAM != replayed.DRAM || direct.Instructions != replayed.Instructions {
-		t.Error("trace replay must reproduce the generator-driven run")
-	}
-}
-
-func TestReplayWrapsAround(t *testing.T) {
-	g, _ := workload.NewGenerator(workload.WebSearch(), 1)
-	rec := recordStream(g, 10)
-	rp, err := workload.NewReplay(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		rp.Next()
-	}
-	if rp.Next() != rec[0] {
-		t.Error("replay must wrap to the start")
-	}
-	if _, err := workload.NewReplay(nil); err == nil {
-		t.Error("empty trace must be rejected")
 	}
 }

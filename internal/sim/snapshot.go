@@ -13,7 +13,6 @@ import (
 	"bump/internal/memctrl"
 	"bump/internal/prefetch"
 	"bump/internal/snapshot"
-	"bump/internal/workload"
 )
 
 // structuralDigestVersion versions the structural-compatibility check.
@@ -43,17 +42,9 @@ const (
 // machine. The walk covers Config itself, with those fields zeroed, so a
 // new Config field joins the digest automatically.
 func structuralDigest(cfg Config) ([32]byte, error) {
-	prefix := structuralDigestVersion
-	if cfg.Streams != nil {
-		// Code has no canonical value: the digest records only that the
-		// streams were custom. Callers restoring such snapshots must
-		// supply the same streams themselves.
-		prefix += "+custom-streams"
-	}
 	cfg.MeasureCycles, cfg.MaxRowHitStreak = 0, 0
 	cfg.ForkAt, cfg.ForkCycles = 0, nil
-	cfg.Streams = nil
-	return snapshot.CanonicalDigest(prefix, cfg)
+	return snapshot.CanonicalDigest(structuralDigestVersion, cfg)
 }
 
 // latePrefix names the measured-parameter trajectory the simulated
@@ -89,7 +80,7 @@ func ForkNodeKey(cfg Config, cut uint64) (key string, ok bool) {
 	if cut <= cfg.WarmupCycles {
 		return WarmKey(cfg)
 	}
-	if cfg.Streams != nil || cfg.WarmupCycles == 0 {
+	if cfg.WarmupCycles == 0 {
 		return "", false
 	}
 	sd, err := structuralDigest(cfg)
@@ -108,10 +99,10 @@ func ForkNodeKey(cfg Config, cut uint64) (key string, ok bool) {
 
 // WarmKey returns the warm-checkpoint cache key for cfg: configurations
 // with equal keys share identical warmup trajectories and may restore
-// one another's warmup-end checkpoints. ok is false for configurations
-// that cannot be warm-cached (custom streams, no warmup window).
+// one another's warmup-end checkpoints. ok is false for a configuration
+// without a warmup window, which has no warmup-end state to share.
 func WarmKey(cfg Config) (key string, ok bool) {
-	if cfg.Streams != nil || cfg.WarmupCycles == 0 {
+	if cfg.WarmupCycles == 0 {
 		return "", false
 	}
 	d, err := structuralDigest(cfg)
@@ -277,12 +268,8 @@ func (s *System) writeState(w *snapshot.Writer) error {
 		w.U64(c.instructions)
 		w.Bool(c.armed)
 		c.l1.SnapshotTo(w)
-		seek, ok := c.stream.(workload.Seekable)
-		if !ok {
-			return fmt.Errorf("sim: snapshot: core %d stream %T is not checkpointable", c.id, c.stream)
-		}
-		w.U64(seek.StreamFingerprint())
-		w.U64(seek.StreamPos())
+		w.U64(c.stream.StreamFingerprint())
+		w.U64(c.stream.StreamPos())
 	}
 	return nil
 }
@@ -525,17 +512,14 @@ func (s *System) readState(r *snapshot.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		seek, ok := c.stream.(workload.Seekable)
-		if !ok {
-			return fmt.Errorf("sim: restore: core %d stream %T is not checkpointable", c.id, c.stream)
-		}
-		// The config digest cannot see inside a custom Streams hook, so
-		// the per-stream content fingerprint is what stops a checkpoint
-		// saved under one trace from silently resuming under another.
-		if got := seek.StreamFingerprint(); got != fp {
+		// The structural digest covers the parameters each stream is
+		// built from; the fingerprint checks the stream itself, so a
+		// checkpoint never resumes under a sequence other than the one
+		// it saved.
+		if got := c.stream.StreamFingerprint(); got != fp {
 			return fmt.Errorf("sim: restore: core %d stream carries a different access sequence than the checkpoint", c.id)
 		}
-		if err := seek.SeekStream(pos); err != nil {
+		if err := c.stream.SeekStream(pos); err != nil {
 			return err
 		}
 	}

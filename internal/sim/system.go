@@ -203,10 +203,7 @@ func New(cfg Config) (*System, error) {
 	s.cores = make([]*coreRunner, cfg.Cores)
 	for i := range s.cores {
 		var stream workload.Stream
-		switch {
-		case cfg.Streams != nil:
-			stream = cfg.Streams(i)
-		case cfg.Scenario.Enabled():
+		if cfg.Scenario.Enabled() {
 			tl, err := cfg.Scenario.TimelineFor(i)
 			if err != nil {
 				return nil, err
@@ -216,7 +213,7 @@ func New(cfg Config) (*System, error) {
 				return nil, err
 			}
 			stream = comp
-		default:
+		} else {
 			gen, err := workload.NewGenerator(cfg.Workload, workload.CoreSeed(cfg.Seed, i))
 			if err != nil {
 				return nil, err

@@ -17,7 +17,7 @@ type WarmStats struct {
 	// Hits counts runs started from a restored warm checkpoint; Misses
 	// counts runs that had to simulate their warmup (and published a
 	// checkpoint); Skipped counts runs that were not warm-cacheable
-	// (custom streams, zero warmup window).
+	// (zero warmup window).
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Skipped uint64 `json:"skipped"`

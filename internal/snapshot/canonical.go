@@ -15,9 +15,8 @@ import (
 // for the snapshot structural-compatibility check and the warm-checkpoint
 // key (config minus measured params). The walk's paths start at "v".
 //
-// Func-typed fields must be nil — code has no canonical value — and
-// maps, pointers, channels and interfaces are rejected so a new config
-// field can never be hashed non-deterministically by accident.
+// Funcs, maps, pointers, channels and interfaces are rejected so a new
+// config field can never be hashed non-deterministically by accident.
 func CanonicalDigest(prefix string, v any) ([32]byte, error) {
 	return CanonicalDigestAt(prefix, "v", v)
 }
@@ -68,11 +67,6 @@ func (b *canonBuf) write(v reflect.Value) error {
 			}
 		}
 		b.path = b.path[:n]
-		return nil
-	case reflect.Func:
-		if !v.IsNil() {
-			return fmt.Errorf("snapshot: config field %s holds code and cannot be digested", b.path)
-		}
 		return nil
 	case reflect.Slice, reflect.Array:
 		n := len(b.path)

@@ -3,15 +3,13 @@ package workload_test
 import (
 	"testing"
 
-	"bump/internal/mem"
 	"bump/internal/workload"
 	"bump/internal/workload/streamtest"
 )
 
 // TestSeekableConformance runs the shared stream-conformance harness
-// over the generator (two presets at the workload extremes) and the
-// trace replay stream. The scenario composite runs the same harness
-// from internal/scenario.
+// over the generator (two presets at the workload extremes). The
+// scenario composite runs the same harness from internal/scenario.
 func TestSeekableConformance(t *testing.T) {
 	genCase := func(name string, p workload.Params, seed, otherSeed int64) streamtest.Case {
 		return streamtest.Case{
@@ -22,43 +20,16 @@ func TestSeekableConformance(t *testing.T) {
 			Other: func() (workload.Stream, error) {
 				return workload.NewGenerator(p, otherSeed)
 			},
-			MaxSplit: 20000,
 		}
 	}
-
-	// A replay stream over a captured slice of a generator run. The
-	// trace is longer than MaxSplit+Tail so in-cycle positions never
-	// wrap during the harness checks.
-	const traceLen = 6000
-	capture := func(seed int64) []mem.Access {
-		g, err := workload.NewGenerator(workload.MediaStreaming(), seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]mem.Access, traceLen)
-		for i := range out {
-			out[i] = g.Next()
-		}
-		return out
-	}
-	trA, trB := capture(7), capture(8)
-
 	streamtest.Run(t, []streamtest.Case{
 		genCase("generator/web-search", workload.WebSearch(), 42, 43),
 		genCase("generator/software-testing", workload.SoftwareTesting(), 1, 2),
-		{
-			Name:     "replay/media-streaming-slice",
-			New:      func() (workload.Stream, error) { return workload.NewReplay(trA) },
-			Other:    func() (workload.Stream, error) { return workload.NewReplay(trB) },
-			MaxSplit: 4000,
-			Tail:     500,
-		},
 	})
 }
 
 // TestGeneratorFingerprintSeparatesParams: tweaked parameters under the
-// same preset name must not fingerprint equal — for custom stream hooks
-// this inequality is the only restore-time guard.
+// same preset name must not fingerprint equal.
 func TestGeneratorFingerprintSeparatesParams(t *testing.T) {
 	base, err := workload.NewGenerator(workload.WebSearch(), 1)
 	if err != nil {

@@ -27,107 +27,31 @@ import (
 	"bump/internal/snapshot"
 )
 
-// Stream produces an infinite access stream for one core.
+// Stream produces an infinite access stream for one core. A stream's
+// state is its position in a deterministic sequence, so a checkpoint
+// records StreamPos and a restore rebuilds the stream fresh and seeks it
+// forward.
 type Stream interface {
 	// Next returns the core's next memory access.
 	Next() mem.Access
-}
-
-// Seekable is the optional checkpointing interface a Stream may
-// implement: a stream's state is its position in a deterministic
-// sequence, so a checkpoint records StreamPos and a restore rebuilds the
-// stream fresh and seeks it forward. The simulator refuses to snapshot
-// configurations whose streams are not Seekable.
-type Seekable interface {
-	// StreamPos returns the number of accesses consumed so far (for
-	// cyclic streams, the canonical in-cycle position).
+	// StreamPos returns the number of accesses consumed so far.
 	StreamPos() uint64
 	// SeekStream advances a freshly constructed stream to pos. Seeking
 	// backwards (or to an impossible position) is an error.
 	SeekStream(pos uint64) error
 	// StreamFingerprint identifies the underlying access sequence (not
 	// the position within it). A checkpoint records it so restoring
-	// under a *different* sequence — e.g. a different replay trace with
-	// otherwise identical configuration flags — errors instead of
-	// silently resuming with wrong accesses.
+	// under a *different* sequence errors instead of silently resuming
+	// with wrong accesses.
 	StreamFingerprint() uint64
 }
 
 // CoreSeed derives the per-core generator seed from a run's base seed.
-// The simulator, the trace capturer and the service all use this
-// derivation, so a captured trace reproduces the simulator's stream for
-// the same (seed, core) pair.
+// The simulator and the service both use this derivation, so the same
+// (seed, core) pair always draws the same stream.
 func CoreSeed(base int64, core int) int64 { return base + int64(core)*7919 }
 
-// Replay is a Stream that cycles through a recorded trace. It lets
-// captured traces (cmd/tracegen) drive the simulator in place of the
-// synthetic generators.
-type Replay struct {
-	accesses []mem.Access
-	pos      int
-	fp       uint64 // lazily computed content fingerprint
-}
-
-// NewReplay wraps a non-empty trace in a cyclic Stream.
-func NewReplay(accesses []mem.Access) (*Replay, error) {
-	if len(accesses) == 0 {
-		return nil, fmt.Errorf("workload: empty trace")
-	}
-	return &Replay{accesses: accesses}, nil
-}
-
-// Next implements Stream.
-func (r *Replay) Next() mem.Access {
-	a := r.accesses[r.pos]
-	r.pos++
-	if r.pos == len(r.accesses) {
-		r.pos = 0
-	}
-	return a
-}
-
-// StreamPos implements Seekable: the cursor within the trace cycle.
-func (r *Replay) StreamPos() uint64 { return uint64(r.pos) }
-
-// SeekStream implements Seekable.
-func (r *Replay) SeekStream(pos uint64) error {
-	if pos >= uint64(len(r.accesses)) {
-		return fmt.Errorf("workload: replay position %d outside %d-access trace", pos, len(r.accesses))
-	}
-	if uint64(r.pos) > pos {
-		return fmt.Errorf("workload: cannot seek replay backwards (%d > %d)", r.pos, pos)
-	}
-	r.pos = int(pos)
-	return nil
-}
-
-// StreamFingerprint implements Seekable: an FNV-1a hash over the
-// recorded accesses, so two replays resume-compatible only when they
-// carry the same trace content.
-func (r *Replay) StreamFingerprint() uint64 {
-	if r.fp != 0 {
-		return r.fp
-	}
-	h := fnvOffset
-	h = fnvMix(h, uint64(len(r.accesses)))
-	for i := range r.accesses {
-		a := &r.accesses[i]
-		h = fnvMix(h, uint64(a.PC))
-		h = fnvMix(h, uint64(a.Addr))
-		h = fnvMix(h, uint64(a.Type))
-		h = fnvMix(h, uint64(a.Work))
-		h = fnvMix(h, uint64(a.Chain))
-	}
-	if h == 0 {
-		h = 1 // keep 0 as the "not yet computed" sentinel
-	}
-	r.fp = h
-	return h
-}
-
-// FNV-1a over uint64 words.
-const fnvOffset uint64 = 0xcbf29ce484222325
-
+// fnvMix folds one uint64 word into an FNV-1a hash, byte by byte.
 func fnvMix(h, w uint64) uint64 {
 	const prime = 0x100000001b3
 	for i := 0; i < 8; i++ {
@@ -502,7 +426,7 @@ func (g *Generator) newSparseWrite(t *task) {
 	t.accesses = acc
 }
 
-// StreamPos implements Seekable: the number of accesses drawn so far.
+// StreamPos implements Stream: the number of accesses drawn so far.
 func (g *Generator) StreamPos() uint64 { return g.calls }
 
 // Tasks returns the number of tasks the generator has started, including
@@ -510,12 +434,10 @@ func (g *Generator) StreamPos() uint64 { return g.calls }
 // to end task-bounded phases at a deterministic point in the stream.
 func (g *Generator) Tasks() int { return g.taskCount }
 
-// StreamFingerprint implements Seekable. A generator's sequence is a
+// StreamFingerprint implements Stream. A generator's sequence is a
 // pure function of (Params, seed), so the fingerprint digests every
 // Params field plus the seed — two generators with tweaked weights but
-// the same name must not fingerprint equal, because for custom Streams
-// hooks this check is the only thing standing between a checkpoint and
-// silently resuming a different sequence.
+// the same name must not fingerprint equal.
 func (g *Generator) StreamFingerprint() uint64 {
 	if g.fp != 0 {
 		return g.fp
@@ -535,7 +457,7 @@ func (g *Generator) StreamFingerprint() uint64 {
 	return h
 }
 
-// SeekStream implements Seekable by replaying pos draws on a freshly
+// SeekStream implements Stream by replaying pos draws on a freshly
 // seeded generator. Determinism makes this exact: after the replay the
 // generator's state (tasks, RNG, revisit queue, phase counters) is
 // bit-identical to the checkpointed one.
