@@ -22,14 +22,15 @@
 // sweep and fleet-membership change is written to a write-ahead log
 // before the client hears about it. A coordinator restarted on the same
 // directory replays the log, re-answers every pre-crash job ID, and
-// re-drives unfinished work to completion. Workers may also join by
-// heartbeating (bumpd -coordinator), so -workers is optional.
+// re-drives unfinished work to completion. The fleet is the -workers
+// list plus the members the data dir recorded; with neither, bumpctl
+// exits with an error.
 //
 // Usage:
 //
 //	bumpctl -worker http://host1:8344 -worker http://host2:8344
 //	bumpctl -workers http://h1:8344,http://h2:8344,http://h3:8344 -addr :8343
-//	bumpctl -data-dir /var/lib/bumpctl            # durable, self-registering fleet
+//	bumpctl -data-dir /var/lib/bumpctl            # durable; the data dir recalls its fleet
 //
 // Endpoints (see internal/cluster):
 //
@@ -42,12 +43,8 @@
 //	GET    /v1/batch/{id}       sweep progress/aggregate, survives restarts
 //	GET    /v1/results/{hash}   cached result, fleet-wide lookup
 //	GET    /v1/healthz          self-description: fleet status, version, wire
-//	GET    /v1/cluster          topology: per-worker state, lifecycle
+//	GET    /v1/cluster          topology: per-worker state and failures
 //	GET    /metrics             Prometheus text: fleet, job, WAL, wire, conn series
-//	POST   /v1/cluster/register worker heartbeat self-registration
-//	POST   /v1/cluster/cordon   stop new placements to a worker (reversible)
-//	POST   /v1/cluster/uncordon restore placements to a cordoned worker
-//	POST   /v1/cluster/drain    stop placements, eject once in-flight work ends
 package main
 
 import (
@@ -108,10 +105,6 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	if len(workerURLs) == 0 {
-		slog.Info("no seed workers; fleet joins via heartbeat self-registration (bumpd -coordinator)")
-	}
-
 	// Observability: fleet topology, job states, WAL and aggregated
 	// worker wire stats become scrapeable series; every tracked job
 	// records routing/failover spans stitched with its worker's at
@@ -144,7 +137,7 @@ func main() {
 	}
 	top := coord.Topology()
 	for _, w := range top.Workers {
-		slog.Info("worker", "id", w.ID, "url", w.URL, "state", w.State, "lifecycle", w.Lifecycle)
+		slog.Info("worker", "id", w.ID, "url", w.URL, "state", w.State)
 	}
 	slog.Info("fleet", "up", top.Up, "total", top.Total, "format_version", top.Version)
 	if *dataDir != "" {

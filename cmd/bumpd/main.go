@@ -8,14 +8,9 @@
 //	bumpd                                  # listen on :8344
 //	bumpd -addr :9000 -workers 8 -cache 512 -timeout 5m
 //	bumpd -scenario peak.json -scenario canary.json   # register scenario files
-//	bumpd -coordinator http://ctl:8343 -advertise http://host1:8344
 //
-// With -coordinator the worker heartbeats POST /v1/cluster/register
-// every -heartbeat interval, joining the bumpctl fleet without being
-// listed in its -workers flag — and rejoining automatically after
-// either side restarts. -advertise is the base URL the coordinator
-// should reach this worker at (required with -coordinator; the listen
-// address alone does not name a host).
+// A bumpctl coordinator reaches this worker through its -workers list
+// and health-probes GET /v1/healthz.
 //
 // Job specs may name a scenario instead of a workload — either one of
 // the built-ins (consolidated, diurnal-shift, phase-swap, bursty-writer)
@@ -70,9 +65,6 @@ func main() {
 		warmDir  = flag.String("warm-dir", "", "content-addressed checkpoint store directory (implies -warm; a restarted worker restores its warmups from it)")
 		warmDisk = flag.Int64("warm-disk-bytes", blob.DefaultCapacity, "checkpoint store size bound in bytes (with -warm-dir)")
 		wireAddr = flag.String("wire-addr", ":8345", "binary wire protocol listen address (empty = HTTP/JSON only)")
-		coord    = flag.String("coordinator", "", "bumpctl base URL to heartbeat-register with (self-registration; no static -workers entry needed)")
-		adv      = flag.String("advertise", "", "base URL the coordinator reaches this worker at (required with -coordinator)")
-		beat     = flag.Duration("heartbeat", 2*time.Second, "heartbeat interval (with -coordinator)")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
@@ -168,36 +160,6 @@ func main() {
 			"cache", *cacheSz, "timeout", *timeout)
 		errc <- srv.ListenAndServe()
 	}()
-
-	// Heartbeat self-registration: beat until shutdown; the coordinator
-	// admits us on the first beat and revives us after either side
-	// restarts.
-	beatCtx, stopBeat := context.WithCancel(context.Background())
-	defer stopBeat()
-	if *coord != "" {
-		if *adv == "" {
-			slog.Error("-coordinator requires -advertise (the base URL the coordinator reaches this worker at)")
-			os.Exit(2)
-		}
-		go func() {
-			registered := false
-			// Each beat carries the self-description /v1/healthz serves,
-			// so a heartbeat admits this worker exactly as a probe would.
-			req := service.RegisterRequest{URL: *adv, HealthPayload: pool.Health(advertisedWire)}
-			service.NewClient(*coord).Heartbeat(beatCtx, req, *beat,
-				func(resp service.RegisterResponse, err error) {
-					switch {
-					case err != nil:
-						registered = false
-						slog.Warn("heartbeat failed", "coordinator", *coord, "error", err)
-					case !registered:
-						registered = true
-						slog.Info("registered with coordinator", "coordinator", *coord,
-							"id", resp.ID, "state", resp.State, "lifecycle", resp.Lifecycle)
-					}
-				})
-		}()
-	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -10,7 +10,8 @@ import (
 
 // TestChaosProxyDropDelayRestore: the proxy passes traffic through
 // verbatim, severs it at the TCP level under Drop, adds fixed latency
-// under Delay, and recovers fully when the faults are lifted.
+// under Delay, holds requests without an answer under Stall, and
+// recovers fully when the faults are lifted.
 func TestChaosProxyDropDelayRestore(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "pong")
@@ -50,5 +51,27 @@ func TestChaosProxyDropDelayRestore(t *testing.T) {
 	px.Delay(0)
 	if body, err := get(); err != nil || body != "pong" {
 		t.Fatalf("restored link: %q %v", body, err)
+	}
+
+	// A stalled link answers nothing until it thaws; the request that
+	// waited then completes.
+	px.Stall(true)
+	type answer struct {
+		body string
+		err  error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		body, err := get()
+		got <- answer{body, err}
+	}()
+	select {
+	case a := <-got:
+		t.Fatalf("stalled link answered: %q %v", a.body, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	px.Stall(false)
+	if a := <-got; a.err != nil || a.body != "pong" {
+		t.Fatalf("thawed link: %q %v", a.body, a.err)
 	}
 }

@@ -82,9 +82,6 @@ func (c *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (service
 	if err := c.store.PutJob(rec); err != nil {
 		return service.JobStatus{}, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
-	c.mu.Lock()
-	c.inflight[wk.ID]++
-	c.mu.Unlock()
 	c.wg.Add(1)
 	go c.drive(id)
 	st.ID = id
@@ -138,10 +135,12 @@ func (c *Coordinator) Cancel(ctx context.Context, id string) (service.JobStatus,
 }
 
 // Watch follows a job to its terminal state, relaying its worker's
-// progress. A job mid-failover (unplaced, or its worker just died) is
-// re-polled on the retry cadence rather than erroring: the driver is
-// re-placing it, and the watch resumes on the new worker. A failed
-// worker watch strikes the worker, as a failed wait does.
+// progress. A job mid-failover (unplaced, or its worker just died or
+// was marked down) is re-read on the retry cadence rather than
+// erroring: the driver is re-placing it, and the watch resumes on the
+// new worker. Each worker watch is a follow, as the driver's is: the
+// registry marking the worker down ends it, and a failed one strikes
+// the worker.
 func (c *Coordinator) Watch(ctx context.Context, id string, onProgress func(sim.Progress)) (service.JobStatus, error) {
 	for {
 		rec, ok := c.store.Job(id)
@@ -152,13 +151,9 @@ func (c *Coordinator) Watch(ctx context.Context, id string, onProgress func(sim.
 			return statusFromRecord(rec), nil
 		}
 		if wk, okw := c.reg.Worker(rec.Worker); okw && rec.Worker != "" {
-			st, err := wk.Client.Watch(ctx, rec.Local, onProgress)
-			if err == nil {
+			if st, err := c.follow(ctx, wk, rec.Local, onProgress); err == nil {
 				st.ID = rec.ID
 				return st, nil
-			}
-			if ctx.Err() == nil {
-				c.reg.ReportFailure(wk.ID, err)
 			}
 		}
 		select {

@@ -1,18 +1,18 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"bump/internal/chaos"
 	"bump/internal/chaos/faultserver"
 	"bump/internal/service"
-	"bump/internal/snapshot"
+	"bump/internal/sim"
 )
 
 // fastRegistry is the probe tuning shared by the chaos tests: quick
@@ -24,7 +24,6 @@ func fastRegistry() RegistryOptions {
 		FailAfter:      2,
 		BackoffBase:    50 * time.Millisecond,
 		BackoffMax:     200 * time.Millisecond,
-		PollInterval:   10 * time.Millisecond,
 		RequestTimeout: 5 * time.Second,
 	}
 }
@@ -124,7 +123,6 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 	front2 := httptest.NewServer(c2.Handler())
 	t.Cleanup(front2.Close)
 	client2 := service.NewClient(front2.URL)
-	client2.PollInterval = 10 * time.Millisecond
 
 	// The replay is visible in the store's durability stats.
 	st := c2.Store().Stats()
@@ -147,7 +145,7 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 
 	// The solo job and the whole sweep run to completion under the
 	// restarted coordinator.
-	fin, err := client2.Wait(context.Background(), soloSt.ID)
+	fin, err := client2.Watch(context.Background(), soloSt.ID, nil)
 	if err != nil || fin.State != service.StateDone || fin.Result == nil {
 		t.Fatalf("solo job after restart: %v %+v", err, fin)
 	}
@@ -188,202 +186,84 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 	}
 }
 
-// TestChaosHeartbeatRevivesDroppedWorker cuts the coordinator→worker
-// link at the TCP level until the worker is struck out, then shows a
-// single heartbeat readmits it immediately — no waiting out the probe
-// backoff — and traffic flows again.
-func TestChaosHeartbeatRevivesDroppedWorker(t *testing.T) {
-	w := newTestFleet(t, 1, service.Options{Workers: 1, WarmStarts: true})[0]
-	px := chaos.NewProxy(t, w.srv.URL)
-
+// TestChaosWatchEndsOnStalledWorker freezes the worker running a
+// watched job without closing its sockets — a hung process, or a
+// partition with no RST. Nothing errors on the stalled stream, so only
+// the registry marking the worker down can end the coordinator's
+// follow of it: the client's watch must move to the failover target
+// and end in done there.
+func TestChaosWatchEndsOnStalledWorker(t *testing.T) {
+	fleet := newTestFleet(t, 2, service.Options{Workers: 1, WarmStarts: true})
+	px := chaos.NewProxy(t, fleet[0].srv.URL)
 	reg := fastRegistry()
-	reg.ProbeInterval = time.Hour // manual rounds only
-	reg.BackoffBase = time.Minute // backoff alone cannot readmit in test time
-	reg.BackoffMax = time.Minute
-	coord, err := New(context.Background(), Options{Workers: []string{px.URL()}, Registry: reg})
+	reg.ProbeTimeout = 200 * time.Millisecond
+	coord, err := New(context.Background(), Options{
+		Workers:  []string{px.URL(), fleet[1].srv.URL},
+		Registry: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	if !coord.Registry().Routable("w0") {
-		t.Fatal("worker not admitted through a healthy proxy")
+
+	// A job long enough to still be running when the link stalls, on a
+	// key the proxied worker w0 owns.
+	spec := sweepSpec("web-search", 0)
+	spec.MeasureCycles = 2_000_000
+	for spec.Seed = 1; ; spec.Seed++ {
+		key, _, err := RouteKey(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coord.Registry().Ring().Owner(key) == px.URL() {
+			break
+		}
+		if spec.Seed == 64 {
+			t.Fatal("no seed keyed to the proxied worker")
+		}
 	}
 
-	px.Drop(true)
-	coord.Registry().ProbeOnce(context.Background())
-	coord.Registry().ProbeOnce(context.Background())
-	if coord.Registry().Up("w0") {
-		t.Fatal("worker survived a dead link")
-	}
-
-	// Link restored, but the worker sits in minutes of probe backoff —
-	// only its own heartbeat can bring it back now.
-	px.Drop(false)
-	coord.Registry().ProbeOnce(context.Background())
-	if coord.Registry().Up("w0") {
-		t.Fatal("backoff ignored: down worker readmitted by a probe round")
-	}
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
-	resp, err := client.Register(context.Background(), service.RegisterRequest{URL: px.URL(), HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
+	st, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ID != "w0" || resp.State != string(WorkerUp) {
-		t.Fatalf("heartbeat response: %+v", resp)
+	type watched struct {
+		st  service.JobStatus
+		err error
 	}
-	if !coord.Registry().Routable("w0") {
-		t.Fatal("heartbeat did not readmit the worker")
+	done := make(chan watched, 1)
+	progressed := make(chan struct{})
+	var once sync.Once
+	go func() {
+		fin, err := client.Watch(context.Background(), st.ID, func(sim.Progress) {
+			once.Do(func() { close(progressed) })
+		})
+		done <- watched{fin, err}
+	}()
+	select {
+	case <-progressed:
+	case w := <-done:
+		t.Fatalf("watch ended before any progress: %v %+v", w.err, w.st)
+	case <-time.After(30 * time.Second):
+		t.Fatal("watch saw no progress")
 	}
 
-	st, err := client.Submit(context.Background(), sweepSpec("web-search", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, err := client.Wait(context.Background(), st.ID)
-	if err != nil || fin.State != service.StateDone {
-		t.Fatalf("job through revived worker: %v %+v", err, fin)
-	}
-}
-
-// TestChaosDrainCordonLifecycle drives the admin verbs over HTTP:
-// cordon diverts new placements immediately (in-flight work untouched,
-// reversible), drain ejects only after the last in-flight job settles,
-// and every transition is observable in /v1/cluster.
-func TestChaosDrainCordonLifecycle(t *testing.T) {
-	fleet := newTestFleet(t, 2, service.Options{Workers: 2, WarmStarts: true})
-	coord := newTestCoordinator(t, fleet)
-	front := httptest.NewServer(coord.Handler())
-	t.Cleanup(front.Close)
-	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
-
-	verb := func(name, worker string) (WorkerInfo, int) {
-		t.Helper()
-		body, _ := json.Marshal(map[string]string{"worker": worker})
-		resp, err := http.Post(front.URL+"/v1/cluster/"+name, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	px.Stall(true)
+	select {
+	case w := <-done:
+		px.Stall(false)
+		if w.err != nil || w.st.State != service.StateDone || w.st.Result == nil {
+			t.Fatalf("watch across the stall: %v %+v", w.err, w.st)
 		}
-		defer resp.Body.Close()
-		var info WorkerInfo
-		json.NewDecoder(resp.Body).Decode(&info)
-		return info, resp.StatusCode
+	case <-time.After(30 * time.Second):
+		px.Stall(false) // release the stalled handlers, or the cleanups block on them
+		t.Fatal("watch still held 30s after its worker stalled")
 	}
-	lifecycleOf := func(workerID string) Lifecycle {
-		t.Helper()
-		resp, err := http.Get(front.URL + "/v1/cluster")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var top ClusterPayload
-		if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range top.Workers {
-			if w.ID == workerID {
-				return w.Lifecycle
-			}
-		}
-		t.Fatalf("worker %s missing from /v1/cluster", workerID)
-		return ""
-	}
-	submitTo := func(spec service.JobSpec) (service.JobStatus, string) {
-		t.Helper()
-		st, err := client.Submit(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, ok := coord.Store().Job(st.ID)
-		if !ok {
-			t.Fatalf("job %s has no coordinator record", st.ID)
-		}
-		return st, rec.Worker
-	}
-
-	// The worker that owns this workload's warm key.
-	key, _, err := RouteKey(sweepSpec("web-search", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerID, ok := coord.Registry().Resolve(coord.Registry().Ring().Owner(key))
-	if !ok {
-		t.Fatal("ring owner not in registry")
-	}
-	otherID := "w0"
-	if ownerID == "w0" {
-		otherID = "w1"
-	}
-
-	// Cordon: placements divert off the owner at once.
-	if info, code := verb("cordon", ownerID); code != http.StatusOK || info.Lifecycle != LifecycleCordoned {
-		t.Fatalf("cordon: code=%d %+v", code, info)
-	}
-	if lc := lifecycleOf(ownerID); lc != LifecycleCordoned {
-		t.Fatalf("/v1/cluster shows %s, want cordoned", lc)
-	}
-	st1, wid := submitTo(sweepSpec("web-search", 1))
-	if wid != otherID {
-		t.Fatalf("cordoned owner %s still took a placement (job %s)", ownerID, st1.ID)
-	}
-
-	// Uncordon: the owner's keys come home.
-	if info, code := verb("uncordon", ownerID); code != http.StatusOK || info.Lifecycle != LifecycleActive {
-		t.Fatalf("uncordon: code=%d %+v", code, info)
-	}
-	st2, wid := submitTo(sweepSpec("web-search", 2))
-	if wid != ownerID {
-		t.Fatalf("uncordoned owner %s not routed to (job went to %s)", ownerID, wid)
-	}
-	for _, id := range []string{st1.ID, st2.ID} {
-		if fin, err := client.Wait(context.Background(), id); err != nil || fin.State != service.StateDone {
-			t.Fatalf("job %s: %v", id, err)
-		}
-	}
-
-	// Drain with work in flight: draining until the job settles, then
-	// ejected; new placements divert meanwhile.
-	long := sweepSpec("web-search", 3)
-	long.MeasureCycles = 200_000_000
-	stLong, wid := submitTo(long)
-	if wid != ownerID {
-		t.Fatalf("long job landed on %s, want owner %s", wid, ownerID)
-	}
-	if info, code := verb("drain", ownerID); code != http.StatusOK || info.Lifecycle != LifecycleDraining {
-		t.Fatalf("drain with in-flight work: code=%d %+v (must wait, not eject)", code, info)
-	}
-	if _, wid := submitTo(sweepSpec("web-search", 4)); wid != ownerID {
-		// expected: draining workers take no new placements
-	} else {
-		t.Fatalf("draining owner %s took a new placement", ownerID)
-	}
-	if _, err := client.Cancel(context.Background(), stLong.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, 10*time.Second, func() bool { return lifecycleOf(ownerID) == LifecycleEjected },
-		"drained worker not ejected after its last in-flight job settled")
-	// The ejected worker has left the fleet: a clean drain reads ok.
-	if top := coord.Topology(); top.Status != "ok" || top.Up != 1 || top.Total != 1 {
-		t.Errorf("topology after a clean drain: %s, %d of %d up; want ok, 1 of 1", top.Status, top.Up, top.Total)
-	}
-
-	// Drain of an idle worker ejects immediately.
-	waitUntil(t, 10*time.Second, func() bool {
-		info, _ := coord.Registry().InfoFor(otherID)
-		return info.Lifecycle == LifecycleActive && coord.Registry().Routable(otherID)
-	}, "other worker not routable before idle drain")
-	// Let its in-flight counter settle (drivers decrement just after the
-	// client sees the terminal state).
-	waitUntil(t, 10*time.Second, func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		return coord.inflight[otherID] == 0
-	}, "other worker never went idle")
-	if info, code := verb("drain", otherID); code != http.StatusOK || info.Lifecycle != LifecycleEjected {
-		t.Fatalf("idle drain: code=%d %+v (must eject immediately)", code, info)
+	if rec, _ := coord.Store().Job(st.ID); rec.Worker != "w1" {
+		t.Fatalf("job record names worker %q, want the failover target w1", rec.Worker)
 	}
 }
 
@@ -439,15 +319,14 @@ func TestChaosFleetToleratesFaultyWorkers(t *testing.T) {
 // TestChaosWireSeverFallsBackToJSON cuts the binary wire link between a
 // client and its worker while a job is in flight: every pooled wire
 // connection dies and new dials are refused. The client must fall back
-// to HTTP/JSON transparently — the job is not lost, polling completes
-// it, and the cached result stays reachable.
+// to HTTP/JSON transparently — the job is not lost, a watch follows it
+// to completion, and the cached result stays reachable.
 func TestChaosWireSeverFallsBackToJSON(t *testing.T) {
 	w := newWireFleet(t, 1, service.Options{Workers: 1, WarmStarts: true})[0]
 	proxy := chaos.NewTCPProxy(t, w.wire.Addr().String())
 
 	client := service.NewClient(w.srv.URL)
 	client.WireAddr = proxy.Addr() // pin the faultable front, skip negotiation
-	client.PollInterval = 10 * time.Millisecond
 	t.Cleanup(func() { client.Close() })
 
 	spec := sweepSpec("web-search", 0)
@@ -463,9 +342,9 @@ func TestChaosWireSeverFallsBackToJSON(t *testing.T) {
 	// Sever: close the live pooled connections and refuse new ones.
 	proxy.Drop(true)
 
-	fin, err := client.Wait(context.Background(), st.ID)
+	fin, err := client.Watch(context.Background(), st.ID, nil)
 	if err != nil {
-		t.Fatalf("wait across a severed wire link: %v", err)
+		t.Fatalf("watch across a severed wire link: %v", err)
 	}
 	if fin.State != service.StateDone || fin.Result == nil {
 		t.Fatalf("job lost after wire sever: %s (%s)", fin.State, fin.Error)

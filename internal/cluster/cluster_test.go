@@ -85,7 +85,6 @@ func newTestCoordinator(t *testing.T, fleet []*testWorker) *Coordinator {
 			FailAfter:      2,
 			BackoffBase:    50 * time.Millisecond,
 			BackoffMax:     200 * time.Millisecond,
-			PollInterval:   10 * time.Millisecond,
 			RequestTimeout: 5 * time.Second,
 		},
 	})
@@ -351,14 +350,13 @@ func TestClusterE2EFailoverMidSweep(t *testing.T) {
 
 // TestClusterWireProtocol pins that a stock service.Client — written
 // for a single bumpd — works against the coordinator unchanged: submit,
-// poll, SSE events, result-by-hash, health.
+// watch, SSE events, result-by-hash, health.
 func TestClusterWireProtocol(t *testing.T) {
 	fleet := newTestFleet(t, 3, service.Options{Workers: 2, WarmStarts: true})
 	coord := newTestCoordinator(t, fleet)
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
 
 	spec := sweepSpec("web-search", 0)
 	spec.MeasureCycles = 5_000_000 // long enough for a live SSE stream
@@ -398,10 +396,10 @@ func TestClusterWireProtocol(t *testing.T) {
 		t.Error("terminal payload missing derived metrics")
 	}
 
-	// Poll and result-by-hash (fleet-wide lookup).
-	fin, err := client.Wait(context.Background(), st.ID)
+	// Watch and result-by-hash (fleet-wide lookup).
+	fin, err := client.Watch(context.Background(), st.ID, nil)
 	if err != nil || fin.State != service.StateDone {
-		t.Fatalf("wait: %v %s", err, fin.State)
+		t.Fatalf("watch: %v %s", err, fin.State)
 	}
 	res, ok, err := client.ResultByHash(context.Background(), fin.Hash)
 	if err != nil || !ok {
@@ -420,6 +418,18 @@ func TestClusterWireProtocol(t *testing.T) {
 		t.Errorf("coordinator health: %+v", h)
 	}
 
+	// The fleet is the configured worker list: no admin verb mutates it.
+	for _, verb := range []string{"register", "cordon", "uncordon", "drain"} {
+		resp, err := http.Post(front.URL+"/v1/cluster/"+verb, "application/json", strings.NewReader(`{"worker":"w0"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST /v1/cluster/%s: %d, want 404", verb, resp.StatusCode)
+		}
+	}
+
 	// Cancel via the proxy.
 	long := sweepSpec("data-serving", 0)
 	long.MeasureCycles = 200_000_000
@@ -430,7 +440,7 @@ func TestClusterWireProtocol(t *testing.T) {
 	if cst, err := client.Cancel(context.Background(), lst.ID); err != nil || cst.State == service.StateDone {
 		t.Fatalf("cancel: %+v %v", cst, err)
 	}
-	fin, err = client.Wait(context.Background(), lst.ID)
+	fin, err = client.Watch(context.Background(), lst.ID, nil)
 	if err != nil || fin.State != service.StateCanceled {
 		t.Fatalf("canceled job: %v %s", err, fin.State)
 	}
@@ -444,7 +454,6 @@ func TestClusterBatchHTTP(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
 
 	specs := make([]service.JobSpec, 6)
 	for i := range specs {
@@ -533,9 +542,7 @@ func TestClusterE2ECrossProtocolSweep(t *testing.T) {
 
 	jsonClient := service.NewClient(front.URL)
 	jsonClient.DisableWire = true
-	jsonClient.PollInterval = 10 * time.Millisecond
 	wireClient := service.NewClient(front.URL)
-	wireClient.PollInterval = 10 * time.Millisecond
 	t.Cleanup(func() { jsonClient.Close(); wireClient.Close() })
 
 	jres, err := jsonClient.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)
@@ -579,15 +586,15 @@ func TestClusterE2ECrossProtocolSweep(t *testing.T) {
 		}
 	}
 
-	// Single-job round trip over wire: submit, poll, result-by-hash all
+	// Single-job round trip over wire: submit, watch, result-by-hash all
 	// match the JSON view of the same job.
 	st, err := wireClient.Submit(context.Background(), sweepSpec("web-search", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := wireClient.Wait(context.Background(), st.ID)
+	fin, err := wireClient.Watch(context.Background(), st.ID, nil)
 	if err != nil || fin.State != service.StateDone {
-		t.Fatalf("wire wait: %v %s", err, fin.State)
+		t.Fatalf("wire watch: %v %s", err, fin.State)
 	}
 	jfin, err := jsonClient.Job(context.Background(), st.ID)
 	if err != nil {

@@ -7,27 +7,27 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"bump/internal/obs"
 	"bump/internal/service"
+	"bump/internal/sim"
 	"bump/internal/snapshot"
 	"bump/internal/wal"
 )
 
 // Options configures a Coordinator.
 type Options struct {
-	// Workers are the seed backend bumpd base URLs. May be empty:
-	// workers can also join (and rejoin) the fleet by heartbeating
-	// POST /v1/cluster/register (bumpd -coordinator).
+	// Workers are the backend bumpd base URLs. Together with the
+	// members a DataDir recorded they are the whole fleet, which must
+	// not be empty.
 	Workers []string
 	// Registry tunes probing/ejection (zero value: defaults).
 	Registry RegistryOptions
 	// BatchConcurrency bounds in-flight points across batches (default
 	// 64; execution parallelism is bounded by the workers' own pools,
-	// this only caps coordinator-side goroutines and open polls).
+	// this only caps coordinator-side goroutines and open watches).
 	BatchConcurrency int
 	// DataDir is the WAL directory for durable coordinator state; empty
 	// means memory-only (embedded coordinators, tests). With a data dir,
@@ -55,18 +55,18 @@ type Options struct {
 	// await, failover) per tracked job; GET /v1/jobs/{id}/trace
 	// stitches the assigned worker's spans onto them under one trace ID.
 	Tracer *obs.Tracer
-	// Logger receives structured fleet/job lifecycle events (failovers,
-	// registrations, ejections) with job and trace IDs attached. Nil
-	// discards them.
+	// Logger receives structured job events (placements, failovers,
+	// placement failures) with job and trace IDs attached. Nil discards
+	// them.
 	Logger *slog.Logger
 }
 
 // Coordinator federates the fleet behind the single-worker /v1 API plus
-// cluster-only endpoints (/v1/cluster topology and admin verbs,
-// /v1/batch sweeps). Every accepted job and sweep is recorded in the
-// Store before the client hears about it; per-job driver goroutines
-// carry each one to a terminal state, failing over across workers and
-// surviving coordinator restarts (drivers are respawned from the WAL).
+// cluster-only endpoints (/v1/cluster topology, /v1/batch sweeps).
+// Every accepted job and sweep is recorded in the Store before the
+// client hears about it; per-job driver goroutines carry each one to a
+// terminal state, failing over across workers and surviving
+// coordinator restarts (drivers are respawned from the WAL).
 type Coordinator struct {
 	reg   *Registry
 	store *Store
@@ -79,7 +79,6 @@ type Coordinator struct {
 
 	mu          sync.Mutex
 	batches     map[string]*batchEntry
-	inflight    map[string]int // worker ID -> jobs assigned to it
 	soloRetain  []string
 	batchRetain []string
 
@@ -95,7 +94,8 @@ type Coordinator struct {
 // registry from persisted fleet membership plus opts.Workers, runs one
 // synchronous probe round so a healthy fleet is routable before New
 // returns, and respawns drivers for every job that was in flight when
-// the previous coordinator died.
+// the previous coordinator died. A fleet with no member at all is an
+// error.
 func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	if opts.BatchConcurrency <= 0 {
 		opts.BatchConcurrency = 64
@@ -129,39 +129,37 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	// recovered job records and must win any ID assignment race with the
 	// seed list.
 	for _, wr := range store.FleetWorkers() {
-		w, err := reg.Add(wr.URL, wr.ID)
-		if err != nil {
+		if _, err := reg.Add(wr.URL, wr.ID); err != nil {
 			return nil, err
-		}
-		if wr.Lifecycle != "" && wr.Lifecycle != LifecycleActive {
-			reg.SetLifecycle(w.ID, wr.Lifecycle)
 		}
 	}
 	for _, url := range opts.Workers {
-		if _, found := reg.WorkerByURL(normalizeURL(url)); found {
+		if _, found := reg.WorkerByURL(url); found {
 			continue
 		}
 		w, err := reg.Add(url, "")
 		if err != nil {
 			return nil, err
 		}
-		if err := store.PutWorker(WorkerRecord{ID: w.ID, URL: w.URL, Lifecycle: LifecycleActive}); err != nil {
+		if err := store.PutWorker(WorkerRecord{ID: w.ID, URL: w.URL}); err != nil {
 			return nil, err
 		}
+	}
+	if len(reg.Workers()) == 0 {
+		return nil, errors.New("cluster: no workers")
 	}
 	reg.ProbeOnce(ctx)
 	rctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		reg:      reg,
-		store:    store,
-		opts:     opts,
-		ctx:      rctx,
-		cancel:   cancel,
-		sem:      make(chan struct{}, opts.BatchConcurrency),
-		batches:  make(map[string]*batchEntry),
-		inflight: make(map[string]int),
-		tracer:   opts.Tracer,
-		log:      opts.Logger,
+		reg:     reg,
+		store:   store,
+		opts:    opts,
+		ctx:     rctx,
+		cancel:  cancel,
+		sem:     make(chan struct{}, opts.BatchConcurrency),
+		batches: make(map[string]*batchEntry),
+		tracer:  opts.Tracer,
+		log:     opts.Logger,
 	}
 	if c.log == nil {
 		c.log = slog.New(slog.DiscardHandler)
@@ -197,10 +195,10 @@ func (c *Coordinator) Store() *Store { return c.store }
 
 // recover respawns the driver goroutines for every non-terminal job and
 // every unplaced batch point found in the replayed store. A job still
-// assigned to a live worker is simply re-awaited (and, because worker
-// pools coalesce by config hash, even a re-submission would attach to
-// the in-flight execution rather than re-run it); a job on a dead or
-// departed worker re-routes through the ordinary failover path.
+// assigned to a live worker is simply followed again (and, because
+// worker pools coalesce by config hash, even a re-submission would
+// attach to the in-flight execution rather than re-run it); a job on a
+// dead or departed worker re-routes through the ordinary failover path.
 func (c *Coordinator) recover() {
 	batches := c.store.Batches()
 	linked := make(map[string]bool)
@@ -223,11 +221,6 @@ func (c *Coordinator) recover() {
 			j.Error = "orphaned by coordinator crash during placement"
 			c.store.PutJob(j)
 			continue
-		}
-		if j.Worker != "" {
-			c.mu.Lock()
-			c.inflight[j.Worker]++
-			c.mu.Unlock()
 		}
 		if j.Batch == "" {
 			c.wg.Add(1)
@@ -302,11 +295,12 @@ func (c *Coordinator) drive(id string) {
 }
 
 // driveJob is the tracked-job state machine: place (or re-place) the
-// spec on the key's ring sequence, await the worker, and persist the
-// terminal outcome. Worker-side failures strike the worker and fail
-// over; an empty fleet is waited out (struck workers become eligible
-// again once the registry readmits them). Re-execution after failover
-// is safe because results are a deterministic function of the
+// spec on the key's ring sequence, follow the worker's event stream to
+// the job's end, and persist the terminal outcome. A worker-side
+// failure, or the registry marking the worker down mid-follow, fails
+// the job over; an empty fleet is waited out (struck workers become
+// eligible again once the registry readmits them). Re-execution after
+// failover is safe because results are a deterministic function of the
 // configuration — and a re-submission to a worker still running the job
 // coalesces onto the in-flight execution by config hash.
 func (c *Coordinator) driveJob(id string) {
@@ -372,18 +366,15 @@ func (c *Coordinator) driveJob(id string) {
 			}
 			rec.State, rec.Worker, rec.Local = st.State, wk.ID, st.ID
 			c.store.PutJob(rec)
-			c.mu.Lock()
-			c.inflight[wk.ID]++
-			c.mu.Unlock()
 			continue
 		}
-		// Assigned: await the worker's verdict.
+		// Assigned: follow the job on its worker to a verdict.
 		wk, okw := c.reg.Worker(rec.Worker)
 		var st service.JobStatus
 		var err error
 		awaitT0 := time.Now()
 		if okw {
-			st, err = wk.Client.Wait(c.ctx, rec.Local)
+			st, err = c.follow(c.ctx, wk, rec.Local, nil)
 		} else {
 			err = fmt.Errorf("cluster: worker %s left the registry", rec.Worker)
 		}
@@ -394,7 +385,6 @@ func (c *Coordinator) driveJob(id string) {
 			c.span(id, "await", awaitT0, time.Now(),
 				obs.SpanArg{Key: "worker", Val: rec.Worker})
 			applyStatus(&rec, st)
-			c.markUnassigned(rec.Worker)
 			c.finish(rec, true)
 			return
 		}
@@ -404,45 +394,31 @@ func (c *Coordinator) driveJob(id string) {
 		c.log.Warn("job failing over", "job", id, "trace", rec.Spec.TraceID,
 			"worker", rec.Worker, "error", err)
 		if okw {
-			c.reg.ReportFailure(wk.ID, err)
 			tried[wk.ID] = true
 		}
-		prev := rec.Worker
 		rec.Worker, rec.Local = "", ""
 		rec.State = service.StateQueued
 		c.store.PutJob(rec)
-		c.markUnassigned(prev)
 	}
 }
 
-// markUnassigned decrements a worker's in-flight count; a draining
-// worker whose count hits zero is ejected (that is drain's completion
-// condition).
-func (c *Coordinator) markUnassigned(workerID string) {
-	if workerID == "" {
-		return
+// follow watches a job on its worker to the job's end. The follow also
+// ends when ctx does or when the registry marks the worker down, so a
+// worker that stops answering but keeps its sockets open cannot hold
+// it. A failure the worker caused strikes it toward ejection; a follow
+// ended by ctx or by the registry strikes nothing.
+func (c *Coordinator) follow(ctx context.Context, wk *Worker, local string, onProgress func(sim.Progress)) (service.JobStatus, error) {
+	wctx, stop := c.reg.WhileUp(ctx, wk.ID)
+	defer stop()
+	st, err := wk.Client.Watch(wctx, local, onProgress)
+	switch {
+	case err == nil:
+	case wctx.Err() != nil:
+		err = context.Cause(wctx)
+	default:
+		c.reg.ReportFailure(wk.ID, err)
 	}
-	c.mu.Lock()
-	c.inflight[workerID]--
-	n := c.inflight[workerID]
-	if n <= 0 {
-		delete(c.inflight, workerID)
-	}
-	c.mu.Unlock()
-	if n > 0 {
-		return
-	}
-	if lc, ok := c.reg.Lifecycle(workerID); ok && lc == LifecycleDraining {
-		c.eject(workerID)
-	}
-}
-
-func (c *Coordinator) eject(workerID string) {
-	info, err := c.reg.SetLifecycle(workerID, LifecycleEjected)
-	if err == nil {
-		c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: LifecycleEjected})
-		c.log.Info("worker ejected", "worker", info.ID, "url", info.URL)
-	}
+	return st, err
 }
 
 // finish settles a terminal record: persist it (unless the caller
@@ -715,14 +691,13 @@ func (c *Coordinator) Batch(ctx context.Context, spec service.BatchSpec, onPoint
 }
 
 // ClusterPayload is served by GET /v1/cluster: coordinator identity and
-// per-worker topology, admission state and lifecycle.
+// per-worker topology and admission state.
 type ClusterPayload struct {
 	Status string `json:"status"`
 	// Version is the snapshot format version this coordinator requires
 	// of workers.
 	Version int `json:"version"`
-	// Up of Total members are currently admitted; a worker ejected by a
-	// drain has left the fleet and counts in neither.
+	// Up of Total members are currently admitted.
 	Up      int          `json:"up"`
 	Total   int          `json:"total"`
 	Workers []WorkerInfo `json:"workers"`
@@ -731,12 +706,8 @@ type ClusterPayload struct {
 // Topology snapshots the cluster for /v1/cluster.
 func (c *Coordinator) Topology() ClusterPayload {
 	infos := c.reg.Info()
-	up, total := 0, 0
+	up, total := 0, len(infos)
 	for _, w := range infos {
-		if w.Lifecycle == LifecycleEjected {
-			continue
-		}
-		total++
 		if w.State == WorkerUp {
 			up++
 		}
@@ -761,8 +732,7 @@ func (c *Coordinator) Topology() ClusterPayload {
 // service.MountJobs over the coordinator's Backend (job IDs are
 // coordinator-minted but remain opaque strings to clients), plus the
 // cluster-level additions — /v1/batch sweeps with durable IDs, the
-// stitched job trace, /v1/cluster and its admin verbs
-// register/cordon/uncordon/drain, health and metrics.
+// stitched job trace, /v1/cluster topology, health and metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	service.MountJobs(mux, c)
@@ -771,10 +741,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/batch/{id}", c.batchStatus)
 	mux.HandleFunc("GET /v1/healthz", c.healthz)
 	mux.HandleFunc("GET /v1/cluster", c.cluster)
-	mux.HandleFunc("POST /v1/cluster/register", c.register)
-	mux.HandleFunc("POST /v1/cluster/cordon", c.lifecycleVerb(LifecycleCordoned))
-	mux.HandleFunc("POST /v1/cluster/uncordon", c.lifecycleVerb(LifecycleActive))
-	mux.HandleFunc("POST /v1/cluster/drain", c.drain)
 	mux.HandleFunc("GET /metrics", service.MetricsHandler(c.opts.Metrics))
 	return mux
 }
@@ -852,114 +818,4 @@ func (c *Coordinator) healthz(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) cluster(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, c.Topology())
-}
-
-// register handles a worker heartbeat (POST /v1/cluster/register):
-// unknown URLs join the fleet, known ones refresh their health, ejected
-// ones are revived. Membership changes are persisted so the fleet
-// survives coordinator restarts.
-func (c *Coordinator) register(w http.ResponseWriter, r *http.Request) {
-	var req service.RegisterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "invalid register request: %v", err)
-		return
-	}
-	if strings.TrimSpace(req.URL) == "" {
-		service.WriteError(w, http.StatusBadRequest, "register: url required")
-		return
-	}
-	info, changed, err := c.reg.Register(req)
-	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if changed {
-		if err := c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: info.Lifecycle}); err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		c.log.Info("worker registered", "worker", info.ID, "url", info.URL,
-			"lifecycle", info.Lifecycle)
-	}
-	service.WriteJSON(w, http.StatusOK, service.RegisterResponse{
-		ID:        info.ID,
-		State:     string(info.State),
-		Lifecycle: string(info.Lifecycle),
-	})
-}
-
-// workerParam extracts the target worker (ID or URL) from an admin verb
-// request body {"worker": "..."}.
-func (c *Coordinator) workerParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	var req struct {
-		Worker string `json:"worker"`
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return "", false
-	}
-	id, ok := c.reg.Resolve(req.Worker)
-	if !ok {
-		service.WriteError(w, http.StatusNotFound, "unknown worker %q", req.Worker)
-		return "", false
-	}
-	return id, true
-}
-
-// lifecycleVerb implements cordon/uncordon: an immediate, reversible
-// lifecycle flip. Cordoned workers take no new placements from the
-// instant the verb returns; their in-flight jobs run on.
-func (c *Coordinator) lifecycleVerb(lc Lifecycle) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id, ok := c.workerParam(w, r)
-		if !ok {
-			return
-		}
-		info, err := c.reg.SetLifecycle(id, lc)
-		if err != nil {
-			service.WriteError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		if err := c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: info.Lifecycle}); err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		c.log.Info("worker lifecycle set", "worker", info.ID, "lifecycle", lc)
-		service.WriteJSON(w, http.StatusOK, info)
-	}
-}
-
-// drain marks a worker draining (no new placements) and ejects it once
-// its last coordinator-tracked in-flight job completes; with nothing in
-// flight the ejection is immediate. Its warm-affinity keys remap down
-// the ring sequence.
-func (c *Coordinator) drain(w http.ResponseWriter, r *http.Request) {
-	id, ok := c.workerParam(w, r)
-	if !ok {
-		return
-	}
-	info, err := c.reg.SetLifecycle(id, LifecycleDraining)
-	if err != nil {
-		service.WriteError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	if err := c.store.PutWorker(WorkerRecord{ID: info.ID, URL: info.URL, Lifecycle: LifecycleDraining}); err != nil {
-		service.WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	c.log.Info("worker draining", "worker", info.ID)
-	c.mu.Lock()
-	idle := c.inflight[id] == 0
-	c.mu.Unlock()
-	if idle {
-		c.eject(id)
-	}
-	if cur, okc := c.reg.InfoFor(id); okc {
-		info = cur
-	}
-	service.WriteJSON(w, http.StatusOK, info)
 }

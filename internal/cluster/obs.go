@@ -15,8 +15,8 @@ import (
 // coordinator's routing timeline under one trace ID.
 
 // registerCollectors adapts the coordinator's existing stats surfaces
-// (Topology, Store.Stats, per-worker client WireStats, in-flight
-// assignment counts, the shared transport's ConnStats) as scrape-time
+// (Topology, Store.Stats, per-worker client WireStats, the store's
+// in-flight assignments, the shared transport's ConnStats) as scrape-time
 // collectors; /metrics is the only place the coordinator publishes
 // these numbers. Called by New when Options.Metrics is set.
 func (c *Coordinator) registerCollectors(reg *obs.Registry) {
@@ -25,14 +25,18 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 		top := c.Topology()
 		st := c.store.Stats()
 		g.Gauge("bump_cluster_workers_up", "Admitted workers currently up.", float64(top.Up))
-		g.Gauge("bump_cluster_workers_total", "Workers in the fleet (drain-ejected ones excluded).", float64(top.Total))
+		g.Gauge("bump_cluster_workers_total", "Workers in the fleet.", float64(top.Total))
 		g.Gauge("bump_cluster_tracked_jobs", "Retained coordinator job records.", float64(st.Jobs))
 		g.Gauge("bump_cluster_tracked_batches", "Retained sweep records.", float64(st.Batches))
 		g.Gauge("bump_cluster_uptime_seconds", "Coordinator uptime.", time.Since(start).Seconds())
 
 		states := make(map[service.State]int)
+		inflight := 0
 		for _, j := range c.store.Jobs() {
 			states[j.State]++
+			if !j.State.Terminal() && j.Worker != "" {
+				inflight++
+			}
 		}
 		for _, st := range []service.State{
 			service.StateQueued, service.StateRunning, service.StateDone,
@@ -41,12 +45,6 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 			g.Gauge("bump_cluster_jobs", "Tracked jobs by state.", float64(states[st]), "state", string(st))
 		}
 
-		c.mu.Lock()
-		inflight := 0
-		for _, n := range c.inflight {
-			inflight += n
-		}
-		c.mu.Unlock()
 		g.Gauge("bump_cluster_inflight", "Jobs currently assigned to workers.", float64(inflight))
 
 		g.Gauge("bump_wal_durable", "1 when the coordinator writes a WAL.", boolGauge(st.Durable))

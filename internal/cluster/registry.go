@@ -21,8 +21,8 @@ const (
 	// WorkerUp: healthy and routable.
 	WorkerUp WorkerState = "up"
 	// WorkerDown: ejected after consecutive probe/request failures;
-	// re-probed with exponential backoff and readmitted on success (a
-	// heartbeat registration readmits immediately).
+	// every follow of a job on it ends (see WhileUp), and it is
+	// re-probed with exponential backoff and readmitted on success.
 	WorkerDown WorkerState = "down"
 	// WorkerIncompatible: healthy but speaking a different snapshot
 	// format version. Warm checkpoints and cached results keyed under
@@ -31,29 +31,6 @@ const (
 	// readmits them.
 	WorkerIncompatible WorkerState = "incompatible"
 )
-
-// Lifecycle is a worker's administrative state, orthogonal to health: a
-// worker takes new placements only when it is both healthy (WorkerUp)
-// and LifecycleActive.
-type Lifecycle string
-
-const (
-	// LifecycleActive: normal service.
-	LifecycleActive Lifecycle = "active"
-	// LifecycleCordoned: no new placements; in-flight jobs run on.
-	// Reversible via uncordon.
-	LifecycleCordoned Lifecycle = "cordoned"
-	// LifecycleDraining: no new placements; ejected automatically once
-	// the coordinator's last in-flight job on it completes.
-	LifecycleDraining Lifecycle = "draining"
-	// LifecycleEjected: removed from service by a completed drain. Its
-	// warm-affinity keys remap down the ring sequence. A fresh
-	// heartbeat registration revives it to LifecycleActive.
-	LifecycleEjected Lifecycle = "ejected"
-)
-
-// routable reports whether the lifecycle admits new placements.
-func (l Lifecycle) routable() bool { return l == "" || l == LifecycleActive }
 
 // RegistryOptions tunes health probing and ejection. Zero values pick
 // production defaults.
@@ -64,7 +41,7 @@ type RegistryOptions struct {
 	ProbeTimeout time.Duration
 	// FailAfter is the consecutive-failure count that ejects a worker
 	// (default 3). Failures the coordinator reports from its own calls
-	// (placements, waits, watches) count like probe failures, so a dead
+	// (placements, watches) count like probe failures, so a dead
 	// worker is ejected by the traffic it drops, not only by the next
 	// probe round.
 	FailAfter int
@@ -79,10 +56,9 @@ type RegistryOptions struct {
 	// its workers (default snapshot.FormatVersion — the version this
 	// binary was built with).
 	FormatVersion int
-	// RequestTimeout and PollInterval configure the per-worker
-	// service.Client (defaults: client defaults).
+	// RequestTimeout configures the per-worker service.Client (default:
+	// the client default).
 	RequestTimeout time.Duration
-	PollInterval   time.Duration
 	// DisableWire pins every per-worker client to HTTP/JSON even against
 	// workers that advertise a wire listener (cross-protocol comparison
 	// runs, debugging).
@@ -124,26 +100,22 @@ type Worker struct {
 	// Client is the configured API client for this worker.
 	Client *service.Client
 
-	// Mutable probe/lifecycle state, guarded by the registry mutex.
-	state     WorkerState
-	lifecycle Lifecycle
-	fails     int
-	backoff   time.Duration
-	retryAt   time.Time
-	lastErr   string
-	probed    time.Time
-	beat      time.Time // last heartbeat registration
+	// Mutable probe state, guarded by the registry mutex.
+	state   WorkerState
+	fails   int
+	backoff time.Duration
+	retryAt time.Time
+	lastErr string
+	probed  time.Time
 	// version is the snapshot format version the worker last reported;
 	// wireAddr its advertised binary fast-path listener. Both refresh
-	// from probes and heartbeats.
+	// from probes.
 	version  int
 	wireAddr string
-}
-
-// upLocked reports whether w is health-admitted. An ejected worker is
-// not: probes skip it, so its last reading goes stale.
-func (w *Worker) upLocked() bool {
-	return w.state == WorkerUp && w.lifecycle != LifecycleEjected
+	// up is canceled when the registry marks the worker down and
+	// renewed when it readmits; WhileUp links each follow to it.
+	up       context.Context
+	markDown context.CancelFunc
 }
 
 // WorkerInfo is a worker's exported status snapshot (served by
@@ -152,30 +124,23 @@ type WorkerInfo struct {
 	ID    string      `json:"id"`
 	URL   string      `json:"url"`
 	State WorkerState `json:"state"`
-	// Lifecycle is the administrative state
-	// (active|cordoned|draining|ejected).
-	Lifecycle Lifecycle `json:"lifecycle"`
-	// Version echoes the worker's last self-description (probe or
-	// heartbeat).
+	// Version echoes the worker's last probed self-description.
 	Version int `json:"version,omitempty"`
 	// Fails is the current consecutive-failure count; LastError the most
 	// recent probe or request error.
 	Fails    int     `json:"fails,omitempty"`
 	LastErr  string  `json:"last_error,omitempty"`
 	ProbeAge float64 `json:"probe_age_s,omitempty"`
-	// HeartbeatAge is seconds since the last self-registration
-	// heartbeat (absent for workers that never registered themselves).
-	HeartbeatAge float64 `json:"heartbeat_age_s,omitempty"`
 	// WireAddr is the worker's advertised binary fast-path listener.
 	WireAddr string `json:"wire_addr,omitempty"`
 }
 
-// Registry tracks the worker fleet. Membership is dynamic: workers are
-// seeded from a static list and/or register themselves via heartbeats
-// (POST /v1/cluster/register). Each worker's /v1/healthz is probed
-// periodically; healthy matching-version workers are admitted, failing
-// ones ejected after FailAfter consecutive failures and re-probed with
-// jittered exponential backoff until they recover.
+// Registry tracks the worker fleet: the coordinator's -workers list
+// plus the members its durable store recorded. Each worker's
+// /v1/healthz is probed periodically; healthy matching-version workers
+// are admitted, failing ones ejected after FailAfter consecutive
+// failures and re-probed with jittered exponential backoff until they
+// recover.
 type Registry struct {
 	opts RegistryOptions
 
@@ -194,7 +159,7 @@ type Registry struct {
 // URLs and starts the probe loop. Seeded workers start in WorkerUnknown
 // and are not routable until their first successful probe — call
 // ProbeOnce to admit the initial fleet synchronously. An empty seed
-// list is valid: workers join via heartbeat self-registration.
+// list is valid; members join with Add.
 func NewRegistry(urls []string, opts RegistryOptions) (*Registry, error) {
 	opts = opts.withDefaults()
 	r := &Registry{
@@ -247,15 +212,9 @@ func (r *Registry) Add(url, id string) (*Worker, error) {
 	}
 	c := service.NewClient(url)
 	c.RequestTimeout = r.opts.RequestTimeout
-	c.PollInterval = r.opts.PollInterval
 	c.DisableWire = r.opts.DisableWire
-	w := &Worker{
-		ID:        id,
-		URL:       url,
-		Client:    c,
-		state:     WorkerUnknown,
-		lifecycle: LifecycleActive,
-	}
+	w := &Worker{ID: id, URL: url, Client: c, state: WorkerUnknown}
+	w.up, w.markDown = context.WithCancel(context.Background())
 	r.workers = append(r.workers, w)
 	r.byID[w.ID] = w
 	r.byURL[w.URL] = w
@@ -271,52 +230,15 @@ func normalizeURL(url string) string {
 }
 
 // rebuildRingLocked rebuilds the consistent-hash ring over the whole
-// fleet (lifecycle filtering happens at pick time via the Sequence
-// walk, so an ejected worker's keys remap to its ring successors
-// without disturbing anyone else's).
+// fleet (health filtering happens at pick time via the Sequence walk,
+// so a down worker's keys remap to its ring successors without
+// disturbing anyone else's).
 func (r *Registry) rebuildRingLocked() {
 	urls := make([]string, len(r.workers))
 	for i, w := range r.workers {
 		urls[i] = w.URL
 	}
 	r.ring = NewRing(urls, 0)
-}
-
-// Register handles one heartbeat self-registration: an unknown URL
-// joins the fleet immediately (admitted without waiting for a probe
-// round — the heartbeat itself is evidence of life), a known one has
-// its health refreshed, and an ejected one is revived to
-// LifecycleActive. changed reports a membership or lifecycle change the
-// caller should persist.
-func (r *Registry) Register(req service.RegisterRequest) (info WorkerInfo, changed bool, err error) {
-	url := normalizeURL(req.URL)
-	r.mu.Lock()
-	w, ok := r.byURL[url]
-	r.mu.Unlock()
-	if !ok {
-		if w, err = r.Add(url, ""); err != nil {
-			// Racing registrations of the same URL: the loser reads the
-			// winner's entry.
-			r.mu.Lock()
-			w, ok = r.byURL[url]
-			r.mu.Unlock()
-			if !ok {
-				return WorkerInfo{}, false, err
-			}
-		} else {
-			changed = true
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := time.Now()
-	w.beat = now
-	r.admitLocked(w, req.HealthPayload, now)
-	if w.lifecycle == LifecycleEjected {
-		w.lifecycle = LifecycleActive
-		changed = true
-	}
-	return r.infoLocked(w, now), changed, nil
 }
 
 // Close stops the probe loop.
@@ -347,11 +269,12 @@ func (r *Registry) Worker(id string) (*Worker, bool) {
 	return w, ok
 }
 
-// WorkerByURL resolves a worker URL.
+// WorkerByURL resolves a worker URL, in any spelling normalizeURL
+// folds together.
 func (r *Registry) WorkerByURL(url string) (*Worker, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w, ok := r.byURL[url]
+	w, ok := r.byURL[normalizeURL(url)]
 	return w, ok
 }
 
@@ -362,22 +285,43 @@ func (r *Registry) Workers() []*Worker {
 	return append([]*Worker(nil), r.workers...)
 }
 
-// Up reports whether a worker is currently health-admitted (a cordoned
-// or draining worker may still be unroutable; see Routable).
+// Up reports whether a worker is currently health-admitted, and so
+// takes new placements.
 func (r *Registry) Up(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w, ok := r.byID[id]
-	return ok && w.upLocked()
+	return ok && w.state == WorkerUp
 }
 
-// Routable reports whether a worker takes new placements: healthy AND
-// lifecycle-active.
-func (r *Registry) Routable(id string) bool {
+// WhileUp returns a child of ctx that is canceled, with a cause naming
+// the worker, once the registry marks the worker down. A follow of a
+// job on a worker that stops answering but keeps its sockets open
+// would otherwise last forever; this bounds it by the registry's own
+// liveness verdict. An unknown or already-down worker's child is
+// canceled at once. Call the returned cancel when the follow ends.
+func (r *Registry) WhileUp(ctx context.Context, id string) (context.Context, context.CancelFunc) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	return ok && w.upLocked() && w.lifecycle.routable()
+	var up context.Context
+	if w, ok := r.byID[id]; ok {
+		up = w.up
+	}
+	r.mu.Unlock()
+	cctx, cancel := context.WithCancelCause(ctx)
+	down := func() { cancel(fmt.Errorf("cluster: worker %s marked down", id)) }
+	switch {
+	case up == nil:
+		cancel(fmt.Errorf("cluster: unknown worker %s", id))
+	case up.Err() != nil:
+		down()
+	default:
+		stop := context.AfterFunc(up, down)
+		return cctx, func() {
+			stop()
+			cancel(nil)
+		}
+	}
+	return cctx, func() { cancel(nil) }
 }
 
 // UpCount returns the number of health-admitted workers.
@@ -386,82 +330,27 @@ func (r *Registry) UpCount() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, w := range r.workers {
-		if w.upLocked() {
+		if w.state == WorkerUp {
 			n++
 		}
 	}
 	return n
 }
 
-// Lifecycle returns a worker's administrative state.
-func (r *Registry) Lifecycle(id string) (Lifecycle, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	if !ok {
-		return "", false
-	}
-	return w.lifecycle, true
-}
-
-// SetLifecycle moves a worker to an administrative state, returning its
-// updated info.
-func (r *Registry) SetLifecycle(id string, lc Lifecycle) (WorkerInfo, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	if !ok {
-		return WorkerInfo{}, fmt.Errorf("cluster: unknown worker %q", id)
-	}
-	w.lifecycle = lc
-	return r.infoLocked(w, time.Now()), nil
-}
-
-// Resolve maps a worker ID or URL to its ID.
-func (r *Registry) Resolve(idOrURL string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok := r.byID[idOrURL]; ok {
-		return w.ID, true
-	}
-	if w, ok := r.byURL[normalizeURL(idOrURL)]; ok {
-		return w.ID, true
-	}
-	return "", false
-}
-
 func (r *Registry) infoLocked(w *Worker, now time.Time) WorkerInfo {
 	info := WorkerInfo{
-		ID:        w.ID,
-		URL:       w.URL,
-		State:     w.state,
-		Lifecycle: w.lifecycle,
-		Fails:     w.fails,
-		LastErr:   w.lastErr,
-		Version:   w.version,
-	}
-	if info.Lifecycle == "" {
-		info.Lifecycle = LifecycleActive
+		ID:       w.ID,
+		URL:      w.URL,
+		State:    w.state,
+		Fails:    w.fails,
+		LastErr:  w.lastErr,
+		Version:  w.version,
+		WireAddr: w.wireAddr,
 	}
 	if !w.probed.IsZero() {
 		info.ProbeAge = now.Sub(w.probed).Seconds()
 	}
-	if !w.beat.IsZero() {
-		info.HeartbeatAge = now.Sub(w.beat).Seconds()
-	}
-	info.WireAddr = w.wireAddr
 	return info
-}
-
-// InfoFor snapshots one worker's status.
-func (r *Registry) InfoFor(id string) (WorkerInfo, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	if !ok {
-		return WorkerInfo{}, false
-	}
-	return r.infoLocked(w, time.Now()), true
 }
 
 // Info snapshots every worker's status in registration order.
@@ -477,9 +366,10 @@ func (r *Registry) Info() []WorkerInfo {
 }
 
 // ReportFailure records a request-level failure against a worker (the
-// coordinator calls this when a submit, wait or watch fails): it counts toward the
-// same consecutive-failure ejection threshold as a failed probe, so
-// traffic ejects a dead worker faster than the probe cadence would.
+// coordinator calls this when a submit or watch fails): it counts
+// toward the same consecutive-failure ejection threshold as a failed
+// probe, so traffic ejects a dead worker faster than the probe cadence
+// would.
 func (r *Registry) ReportFailure(id string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -505,16 +395,12 @@ func (r *Registry) probeLoop() {
 
 // ProbeOnce runs one probe round: every due worker is health-checked
 // concurrently and its admission state updated. Down workers are only
-// probed once their backoff expires; ejected workers are skipped (a
-// heartbeat revives them).
+// probed once their backoff expires.
 func (r *Registry) ProbeOnce(ctx context.Context) {
 	r.mu.Lock()
 	now := time.Now()
 	var due []*Worker
 	for _, w := range r.workers {
-		if w.lifecycle == LifecycleEjected {
-			continue
-		}
 		if w.state == WorkerDown && now.Before(w.retryAt) {
 			continue
 		}
@@ -543,10 +429,14 @@ func (r *Registry) ProbeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// admitLocked applies one self-description a worker gave, from a probe
-// of its /v1/healthz or from its heartbeat: the worker is up when it
-// speaks this coordinator's snapshot format version, else incompatible.
+// admitLocked applies the self-description a probe of the worker's
+// /v1/healthz returned: the worker is up when it speaks this
+// coordinator's snapshot format version, else incompatible. A worker
+// readmitted from down gets a fresh WhileUp context.
 func (r *Registry) admitLocked(w *Worker, h service.HealthPayload, now time.Time) {
+	if w.up.Err() != nil {
+		w.up, w.markDown = context.WithCancel(context.Background())
+	}
 	w.probed = now
 	w.fails = 0
 	w.backoff = 0
@@ -562,7 +452,8 @@ func (r *Registry) admitLocked(w *Worker, h service.HealthPayload, now time.Time
 }
 
 // recordFailureLocked applies one failure: bump the consecutive count,
-// eject at the threshold, and push the readmission probe out by the
+// eject at the threshold (ending every WhileUp follow of the worker),
+// and push the readmission probe out by the
 // (doubling) backoff plus a random jitter of up to +25%. Without the
 // jitter a fleet-wide blip (switch reboot, coordinated deploy) leaves
 // every worker on the same backoff schedule and each retry round
@@ -572,6 +463,7 @@ func (r *Registry) recordFailureLocked(w *Worker, err error) {
 	w.lastErr = err.Error()
 	if w.state == WorkerDown || w.fails >= r.opts.FailAfter {
 		w.state = WorkerDown
+		w.markDown()
 		if w.backoff == 0 {
 			w.backoff = r.opts.BackoffBase
 		} else if w.backoff < r.opts.BackoffMax {

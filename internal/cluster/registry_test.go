@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,13 +158,13 @@ func TestRegistryReportFailureEjects(t *testing.T) {
 	}
 }
 
-// TestRegistryFleetValidation: an empty seed fleet is valid (workers
-// join via heartbeat self-registration), but blank and duplicate URLs
+// TestRegistryFleetValidation: an empty seed list is valid (the
+// coordinator adds its members with Add), but blank and duplicate URLs
 // stay rejected.
 func TestRegistryFleetValidation(t *testing.T) {
 	r, err := NewRegistry(nil, RegistryOptions{ProbeInterval: time.Hour})
 	if err != nil {
-		t.Fatalf("empty seed fleet must be valid (self-registration): %v", err)
+		t.Fatalf("empty seed list must be valid: %v", err)
 	}
 	defer r.Close()
 	if n := len(r.Workers()); n != 0 {
@@ -177,79 +178,48 @@ func TestRegistryFleetValidation(t *testing.T) {
 	}
 }
 
-// TestRegistryHeartbeatRegistration: a heartbeat admits an unknown
-// worker immediately (no probe round needed), refreshes a known one,
-// and revives an ejected one.
-func TestRegistryHeartbeatRegistration(t *testing.T) {
-	r := newManualRegistry(t, RegistryOptions{})
-	info, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344/", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
+// TestNewRejectsEmptyFleet: a coordinator's fleet is its Workers plus
+// the members its data dir recorded. With neither, New fails; a data
+// dir that recorded a member is a fleet on its own.
+func TestNewRejectsEmptyFleet(t *testing.T) {
+	dir := t.TempDir()
+	for _, opts := range []Options{{}, {DataDir: dir}} {
+		if c, err := New(context.Background(), opts); err == nil {
+			c.Close()
+			t.Fatalf("New(%+v) with no workers succeeded", opts)
+		}
+	}
+	f := newFakeWorker(t)
+	c, err := New(context.Background(), Options{Workers: []string{f.srv.URL}, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !changed {
-		t.Fatal("first registration must report a membership change")
-	}
-	if info.State != WorkerUp || info.Lifecycle != LifecycleActive {
-		t.Fatalf("registered worker: %+v", info)
-	}
-	if !r.Routable(info.ID) {
-		t.Fatal("heartbeat-registered worker must be routable")
-	}
-	if r.Ring().Owner("some-key") != "http://w:8344" {
-		t.Fatal("registered worker missing from the ring")
-	}
-
-	// Re-registration of the same URL (trailing slash and all): no change.
-	again, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
+	c.Close()
+	c, err = New(context.Background(), Options{DataDir: dir})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("data dir that recorded a member: %v", err)
 	}
-	if changed || again.ID != info.ID {
-		t.Fatalf("re-registration minted a new identity: %+v changed=%v", again, changed)
-	}
-
-	// A version-skewed heartbeat registers but is held out of routing.
-	skew, _, err := r.Register(service.RegisterRequest{URL: "http://skew:8344", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion + 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skew.State != WorkerIncompatible || r.Routable(skew.ID) {
-		t.Fatalf("version-skewed worker routable: %+v", skew)
-	}
-
-	// Revival: ejected workers come back active on their next beat.
-	if _, err := r.SetLifecycle(info.ID, LifecycleEjected); err != nil {
-		t.Fatal(err)
-	}
-	if r.Routable(info.ID) {
-		t.Fatal("ejected worker must not be routable")
-	}
-	revived, changed, err := r.Register(service.RegisterRequest{URL: "http://w:8344", HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed || revived.Lifecycle != LifecycleActive || !r.Routable(info.ID) {
-		t.Fatalf("heartbeat did not revive ejected worker: %+v changed=%v", revived, changed)
+	defer c.Close()
+	if ws := c.Registry().Workers(); len(ws) != 1 || ws[0].URL != f.srv.URL {
+		t.Fatalf("fleet recalled from the data dir: %+v", ws)
 	}
 }
 
 // TestRegistryNormalizesWorkerURLs: every spelling of one worker's URL
-// — a seed with a trailing slash and whitespace, its heartbeat, a
-// padded admin lookup — names one member, so a worker never sits on
-// the ring twice.
+// — a seed with a trailing slash and whitespace, a second Add, a padded
+// lookup — names one member, so a worker never sits on the ring twice.
 func TestRegistryNormalizesWorkerURLs(t *testing.T) {
 	f := newFakeWorker(t)
 	r := newManualRegistry(t, RegistryOptions{}, f.srv.URL+"/ ")
-	info, changed, err := r.Register(service.RegisterRequest{URL: f.srv.URL, HealthPayload: service.HealthPayload{Version: snapshot.FormatVersion}})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := r.Add(f.srv.URL, ""); err == nil {
+		t.Fatal("a second spelling of a seeded URL joined as a new member")
 	}
-	if n := len(r.Workers()); n != 1 || changed || info.ID != "w0" {
-		t.Fatalf("seed and heartbeat of one worker made %d members (heartbeat %+v, changed=%v)", n, info, changed)
+	if n := len(r.Workers()); n != 1 {
+		t.Fatalf("one worker made %d members", n)
 	}
-	for _, s := range []string{" " + f.srv.URL, f.srv.URL + "/", f.srv.URL + "/ \n"} {
-		if id, ok := r.Resolve(s); !ok || id != "w0" {
-			t.Errorf("Resolve(%q) = %q, %v; want w0", s, id, ok)
+	for _, s := range []string{f.srv.URL, " " + f.srv.URL, f.srv.URL + "/", f.srv.URL + "/ \n"} {
+		if w, ok := r.WorkerByURL(s); !ok || w.ID != "w0" {
+			t.Errorf("WorkerByURL(%q) = %v, %v; want w0", s, w, ok)
 		}
 	}
 
@@ -263,62 +233,49 @@ func TestRegistryNormalizesWorkerURLs(t *testing.T) {
 	}
 }
 
-// TestRegistryEjectedWorkerIsNotUp: probe rounds skip a drain-ejected
-// worker, so its last reading goes stale. It must not count as up, even
-// once it dies, until a heartbeat revives it.
-func TestRegistryEjectedWorkerIsNotUp(t *testing.T) {
-	a, b := newFakeWorker(t), newFakeWorker(t)
-	r := newManualRegistry(t, RegistryOptions{}, a.srv.URL, b.srv.URL)
-	r.ProbeOnce(context.Background())
-	if r.UpCount() != 2 {
-		t.Fatalf("healthy fleet not admitted: up=%d", r.UpCount())
-	}
-
-	if _, err := r.SetLifecycle("w0", LifecycleEjected); err != nil {
-		t.Fatal(err)
-	}
-	a.failing.Store(true)
-	r.ProbeOnce(context.Background())
-	if r.Up("w0") || r.UpCount() != 1 {
-		t.Fatalf("ejected worker still up: Up=%v UpCount=%d", r.Up("w0"), r.UpCount())
-	}
-
-	req := service.RegisterRequest{URL: a.srv.URL, HealthPayload: service.HealthPayload{
-		Version: snapshot.FormatVersion,
-	}}
-	if _, _, err := r.Register(req); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Up("w0") || r.UpCount() != 2 {
-		t.Fatal("heartbeat did not revive the ejected worker")
-	}
-}
-
-// TestRegistryLifecycleGatesRouting: cordon/drain stop new placements
-// without touching health state; uncordon restores routing.
-func TestRegistryLifecycleGatesRouting(t *testing.T) {
+// TestRegistryWhileUpEndsWithDownMarking: a follow's context lives
+// while its worker is up, ends with a cause naming the worker once the
+// registry marks it down, is born ended while the worker stays down,
+// and lives again after readmission.
+func TestRegistryWhileUpEndsWithDownMarking(t *testing.T) {
 	a := newFakeWorker(t)
-	r := newManualRegistry(t, RegistryOptions{}, a.srv.URL)
+	r := newManualRegistry(t, RegistryOptions{FailAfter: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}, a.srv.URL)
 	r.ProbeOnce(context.Background())
-	if !r.Routable("w0") {
-		t.Fatal("healthy active worker must be routable")
+	ctx, stop := r.WhileUp(context.Background(), "w0")
+	defer stop()
+	if ctx.Err() != nil {
+		t.Fatal("follow of an up worker ended at once")
 	}
-	for _, lc := range []Lifecycle{LifecycleCordoned, LifecycleDraining, LifecycleEjected} {
-		if _, err := r.SetLifecycle("w0", lc); err != nil {
-			t.Fatal(err)
-		}
-		if r.Routable("w0") {
-			t.Fatalf("%s worker must not be routable", lc)
-		}
-		if lc != LifecycleEjected && !r.Up("w0") {
-			t.Fatalf("%s must not change health admission", lc)
-		}
+
+	r.ReportFailure("w0", context.DeadlineExceeded)
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("follow outlived its worker's down-marking")
 	}
-	if _, err := r.SetLifecycle("w0", LifecycleActive); err != nil {
-		t.Fatal(err)
+	if cause := context.Cause(ctx); cause == nil || !strings.Contains(cause.Error(), "w0") {
+		t.Fatalf("cause %v does not name the worker", cause)
 	}
-	if !r.Routable("w0") {
-		t.Fatal("uncordoned worker must be routable again")
+	late, stopLate := r.WhileUp(context.Background(), "w0")
+	defer stopLate()
+	if late.Err() == nil {
+		t.Fatal("follow of a down worker did not end at once")
+	}
+	unknown, stopUnknown := r.WhileUp(context.Background(), "w9")
+	defer stopUnknown()
+	if unknown.Err() == nil {
+		t.Fatal("follow of an unknown worker did not end at once")
+	}
+
+	time.Sleep(5 * time.Millisecond) // let the readmission backoff expire
+	r.ProbeOnce(context.Background())
+	if !r.Up("w0") {
+		t.Fatal("recovered worker not readmitted")
+	}
+	again, stopAgain := r.WhileUp(context.Background(), "w0")
+	defer stopAgain()
+	if again.Err() != nil {
+		t.Fatal("follow of a readmitted worker ended at once")
 	}
 }
 

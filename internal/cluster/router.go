@@ -34,15 +34,14 @@ func RouteKey(spec service.JobSpec) (key string, warm bool, err error) {
 // ErrNoWorkers is returned when no admitted worker remains to try.
 var ErrNoWorkers = errors.New("cluster: no healthy workers")
 
-// pick returns the first routable, untried worker in the key's
-// preference sequence (the ring is keyed by worker URL; tried is keyed
-// by worker ID). Routable means healthy AND lifecycle-active: cordoned,
-// draining and ejected workers take no new placements, so a drained
-// worker's warm-affinity keys remap to its ring successors here.
+// pick returns the first up, untried worker in the key's preference
+// sequence (the ring is keyed by worker URL; tried is keyed by worker
+// ID), so a down worker's warm-affinity keys remap to its ring
+// successors here.
 func (c *Coordinator) pick(key string, tried map[string]bool) (*Worker, bool) {
 	for _, url := range c.reg.Ring().Sequence(key) {
 		w, ok := c.reg.WorkerByURL(url)
-		if !ok || tried[w.ID] || !c.reg.Routable(w.ID) {
+		if !ok || tried[w.ID] || !c.reg.Up(w.ID) {
 			continue
 		}
 		return w, true
@@ -66,7 +65,7 @@ func clientFault(err error) bool {
 // hash placement by affinity key, each worker-side submit failure
 // striking the worker (counting toward ejection) and moving down the
 // ring. tried accumulates struck worker IDs so a caller retrying after
-// a later failure (e.g. a lost wait) never resubmits to a worker it
+// a later failure (e.g. a lost watch) never resubmits to a worker it
 // already gave up on; pass nil to start fresh. The returned status
 // carries the worker-local job ID. Re-execution on the next worker is
 // safe because results are a deterministic function of the

@@ -12,7 +12,7 @@ import (
 )
 
 // Store is the coordinator's durable truth: job records, batch
-// membership and fleet lifecycle, held in memory and (when opened with
+// membership and fleet membership, held in memory and (when opened with
 // a data directory) persisted through an append-only WAL. Every
 // mutation is logged before it is visible; a coordinator restarted on
 // the same directory replays the log and carries on. Opened without a
@@ -70,12 +70,14 @@ type BatchRecord struct {
 	Jobs  []string          `json:"jobs"`
 }
 
-// WorkerRecord persists fleet membership and lifecycle so a restarted
-// coordinator knows its fleet before the first heartbeat arrives.
+// WorkerRecord persists one fleet member's ID and URL. Recovered job
+// records name their worker by ID, so the mapping must survive a
+// restart whose -workers list was edited. Records written before the
+// lifecycle verbs were removed also carry a "lifecycle" field, which
+// decoding ignores.
 type WorkerRecord struct {
-	ID        string    `json:"id"`
-	URL       string    `json:"url"`
-	Lifecycle Lifecycle `json:"lifecycle"`
+	ID  string `json:"id"`
+	URL string `json:"url"`
 }
 
 // storeState is the checkpoint payload: the whole folded state.

@@ -22,12 +22,12 @@ func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
 }
 
 // TestStoreDurableRoundTrip: every record kind — jobs (terminal and in
-// flight), batch membership, fleet lifecycle — plus the ID counters
+// flight), batch membership, fleet membership — plus the ID counters
 // survive a close/reopen cycle on the same directory.
 func TestStoreDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.PutWorker(WorkerRecord{ID: "w0", URL: "http://a:8344", Lifecycle: LifecycleDraining}); err != nil {
+	if err := s.PutWorker(WorkerRecord{ID: "w0", URL: "http://a:8344"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +71,7 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 		t.Fatalf("batch after reopen: ok=%v %+v", ok, gb)
 	}
 	fleet := s2.FleetWorkers()
-	if len(fleet) != 1 || fleet[0].ID != "w0" || fleet[0].Lifecycle != LifecycleDraining {
+	if len(fleet) != 1 || fleet[0] != (WorkerRecord{ID: "w0", URL: "http://a:8344"}) {
 		t.Fatalf("fleet after reopen: %+v", fleet)
 	}
 
@@ -90,6 +90,32 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	}
 	if st.WAL.Replayed == 0 {
 		t.Fatal("reopen replayed no WAL records")
+	}
+}
+
+// TestStoreReplaysLifecycleEraWorkerRecord: a data dir written while
+// members carried a lifecycle (cordoned, draining, ejected) still
+// replays. Decoding ignores the field, so a draining member comes back
+// as an ordinary one, through the W record and through the checkpoint
+// the first reopen compacts it into.
+func TestStoreReplaysLifecycleEraWorkerRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	if err := s.log.Append([]byte(`W{"id":"w0","url":"http://a:8344","lifecycle":"draining"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []WorkerRecord{{ID: "w0", URL: "http://a:8344"}}
+	for pass := range 2 {
+		s := openTestStore(t, dir, StoreOptions{})
+		if got := s.FleetWorkers(); len(got) != 1 || got[0] != want[0] {
+			t.Fatalf("reopen %d: fleet %+v, want %+v", pass, got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ type ResultPayload struct {
 }
 
 // HealthPayload is a server's self-description, served by GET
-// /v1/healthz on both daemons and sent in worker heartbeats. Counters
+// /v1/healthz on both daemons; a coordinator's probes read it. Counters
 // and gauges live only on GET /metrics.
 type HealthPayload struct {
 	Status string `json:"status"`

@@ -3,11 +3,11 @@ package service
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Pool) {
@@ -74,7 +74,6 @@ func readSSE(t *testing.T, url string) []sseEvent {
 func TestAPISessionSubmitPollStreamResult(t *testing.T) {
 	srv, pool := newTestServer(t, Options{Workers: 1})
 	client := NewClient(srv.URL)
-	client.PollInterval = 20 * time.Millisecond
 
 	// Submit: big enough that the SSE subscription attaches mid-run.
 	spec := specFixture()
@@ -110,8 +109,8 @@ func TestAPISessionSubmitPollStreamResult(t *testing.T) {
 		t.Error("terminal event payload missing derived metrics")
 	}
 
-	// Poll: done with result and metrics.
-	final, err := client.Wait(context.Background(), st.ID)
+	// Watch to the end: done with result and metrics.
+	final, err := client.Watch(context.Background(), st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestAPICancelEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: %d, want 200", resp.StatusCode)
 	}
-	final, err := client.Wait(context.Background(), st.ID)
+	final, err := client.Watch(context.Background(), st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,6 @@ func TestAPICancelEndpoint(t *testing.T) {
 func TestConcurrentAPISubmissions(t *testing.T) {
 	srv, pool := newTestServer(t, Options{Workers: 4})
 	client := NewClient(srv.URL)
-	client.PollInterval = 20 * time.Millisecond
 
 	const clients = 12
 	errs := make(chan error, clients)
@@ -237,7 +235,13 @@ func TestConcurrentAPISubmissions(t *testing.T) {
 		go func(i int) {
 			spec := specFixture()
 			spec.Seed = int64(i%3 + 1) // 3 distinct configs, 4 submitters each
-			_, err := client.Run(context.Background(), spec)
+			st, err := client.Submit(context.Background(), spec)
+			if err == nil {
+				st, err = client.Watch(context.Background(), st.ID, nil)
+			}
+			if err == nil && st.State != StateDone {
+				err = fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
+			}
 			errs <- err
 		}(i)
 	}

@@ -23,8 +23,6 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	// PollInterval paces Wait's status polling (default 250ms).
-	PollInterval time.Duration
 	// RequestTimeout bounds each non-streaming HTTP call (default 30s).
 	// Streaming calls (Events, Batch) are bounded by their context only:
 	// a progress stream legitimately outlives any fixed request budget.
@@ -239,49 +237,6 @@ func (c *Client) Health(ctx context.Context) (HealthPayload, error) {
 		return HealthPayload{}, err
 	}
 	return h, nil
-}
-
-// Wait polls until the job reaches a terminal state or ctx expires.
-// Each poll is individually bounded by RequestTimeout, so a worker that
-// hangs mid-wait yields an error instead of blocking forever.
-func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	poll := c.PollInterval
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}
-
-// Run submits a spec and blocks for its result — the remote counterpart
-// of Pool.Run.
-func (c *Client) Run(ctx context.Context, spec JobSpec) (sim.Result, error) {
-	st, err := c.Submit(ctx, spec)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if !st.State.Terminal() {
-		st, err = c.Wait(ctx, st.ID)
-		if err != nil {
-			return sim.Result{}, err
-		}
-	}
-	if st.State != StateDone || st.Result == nil {
-		return sim.Result{}, fmt.Errorf("service: job %s %s: %s", st.ID, st.State, st.Error)
-	}
-	return *st.Result, nil
 }
 
 // Event is one parsed Server-Sent Event: the event name and its raw

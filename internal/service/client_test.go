@@ -14,12 +14,10 @@ import (
 
 // faultServer runs a fault-injecting handler (see
 // internal/chaos/faultserver, shared with the cluster tests) and
-// returns a fast-polling client pointed at it.
+// returns a client pointed at it.
 func faultServer(t *testing.T, h faultserver.Handler) *Client {
 	t.Helper()
-	c := NewClient(faultserver.New(t, h).URL)
-	c.PollInterval = 5 * time.Millisecond
-	return c
+	return NewClient(faultserver.New(t, h).URL)
 }
 
 func TestClientNonJSONErrorBody(t *testing.T) {
@@ -62,8 +60,8 @@ func TestClientGarbage200Body(t *testing.T) {
 }
 
 // TestClientHungServer: a server that accepts and never answers must
-// not block calls past RequestTimeout — the bug that used to wedge
-// Wait forever against a hung worker.
+// not block calls past RequestTimeout; a Watch that cannot even open
+// its stream is bounded the same way.
 func TestClientHungServer(t *testing.T) {
 	c := faultServer(t, faultserver.Hung())
 	c.RequestTimeout = 50 * time.Millisecond
@@ -72,7 +70,7 @@ func TestClientHungServer(t *testing.T) {
 		"Job":    func() error { _, err := c.Job(context.Background(), "j1"); return err },
 		"Submit": func() error { _, err := c.Submit(context.Background(), JobSpec{Mechanism: "bump"}); return err },
 		"Health": func() error { _, err := c.Health(context.Background()); return err },
-		"Wait":   func() error { _, err := c.Wait(context.Background(), "j1"); return err },
+		"Watch":  func() error { _, err := c.Watch(context.Background(), "j1", nil); return err },
 	} {
 		start := time.Now()
 		err := call()
@@ -96,24 +94,6 @@ func TestClientCanceledContext(t *testing.T) {
 	}
 	if _, err := c.Submit(ctx, JobSpec{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context: %v", err)
-	}
-}
-
-// TestClientWaitCanceledBetweenPolls: the server always reports the job
-// running; Wait must honor its context instead of polling forever.
-func TestClientWaitCanceledBetweenPolls(t *testing.T) {
-	c := faultServer(t, func(w http.ResponseWriter, r *http.Request, stop <-chan struct{}) {
-		fmt.Fprint(w, `{"id":"j1","state":"running"}`)
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Wait(ctx, "j1")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline error, got %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("Wait ignored its context")
 	}
 }
 
@@ -173,7 +153,6 @@ func TestClientEventsCallbackError(t *testing.T) {
 func TestClientAgainstRealServer(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 2})
 	c := NewClient(srv.URL)
-	c.PollInterval = 10 * time.Millisecond
 
 	// Batch: points stream in and the aggregate is ordered.
 	specs := []JobSpec{specFixture(), specFixture(), specFixture()}

@@ -361,27 +361,6 @@ func (p *Pool) Wait(ctx context.Context, id string) (JobStatus, error) {
 	return p.statusLocked(j), nil
 }
 
-// Run is the synchronous convenience path (cmd/sweep's in-process
-// mode): submit, wait, and unwrap the result.
-func (p *Pool) Run(ctx context.Context, spec JobSpec) (sim.Result, error) {
-	st, err := p.Submit(spec)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	st, err = p.Wait(ctx, st.ID)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	switch st.State {
-	case StateDone:
-		return *st.Result, nil
-	case StateCanceled:
-		return sim.Result{}, sim.ErrCanceled
-	default:
-		return sim.Result{}, fmt.Errorf("service: job %s %s: %s", st.ID, st.State, st.Error)
-	}
-}
-
 // Subscribe returns a channel of progress snapshots for a job. The
 // channel closes when the job reaches a terminal state (read the final
 // status via Job). The returned cancel function detaches the
@@ -457,9 +436,8 @@ func (p *Pool) Stats() PoolStats {
 	return st
 }
 
-// Health is the self-description a pool's server sends: on GET
-// /v1/healthz and in each heartbeat, with wireAddr its advertised wire
-// listener.
+// Health is the self-description a pool's server serves on GET
+// /v1/healthz, with wireAddr its advertised wire listener.
 func (p *Pool) Health(wireAddr string) HealthPayload {
 	return HealthPayload{
 		Status:   "ok",

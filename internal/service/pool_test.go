@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -30,9 +31,24 @@ func newTestPool(t *testing.T, opts Options) *Pool {
 	return p
 }
 
+// runSpec submits spec and blocks for its result.
+func runSpec(ctx context.Context, p *Pool, spec JobSpec) (sim.Result, error) {
+	st, err := p.Submit(spec)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if st, err = p.Wait(ctx, st.ID); err != nil {
+		return sim.Result{}, err
+	}
+	if st.State != StateDone {
+		return sim.Result{}, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	return *st.Result, nil
+}
+
 func TestSubmitRunAndResult(t *testing.T) {
 	p := newTestPool(t, Options{Workers: 2})
-	res, err := p.Run(context.Background(), specFixture())
+	res, err := runSpec(context.Background(), p, specFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +79,7 @@ func TestDuplicateSubmissionsCoalesceToOneExecution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = p.Run(context.Background(), specFixture())
+			results[i], errs[i] = runSpec(context.Background(), p, specFixture())
 		}(i)
 	}
 	wg.Wait()
@@ -84,7 +100,7 @@ func TestDuplicateSubmissionsCoalesceToOneExecution(t *testing.T) {
 
 func TestCachedResultReturnsWithoutRerun(t *testing.T) {
 	p := newTestPool(t, Options{Workers: 1})
-	if _, err := p.Run(context.Background(), specFixture()); err != nil {
+	if _, err := runSpec(context.Background(), p, specFixture()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := p.Submit(specFixture())
@@ -209,7 +225,7 @@ func TestCancelFreesWorkerForNextJob(t *testing.T) {
 	}
 	p.Cancel(running.ID)
 	// The worker must come back and execute a fresh job.
-	if _, err := p.Run(context.Background(), specFixture()); err != nil {
+	if _, err := runSpec(context.Background(), p, specFixture()); err != nil {
 		t.Fatalf("run after cancel: %v", err)
 	}
 }
@@ -350,7 +366,7 @@ func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := NewPool(Options{Workers: 1, WarmBackend: bs, ProgressInterval: 5_000})
-	if _, err := first.Run(ctx, point(0)); err != nil {
+	if _, err := runSpec(ctx, first, point(0)); err != nil {
 		t.Fatal(err)
 	}
 	first.Close()
@@ -362,7 +378,7 @@ func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 	}
 	t.Cleanup(reopened.Close)
 	restarted := newTestPool(t, Options{Workers: 1, WarmBackend: reopened})
-	got, err := restarted.Run(ctx, point(1))
+	got, err := runSpec(ctx, restarted, point(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +387,7 @@ func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 	}
 
 	ref := newTestPool(t, Options{Workers: 1, WarmStarts: true})
-	want, err := ref.Run(ctx, point(1))
+	want, err := runSpec(ctx, ref, point(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +411,7 @@ func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 func TestWarmPoolMatchesColdResult(t *testing.T) {
 	warm := newTestPool(t, Options{Workers: 1, WarmStarts: true})
 	spec := specFixture()
-	res, err := warm.Run(context.Background(), spec)
+	res, err := runSpec(context.Background(), warm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

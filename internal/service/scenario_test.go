@@ -144,7 +144,7 @@ func TestScenarioJobOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := client.Wait(context.Background(), st.ID)
+	fin, err := client.Watch(context.Background(), st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

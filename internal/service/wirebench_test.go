@@ -37,7 +37,7 @@ func BenchmarkClientSubmitRoundtrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if fin, err := prime.Wait(context.Background(), st.ID); err != nil || fin.State != StateDone {
+	if fin, err := prime.Watch(context.Background(), st.ID, nil); err != nil || fin.State != StateDone {
 		b.Fatalf("prime job: %v %s", err, fin.State)
 	}
 	prime.Close()
