@@ -1,9 +1,10 @@
 // Command bumpctl coordinates a fleet of bumpd workers behind one
-// endpoint. It serves the same /v1 job API as a single bumpd — the same
-// handler (service.MountJobs) and wire server, over the coordinator's
-// service.Backend — so every existing client (sweep -server, curl
-// scripts, service.Client) works unchanged, plus cluster-only endpoints
-// for topology and whole-sweep batches.
+// endpoint. It serves the same /v1 job and batch API as a single bumpd —
+// the same handler (service.MountJobs) and wire server, over the
+// coordinator's service.Backend — so every existing client (sweep
+// -server, curl scripts, service.Client) works unchanged, plus
+// cluster-only endpoints for topology and traces. A sweep is its
+// points: each is an ordinary job, routed by its own key.
 //
 // Jobs are routed by warm-affinity key: every point of a measured-
 // parameter sweep shares one structural config digest, so the whole
@@ -18,13 +19,15 @@
 // byte-identical because they are a deterministic function of the
 // config.
 //
-// With -data-dir the coordinator is durable: every accepted job ID,
-// sweep and fleet-membership change is written to a write-ahead log
-// before the client hears about it. A coordinator restarted on the same
-// directory replays the log, re-answers every pre-crash job ID, and
-// re-drives unfinished work to completion. The fleet is the -workers
-// list plus the members the data dir recorded; with neither, bumpctl
-// exits with an error.
+// With -data-dir the coordinator is durable: every accepted job ID and
+// fleet-membership change is written to a write-ahead log before the
+// client hears about it. A coordinator restarted on the same directory
+// replays the log, re-answers every pre-crash job ID, and re-drives
+// unfinished work to completion. A sweep cut short by a restart is the
+// client's to resubmit: its finished points are answered from the
+// workers' result caches, and its running ones coalesce by config hash.
+// The fleet is the -workers list plus the members the data dir
+// recorded; with neither, bumpctl exits with an error.
 //
 // Usage:
 //
@@ -40,7 +43,6 @@
 //	GET    /v1/jobs/{id}/trace  stitched coordinator+worker trace JSON
 //	DELETE /v1/jobs/{id}        cancel a job (404 unknown, 409 terminal)
 //	POST   /v1/batch            run a whole sweep; SSE per-point events
-//	GET    /v1/batch/{id}       sweep progress/aggregate, survives restarts
 //	GET    /v1/results/{hash}   cached result, fleet-wide lookup
 //	GET    /v1/healthz          self-description: fleet status, version, wire
 //	GET    /v1/cluster          topology: per-worker state and failures
@@ -82,8 +84,7 @@ func main() {
 		segBytes  = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size (0 = 4MiB default)")
 		noSync    = flag.Bool("wal-no-sync", false, "skip fsync on WAL appends (faster, loses the tail on power loss)")
 		compactN  = flag.Uint64("compact-every", 0, "WAL appends between checkpoint compactions (0 = 512 default)")
-		retainJ   = flag.Int("retain-jobs", 0, "terminal solo-job records retained for status queries (0 = 4096 default)")
-		retainB   = flag.Int("retain-batches", 0, "completed sweeps retained with their points (0 = 64 default)")
+		retainJ   = flag.Int("retain-jobs", 0, "terminal job records, batch points included, retained for status queries (0 = 4096 default)")
 		wireAddr  = flag.String("wire-addr", ":8346", "binary wire protocol listen address (empty = HTTP/JSON only)")
 		jsonOnly  = flag.Bool("json-only", false, "talk HTTP/JSON to workers even when they advertise a wire listener")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -122,14 +123,13 @@ func main() {
 			RequestTimeout: *reqTO,
 			DisableWire:    *jsonOnly,
 		},
-		DataDir:       *dataDir,
-		WAL:           wal.Options{SegmentBytes: *segBytes, NoSync: *noSync},
-		CompactEvery:  *compactN,
-		RetainJobs:    *retainJ,
-		RetainBatches: *retainB,
-		Metrics:       metrics,
-		Tracer:        tracer,
-		Logger:        logger,
+		DataDir:      *dataDir,
+		WAL:          wal.Options{SegmentBytes: *segBytes, NoSync: *noSync},
+		CompactEvery: *compactN,
+		RetainJobs:   *retainJ,
+		Metrics:      metrics,
+		Tracer:       tracer,
+		Logger:       logger,
 	})
 	if err != nil {
 		slog.Error("startup", "error", err)

@@ -18,6 +18,9 @@
 // inline spec under "scenario_spec". The resolved scenario is part of
 // the config hash, so scenario jobs coalesce and cache like any other.
 //
+// The pool is the service.Backend that both transports serve: the HTTP
+// routes below (service.MountJobs) and the binary wire listener.
+//
 // Endpoints (see internal/service):
 //
 //	POST   /v1/jobs             submit a job spec
@@ -132,7 +135,7 @@ func main() {
 			slog.Error("wire listen", "addr", *wireAddr, "error", err)
 			os.Exit(1)
 		}
-		wireSrv = wire.Serve(l, service.NewWireHandler(service.NewPoolWireBackend(pool)))
+		wireSrv = wire.Serve(l, service.NewWireHandler(pool))
 		flagHost, _, err := net.SplitHostPort(*wireAddr)
 		if err != nil {
 			flagHost = ""

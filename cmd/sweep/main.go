@@ -10,9 +10,11 @@
 // sweep clients can share one simulation service and its cache. A
 // comma-separated -server list of bumpd workers embeds an in-process
 // cluster coordinator instead: points are routed by warm-affinity key
-// across the fleet with automatic failover. Each of the three is a
+// across the fleet with automatic failover. Each of the three — the
+// *service.Pool itself, a service.Client, a cluster.Coordinator — is a
 // service.Backend, so a sweep is one Backend.Batch call whichever runs
-// it. A server's warm and cache counters are on its GET /metrics; the
+// it; the pool and the coordinator both answer it with
+// service.RunBatch over themselves. A server's warm and cache counters are on its GET /metrics; the
 // sweep reports only what this process saw (the in-process -warm
 // ledger, wire fast-path usage).
 //
@@ -150,7 +152,7 @@ func main() {
 	default:
 		pool = service.NewPool(service.Options{WarmStarts: *warm})
 		defer pool.Close()
-		run = service.NewPoolWireBackend(pool)
+		run = pool
 	}
 	// After a remote sweep, show how the transport behaved (wire
 	// fast-path vs HTTP fallback, conn reuse).

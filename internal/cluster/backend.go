@@ -82,8 +82,7 @@ func (c *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (service
 	if err := c.store.PutJob(rec); err != nil {
 		return service.JobStatus{}, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
-	c.wg.Add(1)
-	go c.drive(id)
+	c.spawn(id)
 	st.ID = id
 	return st, nil
 }
@@ -134,36 +133,50 @@ func (c *Coordinator) Cancel(ctx context.Context, id string) (service.JobStatus,
 	return statusFromRecord(rec), nil
 }
 
-// Watch follows a job to its terminal state, relaying its worker's
-// progress. A job mid-failover (unplaced, or its worker just died or
-// was marked down) is re-read on the retry cadence rather than
-// erroring: the driver is re-placing it, and the watch resumes on the
-// new worker. Each worker watch is a follow, as the driver's is: the
-// registry marking the worker down ends it, and a failed one strikes
-// the worker.
+// Watch follows a job to its terminal state through its driver: it
+// relays the progress the driver's follow of the worker sees, across
+// failovers, and returns the terminal record once the driver has
+// persisted it. A job no driver carries is answered from its record:
+// terminal, or unfinished because the coordinator has closed.
 func (c *Coordinator) Watch(ctx context.Context, id string, onProgress func(sim.Progress)) (service.JobStatus, error) {
-	for {
-		rec, ok := c.store.Job(id)
-		if !ok {
-			return service.JobStatus{}, unknownJob(id)
-		}
-		if rec.State.Terminal() {
-			return statusFromRecord(rec), nil
-		}
-		if wk, okw := c.reg.Worker(rec.Worker); okw && rec.Worker != "" {
-			if st, err := c.follow(ctx, wk, rec.Local, onProgress); err == nil {
-				st.ID = rec.ID
-				return st, nil
+	// Buffered so the driver's relay never waits on this watcher.
+	ch := make(chan sim.Progress, 16)
+	c.mu.Lock()
+	subs, tracked := c.tracks[id]
+	if tracked {
+		subs[ch] = struct{}{}
+	}
+	c.mu.Unlock()
+	if tracked {
+		defer func() {
+			c.mu.Lock()
+			delete(c.tracks[id], ch)
+			c.mu.Unlock()
+		}()
+	loop:
+		for {
+			select {
+			case <-ctx.Done():
+				return service.JobStatus{}, ctx.Err()
+			case pr, open := <-ch:
+				if !open {
+					break loop
+				}
+				if onProgress != nil {
+					onProgress(pr)
+				}
 			}
 		}
-		select {
-		case <-ctx.Done():
-			return service.JobStatus{}, ctx.Err()
-		case <-c.ctx.Done():
-			return service.JobStatus{}, c.ctx.Err()
-		case <-time.After(c.opts.RetryInterval):
-		}
 	}
+	rec, ok := c.store.Job(id)
+	switch {
+	case !ok:
+		return service.JobStatus{}, unknownJob(id)
+	case !rec.State.Terminal():
+		return service.JobStatus{}, &service.APIError{Code: http.StatusServiceUnavailable,
+			Message: fmt.Sprintf("cluster: coordinator closed before job %s ended", id)}
+	}
+	return statusFromRecord(rec), nil
 }
 
 // ResultByHash looks a cached result up across the admitted fleet: the

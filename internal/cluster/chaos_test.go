@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -43,7 +41,7 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, msg string
 // TestChaosCoordinatorCrashRestartMidSweep is the durability acceptance
 // test: a coordinator is killed mid-sweep and restarted on the same data
 // directory. The restarted coordinator must answer every pre-crash job
-// ID, pick the in-flight work back up, and deliver a final aggregate
+// ID, pick the in-flight work back up, and deliver every point
 // byte-identical to the single-node path.
 func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 	fleet := newTestFleet(t, 3, service.Options{Workers: 1, WarmStarts: true})
@@ -83,24 +81,28 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The sweep's points, each submitted as a job, as a batch submits
+	// them.
 	const points = 16
 	specs := make([]service.JobSpec, points)
+	ids := make([]string, points)
 	for i := range specs {
 		specs[i] = sweepSpec("web-search", i)
 		specs[i].WarmupCycles = 50_000
 		specs[i].MeasureCycles = 500_000
-	}
-	batchID, err := c1.StartBatch(service.BatchSpec{Specs: specs})
-	if err != nil {
-		t.Fatal(err)
+		st, err := client1.Submit(context.Background(), specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
 	}
 
 	// Kill once the sweep is genuinely mid-flight: some points terminal,
 	// the rest placed or running.
 	terminalPoints := func() int {
 		n := 0
-		for _, j := range c1.Store().Jobs() {
-			if j.Batch == batchID && j.State.Terminal() {
+		for _, id := range ids {
+			if j, ok := c1.Store().Job(id); ok && j.State.Terminal() {
 				n++
 			}
 		}
@@ -143,7 +145,7 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 		}
 	}
 
-	// The solo job and the whole sweep run to completion under the
+	// The solo job and every point run to completion under the
 	// restarted coordinator.
 	fin, err := client2.Watch(context.Background(), soloSt.ID, nil)
 	if err != nil || fin.State != service.StateDone || fin.Result == nil {
@@ -151,36 +153,15 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	res, err := c2.WaitBatch(ctx, batchID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 || len(res.Points) != points {
-		t.Fatalf("recovered sweep: %d points, %d failed", len(res.Points), res.Failed)
-	}
-
-	// GET /v1/batch/{id} agrees the sweep is done.
-	br, err := http.Get(front2.URL + "/v1/batch/" + batchID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Body.Close()
-	var bst BatchStatusPayload
-	if err := json.NewDecoder(br.Body).Decode(&bst); err != nil {
-		t.Fatal(err)
-	}
-	if br.StatusCode != http.StatusOK || !bst.Done || bst.Pending != 0 {
-		t.Fatalf("batch status after recovery: code=%d %+v", br.StatusCode, bst)
-	}
-
-	// The crash must not have cost correctness: byte-identical to the
-	// single-node path.
 	ref := singleNodeReference(t, specs)
-	for i, pt := range res.Points {
-		if pt.Status.Result == nil {
-			t.Fatalf("recovered point %d has no result: %+v", i, pt.Status.JobStatus)
+	for i, id := range ids {
+		fin, err := client2.Watch(ctx, id, nil)
+		if err != nil || fin.State != service.StateDone || fin.Result == nil {
+			t.Fatalf("point %d after restart: %v %+v", i, err, fin)
 		}
-		if got := resultJSON(t, *pt.Status.Result); got != ref[i] {
+		// The crash must not have cost correctness: byte-identical to
+		// the single-node path.
+		if got := resultJSON(t, *fin.Result); got != ref[i] {
 			t.Errorf("point %d: recovered sweep diverges from single-node", i)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +61,7 @@ func newWireFleet(t *testing.T, n int, opts service.Options) []*testWorker {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := wire.Serve(l, service.NewWireHandler(service.NewPoolWireBackend(p)))
+		ws := wire.Serve(l, service.NewWireHandler(p))
 		srv := httptest.NewServer(service.NewHandlerInfo(p, service.ServerInfo{WireAddr: l.Addr().String()}))
 		t.Cleanup(func() {
 			srv.Close()
@@ -609,5 +611,84 @@ func TestClusterE2ECrossProtocolSweep(t *testing.T) {
 	}
 	if resultJSON(t, res) != resultJSON(t, *fin.Result) {
 		t.Error("wire hash lookup returned a different result")
+	}
+}
+
+// TestClusterE2EOneWorkerStreamPerJob pins that the coordinator follows
+// each job over a single worker event stream, its driver's: watches
+// subscribe to the driver instead of opening streams of their own. A
+// job watched by two clients therefore opens one stream at its worker,
+// and a sweep one per point it runs. Coordinator.Batch returns only
+// once every point's record is terminal, naming the worker its point
+// reports.
+func TestClusterE2EOneWorkerStreamPerJob(t *testing.T) {
+	var streams atomic.Int64
+	urls := make([]string, 2)
+	for i := range urls {
+		p := service.NewPool(service.Options{Workers: 2, WarmStarts: true, ProgressInterval: 5_000})
+		h := service.NewHandler(p)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/events") {
+				streams.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			p.Close()
+		})
+		urls[i] = srv.URL
+	}
+	coord, err := New(context.Background(), Options{Workers: urls, Registry: fastRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	spec := sweepSpec("web-search", 0)
+	spec.MeasureCycles = 400_000
+	st, err := coord.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var progress [2]atomic.Int64
+	for i := range progress {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fin, err := coord.Watch(context.Background(), st.ID, func(sim.Progress) { progress[i].Add(1) })
+			if err != nil || fin.State != service.StateDone || fin.Result == nil {
+				t.Errorf("watch %d: %v %+v", i, err, fin)
+			}
+		}()
+	}
+	wg.Wait()
+	if progress[0].Load() == 0 || progress[1].Load() == 0 {
+		t.Errorf("watches saw %d and %d progress snapshots, want some each", progress[0].Load(), progress[1].Load())
+	}
+	if n := streams.Load(); n != 1 {
+		t.Errorf("a job watched twice opened %d worker event streams, want 1", n)
+	}
+
+	streams.Store(0)
+	var specs []service.JobSpec
+	for _, wl := range []string{"web-search", "media-streaming"} {
+		for streak := range 4 {
+			specs = append(specs, sweepSpec(wl, streak))
+		}
+	}
+	res, err := coord.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)
+	if err != nil || res.Failed != 0 {
+		t.Fatalf("batch: %v, %d failed", err, res.Failed)
+	}
+	for i, pt := range res.Points {
+		rec, ok := coord.Store().Job(pt.Status.ID)
+		if !ok || !rec.State.Terminal() || rec.Worker == "" || rec.Worker != pt.Worker {
+			t.Errorf("point %d reports worker %q; its record: ok=%v %+v", i, pt.Worker, ok, rec)
+		}
+	}
+	if n := streams.Load(); n != int64(len(specs)) {
+		t.Errorf("an %d-point batch opened %d worker event streams, want one per point", len(specs), n)
 	}
 }

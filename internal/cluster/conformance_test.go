@@ -32,6 +32,9 @@ type jobAPI interface {
 	// snapshots on the way.
 	watch(t *testing.T, id string) (progress, code int, payload []byte)
 	result(t *testing.T, hash string) (int, []byte)
+	// batch runs a sweep, streaming its points, and reports the
+	// aggregate, or {"error": message} when the batch is refused.
+	batch(t *testing.T, spec service.BatchSpec) (int, []byte)
 }
 
 // httpAPI speaks raw HTTP, so the statuses are the ones on the wire.
@@ -39,9 +42,18 @@ type httpAPI struct{ base string }
 
 func (a httpAPI) do(t *testing.T, method, path string, body []byte) (*http.Response, []byte) {
 	t.Helper()
+	return a.doAccept(t, method, path, body, "")
+}
+
+// doAccept is do with an Accept header (none when accept is empty).
+func (a httpAPI) doAccept(t *testing.T, method, path string, body []byte, accept string) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(method, a.base+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -108,6 +120,40 @@ func (a httpAPI) watch(t *testing.T, id string) (int, int, []byte) {
 		t.Fatalf("terminal event %q carries state %q (%v)", name, p.State, err)
 	}
 	return progress, http.StatusOK, []byte(last)
+}
+
+// batch posts the sweep asking for an event stream: a refused batch
+// answers its status at once; an accepted one streams one `point` event
+// per point and ends on the `batch` aggregate.
+func (a httpAPI) batch(t *testing.T, spec service.BatchSpec) (int, []byte) {
+	resp, data := a.doAccept(t, http.MethodPost, "/v1/batch", mustJSON(t, spec), "text/event-stream")
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, data
+	}
+	var points int
+	var name, last string
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			name = strings.TrimPrefix(line, "event: ")
+			if name == "point" {
+				points++
+			}
+		case strings.HasPrefix(line, "data: "):
+			last = strings.TrimPrefix(line, "data: ")
+		}
+	}
+	if name != "batch" {
+		t.Errorf("batch stream ended on %q (%s), not the aggregate", name, last)
+		return resp.StatusCode, nil
+	}
+	if points != len(spec.Specs) {
+		t.Errorf("batch stream sent %d point events for %d points", points, len(spec.Specs))
+	}
+	return resp.StatusCode, []byte(last)
 }
 
 // clientAPI goes through service.Client over the wire protocol (Cancel,
@@ -180,6 +226,46 @@ func (a clientAPI) result(t *testing.T, hash string) (int, []byte) {
 	return http.StatusOK, mustJSON(t, service.ResultPayload{Hash: hash, Result: res, Metrics: service.MetricsFor(res)})
 }
 
+func (a clientAPI) batch(t *testing.T, spec service.BatchSpec) (int, []byte) {
+	var points int
+	res, err := a.c.Batch(context.Background(), spec, func(service.BatchPoint) { points++ })
+	if err != nil {
+		var apiErr *service.APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("transport failure: %v", err)
+		}
+		return apiErr.Code, mustJSON(t, map[string]string{"error": apiErr.Message})
+	}
+	if points != len(spec.Specs) {
+		t.Errorf("batch delivered %d points for %d", points, len(spec.Specs))
+	}
+	return http.StatusOK, mustJSON(t, res)
+}
+
+// batchView keeps what every daemon must agree on in a batch aggregate:
+// each point's position, hash, state, cached flag and result, but not
+// its job ID or worker.
+func batchView(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var res service.BatchResult
+	if err := json.Unmarshal(payload, &res); err != nil || res.Points == nil {
+		return payload
+	}
+	type view struct {
+		Index  int           `json:"index"`
+		Hash   string        `json:"hash"`
+		State  service.State `json:"state"`
+		Cached bool          `json:"cached"`
+		Result *sim.Result   `json:"result"`
+	}
+	points := make([]view, len(res.Points))
+	for i, pt := range res.Points {
+		st := pt.Status
+		points[i] = view{pt.Index, st.Hash, st.State, st.Cached, st.Result}
+	}
+	return mustJSON(t, map[string]any{"points": points, "failed": res.Failed})
+}
+
 // conformanceStep is one answer of the script: its status and the
 // payload fields compared across daemons and transports (IDs aside).
 type conformanceStep struct {
@@ -249,6 +335,17 @@ func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
 	record("cancel-canceled", code, nil)
 	code, _ = api.cancel(t, id)
 	record("cancel-done", code, nil)
+
+	// A sweep of a fresh point and the short one again, born done.
+	fresh := sweepSpec("media-streaming", 0)
+	code, body = api.batch(t, service.BatchSpec{Specs: []service.JobSpec{fresh, short}})
+	record("batch", code, batchView(t, body), "points", "failed")
+	code, body = api.batch(t, service.BatchSpec{})
+	record("batch-empty", code, body, "error")
+	unknown := fresh
+	unknown.Workload = "no-such-workload"
+	code, body = api.batch(t, service.BatchSpec{Specs: []service.JobSpec{fresh, unknown}})
+	record("batch-invalid", code, body, "error")
 	return steps
 }
 
@@ -290,8 +387,9 @@ func serveCoordinator(t *testing.T, coord *Coordinator) string {
 
 // TestJobAPIConformance runs one job-API script against bumpd and
 // bumpctl, each over HTTP and over the wire protocol: every status and
-// every compared payload field must agree across the four, and each
-// daemon's /v1/healthz carries only the HealthPayload fields. A failover
+// every compared payload field must agree across the four, batches
+// included (a refused one is a 400 with one message everywhere), and
+// each daemon's /v1/healthz carries only the HealthPayload fields. A failover
 // row then kills the worker running a watched coordinator job: the
 // watch must still end in done over both protocols.
 func TestJobAPIConformance(t *testing.T) {
@@ -311,6 +409,7 @@ func TestJobAPIConformance(t *testing.T) {
 		"status-unknown": 404, "cancel-unknown": 404, "watch-unknown": 404,
 		"submit-long": 202, "cancel": 200, "watch-canceled": 200,
 		"cancel-canceled": 409, "cancel-done": 409,
+		"batch": 200, "batch-empty": 400, "batch-invalid": 400,
 	}
 	var refName string
 	var ref []conformanceStep

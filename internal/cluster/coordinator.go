@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -25,10 +24,6 @@ type Options struct {
 	Workers []string
 	// Registry tunes probing/ejection (zero value: defaults).
 	Registry RegistryOptions
-	// BatchConcurrency bounds in-flight points across batches (default
-	// 64; execution parallelism is bounded by the workers' own pools,
-	// this only caps coordinator-side goroutines and open watches).
-	BatchConcurrency int
 	// DataDir is the WAL directory for durable coordinator state; empty
 	// means memory-only (embedded coordinators, tests). With a data dir,
 	// a coordinator restarted on the same directory replays its log,
@@ -38,14 +33,13 @@ type Options struct {
 	// cadence (see StoreOptions).
 	WAL          wal.Options
 	CompactEvery uint64
-	// RetainJobs bounds retained terminal solo-job records;
-	// RetainBatches bounds retained completed sweeps (with their point
-	// jobs). Defaults 4096 and 64.
-	RetainJobs    int
-	RetainBatches int
-	// RetryInterval paces placement retries while no worker is routable
-	// (default 250ms). A job is never failed for lack of workers — it
-	// waits out the outage.
+	// RetainJobs bounds retained terminal job records, batch points
+	// included (default 4096).
+	RetainJobs int
+	// RetryInterval paces re-placement retries while no worker is
+	// routable (default 250ms): a job whose worker failed waits out the
+	// outage. A submit while no worker is up is refused with
+	// ErrNoWorkers instead.
 	RetryInterval time.Duration
 	// Metrics, when non-nil, gets the coordinator's collectors (fleet
 	// topology, job states, WAL, aggregated worker wire stats) and is
@@ -62,11 +56,11 @@ type Options struct {
 }
 
 // Coordinator federates the fleet behind the single-worker /v1 API plus
-// cluster-only endpoints (/v1/cluster topology, /v1/batch sweeps).
-// Every accepted job and sweep is recorded in the Store before the
-// client hears about it; per-job driver goroutines carry each one to a
-// terminal state, failing over across workers and surviving
-// coordinator restarts (drivers are respawned from the WAL).
+// the cluster-only /v1/cluster topology. Every accepted job is recorded
+// in the Store before the client hears about it; per-job driver
+// goroutines carry each one to a terminal state, failing over across
+// workers and surviving coordinator restarts (drivers are respawned
+// from the WAL). A sweep is its points, each such a job.
 type Coordinator struct {
 	reg   *Registry
 	store *Store
@@ -75,12 +69,12 @@ type Coordinator struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	sem    chan struct{} // batch point concurrency
 
-	mu          sync.Mutex
-	batches     map[string]*batchEntry
-	soloRetain  []string
-	batchRetain []string
+	mu sync.Mutex
+	// tracks holds, per job a driver is carrying, the progress channels
+	// of its watchers; the driver closes them once the job has ended.
+	tracks   map[string]map[chan sim.Progress]struct{}
+	retained []string // terminal job IDs, oldest first
 
 	// wireAddr is the coordinator's own advertised binary listener (set
 	// via SetWireAddr before serving traffic; surfaced in /v1/healthz).
@@ -97,17 +91,11 @@ type Coordinator struct {
 // the previous coordinator died. A fleet with no member at all is an
 // error.
 func New(ctx context.Context, opts Options) (*Coordinator, error) {
-	if opts.BatchConcurrency <= 0 {
-		opts.BatchConcurrency = 64
-	}
 	if opts.RetryInterval <= 0 {
 		opts.RetryInterval = 250 * time.Millisecond
 	}
 	if opts.RetainJobs <= 0 {
 		opts.RetainJobs = 4096
-	}
-	if opts.RetainBatches <= 0 {
-		opts.RetainBatches = 64
 	}
 	store, err := OpenStore(StoreOptions{Dir: opts.DataDir, WAL: opts.WAL, CompactEvery: opts.CompactEvery})
 	if err != nil {
@@ -151,15 +139,14 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	reg.ProbeOnce(ctx)
 	rctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		reg:     reg,
-		store:   store,
-		opts:    opts,
-		ctx:     rctx,
-		cancel:  cancel,
-		sem:     make(chan struct{}, opts.BatchConcurrency),
-		batches: make(map[string]*batchEntry),
-		tracer:  opts.Tracer,
-		log:     opts.Logger,
+		reg:    reg,
+		store:  store,
+		opts:   opts,
+		ctx:    rctx,
+		cancel: cancel,
+		tracks: make(map[string]map[chan sim.Progress]struct{}),
+		tracer: opts.Tracer,
+		log:    opts.Logger,
 	}
 	if c.log == nil {
 		c.log = slog.New(slog.DiscardHandler)
@@ -193,65 +180,16 @@ func (c *Coordinator) Registry() *Registry { return c.reg }
 // Store exposes the durable job/fleet store.
 func (c *Coordinator) Store() *Store { return c.store }
 
-// recover respawns the driver goroutines for every non-terminal job and
-// every unplaced batch point found in the replayed store. A job still
-// assigned to a live worker is simply followed again (and, because
-// worker pools coalesce by config hash, even a re-submission would
-// attach to the in-flight execution rather than re-run it); a job on a
-// dead or departed worker re-routes through the ordinary failover path.
+// recover respawns a driver for every non-terminal job found in the
+// replayed store. A job still assigned to a live worker is simply
+// followed again (and, because worker pools coalesce by config hash,
+// even a re-submission would attach to the in-flight execution rather
+// than re-run it); a job on a dead or departed worker re-routes through
+// the ordinary failover path.
 func (c *Coordinator) recover() {
-	batches := c.store.Batches()
-	linked := make(map[string]bool)
-	for _, b := range batches {
-		for _, jid := range b.Jobs {
-			if jid != "" {
-				linked[jid] = true
-			}
-		}
-	}
 	for _, j := range c.store.Jobs() {
-		if j.State.Terminal() {
-			continue
-		}
-		if j.Batch != "" && !linked[j.ID] {
-			// The previous coordinator died between writing this point's
-			// job record and linking it into the batch; the point will be
-			// re-placed under a fresh record, so retire the orphan.
-			j.State = service.StateFailed
-			j.Error = "orphaned by coordinator crash during placement"
-			c.store.PutJob(j)
-			continue
-		}
-		if j.Batch == "" {
-			c.wg.Add(1)
-			go c.drive(j.ID)
-		}
-	}
-	for _, b := range batches {
-		be := newBatchEntry(len(b.Specs))
-		for _, jid := range b.Jobs {
-			if jid == "" {
-				continue
-			}
-			if rec, ok := c.store.Job(jid); ok && rec.State.Terminal() {
-				be.fold(c.toPoint(rec))
-			}
-		}
-		c.mu.Lock()
-		c.batches[b.ID] = be
-		c.mu.Unlock()
-		if be.finished() {
-			c.retireBatch(b.ID)
-			continue
-		}
-		for i, jid := range b.Jobs {
-			if jid != "" {
-				if rec, ok := c.store.Job(jid); ok && rec.State.Terminal() {
-					continue
-				}
-			}
-			c.wg.Add(1)
-			go c.drivePoint(b.ID, i)
+		if !j.State.Terminal() {
+			c.spawn(j.ID)
 		}
 	}
 }
@@ -280,18 +218,49 @@ func applyStatus(rec *JobRecord, st service.JobStatus) {
 	rec.Error = st.Error
 }
 
-func (c *Coordinator) toPoint(rec JobRecord) service.BatchPoint {
-	var worker string
-	if w, ok := c.reg.Worker(rec.Worker); ok {
-		worker = w.ID
-	}
-	return service.BatchPoint{Index: rec.Index, Worker: worker, Status: service.PayloadFor(statusFromRecord(rec))}
+// spawn opens a job's track and starts the driver that carries it to a
+// terminal state.
+func (c *Coordinator) spawn(id string) {
+	c.mu.Lock()
+	c.tracks[id] = make(map[chan sim.Progress]struct{})
+	c.mu.Unlock()
+	c.wg.Add(1)
+	go c.drive(id)
 }
 
-// drive carries one solo job to a terminal state.
+// drive runs one job's driver and closes its track when the driver
+// ends: after finish has persisted the terminal record, or when the
+// coordinator closes.
 func (c *Coordinator) drive(id string) {
 	defer c.wg.Done()
+	defer c.untrack(id)
 	c.driveJob(id)
+}
+
+// untrack closes a job's track, ending every watch of it.
+func (c *Coordinator) untrack(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for ch := range c.tracks[id] {
+		close(ch)
+	}
+	delete(c.tracks, id)
+}
+
+// relay returns the driver's progress callback for a job: each snapshot
+// goes to every watcher, drop-on-full, so a stalled watcher only loses
+// intermediate snapshots and never holds the driver.
+func (c *Coordinator) relay(id string) func(sim.Progress) {
+	return func(pr sim.Progress) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for ch := range c.tracks[id] {
+			select {
+			case ch <- pr:
+			default:
+			}
+		}
+	}
 }
 
 // driveJob is the tracked-job state machine: place (or re-place) the
@@ -316,9 +285,9 @@ func (c *Coordinator) driveJob(id string) {
 		}
 		if rec.Worker == "" {
 			if c.tracer != nil {
-				// Begin is idempotent; recovered and batch-point jobs get
-				// their ID minted here, and the worker receives it in the
-				// spec so both sides' spans share one trace.
+				// Begin is idempotent; recovered jobs get their ID minted
+				// here, and the worker receives it in the spec so both
+				// sides' spans share one trace.
 				rec.Spec.TraceID = c.tracer.Begin(id, rec.Spec.TraceID)
 			}
 			routeT0 := time.Now()
@@ -374,7 +343,7 @@ func (c *Coordinator) driveJob(id string) {
 		var err error
 		awaitT0 := time.Now()
 		if okw {
-			st, err = c.follow(c.ctx, wk, rec.Local, nil)
+			st, err = c.follow(c.ctx, wk, rec.Local, c.relay(id))
 		} else {
 			err = fmt.Errorf("cluster: worker %s left the registry", rec.Worker)
 		}
@@ -422,38 +391,25 @@ func (c *Coordinator) follow(ctx context.Context, wk *Worker, local string, onPr
 }
 
 // finish settles a terminal record: persist it (unless the caller
-// already did), deliver it to its batch tracker, and enroll it in the
-// bounded retention window.
+// already did) and enroll it in the bounded retention window.
 func (c *Coordinator) finish(rec JobRecord, persist bool) {
 	if persist {
 		c.store.PutJob(rec)
 	}
-	if rec.Batch != "" {
-		c.mu.Lock()
-		be := c.batches[rec.Batch]
-		c.mu.Unlock()
-		if be != nil {
-			be.fold(c.toPoint(rec))
-			if be.finished() {
-				c.retireBatch(rec.Batch)
-			}
-		}
-		return
-	}
 	c.retireJob(rec.ID)
 }
 
-// retireJob enforces solo-job retention: beyond RetainJobs (plus slack,
-// so the compaction each eviction triggers is amortized) the oldest
+// retireJob enforces job retention: beyond RetainJobs (plus slack, so
+// the compaction each eviction triggers is amortized) the oldest
 // terminal records are dropped.
 func (c *Coordinator) retireJob(id string) {
 	var drop []string
 	c.mu.Lock()
-	c.soloRetain = append(c.soloRetain, id)
-	if slack := c.opts.RetainJobs + c.opts.RetainJobs/8 + 1; len(c.soloRetain) > slack {
-		n := len(c.soloRetain) - c.opts.RetainJobs
-		drop = append(drop, c.soloRetain[:n]...)
-		c.soloRetain = append(c.soloRetain[:0], c.soloRetain[n:]...)
+	c.retained = append(c.retained, id)
+	if slack := c.opts.RetainJobs + c.opts.RetainJobs/8 + 1; len(c.retained) > slack {
+		n := len(c.retained) - c.opts.RetainJobs
+		drop = append(drop, c.retained[:n]...)
+		c.retained = append(c.retained[:0], c.retained[n:]...)
 	}
 	c.mu.Unlock()
 	if len(drop) > 0 {
@@ -461,233 +417,28 @@ func (c *Coordinator) retireJob(id string) {
 	}
 }
 
-// retireBatch enforces sweep retention: completed batches beyond
-// RetainBatches are dropped with their point jobs.
-func (c *Coordinator) retireBatch(id string) {
-	var drop []string
-	c.mu.Lock()
-	c.batchRetain = append(c.batchRetain, id)
-	for len(c.batchRetain) > c.opts.RetainBatches {
-		old := c.batchRetain[0]
-		c.batchRetain = c.batchRetain[1:]
-		delete(c.batches, old)
-		drop = append(drop, old)
-	}
-	c.mu.Unlock()
-	for _, old := range drop {
-		c.store.DropBatch(old)
-	}
-}
-
-// batchEntry is the in-memory completion tracker for one sweep.
-type batchEntry struct {
-	n    int
-	mu   sync.Mutex
-	comp []service.BatchPoint // completion order
-	rem  int
-	subs map[int]chan service.BatchPoint
-	next int
-	done chan struct{}
-}
-
-func newBatchEntry(n int) *batchEntry {
-	return &batchEntry{n: n, rem: n, subs: make(map[int]chan service.BatchPoint), done: make(chan struct{})}
-}
-
-// fold records one completed point and fans it out. Subscriber channels
-// are buffered for the whole batch and each point arrives exactly once,
-// so the sends never block.
-func (b *batchEntry) fold(pt service.BatchPoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.comp = append(b.comp, pt)
-	for _, ch := range b.subs {
-		ch <- pt
-	}
-	b.rem--
-	if b.rem == 0 {
-		close(b.done)
-	}
-}
-
-func (b *batchEntry) finished() bool {
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// subscribe returns a channel replaying every already-completed point
-// and then live completions, plus a cancel func.
-func (b *batchEntry) subscribe() (<-chan service.BatchPoint, func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ch := make(chan service.BatchPoint, b.n)
-	for _, pt := range b.comp {
-		ch <- pt
-	}
-	id := b.next
-	b.next++
-	b.subs[id] = ch
-	return ch, func() {
-		b.mu.Lock()
-		delete(b.subs, id)
-		b.mu.Unlock()
-	}
-}
-
-// StartBatch durably registers a sweep and spawns its point drivers.
-// The batch record (full spec list) hits the WAL before any placement,
-// so a coordinator crash mid-sweep recovers the whole sweep — placed
-// points by their job records, unplaced ones from the spec list.
-func (c *Coordinator) StartBatch(spec service.BatchSpec) (string, error) {
-	if len(spec.Specs) == 0 {
-		return "", fmt.Errorf("cluster: empty batch")
-	}
-	if len(spec.Specs) > service.MaxBatchPoints {
-		return "", fmt.Errorf("cluster: batch of %d points exceeds the %d-point limit", len(spec.Specs), service.MaxBatchPoints)
-	}
-	id := c.store.NextBatchID()
-	rec := BatchRecord{ID: id, Specs: spec.Specs, Jobs: make([]string, len(spec.Specs))}
-	if err := c.store.PutBatch(rec); err != nil {
-		return "", err
-	}
-	be := newBatchEntry(len(spec.Specs))
-	c.mu.Lock()
-	c.batches[id] = be
-	c.mu.Unlock()
-	for i := range spec.Specs {
-		c.wg.Add(1)
-		go c.drivePoint(id, i)
-	}
-	return id, nil
-}
-
-// drivePoint places one batch point (creating its job record and
-// linking it into the batch on first placement) and drives it to a
-// terminal state under the batch concurrency semaphore.
-func (c *Coordinator) drivePoint(batchID string, i int) {
-	defer c.wg.Done()
-	select {
-	case c.sem <- struct{}{}:
-	case <-c.ctx.Done():
-		return
-	}
-	defer func() { <-c.sem }()
-	b, ok := c.store.Batch(batchID)
-	if !ok {
-		return
-	}
-	id := b.Jobs[i]
-	if id == "" {
-		id = c.store.NextJobID()
-		rec := JobRecord{ID: id, Spec: b.Specs[i], State: service.StateQueued, Batch: batchID, Index: i}
-		key, _, err := RouteKey(b.Specs[i])
-		if err != nil {
-			rec.State = service.StateFailed
-			rec.Error = err.Error()
-		}
-		rec.Key = key
-		if err := c.store.PutJob(rec); err != nil {
-			rec.State = service.StateFailed
-			rec.Error = err.Error()
-			c.finish(rec, false)
-			return
-		}
-		c.store.SetBatchJob(batchID, i, id)
-		if rec.State.Terminal() {
-			c.finish(rec, false)
-			return
-		}
-	}
-	c.driveJob(id)
-}
-
-// batchResult assembles a sweep's aggregate from the store: points in
-// submission order, pending counting the not-yet-terminal ones.
-func (c *Coordinator) batchResult(id string) (res service.BatchResult, ok bool, pending int) {
-	b, ok := c.store.Batch(id)
-	if !ok {
-		return service.BatchResult{}, false, 0
-	}
-	res.Points = make([]service.BatchPoint, len(b.Specs))
-	for i, jid := range b.Jobs {
-		res.Points[i] = service.BatchPoint{Index: i}
-		if jid == "" {
-			pending++
-			continue
-		}
-		rec, okj := c.store.Job(jid)
-		if !okj {
-			pending++
-			continue
-		}
-		res.Points[i] = c.toPoint(rec)
-		switch {
-		case !rec.State.Terminal():
-			pending++
-		case rec.State != service.StateDone:
-			res.Failed++
-		}
-	}
-	return res, true, pending
-}
-
-// WaitBatch streams a tracked sweep's completions to onPoint
-// (serialized; may be nil) until every point is terminal or ctx
-// expires, then returns the aggregate in submission order.
-func (c *Coordinator) WaitBatch(ctx context.Context, id string, onPoint func(service.BatchPoint)) (service.BatchResult, error) {
-	c.mu.Lock()
-	be := c.batches[id]
-	c.mu.Unlock()
-	if be == nil {
-		res, ok, pending := c.batchResult(id)
-		if !ok {
-			return service.BatchResult{}, fmt.Errorf("cluster: unknown batch %q", id)
-		}
-		if pending > 0 {
-			return res, fmt.Errorf("cluster: batch %s has no live tracker", id)
-		}
-		if onPoint != nil {
-			for _, pt := range res.Points {
-				onPoint(pt)
-			}
-		}
-		return res, nil
-	}
-	ch, cancelSub := be.subscribe()
-	defer cancelSub()
-	for got := 0; got < be.n; got++ {
-		select {
-		case pt := <-ch:
-			if onPoint != nil {
-				onPoint(pt)
-			}
-		case <-ctx.Done():
-			res, _, _ := c.batchResult(id)
-			return res, ctx.Err()
-		case <-c.ctx.Done():
-			res, _, _ := c.batchResult(id)
-			return res, c.ctx.Err()
-		}
-	}
-	res, _, _ := c.batchResult(id)
-	return res, ctx.Err()
-}
-
-// Batch executes a whole sweep across the fleet: every point routed by
-// its own affinity key, completions streamed to onPoint (serialized;
-// may be nil) as they land, aggregate returned in submission order. The
-// sweep is durably tracked — with a DataDir it survives coordinator
-// restarts.
+// Batch executes a whole sweep across the fleet: RunBatch over the
+// coordinator, so every point is an ordinary durable job routed by its
+// own affinity key. Completions stream to onPoint (serialized; may be
+// nil) as they land, and the aggregate comes back in submission order;
+// both name the worker that served each point.
 func (c *Coordinator) Batch(ctx context.Context, spec service.BatchSpec, onPoint func(service.BatchPoint)) (service.BatchResult, error) {
-	id, err := c.StartBatch(spec)
-	if err != nil {
-		return service.BatchResult{}, err
+	res, err := service.RunBatch(ctx, c, spec, func(pt service.BatchPoint) {
+		pt.Worker = c.workerOf(pt.Status.ID)
+		if onPoint != nil {
+			onPoint(pt)
+		}
+	})
+	for i := range res.Points {
+		res.Points[i].Worker = c.workerOf(res.Points[i].Status.ID)
 	}
-	return c.WaitBatch(ctx, id, onPoint)
+	return res, err
+}
+
+// workerOf names the worker a job's record was last placed on.
+func (c *Coordinator) workerOf(id string) string {
+	rec, _ := c.store.Job(id)
+	return rec.Worker
 }
 
 // ClusterPayload is served by GET /v1/cluster: coordinator identity and
@@ -728,82 +479,19 @@ func (c *Coordinator) Topology() ClusterPayload {
 	}
 }
 
-// Handler exposes the coordinator over HTTP: the /v1 job routes of
-// service.MountJobs over the coordinator's Backend (job IDs are
-// coordinator-minted but remain opaque strings to clients), plus the
-// cluster-level additions — /v1/batch sweeps with durable IDs, the
-// stitched job trace, /v1/cluster topology, health and metrics.
+// Handler exposes the coordinator over HTTP: the /v1 job and batch
+// routes of service.MountJobs over the coordinator's Backend (job IDs
+// are coordinator-minted but remain opaque strings to clients), plus
+// the cluster-level additions — the stitched job trace, /v1/cluster
+// topology, health and metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	service.MountJobs(mux, c)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.trace)
-	mux.HandleFunc("POST /v1/batch", c.batch)
-	mux.HandleFunc("GET /v1/batch/{id}", c.batchStatus)
 	mux.HandleFunc("GET /v1/healthz", c.healthz)
 	mux.HandleFunc("GET /v1/cluster", c.cluster)
 	mux.HandleFunc("GET /metrics", service.MetricsHandler(c.opts.Metrics))
 	return mux
-}
-
-// batch runs a whole sweep through the cluster; wire-compatible with
-// the single-worker /v1/batch (SSE or JSON aggregate), with each point
-// additionally naming the worker that served it.
-func (c *Coordinator) batch(w http.ResponseWriter, r *http.Request) {
-	var spec service.BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
-		return
-	}
-	if !service.WantsSSE(r) {
-		res, err := c.Batch(r.Context(), spec, nil)
-		if err != nil {
-			service.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		service.WriteJSON(w, http.StatusOK, res)
-		return
-	}
-	id, err := c.StartBatch(spec)
-	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fl, ok := service.StartSSE(w)
-	if !ok {
-		return
-	}
-	// Announce the durable ID first: a client watching a sweep can
-	// requery GET /v1/batch/{id} after a coordinator restart.
-	service.WriteSSE(w, fl, "batch-start", map[string]string{"id": id})
-	res, err := c.WaitBatch(r.Context(), id, func(pt service.BatchPoint) {
-		service.WriteSSE(w, fl, "point", pt)
-	})
-	if err != nil {
-		service.WriteSSE(w, fl, "error", map[string]string{"error": err.Error()})
-		return
-	}
-	service.WriteSSE(w, fl, "batch", res)
-}
-
-// BatchStatusPayload is served by GET /v1/batch/{id}: sweep progress
-// and the (possibly partial) aggregate, rebuildable across restarts.
-type BatchStatusPayload struct {
-	ID      string              `json:"id"`
-	Done    bool                `json:"done"`
-	Pending int                 `json:"pending"`
-	Result  service.BatchResult `json:"result"`
-}
-
-func (c *Coordinator) batchStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	res, ok, pending := c.batchResult(id)
-	if !ok {
-		service.WriteError(w, http.StatusNotFound, "unknown batch %q", id)
-		return
-	}
-	service.WriteJSON(w, http.StatusOK, BatchStatusPayload{ID: id, Done: pending == 0, Pending: pending, Result: res})
 }
 
 // healthz serves the coordinator's self-description in the worker

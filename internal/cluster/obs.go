@@ -27,7 +27,6 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 		g.Gauge("bump_cluster_workers_up", "Admitted workers currently up.", float64(top.Up))
 		g.Gauge("bump_cluster_workers_total", "Workers in the fleet.", float64(top.Total))
 		g.Gauge("bump_cluster_tracked_jobs", "Retained coordinator job records.", float64(st.Jobs))
-		g.Gauge("bump_cluster_tracked_batches", "Retained sweep records.", float64(st.Batches))
 		g.Gauge("bump_cluster_uptime_seconds", "Coordinator uptime.", time.Since(start).Seconds())
 
 		states := make(map[service.State]int)

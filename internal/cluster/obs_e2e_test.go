@@ -225,7 +225,7 @@ func TestClusterE2EMetricsAndTrace(t *testing.T) {
 	// recovery, and its own connections.
 	for _, series := range []string{
 		"bump_cluster_workers_total", "bump_cluster_uptime_seconds",
-		"bump_cluster_tracked_jobs", "bump_cluster_tracked_batches",
+		"bump_cluster_tracked_jobs",
 		`bump_cluster_jobs{state="done"}`, "bump_cluster_inflight",
 		"bump_wal_durable", "bump_wal_segments", "bump_wal_size_bytes",
 		"bump_wal_torn_tail_healed", "bump_wal_last_compaction_timestamp_seconds",

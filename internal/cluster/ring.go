@@ -2,9 +2,11 @@
 // coordinator: a health-checked worker registry, a consistent-hash ring
 // that routes jobs by warm-affinity key (so sweep points sharing a
 // warmup trajectory land on the worker already holding the checkpoint),
-// submit/retry-with-failover execution, proxied SSE progress, and a
-// batch API for whole sweeps. cmd/bumpctl serves it over the same /v1
-// wire protocol as a single worker, so existing clients work unchanged.
+// submit/retry-with-failover execution, and progress relayed from each
+// job's one worker stream to its watchers. A whole sweep is
+// service.RunBatch over the coordinator, so its points are ordinary
+// jobs. cmd/bumpctl serves it over the same /v1 wire protocol as a
+// single worker, so existing clients work unchanged.
 package cluster
 
 import (

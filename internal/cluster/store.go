@@ -11,16 +11,16 @@ import (
 	"bump/internal/wal"
 )
 
-// Store is the coordinator's durable truth: job records, batch
-// membership and fleet membership, held in memory and (when opened with
-// a data directory) persisted through an append-only WAL. Every
+// Store is the coordinator's durable truth: job records and fleet
+// membership, held in memory and (when opened with a data directory)
+// persisted through an append-only WAL. Every
 // mutation is logged before it is visible; a coordinator restarted on
 // the same directory replays the log and carries on. Opened without a
 // directory the store is memory-only — same semantics, no durability —
 // which is what embedded coordinators (sweep -server w1,w2) use.
 //
-// Record encoding: one type byte ('J' job, 'B' batch, 'W' worker,
-// 'C' checkpoint) followed by the record's canonical JSON. Mutations
+// Record encoding: one type byte ('J' job, 'W' worker, 'C' checkpoint)
+// followed by the record's canonical JSON. Mutations
 // are whole-record upserts, so replay is a pure "last write wins" fold;
 // a checkpoint record carries the entire folded state and resets it,
 // which is what lets wal.Log.Compact bound replay work.
@@ -29,10 +29,8 @@ type Store struct {
 	log *wal.Log
 
 	jobs    map[string]*JobRecord
-	batches map[string]*BatchRecord
 	workers map[string]WorkerRecord // keyed by URL
 	jobSeq  uint64                  // coordinator-local job ID counter
-	bseq    uint64                  // batch ID counter
 
 	compactEvery  uint64
 	sinceCompact  uint64
@@ -43,6 +41,8 @@ type Store struct {
 // JobRecord is one tracked job. ID is the client-visible identifier,
 // assigned by the coordinator and stable across worker failover and
 // coordinator restarts; Worker/Local name the current assignment.
+// Records written while sweeps had records of their own also carry
+// "batch" and "index" fields, which decoding ignores.
 type JobRecord struct {
 	ID    string          `json:"id"`
 	Spec  service.JobSpec `json:"spec"`
@@ -57,17 +57,6 @@ type JobRecord struct {
 	Cached bool        `json:"cached,omitempty"`
 	Result *sim.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
-	// Batch/Index link a batch point back to its sweep.
-	Batch string `json:"batch,omitempty"`
-	Index int    `json:"index,omitempty"`
-}
-
-// BatchRecord is one tracked sweep: the full spec list plus the job ID
-// of every point already placed ("" until its job record exists).
-type BatchRecord struct {
-	ID    string            `json:"id"`
-	Specs []service.JobSpec `json:"specs"`
-	Jobs  []string          `json:"jobs"`
 }
 
 // WorkerRecord persists one fleet member's ID and URL. Recovered job
@@ -81,17 +70,17 @@ type WorkerRecord struct {
 }
 
 // storeState is the checkpoint payload: the whole folded state.
+// Checkpoints written while sweeps had records of their own also carry
+// "batch_seq" and "batches", which decoding ignores.
 type storeState struct {
 	JobSeq  uint64         `json:"job_seq"`
-	Bseq    uint64         `json:"batch_seq"`
 	Workers []WorkerRecord `json:"workers"`
 	Jobs    []JobRecord    `json:"jobs"`
-	Batches []BatchRecord  `json:"batches"`
 }
 
 const (
 	recJob        = 'J'
-	recBatch      = 'B'
+	recBatch      = 'B' // a sweep record of older logs; replay skips it
 	recWorker     = 'W'
 	recCheckpoint = 'C'
 )
@@ -111,7 +100,6 @@ type StoreOptions struct {
 func OpenStore(opts StoreOptions) (*Store, error) {
 	s := &Store{
 		jobs:         make(map[string]*JobRecord),
-		batches:      make(map[string]*BatchRecord),
 		workers:      make(map[string]WorkerRecord),
 		compactEvery: opts.CompactEvery,
 	}
@@ -159,15 +147,7 @@ func (s *Store) fold(rec []byte) error {
 			s.jobSeq = n
 		}
 	case recBatch:
-		var b BatchRecord
-		if err := json.Unmarshal(body, &b); err != nil {
-			return fmt.Errorf("cluster: batch record: %w", err)
-		}
-		s.batches[b.ID] = &b
-		var n uint64
-		if _, err := fmt.Sscanf(b.ID, "b%d", &n); err == nil && n > s.bseq {
-			s.bseq = n
-		}
+		// Its points are job records of their own, replayed as jobs.
 	case recWorker:
 		var w WorkerRecord
 		if err := json.Unmarshal(body, &w); err != nil {
@@ -180,21 +160,15 @@ func (s *Store) fold(rec []byte) error {
 			return fmt.Errorf("cluster: checkpoint record: %w", err)
 		}
 		s.jobs = make(map[string]*JobRecord, len(st.Jobs))
-		s.batches = make(map[string]*BatchRecord, len(st.Batches))
 		s.workers = make(map[string]WorkerRecord, len(st.Workers))
 		for i := range st.Jobs {
 			j := st.Jobs[i]
 			s.jobs[j.ID] = &j
 		}
-		for i := range st.Batches {
-			b := st.Batches[i]
-			s.batches[b.ID] = &b
-		}
 		for _, w := range st.Workers {
 			s.workers[w.URL] = w
 		}
 		s.jobSeq = st.JobSeq
-		s.bseq = st.Bseq
 	default:
 		return fmt.Errorf("cluster: unknown WAL record type %#x", rec[0])
 	}
@@ -237,19 +211,15 @@ func (s *Store) compactLocked() error {
 	if s.log == nil {
 		return nil
 	}
-	st := storeState{JobSeq: s.jobSeq, Bseq: s.bseq}
+	st := storeState{JobSeq: s.jobSeq}
 	for _, j := range s.jobs {
 		st.Jobs = append(st.Jobs, *j)
-	}
-	for _, b := range s.batches {
-		st.Batches = append(st.Batches, *b)
 	}
 	for _, w := range s.workers {
 		st.Workers = append(st.Workers, w)
 	}
 	// Canonical order: checkpoints of equal state are byte-identical.
 	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
-	sort.Slice(st.Batches, func(i, j int) bool { return st.Batches[i].ID < st.Batches[j].ID })
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].URL < st.Workers[j].URL })
 	body, err := json.Marshal(st)
 	if err != nil {
@@ -270,14 +240,6 @@ func (s *Store) NextJobID() string {
 	defer s.mu.Unlock()
 	s.jobSeq++
 	return fmt.Sprintf("c%08d", s.jobSeq)
-}
-
-// NextBatchID mints a batch ID ("b00000001").
-func (s *Store) NextBatchID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bseq++
-	return fmt.Sprintf("b%08d", s.bseq)
 }
 
 // PutJob durably upserts a job record.
@@ -315,9 +277,7 @@ func (s *Store) Jobs() []JobRecord {
 	return out
 }
 
-// DropJobs removes terminal job records (retention enforcement). Jobs
-// linked to a still-tracked batch are kept regardless, so a recovered
-// batch can always rebuild its aggregate.
+// DropJobs removes terminal job records (retention enforcement).
 func (s *Store) DropJobs(ids []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,11 +286,6 @@ func (s *Store) DropJobs(ids []string) error {
 		j, ok := s.jobs[id]
 		if !ok || !j.State.Terminal() {
 			continue
-		}
-		if j.Batch != "" {
-			if _, live := s.batches[j.Batch]; live {
-				continue
-			}
 		}
 		delete(s.jobs, id)
 		dropped = true
@@ -341,89 +296,6 @@ func (s *Store) DropJobs(ids []string) error {
 	// Deletion has no incremental record type; fold it into the next
 	// checkpoint immediately (cheap at retention cadence).
 	return s.compactLocked()
-}
-
-// SetBatchJob durably links batch point index i to its job record. The
-// read-modify-write happens under the store lock, so concurrent point
-// placements never lose each other's links.
-func (s *Store) SetBatchJob(batchID string, i int, jobID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[batchID]
-	if !ok {
-		return fmt.Errorf("cluster: unknown batch %q", batchID)
-	}
-	if i < 0 || i >= len(b.Jobs) {
-		return fmt.Errorf("cluster: batch %s has no point %d", batchID, i)
-	}
-	b.Jobs[i] = jobID
-	if err := s.appendLocked(recBatch, *b); err != nil {
-		return err
-	}
-	return s.maybeCompactLocked()
-}
-
-// DropBatch removes a batch record and every job record linked to it
-// (retention enforcement for completed sweeps).
-func (s *Store) DropBatch(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[id]
-	if !ok {
-		return nil
-	}
-	for _, jid := range b.Jobs {
-		if jid != "" {
-			delete(s.jobs, jid)
-		}
-	}
-	delete(s.batches, id)
-	// Deletion has no incremental record type; fold it into the next
-	// checkpoint immediately (cheap at retention cadence).
-	return s.compactLocked()
-}
-
-// PutBatch durably upserts a batch record.
-func (s *Store) PutBatch(b BatchRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(recBatch, b); err != nil {
-		return err
-	}
-	cp := b
-	cp.Specs = append([]service.JobSpec(nil), b.Specs...)
-	cp.Jobs = append([]string(nil), b.Jobs...)
-	s.batches[b.ID] = &cp
-	return s.maybeCompactLocked()
-}
-
-// Batch returns a copy of a batch record.
-func (s *Store) Batch(id string) (BatchRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[id]
-	if !ok {
-		return BatchRecord{}, false
-	}
-	cp := *b
-	cp.Specs = append([]service.JobSpec(nil), b.Specs...)
-	cp.Jobs = append([]string(nil), b.Jobs...)
-	return cp, true
-}
-
-// Batches returns copies of all batch records, ordered by ID.
-func (s *Store) Batches() []BatchRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]BatchRecord, 0, len(s.batches))
-	for _, b := range s.batches {
-		cp := *b
-		cp.Specs = append([]service.JobSpec(nil), b.Specs...)
-		cp.Jobs = append([]string(nil), b.Jobs...)
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // PutWorker durably upserts a fleet-membership record.
@@ -450,11 +322,11 @@ func (s *Store) FleetWorkers() []WorkerRecord {
 }
 
 // StoreStats reports durability state, published on the coordinator's
-// /metrics (bump_wal_*, bump_cluster_tracked_*).
+// /metrics (bump_wal_*, bump_cluster_tracked_jobs).
 type StoreStats struct {
 	WAL           wal.Stats
 	Durable       bool
-	Jobs, Batches int
+	Jobs          int
 	ReplayedJobs  int
 	RecoveredJobs int
 }
@@ -466,7 +338,6 @@ func (s *Store) Stats() StoreStats {
 	st := StoreStats{
 		Durable:       s.log != nil,
 		Jobs:          len(s.jobs),
-		Batches:       len(s.batches),
 		ReplayedJobs:  s.replayedJobs,
 		RecoveredJobs: s.recoveredJobs,
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"bump/internal/service"
@@ -22,8 +21,8 @@ func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
 }
 
 // TestStoreDurableRoundTrip: every record kind — jobs (terminal and in
-// flight), batch membership, fleet membership — plus the ID counters
-// survive a close/reopen cycle on the same directory.
+// flight) and fleet membership — plus the job ID counter survive a
+// close/reopen cycle on the same directory.
 func TestStoreDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
@@ -43,15 +42,6 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if err := s.PutJob(live); err != nil {
 		t.Fatal(err)
 	}
-
-	bid := s.NextBatchID()
-	b := BatchRecord{ID: bid, Specs: []service.JobSpec{sweepSpec("web-search", 2), sweepSpec("web-search", 3)}, Jobs: make([]string, 2)}
-	if err := s.PutBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetBatchJob(bid, 0, liveID); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +56,15 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if !ok || got.State != service.StateRunning || got.Local != "j7" {
 		t.Fatalf("in-flight job after reopen: ok=%v %+v", ok, got)
 	}
-	gb, ok := s2.Batch(bid)
-	if !ok || len(gb.Specs) != 2 || gb.Jobs[0] != liveID || gb.Jobs[1] != "" {
-		t.Fatalf("batch after reopen: ok=%v %+v", ok, gb)
-	}
 	fleet := s2.FleetWorkers()
 	if len(fleet) != 1 || fleet[0] != (WorkerRecord{ID: "w0", URL: "http://a:8344"}) {
 		t.Fatalf("fleet after reopen: %+v", fleet)
 	}
 
-	// The counters resume past every persisted ID — no collisions with
+	// The counter resumes past every persisted ID — no collisions with
 	// pre-crash jobs.
 	if next := s2.NextJobID(); next != "c00000003" {
 		t.Fatalf("job counter resumed at %s, want c00000003", next)
-	}
-	if next := s2.NextBatchID(); next != "b00000002" {
-		t.Fatalf("batch counter resumed at %s, want b00000002", next)
 	}
 
 	st := s2.Stats()
@@ -139,108 +122,73 @@ func TestStoreMemoryOnly(t *testing.T) {
 	}
 }
 
-// TestStoreSetBatchJobConcurrent: concurrent point placements link into
-// the same batch record without losing each other's writes (the
-// read-modify-write is under the store lock).
-func TestStoreSetBatchJobConcurrent(t *testing.T) {
+// TestStoreReplaysBatchEraRecords: a data dir written while sweeps had
+// records of their own still replays. The B record is skipped and its
+// point, a J record carrying "batch" and "index", comes back as an
+// ordinary job, through the log and through the checkpoint the first
+// reopen compacts it into.
+func TestStoreReplaysBatchEraRecords(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	const n = 32
-	specs := make([]service.JobSpec, n)
-	for i := range specs {
-		specs[i] = sweepSpec("web-search", i)
+	for _, rec := range []string{
+		`B{"id":"b00000001","specs":[{"workload":"web-search","mechanism":"bump"}],"jobs":["c00000001"]}`,
+		`J{"id":"c00000001","spec":{"workload":"web-search","mechanism":"bump"},"key":"k1","state":"running","worker":"w0","local":"j3","batch":"b00000001","index":0}`,
+	} {
+		if err := s.log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	bid := s.NextBatchID()
-	if err := s.PutBatch(BatchRecord{ID: bid, Specs: specs, Jobs: make([]string, n)}); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := s.NextJobID()
-			if err := s.PutJob(JobRecord{ID: id, State: service.StateQueued, Batch: bid, Index: i}); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := s.SetBatchJob(bid, i, id); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	s.Close()
-
-	s2 := openTestStore(t, dir, StoreOptions{})
-	defer s2.Close()
-	b, ok := s2.Batch(bid)
-	if !ok {
-		t.Fatal("batch lost across reopen")
-	}
-	for i, jid := range b.Jobs {
-		if jid == "" {
-			t.Fatalf("point %d link lost", i)
+	for pass := range 2 {
+		s := openTestStore(t, dir, StoreOptions{})
+		j, ok := s.Job("c00000001")
+		if !ok || j.State != service.StateRunning || j.Worker != "w0" || j.Local != "j3" || j.Spec.Workload != "web-search" {
+			t.Fatalf("reopen %d: point record ok=%v %+v", pass, ok, j)
 		}
-		j, okj := s2.Job(jid)
-		if !okj || j.Batch != bid || j.Index != i {
-			t.Fatalf("point %d links to %q: ok=%v %+v", i, jid, okj, j)
+		if st := s.Stats(); st.ReplayedJobs != 1 || st.RecoveredJobs != 1 {
+			t.Fatalf("reopen %d: stats %+v, want the point replayed and recovered", pass, st)
+		}
+		if next := s.NextJobID(); next != "c00000002" {
+			t.Fatalf("reopen %d: job counter resumed at %s, want c00000002", pass, next)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// TestStoreRetention: DropJobs removes only terminal solo jobs — live
-// jobs and points of still-tracked batches are immune — and DropBatch
-// takes a batch and its points out together. Both survive reopen.
+// TestStoreRetention: DropJobs removes only terminal jobs — live jobs
+// are immune — and the drop survives reopen.
 func TestStoreRetention(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	soloDone := JobRecord{ID: s.NextJobID(), State: service.StateDone}
-	soloLive := JobRecord{ID: s.NextJobID(), State: service.StateRunning}
-	bid := s.NextBatchID()
-	point := JobRecord{ID: s.NextJobID(), State: service.StateDone, Batch: bid, Index: 0}
-	for _, j := range []JobRecord{soloDone, soloLive, point} {
+	done := JobRecord{ID: s.NextJobID(), State: service.StateDone}
+	live := JobRecord{ID: s.NextJobID(), State: service.StateRunning}
+	for _, j := range []JobRecord{done, live} {
 		if err := s.PutJob(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutBatch(BatchRecord{ID: bid, Specs: []service.JobSpec{sweepSpec("web-search", 0)}, Jobs: []string{point.ID}}); err != nil {
-		t.Fatal(err)
-	}
 
-	if err := s.DropJobs([]string{soloDone.ID, soloLive.ID, point.ID}); err != nil {
+	if err := s.DropJobs([]string{done.ID, live.ID}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Job(soloDone.ID); ok {
-		t.Fatal("terminal solo job survived DropJobs")
+	if _, ok := s.Job(done.ID); ok {
+		t.Fatal("terminal job survived DropJobs")
 	}
-	if _, ok := s.Job(soloLive.ID); !ok {
+	if _, ok := s.Job(live.ID); !ok {
 		t.Fatal("DropJobs removed a non-terminal job")
-	}
-	if _, ok := s.Job(point.ID); !ok {
-		t.Fatal("DropJobs removed a point of a live batch")
-	}
-
-	if err := s.DropBatch(bid); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Batch(bid); ok {
-		t.Fatal("batch survived DropBatch")
-	}
-	if _, ok := s.Job(point.ID); ok {
-		t.Fatal("batch point survived DropBatch")
 	}
 	s.Close()
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if _, ok := s2.Job(soloDone.ID); ok {
+	if _, ok := s2.Job(done.ID); ok {
 		t.Fatal("dropped job resurrected by replay")
 	}
-	if _, ok := s2.Batch(bid); ok {
-		t.Fatal("dropped batch resurrected by replay")
-	}
-	if _, ok := s2.Job(soloLive.ID); !ok {
+	if _, ok := s2.Job(live.ID); !ok {
 		t.Fatal("live job lost across reopen")
 	}
 }

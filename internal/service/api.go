@@ -71,13 +71,9 @@ type HealthPayload struct {
 	WireAddr string `json:"wire_addr,omitempty"`
 }
 
-// NewHandler exposes a Pool over HTTP/JSON: the five job routes of
-// MountJobs over the pool's Backend, plus
+// NewHandler exposes a Pool over HTTP/JSON: the job routes of
+// MountJobs over the pool, plus
 //
-//	POST /v1/batch            submit a whole sweep; SSE `point` events
-//	                          as points finish, then one `batch` event
-//	                          with the ordered aggregate (plain JSON
-//	                          aggregate for non-SSE clients)
 //	GET  /v1/jobs/{id}/trace  the job's spans as Chrome trace JSON
 //	GET  /v1/healthz          the server's self-description
 //	                          (HealthPayload)
@@ -104,9 +100,8 @@ type ServerInfo struct {
 func NewHandlerInfo(p *Pool, info ServerInfo) http.Handler {
 	s := &server{pool: p, info: info}
 	mux := http.NewServeMux()
-	MountJobs(mux, NewPoolWireBackend(p))
+	MountJobs(mux, p)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
-	mux.HandleFunc("POST /v1/batch", s.batch)
 	mux.HandleFunc("GET /v1/healthz", s.healthz)
 	mux.HandleFunc("GET /metrics", MetricsHandler(info.Metrics))
 	return mux
@@ -129,6 +124,10 @@ type server struct {
 //	                            after the final state carrying the job
 //	                            payload
 //	GET    /v1/results/{hash}   cached result by config hash
+//	POST   /v1/batch            run a whole sweep; SSE `point` events
+//	                            as points finish, then one `batch` event
+//	                            with the ordered aggregate (plain JSON
+//	                            aggregate for non-SSE clients)
 //
 // An unknown job ID answers 404 on every route; errStatus maps every
 // other Backend error, exactly as the wire protocol does.
@@ -139,6 +138,7 @@ func MountJobs(mux *http.ServeMux, b Backend) {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", j.cancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", j.events)
 	mux.HandleFunc("GET /v1/results/{hash}", j.result)
+	mux.HandleFunc("POST /v1/batch", j.batch)
 }
 
 type jobRoutes struct {
@@ -231,19 +231,61 @@ func (j jobRoutes) events(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	fl, ok := StartSSE(w)
+	fl, ok := startSSE(w)
 	if !ok {
 		return
 	}
 	st, err := j.b.Watch(r.Context(), id, func(pr sim.Progress) {
-		WriteSSE(w, fl, "progress", pr)
+		writeSSE(w, fl, "progress", pr)
 	})
 	switch {
 	case err == nil:
-		WriteSSE(w, fl, string(st.State), PayloadFor(st))
+		writeSSE(w, fl, string(st.State), PayloadFor(st))
 	case r.Context().Err() == nil:
-		WriteSSE(w, fl, "error", map[string]string{"error": err.Error()})
+		writeSSE(w, fl, "error", map[string]string{"error": err.Error()})
 	}
+}
+
+// batch runs a whole sweep through Backend.Batch. SSE clients (Accept:
+// text/event-stream) get a `point` event per completed point and a
+// terminal `batch` event with the ordered aggregate; other clients get
+// the aggregate as one JSON body once every point is terminal. An
+// invalid batch answers 400 before any point is submitted or the
+// stream starts.
+func (j jobRoutes) batch(w http.ResponseWriter, r *http.Request) {
+	var spec BatchSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		WriteError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
+		return
+	}
+	if err := spec.Validate(); err != nil {
+		writeBackendError(w, err)
+		return
+	}
+	if !wantsSSE(r) {
+		res, err := j.b.Batch(r.Context(), spec, nil)
+		if err != nil {
+			writeBackendError(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, res)
+		return
+	}
+	fl, ok := startSSE(w)
+	if !ok {
+		return
+	}
+	// onPoint runs serialized, so writes to the stream never interleave.
+	res, err := j.b.Batch(r.Context(), spec, func(pt BatchPoint) {
+		writeSSE(w, fl, "point", pt)
+	})
+	if err != nil {
+		writeSSE(w, fl, "error", map[string]string{"error": err.Error()})
+		return
+	}
+	writeSSE(w, fl, "batch", res)
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
@@ -284,52 +326,15 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, exp)
 }
 
-// batch executes a whole sweep in one request. SSE clients (Accept:
-// text/event-stream) get a `point` event per completed point and a
-// terminal `batch` event with the ordered aggregate; other clients get
-// the aggregate as one JSON body once every point is terminal.
-func (s *server) batch(w http.ResponseWriter, r *http.Request) {
-	var spec BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid batch spec: %v", err)
-		return
-	}
-	if !WantsSSE(r) {
-		res, err := RunBatch(r.Context(), s.pool, spec, nil)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, res)
-		return
-	}
-	fl, ok := StartSSE(w)
-	if !ok {
-		return
-	}
-	// onPoint runs serialized (RunBatch guarantees one goroutine at a
-	// time), so writes to the stream never interleave.
-	res, err := RunBatch(r.Context(), s.pool, spec, func(pt BatchPoint) {
-		WriteSSE(w, fl, "point", pt)
-	})
-	if err != nil {
-		WriteSSE(w, fl, "error", map[string]string{"error": err.Error()})
-		return
-	}
-	WriteSSE(w, fl, "batch", res)
-}
-
-// WantsSSE reports whether the request asked for a Server-Sent Event
+// wantsSSE reports whether the request asked for a Server-Sent Event
 // stream.
-func WantsSSE(r *http.Request) bool {
+func wantsSSE(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-// StartSSE commits the response to a Server-Sent Event stream. It
+// startSSE commits the response to a Server-Sent Event stream. It
 // answers 500 and returns false when w cannot stream.
-func StartSSE(w http.ResponseWriter) (http.Flusher, bool) {
+func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -344,8 +349,8 @@ func StartSSE(w http.ResponseWriter) (http.Flusher, bool) {
 	return fl, true
 }
 
-// WriteSSE sends one event whose data line is v as JSON.
-func WriteSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
+// writeSSE sends one event whose data line is v as JSON.
+func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return

@@ -3,17 +3,16 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"bump/internal/sim"
 )
 
 // Backend is the /v1 job API. Both daemons serve one: bumpd a local
-// Pool (NewPoolWireBackend), bumpctl the cluster Coordinator. MountJobs
-// serves any Backend over HTTP and NewWireHandler over the binary wire
-// protocol, with one error-to-status mapping (errStatus), so the four
-// daemon × transport pairs answer alike. *Client is a Backend too, over
+// *Pool, bumpctl the cluster Coordinator. MountJobs serves any Backend
+// over HTTP and NewWireHandler over the binary wire protocol, with one
+// error-to-status mapping (errStatus), so the four daemon × transport
+// pairs answer alike. *Client is a Backend too, over
 // whichever transport it negotiates, which lets a caller hold a local
 // pool, a remote server or an embedded coordinator behind one value.
 type Backend interface {
@@ -34,7 +33,7 @@ type Backend interface {
 	ResultByHash(ctx context.Context, hash string) (sim.Result, bool, error)
 	// Batch runs a whole sweep, delivering completions to onPoint
 	// (serialized, may be nil), and returns the aggregate in submission
-	// order.
+	// order. The Pool and the Coordinator run RunBatch over themselves.
 	Batch(ctx context.Context, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error)
 }
 
@@ -70,60 +69,7 @@ func errMessage(err error) string {
 	return err.Error()
 }
 
-// poolBackend adapts a local Pool to Backend.
-type poolBackend struct {
-	p *Pool
-}
-
-// NewPoolWireBackend returns the Backend of a local Pool: bumpd serves
-// it over HTTP (NewHandlerInfo) and over the wire protocol
-// (NewWireHandler), and cmd/sweep runs in-process sweeps through it.
-func NewPoolWireBackend(p *Pool) Backend { return poolBackend{p: p} }
-
-func (b poolBackend) Submit(_ context.Context, spec JobSpec) (JobStatus, error) {
-	return b.p.Submit(spec)
-}
-
-func (b poolBackend) Job(_ context.Context, id string) (JobStatus, error) {
-	return b.p.Job(id)
-}
-
-func (b poolBackend) Cancel(_ context.Context, id string) (JobStatus, error) {
-	if _, err := b.p.Job(id); err != nil {
-		return JobStatus{}, err
-	}
-	if !b.p.Cancel(id) {
-		return JobStatus{}, fmt.Errorf("%w: %s", ErrTerminal, id)
-	}
-	return b.p.Job(id)
-}
-
-func (b poolBackend) Watch(ctx context.Context, id string, onProgress func(sim.Progress)) (JobStatus, error) {
-	ch, cancel, err := b.p.Subscribe(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case pr, ok := <-ch:
-			if !ok {
-				return b.p.Job(id)
-			}
-			if onProgress != nil {
-				onProgress(pr)
-			}
-		}
-	}
-}
-
-func (b poolBackend) ResultByHash(_ context.Context, hash string) (sim.Result, bool, error) {
-	res, ok := b.p.ResultByHash(hash)
-	return res, ok, nil
-}
-
-func (b poolBackend) Batch(ctx context.Context, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
-	return RunBatch(ctx, b.p, spec, onPoint)
-}
+// NewPoolWireBackend returns p itself: a *Pool is the Backend of a
+// local pool. It remains for callers written before Pool implemented
+// Backend.
+func NewPoolWireBackend(p *Pool) Backend { return p }

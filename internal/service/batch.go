@@ -56,6 +56,25 @@ func (r BatchResult) Results() ([]JobPayload, error) {
 // keeping a malformed request from exhausting memory).
 const MaxBatchPoints = 4096
 
+// Validate rejects a batch that cannot run as a whole: an empty one, one
+// over MaxBatchPoints, or one with a point whose spec does not resolve
+// to a configuration. RunBatch and the POST /v1/batch handler check it
+// before submitting anything, so a rejected batch executes no point.
+func (b BatchSpec) Validate() error {
+	if len(b.Specs) == 0 {
+		return fmt.Errorf("service: empty batch")
+	}
+	if len(b.Specs) > MaxBatchPoints {
+		return fmt.Errorf("service: batch of %d points exceeds the %d-point limit", len(b.Specs), MaxBatchPoints)
+	}
+	for i, s := range b.Specs {
+		if _, err := s.Config(); err != nil {
+			return fmt.Errorf("service: batch point %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // planBatch returns the submission order for a batch: points are
 // grouped by the checkpoint-tree ancestor they restore — the structural
 // warm key plus the restore cut — with shallower cuts first within a
@@ -109,29 +128,27 @@ func planBatch(spec BatchSpec) []int {
 	return order
 }
 
-// RunBatch executes every point of a batch on the pool, invoking
-// onPoint (which may be nil) from a single goroutine as each point
-// completes, and returns the aggregate in submission order. Duplicate
-// specs within the batch coalesce on the pool like any concurrent
-// submissions. A canceled ctx abandons the waits (submitted jobs run
-// on — they may be coalesced with other clients' submissions) and
-// returns with the unfinished points marked failed.
-func RunBatch(ctx context.Context, p *Pool, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
-	if len(spec.Specs) == 0 {
-		return BatchResult{}, fmt.Errorf("service: empty batch")
-	}
-	if len(spec.Specs) > MaxBatchPoints {
-		return BatchResult{}, fmt.Errorf("service: batch of %d points exceeds the %d-point limit", len(spec.Specs), MaxBatchPoints)
+// RunBatch executes every point of a batch on b: it validates the
+// batch, submits every point in planBatch order, then follows each
+// through b.Watch, invoking onPoint (which may be nil) from a single
+// goroutine at a time as each point completes. It returns the aggregate
+// in submission order. Duplicate specs within the batch coalesce like
+// any concurrent submissions. A canceled ctx abandons the watches
+// (submitted jobs run on — they may be coalesced with other clients'
+// submissions) and returns with the unfinished points marked failed.
+func RunBatch(ctx context.Context, b Backend, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
+	if err := spec.Validate(); err != nil {
+		return BatchResult{}, err
 	}
 
 	res := BatchResult{Points: make([]BatchPoint, len(spec.Specs))}
-	// Submit everything up front so the queue sees the whole sweep
-	// (coalescing duplicates), then wait per point concurrently.
+	// Submit everything up front so the backend sees the whole sweep
+	// (coalescing duplicates), then watch per point concurrently.
 	// Submission order groups points by shared checkpoint-tree ancestor
 	// (see planBatch); results stay indexed by the caller's order.
 	ids := make([]string, len(spec.Specs))
 	for _, i := range planBatch(spec) {
-		st, err := p.Submit(spec.Specs[i])
+		st, err := b.Submit(ctx, spec.Specs[i])
 		if err != nil {
 			return BatchResult{}, fmt.Errorf("service: batch point %d: %w", i, err)
 		}
@@ -144,7 +161,7 @@ func RunBatch(ctx context.Context, p *Pool, spec BatchSpec, onPoint func(BatchPo
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := p.Wait(ctx, ids[i])
+			st, err := b.Watch(ctx, ids[i], nil)
 			if err != nil {
 				st = JobStatus{ID: ids[i], State: StateFailed, Error: err.Error()}
 			}

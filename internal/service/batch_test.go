@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -45,5 +46,26 @@ func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	want = []int{2, 1, 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("planBatch priority order %v, want %v", got, want)
+	}
+}
+
+// TestRejectedBatchRunsNothing: an empty batch, an oversized one and one
+// holding an unresolvable point are all rejected before any point is
+// submitted, so the valid points of a rejected batch never execute.
+func TestRejectedBatchRunsNothing(t *testing.T) {
+	p := newTestPool(t, Options{Workers: 1})
+	bad := specFixture()
+	bad.Workload = "no-such-workload"
+	for name, spec := range map[string]BatchSpec{
+		"invalid point": {Specs: []JobSpec{specFixture(), bad}},
+		"empty":         {},
+		"oversized":     {Specs: make([]JobSpec, MaxBatchPoints+1)},
+	} {
+		if _, err := p.Batch(context.Background(), spec, nil); err == nil {
+			t.Errorf("%s batch accepted", name)
+		}
+	}
+	if st := p.Stats(); st.Executions != 0 || st.Queued != 0 {
+		t.Errorf("rejected batches left %d executions and %d queued jobs, want none", st.Executions, st.Queued)
 	}
 }

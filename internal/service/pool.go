@@ -112,10 +112,8 @@ type job struct {
 	progress    sim.Progress
 	hasProgress bool
 
-	subs    map[int]chan sim.Progress
-	nextSub int
-	cancel  context.CancelFunc // set while running
-	done    chan struct{}      // closed at terminal state
+	subs   map[chan sim.Progress]struct{} // watchers, closed at terminal state
+	cancel context.CancelFunc             // set while running
 }
 
 // JobStatus is a point-in-time snapshot of a job.
@@ -160,7 +158,8 @@ var ErrUnknownJob = errors.New("service: unknown job")
 var ErrTerminal = errors.New("service: job is already terminal")
 
 // Pool executes simulation jobs on a bounded set of workers with
-// priority scheduling, duplicate coalescing and result caching.
+// priority scheduling, duplicate coalescing and result caching. It is
+// the Backend bumpd serves.
 type Pool struct {
 	opts  Options
 	cache *resultCache
@@ -187,6 +186,8 @@ type Pool struct {
 
 	wg sync.WaitGroup
 }
+
+var _ Backend = (*Pool)(nil)
 
 // NewPool starts a pool with opts' worker count.
 func NewPool(opts Options) *Pool {
@@ -226,7 +227,7 @@ func NewPool(opts Options) *Pool {
 // job coalesces onto it (the returned status carries the *existing*
 // job's ID — both submitters observe one execution); otherwise a fresh
 // job is queued.
-func (p *Pool) Submit(spec JobSpec) (JobStatus, error) {
+func (p *Pool) Submit(_ context.Context, spec JobSpec) (JobStatus, error) {
 	cfg, err := spec.Config()
 	if err != nil {
 		return JobStatus{}, err
@@ -271,7 +272,6 @@ func (p *Pool) Submit(spec JobSpec) (JobStatus, error) {
 			p.tracer.Instant(j.id, "cache.hit", time.Now(),
 				obs.SpanArg{Key: "hash", Val: j.hash})
 		}
-		close(j.done)
 		p.retainTerminalLocked(j)
 		return p.statusLocked(j), nil
 	}
@@ -300,7 +300,6 @@ func (p *Pool) newJobLocked(spec JobSpec, cfg sim.Config, hash string) *job {
 		traceID:   spec.TraceID,
 		submitted: time.Now(),
 		heapIndex: -1,
-		done:      make(chan struct{}),
 	}
 	if p.tracer != nil {
 		j.traceID = p.tracer.Begin(j.id, j.traceID)
@@ -327,7 +326,7 @@ func (p *Pool) observePhase(name string, seconds float64) {
 }
 
 // Job returns a job's current status.
-func (p *Pool) Job(id string) (JobStatus, error) {
+func (p *Pool) Job(_ context.Context, id string) (JobStatus, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	j, ok := p.jobs[id]
@@ -338,83 +337,85 @@ func (p *Pool) Job(id string) (JobStatus, error) {
 }
 
 // ResultByHash returns the cached result for a config hash, if present.
-func (p *Pool) ResultByHash(hash string) (sim.Result, bool) {
-	return p.cache.get(hash)
+func (p *Pool) ResultByHash(_ context.Context, hash string) (sim.Result, bool, error) {
+	res, ok := p.cache.get(hash)
+	return res, ok, nil
 }
 
-// Wait blocks until the job reaches a terminal state (or ctx expires)
-// and returns its final status.
-func (p *Pool) Wait(ctx context.Context, id string) (JobStatus, error) {
+// Watch delivers a job's progress snapshots to onProgress (which may be
+// nil) and returns its terminal status, or ctx's error once ctx ends.
+// A watcher that falls behind loses intermediate snapshots, never the
+// verdict. Watch holds the job record itself, so retention dropping the
+// job from the index mid-watch cannot lose its verdict.
+func (p *Pool) Watch(ctx context.Context, id string, onProgress func(sim.Progress)) (JobStatus, error) {
 	p.mu.Lock()
 	j, ok := p.jobs[id]
-	p.mu.Unlock()
 	if !ok {
+		p.mu.Unlock()
 		return JobStatus{}, ErrUnknownJob
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.statusLocked(j), nil
-}
-
-// Subscribe returns a channel of progress snapshots for a job. The
-// channel closes when the job reaches a terminal state (read the final
-// status via Job). The returned cancel function detaches the
-// subscription; it is safe to call multiple times. Slow subscribers
-// lose intermediate snapshots, never the closure.
-func (p *Pool) Subscribe(id string) (<-chan sim.Progress, func(), error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	if !ok {
-		return nil, nil, ErrUnknownJob
-	}
+	// Buffered so publish never waits on a watcher; finishLocked closes
+	// the channel once the job is terminal.
 	ch := make(chan sim.Progress, 16)
 	if j.state.Terminal() {
 		close(ch)
-		return ch, func() {}, nil
+	} else {
+		if j.subs == nil {
+			j.subs = make(map[chan sim.Progress]struct{})
+		}
+		j.subs[ch] = struct{}{}
 	}
-	if j.subs == nil {
-		j.subs = make(map[int]chan sim.Progress)
-	}
-	key := j.nextSub
-	j.nextSub++
-	j.subs[key] = ch
-	cancel := func() {
+	p.mu.Unlock()
+	defer func() {
 		p.mu.Lock()
-		defer p.mu.Unlock()
-		if c, ok := j.subs[key]; ok {
-			delete(j.subs, key)
-			close(c)
+		delete(j.subs, ch)
+		p.mu.Unlock()
+	}()
+	for {
+		select {
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		case pr, open := <-ch:
+			if !open {
+				p.mu.Lock()
+				st := p.statusLocked(j)
+				p.mu.Unlock()
+				return st, nil
+			}
+			if onProgress != nil {
+				onProgress(pr)
+			}
 		}
 	}
-	return ch, cancel, nil
 }
 
 // Cancel aborts a job: a queued job is dequeued immediately, a running
 // one has its context canceled (the simulation stops at the next hook
-// interval). Returns false for unknown or already-terminal jobs.
-func (p *Pool) Cancel(id string) bool {
+// interval). It returns ErrUnknownJob for an ID the pool does not hold
+// and ErrTerminal for a job that has already ended.
+func (p *Pool) Cancel(_ context.Context, id string) (JobStatus, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	j, ok := p.jobs[id]
-	if !ok || j.state.Terminal() {
-		return false
+	switch {
+	case !ok:
+		return JobStatus{}, ErrUnknownJob
+	case j.state.Terminal():
+		return JobStatus{}, fmt.Errorf("%w: %s", ErrTerminal, id)
 	}
 	if j.heapIndex >= 0 { // still queued
 		heap.Remove(&p.queue, j.heapIndex)
 		j.state = StateCanceled
 		p.finishLocked(j)
-		return true
-	}
-	if j.cancel != nil {
+	} else if j.cancel != nil {
 		j.cancel()
 	}
-	return true
+	return p.statusLocked(j), nil
+}
+
+// Batch runs a whole sweep on the pool (see RunBatch).
+func (p *Pool) Batch(ctx context.Context, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
+	return RunBatch(ctx, p, spec, onPoint)
 }
 
 // Stats snapshots pool health.
@@ -549,14 +550,14 @@ func (p *Pool) worker() {
 }
 
 // publish delivers a progress snapshot to the job record and its
-// subscribers (drop-on-full: a stalled subscriber only loses
-// intermediate snapshots).
+// watchers (drop-on-full: a stalled watcher only loses intermediate
+// snapshots).
 func (p *Pool) publish(j *job, pr sim.Progress) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	j.progress = pr
 	j.hasProgress = true
-	for _, ch := range j.subs {
+	for ch := range j.subs {
 		select {
 		case ch <- pr:
 		default:
@@ -565,17 +566,16 @@ func (p *Pool) publish(j *job, pr sim.Progress) {
 }
 
 // finishLocked moves a job into its (already set) terminal state:
-// releases the hash reservation, closes subscriber channels and the
-// done gate, and enrolls the record in the bounded retention window.
+// releases the hash reservation, closes watcher channels, and enrolls
+// the record in the bounded retention window.
 func (p *Pool) finishLocked(j *job) {
 	if p.byHash[j.hash] == j {
 		delete(p.byHash, j.hash)
 	}
-	for k, ch := range j.subs {
-		delete(j.subs, k)
+	for ch := range j.subs {
+		delete(j.subs, ch)
 		close(ch)
 	}
-	close(j.done)
 	p.completed++
 	p.retainTerminalLocked(j)
 }

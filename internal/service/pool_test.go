@@ -33,11 +33,11 @@ func newTestPool(t *testing.T, opts Options) *Pool {
 
 // runSpec submits spec and blocks for its result.
 func runSpec(ctx context.Context, p *Pool, spec JobSpec) (sim.Result, error) {
-	st, err := p.Submit(spec)
+	st, err := p.Submit(ctx, spec)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	if st, err = p.Wait(ctx, st.ID); err != nil {
+	if st, err = p.Watch(ctx, st.ID, nil); err != nil {
 		return sim.Result{}, err
 	}
 	if st.State != StateDone {
@@ -103,7 +103,7 @@ func TestCachedResultReturnsWithoutRerun(t *testing.T) {
 	if _, err := runSpec(context.Background(), p, specFixture()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.Submit(specFixture())
+	st, err := p.Submit(context.Background(), specFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,99 +116,101 @@ func TestCachedResultReturnsWithoutRerun(t *testing.T) {
 }
 
 func TestPriorityOrdersQueue(t *testing.T) {
+	ctx := context.Background()
 	p := newTestPool(t, Options{Workers: 1})
 	// Occupy the single worker so the next two jobs queue up.
-	blocker, err := p.Submit(longSpec())
+	blocker, err := p.Submit(ctx, longSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	low := specFixture()
 	low.Seed = 2
-	lowSt, err := p.Submit(low)
+	lowSt, err := p.Submit(ctx, low)
 	if err != nil {
 		t.Fatal(err)
 	}
 	high := specFixture()
 	high.Seed = 3
 	high.Priority = 10
-	highSt, err := p.Submit(high)
+	highSt, err := p.Submit(ctx, high)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Watch both queued jobs; the single worker runs them serially, so
-	// whichever signals first (progress event or stream closure) is the
-	// one the queue scheduled first.
-	chLow, cancelLow, err := p.Subscribe(lowSt.ID)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := p.Cancel(ctx, blocker.ID); err != nil {
+		t.Fatalf("cancel blocker: %v", err)
 	}
-	defer cancelLow()
-	chHigh, cancelHigh, err := p.Subscribe(highSt.ID)
-	if err != nil {
-		t.Fatal(err)
+	// The single worker runs the two queued jobs one after the other, so
+	// while the high-priority job, submitted second, makes progress, the
+	// low-priority one must still be queued.
+	var lowWhileHigh State
+	var once sync.Once
+	st, err := p.Watch(ctx, highSt.ID, func(sim.Progress) {
+		once.Do(func() {
+			st, _ := p.Job(ctx, lowSt.ID)
+			lowWhileHigh = st.State
+		})
+	})
+	if err != nil || st.State != StateDone {
+		t.Fatalf("high-priority job: state %v err %v", st.State, err)
 	}
-	defer cancelHigh()
-	if !p.Cancel(blocker.ID) {
-		t.Fatal("cancel blocker")
+	if lowWhileHigh != StateQueued {
+		t.Errorf("low-priority job was %q while the high-priority one ran, want queued", lowWhileHigh)
 	}
-	// The high-priority job, submitted second, must run first.
-	select {
-	case <-chHigh:
-	case <-chLow:
-		t.Error("low-priority job ran before the high-priority one")
-	}
-	for _, id := range []string{highSt.ID, lowSt.ID} {
-		if st, err := p.Wait(context.Background(), id); err != nil || st.State != StateDone {
-			t.Fatalf("job %s: state %v err %v", id, st.State, err)
-		}
+	if st, err := p.Watch(ctx, lowSt.ID, nil); err != nil || st.State != StateDone {
+		t.Fatalf("low-priority job: state %v err %v", st.State, err)
 	}
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
+	ctx := context.Background()
 	p := newTestPool(t, Options{Workers: 1})
-	running, err := p.Submit(longSpec())
+	running, err := p.Submit(ctx, longSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	queued := longSpec()
 	queued.Seed = 2
-	queuedSt, err := p.Submit(queued)
+	queuedSt, err := p.Submit(ctx, queued)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !p.Cancel(queuedSt.ID) {
-		t.Fatal("cancel queued job")
+	st, err := p.Cancel(ctx, queuedSt.ID)
+	if err != nil {
+		t.Fatalf("cancel queued job: %v", err)
 	}
-	st, _ := p.Job(queuedSt.ID)
 	if st.State != StateCanceled {
 		t.Fatalf("queued job state %s after cancel", st.State)
 	}
 
-	if !p.Cancel(running.ID) {
-		t.Fatal("cancel running job")
+	if _, err := p.Cancel(ctx, running.ID); err != nil {
+		t.Fatalf("cancel running job: %v", err)
 	}
-	final, err := p.Wait(context.Background(), running.ID)
+	final, err := p.Watch(ctx, running.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.State != StateCanceled {
 		t.Fatalf("running job state %s after cancel", final.State)
 	}
-	if p.Cancel(running.ID) {
-		t.Error("cancel of a terminal job must report false")
+	if _, err := p.Cancel(ctx, running.ID); !errors.Is(err, ErrTerminal) {
+		t.Errorf("cancel of a terminal job: %v, want ErrTerminal", err)
+	}
+	if _, err := p.Cancel(ctx, "j-missing"); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("cancel of an unknown job: %v, want ErrUnknownJob", err)
 	}
 }
 
 func TestJobTimeoutFails(t *testing.T) {
+	ctx := context.Background()
 	p := newTestPool(t, Options{Workers: 1})
 	spec := longSpec()
 	spec.TimeoutMS = 50
-	st, err := p.Submit(spec)
+	st, err := p.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := p.Wait(context.Background(), st.ID)
+	final, err := p.Watch(ctx, st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,65 +220,72 @@ func TestJobTimeoutFails(t *testing.T) {
 }
 
 func TestCancelFreesWorkerForNextJob(t *testing.T) {
+	ctx := context.Background()
 	p := newTestPool(t, Options{Workers: 1})
-	running, err := p.Submit(longSpec())
+	running, err := p.Submit(ctx, longSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Cancel(running.ID)
+	if _, err := p.Cancel(ctx, running.ID); err != nil {
+		t.Fatal(err)
+	}
 	// The worker must come back and execute a fresh job.
-	if _, err := runSpec(context.Background(), p, specFixture()); err != nil {
+	if _, err := runSpec(ctx, p, specFixture()); err != nil {
 		t.Fatalf("run after cancel: %v", err)
 	}
 }
 
-func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
-	p := newTestPool(t, Options{Workers: 1, ProgressInterval: 1_000})
-	st, err := p.Submit(specFixture())
+// TestWatchStreamsProgressAndReturnsVerdict: Watch relays progress in
+// cycle order and returns the terminal status; a watch of a terminal
+// job returns its verdict at once, and one of a job retention has
+// already dropped answers ErrUnknownJob.
+func TestWatchStreamsProgressAndReturnsVerdict(t *testing.T) {
+	ctx := context.Background()
+	p := newTestPool(t, Options{Workers: 1, ProgressInterval: 1_000, RetainJobs: 1})
+	st, err := p.Submit(ctx, specFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := p.Subscribe(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
 	var events int
 	var last sim.Progress
-	for pr := range ch {
+	final, err := p.Watch(ctx, st.ID, func(pr sim.Progress) {
 		if pr.Cycle < last.Cycle {
 			t.Errorf("progress went backwards: %d after %d", pr.Cycle, last.Cycle)
 		}
 		last = pr
 		events++
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if events == 0 {
 		t.Error("no progress events before completion")
 	}
-	final, err := p.Job(st.ID)
-	if err != nil {
+	if final.State != StateDone || final.Result == nil {
+		t.Fatalf("watch returned state %s (result %v)", final.State, final.Result != nil)
+	}
+	again, err := p.Watch(ctx, st.ID, func(sim.Progress) { t.Error("progress from a terminal job") })
+	if err != nil || again.State != StateDone {
+		t.Fatalf("watch of a terminal job: %v %s", err, again.State)
+	}
+
+	next := specFixture()
+	next.Seed = 2
+	if _, err := runSpec(ctx, p, next); err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone {
-		t.Fatalf("job state %s after stream closed", final.State)
-	}
-	// Subscribing to a terminal job yields an already-closed channel.
-	ch2, cancel2, err := p.Subscribe(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel2()
-	if _, open := <-ch2; open {
-		t.Error("subscription to terminal job must start closed")
+	if _, err := p.Watch(ctx, st.ID, nil); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("watch of a dropped job: %v, want ErrUnknownJob", err)
 	}
 }
 
 func TestPoolCloseCancelsEverything(t *testing.T) {
 	p := NewPool(Options{Workers: 1, ProgressInterval: 5_000})
-	running, _ := p.Submit(longSpec())
+	ctx := context.Background()
+	running, _ := p.Submit(ctx, longSpec())
 	queued := longSpec()
 	queued.Seed = 2
-	queuedSt, _ := p.Submit(queued)
+	queuedSt, _ := p.Submit(ctx, queued)
 	done := make(chan struct{})
 	go func() { p.Close(); close(done) }()
 	select {
@@ -285,7 +294,7 @@ func TestPoolCloseCancelsEverything(t *testing.T) {
 		t.Fatal("Close did not return")
 	}
 	for _, id := range []string{running.ID, queuedSt.ID} {
-		st, err := p.Job(id)
+		st, err := p.Job(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +302,7 @@ func TestPoolCloseCancelsEverything(t *testing.T) {
 			t.Errorf("job %s state %s after Close", id, st.State)
 		}
 	}
-	if _, err := p.Submit(specFixture()); !errors.Is(err, ErrClosed) {
+	if _, err := p.Submit(ctx, specFixture()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close: %v, want ErrClosed", err)
 	}
 }
@@ -312,14 +321,14 @@ func TestWarmSweepReusesCheckpoint(t *testing.T) {
 	for i := 0; i < points; i++ {
 		spec := base
 		spec.MaxRowHitStreak = i // measured param: 0 (off), 1..15
-		st, err := p.Submit(spec)
+		st, err := p.Submit(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = st.ID
 	}
 	for _, id := range ids {
-		st, err := p.Wait(context.Background(), id)
+		st, err := p.Watch(context.Background(), id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,19 +443,19 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		spec := specFixture()
 		spec.Seed = seed
-		st, err := p.Submit(spec)
+		st, err := p.Submit(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Wait(context.Background(), st.ID); err != nil {
+		if _, err := p.Watch(context.Background(), st.ID, nil); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
 	}
-	if _, err := p.Job(ids[0]); !errors.Is(err, ErrUnknownJob) {
+	if _, err := p.Job(context.Background(), ids[0]); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("oldest terminal job must be evicted, got %v", err)
 	}
-	if _, err := p.Job(ids[2]); err != nil {
+	if _, err := p.Job(context.Background(), ids[2]); err != nil {
 		t.Errorf("newest terminal job must be retained: %v", err)
 	}
 }

@@ -102,14 +102,14 @@ func TestScenarioWarmSweepThroughPool(t *testing.T) {
 	for i := 0; i < points; i++ {
 		spec := base
 		spec.MaxRowHitStreak = i
-		st, err := p.Submit(spec)
+		st, err := p.Submit(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = st.ID
 	}
 	for _, id := range ids {
-		st, err := p.Wait(context.Background(), id)
+		st, err := p.Watch(context.Background(), id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestWireConnReusableAfterSlowCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := wire.Serve(l, NewWireHandler(NewPoolWireBackend(pool)))
+	ws := wire.Serve(l, NewWireHandler(pool))
 	defer ws.Close()
 	srv := httptest.NewServer(NewHandlerInfo(pool, ServerInfo{WireAddr: l.Addr().String()}))
 	defer srv.Close()

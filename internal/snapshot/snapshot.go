@@ -10,9 +10,9 @@
 // The meta block (v2) is a small, independently CRC-framed node
 // descriptor (NodeMeta): which structural configuration the body
 // belongs to, the engine cycle it was cut at, and the
-// measured-parameter trajectory it has followed. Checkpoint stores and
-// transports classify a snapshot from the meta block alone (see
-// PeekNodeMeta) without decoding simulator state.
+// measured-parameter trajectory it has followed. A restore reads it
+// through Reader.NodeMeta to check the cut and trajectory before
+// decoding simulator state.
 //
 // The body is a flat little-endian sequence of primitive values written
 // by the component serializers (sim.System orchestrates the order). The
@@ -321,15 +321,6 @@ func readHeader(r io.Reader) (meta NodeMeta, bodyCRC uint32, bodyLen uint64, err
 		return NodeMeta{}, 0, 0, err
 	}
 	return meta, bodyCRC, bodyLen, nil
-}
-
-// PeekNodeMeta decodes only the container header and meta block —
-// enough to classify a checkpoint (structural digest, cut cycle,
-// trajectory prefix) without reading the body. The reader is left
-// positioned at the body's first byte.
-func PeekNodeMeta(r io.Reader) (NodeMeta, error) {
-	meta, _, _, err := readHeader(r)
-	return meta, err
 }
 
 // NewReader validates the snapshot header, decodes the meta block, and

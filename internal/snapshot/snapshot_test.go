@@ -203,20 +203,9 @@ func TestNodeMetaRoundTrip(t *testing.T) {
 	if err := w.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 
-	// PeekNodeMeta reads the descriptor without touching the body.
-	peeked, err := PeekNodeMeta(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(peeked.Structural, in.Structural) || peeked.Cut != in.Cut ||
-		peeked.ForkAt != in.ForkAt || peeked.Prefix != in.Prefix {
-		t.Fatalf("peeked meta %+v != written %+v", peeked, in)
-	}
-
-	// The full reader carries the same descriptor alongside the body.
-	r, err := NewReader(bytes.NewReader(raw))
+	// The reader carries the descriptor alongside the body.
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +230,12 @@ func TestNodeMetaZeroOmitted(t *testing.T) {
 	if err := w.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := PeekNodeMeta(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(len(meta.Structural) == 0 && meta.Cut == 0 && meta.ForkAt == 0 && meta.Prefix == "") {
-		t.Fatalf("descriptor-less container peeked non-zero meta %+v", meta)
+	if meta := r.NodeMeta(); !(len(meta.Structural) == 0 && meta.Cut == 0 && meta.ForkAt == 0 && meta.Prefix == "") {
+		t.Fatalf("descriptor-less container read non-zero meta %+v", meta)
 	}
 }
 
