@@ -125,8 +125,8 @@ type Scenario = scenario.Spec
 // diurnal-shift, phase-swap, bursty-writer).
 func Scenarios() []string { return scenario.Library() }
 
-// ScenarioByName builds a built-in (or registered) scenario for the
-// given core count.
+// ScenarioByName builds a built-in scenario for the given core count.
+// A custom scenario is a Scenario value (see LoadScenario), not a name.
 func ScenarioByName(name string, cores int) (Scenario, bool) { return scenario.ByName(name, cores) }
 
 // LoadScenario reads a scenario spec from its JSON file format.

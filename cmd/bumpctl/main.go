@@ -19,21 +19,23 @@
 // byte-identical because they are a deterministic function of the
 // config.
 //
-// With -data-dir the coordinator is durable: every accepted job ID and
-// fleet-membership change is written to a write-ahead log before the
-// client hears about it. A coordinator restarted on the same directory
-// replays the log, re-answers every pre-crash job ID, and re-drives
-// unfinished work to completion. A sweep cut short by a restart is the
-// client's to resubmit: its finished points are answered from the
-// workers' result caches, and its running ones coalesce by config hash.
-// The fleet is the -workers list plus the members the data dir
-// recorded; with neither, bumpctl exits with an error.
+// The fleet is the -workers list, and only that list: a data dir does
+// not record it, so a restart with an edited list serves exactly the
+// new one, and bumpctl without -workers exits with an error. A list that
+// names one worker twice is refused. With -data-dir the coordinator is
+// durable: every accepted job ID is written to a write-ahead log before
+// the client hears about it. A coordinator restarted on the same
+// directory replays the log, re-answers every pre-crash job ID, and
+// re-drives unfinished work to completion; a job recorded on a worker
+// the new list drops fails over like a job on a dead worker. A sweep
+// cut short by a restart is the client's to resubmit: its finished
+// points are answered from the workers' result caches, and its running
+// ones coalesce by config hash.
 //
 // Usage:
 //
-//	bumpctl -worker http://host1:8344 -worker http://host2:8344
 //	bumpctl -workers http://h1:8344,http://h2:8344,http://h3:8344 -addr :8343
-//	bumpctl -data-dir /var/lib/bumpctl            # durable; the data dir recalls its fleet
+//	bumpctl -workers http://h1:8344,http://h2:8344 -data-dir /var/lib/bumpctl   # durable
 //
 // Endpoints (see internal/cluster):
 //
@@ -70,7 +72,6 @@ import (
 )
 
 func main() {
-	var workerURLs []string
 	var (
 		addr      = flag.String("addr", ":8343", "listen address")
 		workers   = flag.String("workers", "", "comma-separated bumpd worker base URLs")
@@ -90,13 +91,10 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
-	flag.Func("worker", "bumpd worker base URL (repeatable)", func(url string) error {
-		workerURLs = append(workerURLs, url)
-		return nil
-	})
 	flag.Parse()
+	var workerURLs []string
 	if *workers != "" {
-		workerURLs = append(workerURLs, strings.Split(*workers, ",")...)
+		workerURLs = strings.Split(*workers, ",")
 	}
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logJSON)

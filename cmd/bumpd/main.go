@@ -7,16 +7,15 @@
 //
 //	bumpd                                  # listen on :8344
 //	bumpd -addr :9000 -workers 8 -cache 512 -timeout 5m
-//	bumpd -scenario peak.json -scenario canary.json   # register scenario files
 //
 // A bumpctl coordinator reaches this worker through its -workers list
 // and health-probes GET /v1/healthz.
 //
-// Job specs may name a scenario instead of a workload — either one of
-// the built-ins (consolidated, diurnal-shift, phase-swap, bursty-writer)
-// or a spec registered at startup with -scenario — or carry a full
-// inline spec under "scenario_spec". The resolved scenario is part of
-// the config hash, so scenario jobs coalesce and cache like any other.
+// Job specs may name a built-in scenario instead of a workload
+// (consolidated, diurnal-shift, phase-swap, bursty-writer) or carry a
+// full inline spec under "scenario_spec"; any other scenario name is
+// refused with 400. The resolved scenario is part of the config hash,
+// so scenario jobs coalesce and cache like any other.
 //
 // The pool is the service.Backend that both transports serve: the HTTP
 // routes below (service.MountJobs) and the binary wire listener.
@@ -48,7 +47,6 @@ import (
 
 	"bump/internal/blob"
 	"bump/internal/obs"
-	"bump/internal/scenario"
 	"bump/internal/service"
 	"bump/internal/sim"
 	"bump/internal/wire"
@@ -71,17 +69,6 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
-	flag.Func("scenario", "scenario spec file to register under its name (repeatable); jobs reference it via {\"scenario\": \"<name>\"}", func(path string) error {
-		sc, err := scenario.Load(path)
-		if err != nil {
-			return err
-		}
-		if err := scenario.Register(sc); err != nil {
-			return err
-		}
-		slog.Info("registered scenario", "name", sc.Name, "tenants", len(sc.Tenants))
-		return nil
-	})
 	flag.Parse()
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logJSON)

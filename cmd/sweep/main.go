@@ -7,16 +7,13 @@
 // workers, duplicate coalescing, result caching); with -server the same
 // batch is submitted to a running bumpd or bumpctl instance (one POST
 // /v1/batch request, or one batch call over the wire protocol), so many
-// sweep clients can share one simulation service and its cache. A
-// comma-separated -server list of bumpd workers embeds an in-process
-// cluster coordinator instead: points are routed by warm-affinity key
-// across the fleet with automatic failover. Each of the three — the
-// *service.Pool itself, a service.Client, a cluster.Coordinator — is a
-// service.Backend, so a sweep is one Backend.Batch call whichever runs
-// it; the pool and the coordinator both answer it with
-// service.RunBatch over themselves. A server's warm and cache counters are on its GET /metrics; the
-// sweep reports only what this process saw (the in-process -warm
-// ledger, wire fast-path usage).
+// sweep clients can share one simulation service and its cache. To
+// spread a sweep over a fleet of bumpd workers, put bumpctl -workers in
+// front of them and point -server at it. The *service.Pool and a
+// service.Client are both a service.Backend, so a sweep is one
+// Backend.Batch call whichever runs it. A server's warm and cache
+// counters are on its GET /metrics; the sweep reports only what this
+// process saw (the in-process -warm ledger, wire fast-path usage).
 //
 // With -warm the in-process pool shares warmup-end checkpoints between
 // sweep points whose configurations differ only in measured parameters:
@@ -36,15 +33,16 @@
 //	sweep -mode fairness -workload web-search -warm > fairness.csv
 //	sweep -mode fairness -workload web-search -warm -fork-at 1200000,1600000 > fairness.csv
 //	sweep -mode systems -server http://localhost:8344 > systems.csv
-//	sweep -mode fairness -server http://host1:8344,http://host2:8344,http://host3:8344 > fairness.csv
+//	sweep -mode fairness -server http://bumpctl:8343 > fairness.csv
 //	sweep -mode scenarios > scenarios.csv      # built-in scenario library
 //	sweep -mode fairness -scenario phase-swap -warm > fairness.csv
 //	sweep -mode systems -scenario my-scenario.json > systems.csv
 //
 // With -scenario (a built-in name or a JSON spec file), every mode runs
 // its matrix against the multi-phase, multi-tenant scenario instead of a
-// stationary workload; the scenario is part of each job's config hash,
-// so caching, coalescing and warm starts work exactly as for presets.
+// stationary workload; a built-in travels by name and a spec file
+// inline. The scenario is part of each job's config hash, so caching,
+// coalescing and warm starts work exactly as for presets.
 package main
 
 import (
@@ -57,7 +55,6 @@ import (
 	"strings"
 
 	"bump"
-	"bump/internal/cluster"
 	"bump/internal/scenario"
 	"bump/internal/service"
 	"bump/internal/sim"
@@ -89,7 +86,7 @@ func main() {
 		n            = flag.Int("n", 5, "seed count for -mode seeds")
 		warmup       = flag.Uint64("warmup", 700_000, "warmup cycles")
 		measure      = flag.Uint64("measure", 1_500_000, "measurement cycles")
-		server       = flag.String("server", "", "bumpd/bumpctl base URL, or a comma-separated bumpd worker list to coordinate in-process; empty runs fully in-process")
+		server       = flag.String("server", "", "bumpd/bumpctl base URL; empty runs fully in-process")
 		warm         = flag.Bool("warm", false, "share warmup-end checkpoints between in-process sweep points that differ only in measured parameters")
 		forkAt       = flag.String("fork-at", "", "comma-separated absolute cycles inside the measurement window where -mode fairness points fork from a shared canonical trunk (deepest cut binds the streak cap; implies deferred measured parameters)")
 		jsonOnly     = flag.Bool("json-only", false, "talk HTTP/JSON to -server even when it advertises a binary wire listener")
@@ -116,70 +113,32 @@ func main() {
 	}
 
 	// Every mode runs its batch through one Backend: the in-process
-	// pool, a remote bumpd/bumpctl, or an embedded coordinator.
+	// pool or a remote bumpd/bumpctl.
 	var pool *service.Pool
-	var coord *cluster.Coordinator
-	var cl *service.Client
 	var run service.Backend
 	switch {
-	case *server != "" && strings.Contains(*server, ","):
-		// A comma-separated worker list: embed an in-process coordinator
-		// over the fleet (warm-affinity routing + failover, no separate
-		// bumpctl needed).
-		if *warm {
-			fmt.Fprintln(os.Stderr, "sweep: -warm applies to in-process runs; enable warm starts on each worker with bumpd -warm")
-		}
-		var err error
-		coord, err = cluster.New(context.Background(), cluster.Options{
-			Workers:  strings.Split(*server, ","),
-			Registry: cluster.RegistryOptions{DisableWire: *jsonOnly},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer coord.Close()
-		if up := coord.Registry().UpCount(); up == 0 {
-			fatal(fmt.Errorf("no healthy workers among %s", *server))
-		}
-		run = coord
+	case strings.Contains(*server, ","):
+		fatal(fmt.Errorf("-server takes one base URL; to sweep across several bumpd workers, run bumpctl -workers %s and pass its URL", *server))
 	case *server != "":
 		if *warm {
 			fmt.Fprintln(os.Stderr, "sweep: -warm applies to in-process runs; enable warm starts on bumpd with its -warm flag")
 		}
-		cl = service.NewClient(*server)
+		cl := service.NewClient(*server)
 		cl.DisableWire = *jsonOnly
+		// After a remote sweep, show how the transport behaved (wire
+		// fast-path vs HTTP fallback, conn reuse).
+		defer func() {
+			if ws := cl.WireStats(); ws.Calls != 0 || ws.Fallbacks != 0 {
+				fmt.Fprintf(os.Stderr, "sweep: wire: %d calls, %d fallbacks, %d dials, %d reused conns\n",
+					ws.Calls, ws.Fallbacks, ws.Dials, ws.Reuses)
+			}
+		}()
 		run = cl
 	default:
 		pool = service.NewPool(service.Options{WarmStarts: *warm})
 		defer pool.Close()
 		run = pool
 	}
-	// After a remote sweep, show how the transport behaved (wire
-	// fast-path vs HTTP fallback, conn reuse).
-	reportWire := func(ws service.WireStats) {
-		if ws.Calls == 0 && ws.Fallbacks == 0 {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "sweep: wire: %d calls, %d fallbacks, %d dials, %d reused conns\n",
-			ws.Calls, ws.Fallbacks, ws.Dials, ws.Reuses)
-	}
-	defer func() {
-		if cl != nil {
-			reportWire(cl.WireStats())
-		}
-		if coord == nil {
-			return
-		}
-		var ws service.WireStats
-		for _, wk := range coord.Registry().Workers() {
-			s := wk.Client.WireStats()
-			ws.Calls += s.Calls
-			ws.Fallbacks += s.Fallbacks
-			ws.Dials += s.Dials
-			ws.Reuses += s.Reuses
-		}
-		reportWire(ws)
-	}()
 
 	w := csv.NewWriter(os.Stdout)
 	defer w.Flush()
@@ -195,42 +154,30 @@ func main() {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 	// With -scenario, every mode's specs swap their workload for the
-	// scenario. A built-in name travels by name (a remote bumpd resolves
-	// it, so all clients coalesce on the same hash); a spec file travels
+	// scenario. A built-in travels by name (a remote bumpd resolves it,
+	// so all clients coalesce on the same hash); a spec file travels
 	// inline.
 	scenarioLabel := ""
 	applyScenario := func(spec service.JobSpec) service.JobSpec { return spec }
-	if *scenarioFlag != "" {
-		byName := func() {
-			scenarioLabel = "scenario:" + *scenarioFlag
-			applyScenario = func(spec service.JobSpec) service.JobSpec {
-				spec.Workload = ""
-				spec.Scenario = *scenarioFlag
-				return spec
-			}
+	switch {
+	case *scenarioFlag == "":
+	case scenario.Known(*scenarioFlag):
+		scenarioLabel = "scenario:" + *scenarioFlag
+		applyScenario = func(spec service.JobSpec) service.JobSpec {
+			spec.Workload = ""
+			spec.Scenario = *scenarioFlag
+			return spec
 		}
-		if _, statErr := os.Stat(*scenarioFlag); statErr == nil && !scenario.Known(*scenarioFlag) {
-			// A spec file travels inline.
-			sc, err := scenario.Load(*scenarioFlag)
-			if err != nil {
-				fatal(err)
-			}
-			scenarioLabel = "scenario:" + sc.Name
-			applyScenario = func(spec service.JobSpec) service.JobSpec {
-				spec.Workload = ""
-				spec.ScenarioSpec = sc
-				return spec
-			}
-		} else if scenario.Known(*scenarioFlag) || *server != "" {
-			// Built-ins travel by name so every client coalesces on the
-			// same hash — and against a -server, so does any name the
-			// daemon registered at startup (bumpd -scenario) that this
-			// process cannot resolve locally; the daemon rejects names
-			// it does not know either.
-			byName()
-		} else {
-			_, err := scenario.Resolve(*scenarioFlag, 0) // produce the library-naming error
+	default:
+		sc, err := scenario.Resolve(*scenarioFlag, 0) // a spec file; the error names the library
+		if err != nil {
 			fatal(err)
+		}
+		scenarioLabel = "scenario:" + sc.Name
+		applyScenario = func(spec service.JobSpec) service.JobSpec {
+			spec.Workload = ""
+			spec.ScenarioSpec = sc
+			return spec
 		}
 	}
 	// wlRows yields the workload axis: the scenario when set, else the

@@ -70,7 +70,7 @@ func (c *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (service
 	rec := JobRecord{ID: id, Spec: spec, Key: key, Hash: st.Hash, State: st.State}
 	if st.State.Terminal() {
 		applyStatus(&rec, st)
-		rec.Worker = wk.ID
+		rec.Worker = wk.URL
 		if err := c.store.PutJob(rec); err != nil {
 			return service.JobStatus{}, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
 		}
@@ -78,7 +78,7 @@ func (c *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (service
 		st.ID = id
 		return st, nil
 	}
-	rec.Worker, rec.Local = wk.ID, st.ID
+	rec.Worker, rec.Local = wk.URL, st.ID
 	if err := c.store.PutJob(rec); err != nil {
 		return service.JobStatus{}, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
@@ -185,7 +185,7 @@ func (c *Coordinator) Watch(ctx context.Context, id string, onProgress func(sim.
 // in turn.
 func (c *Coordinator) ResultByHash(ctx context.Context, hash string) (sim.Result, bool, error) {
 	for _, wk := range c.reg.Workers() {
-		if !c.reg.Up(wk.ID) {
+		if !c.reg.Up(wk.URL) {
 			continue
 		}
 		res, ok, err := wk.Client.ResultByHash(ctx, hash)

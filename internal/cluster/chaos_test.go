@@ -188,7 +188,7 @@ func TestChaosWatchEndsOnStalledWorker(t *testing.T) {
 	t.Cleanup(coord.Close)
 
 	// A job long enough to still be running when the link stalls, on a
-	// key the proxied worker w0 owns.
+	// key the proxied worker owns.
 	spec := sweepSpec("web-search", 0)
 	spec.MeasureCycles = 2_000_000
 	for spec.Seed = 1; ; spec.Seed++ {
@@ -243,8 +243,8 @@ func TestChaosWatchEndsOnStalledWorker(t *testing.T) {
 		px.Stall(false) // release the stalled handlers, or the cleanups block on them
 		t.Fatal("watch still held 30s after its worker stalled")
 	}
-	if rec, _ := coord.Store().Job(st.ID); rec.Worker != "w1" {
-		t.Fatalf("job record names worker %q, want the failover target w1", rec.Worker)
+	if rec, _ := coord.Store().Job(st.ID); rec.Worker != fleet[1].srv.URL {
+		t.Fatalf("job record names worker %q, want the failover target %s", rec.Worker, fleet[1].srv.URL)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -263,11 +262,9 @@ func TestClusterE2EFailoverMidSweep(t *testing.T) {
 	}
 	ownerURL := coord.Registry().Ring().Owner(key) // the ring is keyed by worker URL
 	var owner *testWorker
-	var ownerID string
-	for i, w := range fleet {
+	for _, w := range fleet {
 		if w.srv.URL == ownerURL {
 			owner = w
-			ownerID = fmt.Sprintf("w%d", i)
 		}
 	}
 	if owner == nil {
@@ -306,7 +303,7 @@ func TestClusterE2EFailoverMidSweep(t *testing.T) {
 	}
 	failedOver := 0
 	for _, pt := range res.Points {
-		if pt.Worker != ownerID {
+		if pt.Worker != ownerURL {
 			failedOver++
 		}
 	}
@@ -316,7 +313,7 @@ func TestClusterE2EFailoverMidSweep(t *testing.T) {
 
 	// The dead worker is ejected from the topology.
 	deadline := time.After(5 * time.Second)
-	for coord.Registry().Up(ownerID) {
+	for coord.Registry().Up(ownerURL) {
 		select {
 		case <-deadline:
 			t.Fatal("killed worker still admitted")
@@ -515,6 +512,39 @@ func TestClusterBatchHTTP(t *testing.T) {
 	}
 }
 
+// TestClusterBatchNoWorkerUp: a batch sent to a coordinator with no
+// worker up is refused with 503 over plain JSON, over SSE, where the
+// refusal comes after the stream has started, and over wire alike.
+func TestClusterBatchNoWorkerUp(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	coord, err := New(context.Background(), Options{Workers: []string{dead.URL}, Registry: fastRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	url := serveCoordinator(t, coord)
+	spec := service.BatchSpec{Specs: []service.JobSpec{sweepSpec("web-search", 0)}}
+
+	resp, err := http.Post(url+"/v1/batch", "application/json", strings.NewReader(string(mustJSON(t, spec))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("plain JSON: status %d, want 503", resp.StatusCode)
+	}
+	sse := service.NewClient(url)
+	sse.DisableWire = true
+	wireClient := service.NewClient(url)
+	t.Cleanup(wireClient.Close)
+	for name, c := range map[string]*service.Client{"sse": sse, "wire": wireClient} {
+		if _, err := c.Batch(context.Background(), spec, nil); err == nil || errCode(t, err) != http.StatusServiceUnavailable {
+			t.Errorf("%s: %v, want 503", name, err)
+		}
+	}
+}
+
 // TestClusterE2ECrossProtocolSweep runs the same sweep through the
 // coordinator over both protocols — HTTP/JSON (wire disabled) and the
 // negotiated binary wire path — and requires the results to be
@@ -690,5 +720,87 @@ func TestClusterE2EOneWorkerStreamPerJob(t *testing.T) {
 	}
 	if n := streams.Load(); n != int64(len(specs)) {
 		t.Errorf("an %d-point batch opened %d worker event streams, want one per point", len(specs), n)
+	}
+}
+
+// TestClusterE2ERestartWithShorterFleet pins that the -workers list is
+// the whole fleet. A durable coordinator over workers a and b, closed
+// and reopened on its data dir with only b, holds only b; a job it left
+// in flight on a fails over to b, byte-identical to the single-node
+// run; and a sweep runs no point on a, although a is still up.
+func TestClusterE2ERestartWithShorterFleet(t *testing.T) {
+	fleet := newTestFleet(t, 2, service.Options{Workers: 1, WarmStarts: true})
+	a, b := fleet[0], fleet[1]
+	dir := t.TempDir()
+	open := func(urls ...string) *Coordinator {
+		coord, err := New(context.Background(), Options{Workers: urls, DataDir: dir, Registry: fastRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord
+	}
+
+	// A job on a key a owns, long enough to still be running on a when
+	// the first coordinator closes.
+	c1 := open(a.srv.URL, b.srv.URL)
+	spec := sweepSpec("web-search", 0)
+	spec.MeasureCycles = 2_000_000
+	for spec.Seed = 1; ; spec.Seed++ {
+		key, _, err := RouteKey(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c1.Registry().Ring().Owner(key) == a.srv.URL {
+			break
+		}
+		if spec.Seed == 64 {
+			t.Fatal("no seed keyed to worker a")
+		}
+	}
+	st, err := c1.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 30*time.Second, func() bool { return a.pool.Stats().Executions > 0 },
+		"the job never started on worker a")
+	c1.Close()
+	if rec, _ := c1.Store().Job(st.ID); rec.State.Terminal() {
+		t.Fatal("the job finished before the restart — enlarge it")
+	}
+
+	c2 := open(b.srv.URL)
+	t.Cleanup(c2.Close)
+	if ws := c2.Registry().Workers(); len(ws) != 1 || ws[0].URL != b.srv.URL {
+		t.Errorf("restarted fleet holds %d members, want only %s", len(ws), b.srv.URL)
+	}
+	aExecs := a.pool.Stats().Executions
+
+	fin, err := c2.Watch(context.Background(), st.ID, nil)
+	if err != nil || fin.State != service.StateDone || fin.Result == nil {
+		t.Fatalf("recovered job: %v %+v", err, fin)
+	}
+	if rec, _ := c2.Store().Job(st.ID); rec.Worker != b.srv.URL {
+		t.Errorf("recovered job finished on %q, want the failover target %s", rec.Worker, b.srv.URL)
+	}
+	if ref := singleNodeReference(t, []service.JobSpec{spec}); resultJSON(t, *fin.Result) != ref[0] {
+		t.Error("recovered job diverges from the single-node run")
+	}
+
+	specs := make([]service.JobSpec, 8)
+	for i := range specs {
+		specs[i] = sweepSpec("media-streaming", 0)
+		specs[i].Seed = int64(i + 1)
+	}
+	res, err := c2.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)
+	if err != nil || res.Failed != 0 {
+		t.Fatalf("batch: %v, %d failed", err, res.Failed)
+	}
+	for i, pt := range res.Points {
+		if pt.Worker != b.srv.URL {
+			t.Errorf("point %d ran on %q, want %s", i, pt.Worker, b.srv.URL)
+		}
+	}
+	if n := a.pool.Stats().Executions - aExecs; n != 0 {
+		t.Errorf("%d jobs ran on the dropped worker a after the restart", n)
 	}
 }

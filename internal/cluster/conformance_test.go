@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bump/internal/scenario"
 	"bump/internal/service"
 	"bump/internal/sim"
 	"bump/internal/snapshot"
@@ -163,11 +164,19 @@ type clientAPI struct{ c *service.Client }
 
 func errCode(t *testing.T, err error) int {
 	t.Helper()
+	code, _ := errPayload(t, err)
+	return code
+}
+
+// errPayload reports an API error as the HTTP route would: its code
+// and an {"error": message} body.
+func errPayload(t *testing.T, err error) (int, []byte) {
+	t.Helper()
 	var apiErr *service.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("transport failure: %v", err)
 	}
-	return apiErr.Code
+	return apiErr.Code, mustJSON(t, map[string]string{"error": apiErr.Message})
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -184,7 +193,7 @@ func mustJSON(t *testing.T, v any) []byte {
 func clientStatus(t *testing.T, st service.JobStatus, err error, ok int) (int, []byte) {
 	t.Helper()
 	if err != nil {
-		return errCode(t, err), nil
+		return errPayload(t, err)
 	}
 	return ok, mustJSON(t, service.PayloadFor(st))
 }
@@ -230,11 +239,7 @@ func (a clientAPI) batch(t *testing.T, spec service.BatchSpec) (int, []byte) {
 	var points int
 	res, err := a.c.Batch(context.Background(), spec, func(service.BatchPoint) { points++ })
 	if err != nil {
-		var apiErr *service.APIError
-		if !errors.As(err, &apiErr) {
-			t.Fatalf("transport failure: %v", err)
-		}
-		return apiErr.Code, mustJSON(t, map[string]string{"error": apiErr.Message})
+		return errPayload(t, err)
 	}
 	if points != len(spec.Specs) {
 		t.Errorf("batch delivered %d points for %d", points, len(spec.Specs))
@@ -346,6 +351,21 @@ func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
 	unknown.Workload = "no-such-workload"
 	code, body = api.batch(t, service.BatchSpec{Specs: []service.JobSpec{fresh, unknown}})
 	record("batch-invalid", code, body, "error")
+
+	// A custom scenario travels inline; a scenario name means a
+	// built-in, so naming the custom one is refused.
+	sc, err := scenario.Load("../../testdata/scenarios/tidal-colocation.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := sweepSpec("", 0)
+	inline.ScenarioSpec = sc
+	code, body = api.submit(t, inline)
+	record("submit-inline-scenario", code, body, "hash", "state", "spec")
+	named := sweepSpec("", 0)
+	named.Scenario = sc.Name
+	code, body = api.submit(t, named)
+	record("submit-unknown-scenario", code, body, "error")
 	return steps
 }
 
@@ -388,7 +408,8 @@ func serveCoordinator(t *testing.T, coord *Coordinator) string {
 // TestJobAPIConformance runs one job-API script against bumpd and
 // bumpctl, each over HTTP and over the wire protocol: every status and
 // every compared payload field must agree across the four, batches
-// included (a refused one is a 400 with one message everywhere), and
+// and scenarios included (a refused batch, and a job naming a scenario
+// that is not built in, are each a 400 with one message everywhere), and
 // each daemon's /v1/healthz carries only the HealthPayload fields. A failover
 // row then kills the worker running a watched coordinator job: the
 // watch must still end in done over both protocols.
@@ -410,6 +431,7 @@ func TestJobAPIConformance(t *testing.T) {
 		"submit-long": 202, "cancel": 200, "watch-canceled": 200,
 		"cancel-canceled": 409, "cancel-done": 409,
 		"batch": 200, "batch-empty": 400, "batch-invalid": 400,
+		"submit-inline-scenario": 202, "submit-unknown-scenario": 400,
 	}
 	var refName string
 	var ref []conformanceStep

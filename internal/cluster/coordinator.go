@@ -18,16 +18,17 @@ import (
 
 // Options configures a Coordinator.
 type Options struct {
-	// Workers are the backend bumpd base URLs. Together with the
-	// members a DataDir recorded they are the whole fleet, which must
-	// not be empty.
+	// Workers are the backend bumpd base URLs: the whole fleet, which
+	// must not be empty or name one worker twice. A DataDir does not
+	// record it, so a coordinator restarted with an edited list serves
+	// exactly that list.
 	Workers []string
 	// Registry tunes probing/ejection (zero value: defaults).
 	Registry RegistryOptions
 	// DataDir is the WAL directory for durable coordinator state; empty
-	// means memory-only (embedded coordinators, tests). With a data dir,
-	// a coordinator restarted on the same directory replays its log,
-	// re-answers every pre-crash job ID, and re-drives unfinished work.
+	// means memory-only. With a data dir, a coordinator restarted on the
+	// same directory replays its log, re-answers every pre-crash job ID,
+	// and re-drives unfinished work.
 	DataDir string
 	// WAL tunes segment rotation and fsync; CompactEvery the checkpoint
 	// cadence (see StoreOptions).
@@ -84,12 +85,11 @@ type Coordinator struct {
 	log    *slog.Logger
 }
 
-// New builds a coordinator: opens (and replays) the store, seeds the
-// registry from persisted fleet membership plus opts.Workers, runs one
-// synchronous probe round so a healthy fleet is routable before New
-// returns, and respawns drivers for every job that was in flight when
-// the previous coordinator died. A fleet with no member at all is an
-// error.
+// New builds a coordinator: builds the registry over opts.Workers,
+// opens (and replays) the store, runs one synchronous probe round so a
+// healthy fleet is routable before New returns, and respawns drivers
+// for every job that was in flight when the previous coordinator died.
+// An empty Workers list is an error, data dir or not.
 func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	if opts.RetryInterval <= 0 {
 		opts.RetryInterval = 250 * time.Millisecond
@@ -97,44 +97,14 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 	if opts.RetainJobs <= 0 {
 		opts.RetainJobs = 4096
 	}
+	reg, err := NewRegistry(opts.Workers, opts.Registry)
+	if err != nil {
+		return nil, err
+	}
 	store, err := OpenStore(StoreOptions{Dir: opts.DataDir, WAL: opts.WAL, CompactEvery: opts.CompactEvery})
 	if err != nil {
+		reg.Close()
 		return nil, err
-	}
-	reg, err := NewRegistry(nil, opts.Registry)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			reg.Close()
-			store.Close()
-		}
-	}()
-	// Persisted membership first: its worker IDs are referenced by
-	// recovered job records and must win any ID assignment race with the
-	// seed list.
-	for _, wr := range store.FleetWorkers() {
-		if _, err := reg.Add(wr.URL, wr.ID); err != nil {
-			return nil, err
-		}
-	}
-	for _, url := range opts.Workers {
-		if _, found := reg.WorkerByURL(url); found {
-			continue
-		}
-		w, err := reg.Add(url, "")
-		if err != nil {
-			return nil, err
-		}
-		if err := store.PutWorker(WorkerRecord{ID: w.ID, URL: w.URL}); err != nil {
-			return nil, err
-		}
-	}
-	if len(reg.Workers()) == 0 {
-		return nil, errors.New("cluster: no workers")
 	}
 	reg.ProbeOnce(ctx)
 	rctx, cancel := context.WithCancel(context.Background())
@@ -155,7 +125,6 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 		c.registerCollectors(opts.Metrics)
 	}
 	c.recover()
-	ok = true
 	return c, nil
 }
 
@@ -177,15 +146,15 @@ func (c *Coordinator) Close() {
 // Registry exposes the worker registry (topology, stats, probing).
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
-// Store exposes the durable job/fleet store.
+// Store exposes the durable job store.
 func (c *Coordinator) Store() *Store { return c.store }
 
 // recover respawns a driver for every non-terminal job found in the
 // replayed store. A job still assigned to a live worker is simply
 // followed again (and, because worker pools coalesce by config hash,
 // even a re-submission would attach to the in-flight execution rather
-// than re-run it); a job on a dead or departed worker re-routes through
-// the ordinary failover path.
+// than re-run it); a job on a dead worker, or on one the -workers list
+// no longer names, re-routes through the ordinary failover path.
 func (c *Coordinator) recover() {
 	for _, j := range c.store.Jobs() {
 		if !j.State.Terminal() {
@@ -329,11 +298,11 @@ func (c *Coordinator) driveJob(id string) {
 			rec.Hash = st.Hash
 			if st.State.Terminal() {
 				applyStatus(&rec, st)
-				rec.Worker = wk.ID
+				rec.Worker = wk.URL
 				c.finish(rec, true)
 				return
 			}
-			rec.State, rec.Worker, rec.Local = st.State, wk.ID, st.ID
+			rec.State, rec.Worker, rec.Local = st.State, wk.URL, st.ID
 			c.store.PutJob(rec)
 			continue
 		}
@@ -345,14 +314,14 @@ func (c *Coordinator) driveJob(id string) {
 		if okw {
 			st, err = c.follow(c.ctx, wk, rec.Local, c.relay(id))
 		} else {
-			err = fmt.Errorf("cluster: worker %s left the registry", rec.Worker)
+			err = fmt.Errorf("cluster: worker %s is not in the fleet", rec.Worker)
 		}
 		if c.ctx.Err() != nil {
 			return
 		}
 		if err == nil {
 			c.span(id, "await", awaitT0, time.Now(),
-				obs.SpanArg{Key: "worker", Val: rec.Worker})
+				obs.SpanArg{Key: "worker", Val: wk.ID})
 			applyStatus(&rec, st)
 			c.finish(rec, true)
 			return
@@ -363,7 +332,7 @@ func (c *Coordinator) driveJob(id string) {
 		c.log.Warn("job failing over", "job", id, "trace", rec.Spec.TraceID,
 			"worker", rec.Worker, "error", err)
 		if okw {
-			tried[wk.ID] = true
+			tried[wk.URL] = true
 		}
 		rec.Worker, rec.Local = "", ""
 		rec.State = service.StateQueued
@@ -377,7 +346,7 @@ func (c *Coordinator) driveJob(id string) {
 // it. A failure the worker caused strikes it toward ejection; a follow
 // ended by ctx or by the registry strikes nothing.
 func (c *Coordinator) follow(ctx context.Context, wk *Worker, local string, onProgress func(sim.Progress)) (service.JobStatus, error) {
-	wctx, stop := c.reg.WhileUp(ctx, wk.ID)
+	wctx, stop := c.reg.WhileUp(ctx, wk.URL)
 	defer stop()
 	st, err := wk.Client.Watch(wctx, local, onProgress)
 	switch {
@@ -385,7 +354,7 @@ func (c *Coordinator) follow(ctx context.Context, wk *Worker, local string, onPr
 	case wctx.Err() != nil:
 		err = context.Cause(wctx)
 	default:
-		c.reg.ReportFailure(wk.ID, err)
+		c.reg.ReportFailure(wk.URL, err)
 	}
 	return st, err
 }
@@ -421,7 +390,7 @@ func (c *Coordinator) retireJob(id string) {
 // coordinator, so every point is an ordinary durable job routed by its
 // own affinity key. Completions stream to onPoint (serialized; may be
 // nil) as they land, and the aggregate comes back in submission order;
-// both name the worker that served each point.
+// both name the worker that served each point by its URL.
 func (c *Coordinator) Batch(ctx context.Context, spec service.BatchSpec, onPoint func(service.BatchPoint)) (service.BatchResult, error) {
 	res, err := service.RunBatch(ctx, c, spec, func(pt service.BatchPoint) {
 		pt.Worker = c.workerOf(pt.Status.ID)
@@ -435,7 +404,8 @@ func (c *Coordinator) Batch(ctx context.Context, spec service.BatchSpec, onPoint
 	return res, err
 }
 
-// workerOf names the worker a job's record was last placed on.
+// workerOf returns the URL of the worker a job's record was last placed
+// on.
 func (c *Coordinator) workerOf(id string) string {
 	rec, _ := c.store.Job(id)
 	return rec.Worker

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -90,11 +91,13 @@ func (o RegistryOptions) withDefaults() RegistryOptions {
 	return o
 }
 
-// Worker is one registered bumpd backend.
+// Worker is one bumpd backend of the fleet.
 type Worker struct {
-	// ID is the stable short name ("w0", "w1", …) that job records and
-	// batch points name the worker by; URL is the backend base URL and
-	// the worker's ring identity.
+	// URL is the backend base URL, normalized: the worker's identity,
+	// by which the ring, job records, batch points and every registry
+	// lookup name it. ID is a display label ("w0", "w1", … in -workers
+	// order) for spans, logs and /v1/cluster; nothing persists it or
+	// looks it up.
 	ID  string
 	URL string
 	// Client is the configured API client for this worker.
@@ -135,91 +138,73 @@ type WorkerInfo struct {
 	WireAddr string `json:"wire_addr,omitempty"`
 }
 
-// Registry tracks the worker fleet: the coordinator's -workers list
-// plus the members its durable store recorded. Each worker's
-// /v1/healthz is probed periodically; healthy matching-version workers
-// are admitted, failing ones ejected after FailAfter consecutive
-// failures and re-probed with jittered exponential backoff until they
-// recover.
+// Registry tracks the worker fleet, which is the coordinator's
+// -workers list: built once, and never joined or left at runtime. Each
+// worker's /v1/healthz is probed periodically; healthy matching-version
+// workers are admitted, failing ones ejected after FailAfter
+// consecutive failures and re-probed with jittered exponential backoff
+// until they recover.
 type Registry struct {
 	opts RegistryOptions
 
-	mu      sync.Mutex
+	// Fixed at construction, so read without the lock.
 	workers []*Worker
-	byID    map[string]*Worker
 	byURL   map[string]*Worker
 	ring    *Ring
-	nextID  int
+
+	mu sync.Mutex // guards each worker's probe state
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewRegistry builds a registry over the (possibly empty) seed worker
-// URLs and starts the probe loop. Seeded workers start in WorkerUnknown
-// and are not routable until their first successful probe — call
-// ProbeOnce to admit the initial fleet synchronously. An empty seed
-// list is valid; members join with Add.
+// NewRegistry builds a registry over the worker URLs and starts the
+// probe loop. Workers start in WorkerUnknown and are not routable until
+// their first successful probe — call ProbeOnce to admit the fleet
+// synchronously. An empty list, a blank URL and two spellings of one
+// URL are refused.
+//
+// The ring is keyed by worker URL, the worker's identity: a bouncing
+// worker does not reshuffle its neighbours' keys, its own keys come
+// home when it readmits, and restarting the coordinator with a
+// reordered or shrunk fleet keeps every surviving worker's warm
+// checkpoints addressable (positional IDs like "w0" would remap nearly
+// all keys on any fleet-list edit).
 func NewRegistry(urls []string, opts RegistryOptions) (*Registry, error) {
+	if len(urls) == 0 {
+		return nil, errors.New("cluster: no workers")
+	}
 	opts = opts.withDefaults()
 	r := &Registry{
 		opts:  opts,
-		byID:  make(map[string]*Worker),
-		byURL: make(map[string]*Worker),
-		ring:  NewRing(nil, 0),
+		byURL: make(map[string]*Worker, len(urls)),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	ringURLs := make([]string, len(urls))
 	for i, url := range urls {
-		if strings.TrimSpace(url) == "" {
+		url = normalizeURL(url)
+		if url == "" {
 			return nil, fmt.Errorf("cluster: empty worker URL at position %d", i)
 		}
-		if _, err := r.Add(url, ""); err != nil {
-			return nil, err
+		if _, dup := r.byURL[url]; dup {
+			return nil, fmt.Errorf("cluster: duplicate worker URL %s", url)
 		}
+		c := service.NewClient(url)
+		c.RequestTimeout = opts.RequestTimeout
+		c.DisableWire = opts.DisableWire
+		w := &Worker{ID: fmt.Sprintf("w%d", i), URL: url, Client: c, state: WorkerUnknown}
+		w.up, w.markDown = context.WithCancel(context.Background())
+		r.workers = append(r.workers, w)
+		r.byURL[url] = w
+		ringURLs[i] = url
 	}
+	// Health filtering happens at pick time via the Sequence walk, so a
+	// down worker's keys remap to its ring successors without
+	// disturbing anyone else's.
+	r.ring = NewRing(ringURLs, 0)
 	go r.probeLoop()
 	return r, nil
-}
-
-// Add registers a worker URL under the given ID (minted when empty) in
-// state WorkerUnknown, rebuilding the ring. The ring is keyed by worker
-// *URL*, the worker's stable identity: a bouncing worker does not
-// reshuffle its neighbours' keys, its own keys come home when it
-// readmits, and restarting the coordinator with a reordered or shrunk
-// fleet keeps every surviving worker's warm checkpoints addressable
-// (positional IDs like "w0" would remap nearly all keys on any
-// fleet-list edit).
-func (r *Registry) Add(url, id string) (*Worker, error) {
-	url = normalizeURL(url)
-	if url == "" {
-		return nil, fmt.Errorf("cluster: empty worker URL")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byURL[url]; dup {
-		return nil, fmt.Errorf("cluster: duplicate worker URL %s", url)
-	}
-	if id == "" {
-		id = fmt.Sprintf("w%d", r.nextID)
-	}
-	if _, dup := r.byID[id]; dup {
-		return nil, fmt.Errorf("cluster: duplicate worker ID %s", id)
-	}
-	var n int
-	if _, err := fmt.Sscanf(id, "w%d", &n); err == nil && n >= r.nextID {
-		r.nextID = n + 1
-	}
-	c := service.NewClient(url)
-	c.RequestTimeout = r.opts.RequestTimeout
-	c.DisableWire = r.opts.DisableWire
-	w := &Worker{ID: id, URL: url, Client: c, state: WorkerUnknown}
-	w.up, w.markDown = context.WithCancel(context.Background())
-	r.workers = append(r.workers, w)
-	r.byID[w.ID] = w
-	r.byURL[w.URL] = w
-	r.rebuildRingLocked()
-	return w, nil
 }
 
 // normalizeURL is the one spelling of a worker URL that the registry
@@ -227,18 +212,6 @@ func (r *Registry) Add(url, id string) (*Worker, error) {
 // "http://h:8344/ " and "http://h:8344" name the same worker.
 func normalizeURL(url string) string {
 	return strings.TrimRight(strings.TrimSpace(url), "/")
-}
-
-// rebuildRingLocked rebuilds the consistent-hash ring over the whole
-// fleet (health filtering happens at pick time via the Sequence walk,
-// so a down worker's keys remap to its ring successors without
-// disturbing anyone else's).
-func (r *Registry) rebuildRingLocked() {
-	urls := make([]string, len(r.workers))
-	for i, w := range r.workers {
-		urls[i] = w.URL
-	}
-	r.ring = NewRing(urls, 0)
 }
 
 // Close stops the probe loop.
@@ -253,45 +226,31 @@ func (r *Registry) Close() {
 	<-r.done
 }
 
-// Ring returns the fleet's current consistent-hash ring (immutable;
-// rebuilt on membership changes).
-func (r *Registry) Ring() *Ring {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring
-}
+// Ring returns the fleet's consistent-hash ring.
+func (r *Registry) Ring() *Ring { return r.ring }
 
-// Worker resolves a worker ID.
-func (r *Registry) Worker(id string) (*Worker, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	return w, ok
-}
-
-// WorkerByURL resolves a worker URL, in any spelling normalizeURL
+// Worker resolves a worker by its URL, in any spelling normalizeURL
 // folds together.
-func (r *Registry) WorkerByURL(url string) (*Worker, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *Registry) Worker(url string) (*Worker, bool) {
 	w, ok := r.byURL[normalizeURL(url)]
 	return w, ok
 }
 
-// Workers returns the fleet in registration order.
+// Workers returns the fleet in -workers order.
 func (r *Registry) Workers() []*Worker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]*Worker(nil), r.workers...)
 }
 
 // Up reports whether a worker is currently health-admitted, and so
 // takes new placements.
-func (r *Registry) Up(id string) bool {
+func (r *Registry) Up(url string) bool {
+	w, ok := r.Worker(url)
+	if !ok {
+		return false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w, ok := r.byID[id]
-	return ok && w.state == WorkerUp
+	return w.state == WorkerUp
 }
 
 // WhileUp returns a child of ctx that is canceled, with a cause naming
@@ -300,18 +259,18 @@ func (r *Registry) Up(id string) bool {
 // would otherwise last forever; this bounds it by the registry's own
 // liveness verdict. An unknown or already-down worker's child is
 // canceled at once. Call the returned cancel when the follow ends.
-func (r *Registry) WhileUp(ctx context.Context, id string) (context.Context, context.CancelFunc) {
-	r.mu.Lock()
+func (r *Registry) WhileUp(ctx context.Context, url string) (context.Context, context.CancelFunc) {
 	var up context.Context
-	if w, ok := r.byID[id]; ok {
+	if w, ok := r.Worker(url); ok {
+		r.mu.Lock()
 		up = w.up
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 	cctx, cancel := context.WithCancelCause(ctx)
-	down := func() { cancel(fmt.Errorf("cluster: worker %s marked down", id)) }
+	down := func() { cancel(fmt.Errorf("cluster: worker %s marked down", url)) }
 	switch {
 	case up == nil:
-		cancel(fmt.Errorf("cluster: unknown worker %s", id))
+		cancel(fmt.Errorf("cluster: unknown worker %s", url))
 	case up.Err() != nil:
 		down()
 	default:
@@ -353,7 +312,7 @@ func (r *Registry) infoLocked(w *Worker, now time.Time) WorkerInfo {
 	return info
 }
 
-// Info snapshots every worker's status in registration order.
+// Info snapshots every worker's status in -workers order.
 func (r *Registry) Info() []WorkerInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -370,12 +329,14 @@ func (r *Registry) Info() []WorkerInfo {
 // toward the same consecutive-failure ejection threshold as a failed
 // probe, so traffic ejects a dead worker faster than the probe cadence
 // would.
-func (r *Registry) ReportFailure(id string, err error) {
+func (r *Registry) ReportFailure(url string, err error) {
+	w, ok := r.Worker(url)
+	if !ok {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if w, ok := r.byID[id]; ok {
-		r.recordFailureLocked(w, err)
-	}
+	r.recordFailureLocked(w, err)
 }
 
 // probeLoop drives the periodic health round until Close.

@@ -86,18 +86,19 @@ func TestRegistryEjectsAfterConsecutiveFailuresAndReadmits(t *testing.T) {
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 	}, a.srv.URL)
+	url := a.srv.URL
 	r.ProbeOnce(context.Background())
-	if !r.Up("w0") {
+	if !r.Up(url) {
 		t.Fatal("healthy worker not admitted")
 	}
 
 	a.failing.Store(true)
 	r.ProbeOnce(context.Background())
-	if !r.Up("w0") {
+	if !r.Up(url) {
 		t.Fatal("one failure must not eject (FailAfter=2)")
 	}
 	r.ProbeOnce(context.Background())
-	if r.Up("w0") {
+	if r.Up(url) {
 		t.Fatal("worker must be ejected after 2 consecutive failures")
 	}
 
@@ -112,7 +113,7 @@ func TestRegistryEjectsAfterConsecutiveFailuresAndReadmits(t *testing.T) {
 	a.failing.Store(false)
 	time.Sleep(30 * time.Millisecond)
 	r.ProbeOnce(context.Background())
-	if !r.Up("w0") {
+	if !r.Up(url) {
 		t.Fatal("recovered worker not readmitted after backoff")
 	}
 	if info := r.Info()[0]; info.Fails != 0 || info.LastErr != "" {
@@ -129,7 +130,7 @@ func TestRegistryRejectsMixedFormatVersions(t *testing.T) {
 	a.version.Store(int64(snapshot.FormatVersion + 1))
 	r := newManualRegistry(t, RegistryOptions{}, a.srv.URL)
 	r.ProbeOnce(context.Background())
-	if r.Up("w0") {
+	if r.Up(a.srv.URL) {
 		t.Fatal("mixed-format-version worker must not be admitted")
 	}
 	info := r.Info()[0]
@@ -139,7 +140,7 @@ func TestRegistryRejectsMixedFormatVersions(t *testing.T) {
 
 	a.version.Store(snapshot.FormatVersion)
 	r.ProbeOnce(context.Background())
-	if !r.Up("w0") {
+	if !r.Up(a.srv.URL) {
 		t.Fatal("upgraded worker must be readmitted")
 	}
 }
@@ -151,85 +152,65 @@ func TestRegistryReportFailureEjects(t *testing.T) {
 	a := newFakeWorker(t)
 	r := newManualRegistry(t, RegistryOptions{FailAfter: 2, BackoffBase: time.Minute}, a.srv.URL)
 	r.ProbeOnce(context.Background())
-	r.ReportFailure("w0", context.DeadlineExceeded)
-	r.ReportFailure("w0", context.DeadlineExceeded)
-	if r.Up("w0") {
+	r.ReportFailure(a.srv.URL, context.DeadlineExceeded)
+	r.ReportFailure(a.srv.URL+"/", context.DeadlineExceeded) // any spelling names the worker
+	if r.Up(a.srv.URL) {
 		t.Fatal("reported request failures must eject the worker")
 	}
 }
 
-// TestRegistryFleetValidation: an empty seed list is valid (the
-// coordinator adds its members with Add), but blank and duplicate URLs
-// stay rejected.
+// TestRegistryFleetValidation: the fleet is the URL list it is built
+// from, so an empty list, a blank URL and two spellings of one URL are
+// all refused.
 func TestRegistryFleetValidation(t *testing.T) {
-	r, err := NewRegistry(nil, RegistryOptions{ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatalf("empty seed list must be valid: %v", err)
-	}
-	defer r.Close()
-	if n := len(r.Workers()); n != 0 {
-		t.Fatalf("empty fleet has %d workers", n)
-	}
-	if _, err := NewRegistry([]string{"http://ok", " "}, RegistryOptions{}); err == nil {
-		t.Fatal("blank worker URL must be rejected")
-	}
-	if _, err := NewRegistry([]string{"http://ok", "http://ok/"}, RegistryOptions{}); err == nil {
-		t.Fatal("duplicate worker URL must be rejected")
+	for _, urls := range [][]string{nil, {"http://ok", " "}, {"http://ok", "http://ok/"}} {
+		if r, err := NewRegistry(urls, RegistryOptions{ProbeInterval: time.Hour}); err == nil {
+			r.Close()
+			t.Errorf("NewRegistry(%q) accepted", urls)
+		}
 	}
 }
 
-// TestNewRejectsEmptyFleet: a coordinator's fleet is its Workers plus
-// the members its data dir recorded. With neither, New fails; a data
-// dir that recorded a member is a fleet on its own.
+// TestNewRejectsEmptyFleet: a coordinator's fleet is its Workers list
+// alone. New refuses an empty list without a data dir and with one that
+// once served a fleet, and refuses a list naming one worker twice.
 func TestNewRejectsEmptyFleet(t *testing.T) {
 	dir := t.TempDir()
-	for _, opts := range []Options{{}, {DataDir: dir}} {
-		if c, err := New(context.Background(), opts); err == nil {
-			c.Close()
-			t.Fatalf("New(%+v) with no workers succeeded", opts)
-		}
-	}
 	f := newFakeWorker(t)
 	c, err := New(context.Background(), Options{Workers: []string{f.srv.URL}, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	c, err = New(context.Background(), Options{DataDir: dir})
-	if err != nil {
-		t.Fatalf("data dir that recorded a member: %v", err)
-	}
-	defer c.Close()
-	if ws := c.Registry().Workers(); len(ws) != 1 || ws[0].URL != f.srv.URL {
-		t.Fatalf("fleet recalled from the data dir: %+v", ws)
+	for _, opts := range []Options{
+		{},
+		{DataDir: dir},
+		{Workers: []string{f.srv.URL + "/ ", f.srv.URL}},
+		{Workers: []string{f.srv.URL, f.srv.URL}, DataDir: dir},
+	} {
+		if c, err := New(context.Background(), opts); err == nil {
+			c.Close()
+			t.Errorf("New(%+v) succeeded", opts)
+		}
 	}
 }
 
 // TestRegistryNormalizesWorkerURLs: every spelling of one worker's URL
-// — a seed with a trailing slash and whitespace, a second Add, a padded
-// lookup — names one member, so a worker never sits on the ring twice.
+// — a list entry with a trailing slash and whitespace, a padded
+// lookup — names one member, which carries the normalized URL.
 func TestRegistryNormalizesWorkerURLs(t *testing.T) {
 	f := newFakeWorker(t)
 	r := newManualRegistry(t, RegistryOptions{}, f.srv.URL+"/ ")
-	if _, err := r.Add(f.srv.URL, ""); err == nil {
-		t.Fatal("a second spelling of a seeded URL joined as a new member")
-	}
-	if n := len(r.Workers()); n != 1 {
-		t.Fatalf("one worker made %d members", n)
+	if ws := r.Workers(); len(ws) != 1 || ws[0].URL != f.srv.URL || ws[0].ID != "w0" {
+		t.Fatalf("fleet %+v, want one member w0 at %s", ws, f.srv.URL)
 	}
 	for _, s := range []string{f.srv.URL, " " + f.srv.URL, f.srv.URL + "/", f.srv.URL + "/ \n"} {
-		if w, ok := r.WorkerByURL(s); !ok || w.ID != "w0" {
-			t.Errorf("WorkerByURL(%q) = %v, %v; want w0", s, w, ok)
+		if w, ok := r.Worker(s); !ok || w.URL != f.srv.URL {
+			t.Errorf("Worker(%q) = %v, %v; want the member at %s", s, w, ok, f.srv.URL)
 		}
 	}
-
-	coord, err := New(context.Background(), Options{Workers: []string{f.srv.URL + "/ ", f.srv.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	if n := len(coord.Registry().Workers()); n != 1 {
-		t.Fatalf("coordinator seeded %d members from two spellings of one URL", n)
+	if _, ok := r.Worker("w0"); ok {
+		t.Error("a display ID resolved as a worker")
 	}
 }
 
@@ -240,28 +221,29 @@ func TestRegistryNormalizesWorkerURLs(t *testing.T) {
 func TestRegistryWhileUpEndsWithDownMarking(t *testing.T) {
 	a := newFakeWorker(t)
 	r := newManualRegistry(t, RegistryOptions{FailAfter: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}, a.srv.URL)
+	url := a.srv.URL
 	r.ProbeOnce(context.Background())
-	ctx, stop := r.WhileUp(context.Background(), "w0")
+	ctx, stop := r.WhileUp(context.Background(), url)
 	defer stop()
 	if ctx.Err() != nil {
 		t.Fatal("follow of an up worker ended at once")
 	}
 
-	r.ReportFailure("w0", context.DeadlineExceeded)
+	r.ReportFailure(url, context.DeadlineExceeded)
 	select {
 	case <-ctx.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("follow outlived its worker's down-marking")
 	}
-	if cause := context.Cause(ctx); cause == nil || !strings.Contains(cause.Error(), "w0") {
+	if cause := context.Cause(ctx); cause == nil || !strings.Contains(cause.Error(), url) {
 		t.Fatalf("cause %v does not name the worker", cause)
 	}
-	late, stopLate := r.WhileUp(context.Background(), "w0")
+	late, stopLate := r.WhileUp(context.Background(), url)
 	defer stopLate()
 	if late.Err() == nil {
 		t.Fatal("follow of a down worker did not end at once")
 	}
-	unknown, stopUnknown := r.WhileUp(context.Background(), "w9")
+	unknown, stopUnknown := r.WhileUp(context.Background(), "http://nowhere:8344")
 	defer stopUnknown()
 	if unknown.Err() == nil {
 		t.Fatal("follow of an unknown worker did not end at once")
@@ -269,10 +251,10 @@ func TestRegistryWhileUpEndsWithDownMarking(t *testing.T) {
 
 	time.Sleep(5 * time.Millisecond) // let the readmission backoff expire
 	r.ProbeOnce(context.Background())
-	if !r.Up("w0") {
+	if !r.Up(url) {
 		t.Fatal("recovered worker not readmitted")
 	}
-	again, stopAgain := r.WhileUp(context.Background(), "w0")
+	again, stopAgain := r.WhileUp(context.Background(), url)
 	defer stopAgain()
 	if again.Err() != nil {
 		t.Fatal("follow of a readmitted worker ended at once")
@@ -283,12 +265,11 @@ func TestRegistryWhileUpEndsWithDownMarking(t *testing.T) {
 // so a fleet that died together does not retry in one synchronized
 // thundering herd.
 func TestRegistryBackoffJitter(t *testing.T) {
-	r := newManualRegistry(t, RegistryOptions{FailAfter: 1, BackoffBase: time.Minute, BackoffMax: time.Minute})
-	for i := 0; i < 16; i++ {
-		if _, err := r.Add(fmt.Sprintf("http://w%d:8344", i), ""); err != nil {
-			t.Fatal(err)
-		}
+	urls := make([]string, 16)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://w%d:8344", i)
 	}
+	r := newManualRegistry(t, RegistryOptions{FailAfter: 1, BackoffBase: time.Minute, BackoffMax: time.Minute}, urls...)
 	r.mu.Lock()
 	for _, w := range r.workers {
 		r.recordFailureLocked(w, context.DeadlineExceeded)

@@ -35,16 +35,13 @@ func RouteKey(spec service.JobSpec) (key string, warm bool, err error) {
 var ErrNoWorkers = errors.New("cluster: no healthy workers")
 
 // pick returns the first up, untried worker in the key's preference
-// sequence (the ring is keyed by worker URL; tried is keyed by worker
-// ID), so a down worker's warm-affinity keys remap to its ring
-// successors here.
+// sequence (the ring and tried are both keyed by worker URL), so a down
+// worker's warm-affinity keys remap to its ring successors here.
 func (c *Coordinator) pick(key string, tried map[string]bool) (*Worker, bool) {
 	for _, url := range c.reg.Ring().Sequence(key) {
-		w, ok := c.reg.WorkerByURL(url)
-		if !ok || tried[w.ID] || !c.reg.Up(w.ID) {
-			continue
+		if !tried[url] && c.reg.Up(url) {
+			return c.reg.Worker(url)
 		}
-		return w, true
 	}
 	return nil, false
 }
@@ -64,7 +61,7 @@ func clientFault(err error) bool {
 // place submits a spec down the key's preference sequence: consistent-
 // hash placement by affinity key, each worker-side submit failure
 // striking the worker (counting toward ejection) and moving down the
-// ring. tried accumulates struck worker IDs so a caller retrying after
+// ring. tried accumulates struck worker URLs so a caller retrying after
 // a later failure (e.g. a lost watch) never resubmits to a worker it
 // already gave up on; pass nil to start fresh. The returned status
 // carries the worker-local job ID. Re-execution on the next worker is
@@ -97,8 +94,8 @@ func (c *Coordinator) place(ctx context.Context, key string, spec service.JobSpe
 			return service.JobStatus{}, nil, err
 		}
 		// Worker-side failure: strike it, move down the sequence.
-		c.reg.ReportFailure(w.ID, err)
-		tried[w.ID] = true
+		c.reg.ReportFailure(w.URL, err)
+		tried[w.URL] = true
 		lastErr = err
 	}
 }

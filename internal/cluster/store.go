@@ -11,16 +11,16 @@ import (
 	"bump/internal/wal"
 )
 
-// Store is the coordinator's durable truth: job records and fleet
-// membership, held in memory and (when opened with a data directory)
-// persisted through an append-only WAL. Every
-// mutation is logged before it is visible; a coordinator restarted on
-// the same directory replays the log and carries on. Opened without a
-// directory the store is memory-only — same semantics, no durability —
-// which is what embedded coordinators (sweep -server w1,w2) use.
+// Store is the coordinator's durable truth: its job records, held in
+// memory and (when opened with a data directory) persisted through an
+// append-only WAL. Every mutation is logged before it is visible; a
+// coordinator restarted on the same directory replays the log and
+// carries on. Opened without a directory the store is memory-only —
+// same semantics, no durability. The fleet is not stored: it is the
+// coordinator's -workers list.
 //
-// Record encoding: one type byte ('J' job, 'W' worker, 'C' checkpoint)
-// followed by the record's canonical JSON. Mutations
+// Record encoding: one type byte ('J' job, 'C' checkpoint) followed by
+// the record's canonical JSON. Mutations
 // are whole-record upserts, so replay is a pure "last write wins" fold;
 // a checkpoint record carries the entire folded state and resets it,
 // which is what lets wal.Log.Compact bound replay work.
@@ -28,9 +28,8 @@ type Store struct {
 	mu  sync.Mutex
 	log *wal.Log
 
-	jobs    map[string]*JobRecord
-	workers map[string]WorkerRecord // keyed by URL
-	jobSeq  uint64                  // coordinator-local job ID counter
+	jobs   map[string]*JobRecord
+	jobSeq uint64 // coordinator-local job ID counter
 
 	compactEvery  uint64
 	sinceCompact  uint64
@@ -48,8 +47,10 @@ type JobRecord struct {
 	Spec  service.JobSpec `json:"spec"`
 	Key   string          `json:"key"`
 	State service.State   `json:"state"`
-	// Worker is the serving worker's registry ID, Local its job ID on
-	// that worker. Empty while the job awaits (re-)placement.
+	// Worker is the serving worker's URL, Local its job ID on that
+	// worker. Empty while the job awaits (re-)placement. A recovered
+	// job whose worker is no longer in the fleet fails over; so does
+	// one written before records named workers by URL ("w0").
 	Worker string `json:"worker,omitempty"`
 	Local  string `json:"local,omitempty"`
 	// Terminal outcome.
@@ -59,29 +60,18 @@ type JobRecord struct {
 	Error  string      `json:"error,omitempty"`
 }
 
-// WorkerRecord persists one fleet member's ID and URL. Recovered job
-// records name their worker by ID, so the mapping must survive a
-// restart whose -workers list was edited. Records written before the
-// lifecycle verbs were removed also carry a "lifecycle" field, which
-// decoding ignores.
-type WorkerRecord struct {
-	ID  string `json:"id"`
-	URL string `json:"url"`
-}
-
 // storeState is the checkpoint payload: the whole folded state.
-// Checkpoints written while sweeps had records of their own also carry
-// "batch_seq" and "batches", which decoding ignores.
+// Checkpoints of older logs also carry "batch_seq", "batches" and
+// "workers", which decoding ignores.
 type storeState struct {
-	JobSeq  uint64         `json:"job_seq"`
-	Workers []WorkerRecord `json:"workers"`
-	Jobs    []JobRecord    `json:"jobs"`
+	JobSeq uint64      `json:"job_seq"`
+	Jobs   []JobRecord `json:"jobs"`
 }
 
 const (
 	recJob        = 'J'
 	recBatch      = 'B' // a sweep record of older logs; replay skips it
-	recWorker     = 'W'
+	recWorker     = 'W' // a fleet-membership record of older logs; replay skips it
 	recCheckpoint = 'C'
 )
 
@@ -100,7 +90,6 @@ type StoreOptions struct {
 func OpenStore(opts StoreOptions) (*Store, error) {
 	s := &Store{
 		jobs:         make(map[string]*JobRecord),
-		workers:      make(map[string]WorkerRecord),
 		compactEvery: opts.CompactEvery,
 	}
 	if s.compactEvery == 0 {
@@ -146,27 +135,18 @@ func (s *Store) fold(rec []byte) error {
 		if _, err := fmt.Sscanf(j.ID, "c%d", &n); err == nil && n > s.jobSeq {
 			s.jobSeq = n
 		}
-	case recBatch:
-		// Its points are job records of their own, replayed as jobs.
-	case recWorker:
-		var w WorkerRecord
-		if err := json.Unmarshal(body, &w); err != nil {
-			return fmt.Errorf("cluster: worker record: %w", err)
-		}
-		s.workers[w.URL] = w
+	case recBatch, recWorker:
+		// A batch's points are job records of their own, replayed as
+		// jobs; the fleet is the -workers list.
 	case recCheckpoint:
 		var st storeState
 		if err := json.Unmarshal(body, &st); err != nil {
 			return fmt.Errorf("cluster: checkpoint record: %w", err)
 		}
 		s.jobs = make(map[string]*JobRecord, len(st.Jobs))
-		s.workers = make(map[string]WorkerRecord, len(st.Workers))
 		for i := range st.Jobs {
 			j := st.Jobs[i]
 			s.jobs[j.ID] = &j
-		}
-		for _, w := range st.Workers {
-			s.workers[w.URL] = w
 		}
 		s.jobSeq = st.JobSeq
 	default:
@@ -215,12 +195,8 @@ func (s *Store) compactLocked() error {
 	for _, j := range s.jobs {
 		st.Jobs = append(st.Jobs, *j)
 	}
-	for _, w := range s.workers {
-		st.Workers = append(st.Workers, w)
-	}
 	// Canonical order: checkpoints of equal state are byte-identical.
 	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].URL < st.Workers[j].URL })
 	body, err := json.Marshal(st)
 	if err != nil {
 		return err
@@ -296,29 +272,6 @@ func (s *Store) DropJobs(ids []string) error {
 	// Deletion has no incremental record type; fold it into the next
 	// checkpoint immediately (cheap at retention cadence).
 	return s.compactLocked()
-}
-
-// PutWorker durably upserts a fleet-membership record.
-func (s *Store) PutWorker(w WorkerRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(recWorker, w); err != nil {
-		return err
-	}
-	s.workers[w.URL] = w
-	return s.maybeCompactLocked()
-}
-
-// FleetWorkers returns the persisted fleet, ordered by worker ID.
-func (s *Store) FleetWorkers() []WorkerRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WorkerRecord, 0, len(s.workers))
-	for _, w := range s.workers {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // StoreStats reports durability state, published on the coordinator's

@@ -20,25 +20,23 @@ func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
 	return s
 }
 
-// TestStoreDurableRoundTrip: every record kind — jobs (terminal and in
-// flight) and fleet membership — plus the job ID counter survive a
-// close/reopen cycle on the same directory.
+// TestStoreDurableRoundTrip: job records, terminal and in flight, and
+// the job ID counter survive a close/reopen cycle on the same
+// directory.
 func TestStoreDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.PutWorker(WorkerRecord{ID: "w0", URL: "http://a:8344"}); err != nil {
-		t.Fatal(err)
-	}
+	const worker = "http://a:8344"
 
 	doneID := s.NextJobID()
 	done := JobRecord{ID: doneID, Spec: sweepSpec("web-search", 1), Key: "k1",
-		State: service.StateDone, Worker: "w0", Hash: "h1", Cached: true}
+		State: service.StateDone, Worker: worker, Hash: "h1", Cached: true}
 	if err := s.PutJob(done); err != nil {
 		t.Fatal(err)
 	}
 	liveID := s.NextJobID()
 	live := JobRecord{ID: liveID, Spec: sweepSpec("web-search", 2), Key: "k1",
-		State: service.StateRunning, Worker: "w0", Local: "j7"}
+		State: service.StateRunning, Worker: worker, Local: "j7"}
 	if err := s.PutJob(live); err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +47,12 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
 	got, ok := s2.Job(doneID)
-	if !ok || got.State != service.StateDone || got.Hash != "h1" || !got.Cached || got.Worker != "w0" {
+	if !ok || got.State != service.StateDone || got.Hash != "h1" || !got.Cached || got.Worker != worker {
 		t.Fatalf("terminal job after reopen: ok=%v %+v", ok, got)
 	}
 	got, ok = s2.Job(liveID)
-	if !ok || got.State != service.StateRunning || got.Local != "j7" {
+	if !ok || got.State != service.StateRunning || got.Worker != worker || got.Local != "j7" {
 		t.Fatalf("in-flight job after reopen: ok=%v %+v", ok, got)
-	}
-	fleet := s2.FleetWorkers()
-	if len(fleet) != 1 || fleet[0] != (WorkerRecord{ID: "w0", URL: "http://a:8344"}) {
-		t.Fatalf("fleet after reopen: %+v", fleet)
 	}
 
 	// The counter resumes past every persisted ID — no collisions with
@@ -77,24 +71,34 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 }
 
 // TestStoreReplaysLifecycleEraWorkerRecord: a data dir written while
-// members carried a lifecycle (cordoned, draining, ejected) still
-// replays. Decoding ignores the field, so a draining member comes back
-// as an ordinary one, through the W record and through the checkpoint
-// the first reopen compacts it into.
+// the store kept fleet membership, its worker records carrying a
+// lifecycle, still replays. Its W record and its checkpoint's "workers"
+// are skipped, and a job naming its worker by ID ("w0") comes back as
+// written, for the coordinator to fail over. Both hold through the log
+// and through the checkpoint the first reopen compacts it into.
 func TestStoreReplaysLifecycleEraWorkerRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.log.Append([]byte(`W{"id":"w0","url":"http://a:8344","lifecycle":"draining"}`)); err != nil {
-		t.Fatal(err)
+	for _, rec := range []string{
+		`C{"job_seq":0,"workers":[{"id":"w1","url":"http://b:8344"}],"jobs":null}`,
+		`W{"id":"w0","url":"http://a:8344","lifecycle":"draining"}`,
+		`J{"id":"c00000001","spec":{"workload":"web-search","mechanism":"bump"},"key":"k1","state":"running","worker":"w0","local":"j3"}`,
+	} {
+		if err := s.log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := []WorkerRecord{{ID: "w0", URL: "http://a:8344"}}
 	for pass := range 2 {
 		s := openTestStore(t, dir, StoreOptions{})
-		if got := s.FleetWorkers(); len(got) != 1 || got[0] != want[0] {
-			t.Fatalf("reopen %d: fleet %+v, want %+v", pass, got, want)
+		j, ok := s.Job("c00000001")
+		if !ok || j.State != service.StateRunning || j.Worker != "w0" || j.Local != "j3" {
+			t.Fatalf("reopen %d: job record ok=%v %+v", pass, ok, j)
+		}
+		if st := s.Stats(); st.ReplayedJobs != 1 || st.RecoveredJobs != 1 {
+			t.Fatalf("reopen %d: stats %+v, want the job replayed and recovered", pass, st)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sync"
 
+	"bump/internal/energy"
 	"bump/internal/sim"
 	"bump/internal/stats"
 	"bump/internal/workload"
@@ -432,6 +433,7 @@ func (r *Runner) Fig13() *stats.Table {
 	}
 	// The Ideal bar: all locality within region residencies exploited.
 	r.PrefillProfiles()
+	activationJ := energy.DefaultParams().DRAMActivationJ
 	var hits, epas []float64
 	for i, w := range r.opts.workloads() {
 		raw := r.RunProfile(w)
@@ -442,7 +444,7 @@ func (r *Runner) Fig13() *stats.Table {
 		if accesses == 0 {
 			continue
 		}
-		actJ := float64(raw.Profile.IdealActivations()) * 29.7e-9 / accesses
+		actJ := float64(raw.Profile.IdealActivations()) * activationJ / accesses
 		bioJ := raw.EPABurstIO
 		epas = append(epas, (actJ+bioJ)/refEPA[i])
 	}

@@ -4,12 +4,14 @@
 // recorder exporting Chrome trace-event JSON (served at
 // GET /v1/jobs/{id}/trace).
 //
-// Hot paths touch only atomics: Counter.Add, Gauge.Set and
-// Histogram.Observe never allocate and never take the registry lock.
-// The lock guards registration and scrape-time family assembly only.
-// Stats that already live elsewhere (PoolStats, WarmStats, WireStats,
-// wal.Stats, ...) are adapted as Collectors — scrape-time callbacks that
-// emit samples without duplicating state on the job path.
+// The registry holds two kinds of source. Histograms are registered
+// once and observed on hot paths, which touch only atomics:
+// Histogram.Observe never allocates and never takes the registry lock.
+// Counters and gauges are not stored here: stats that already live
+// elsewhere (PoolStats, WarmStats, WireStats, wal.Stats, ...) are
+// adapted as Collectors — scrape-time callbacks that emit samples
+// without duplicating state on the job path. The lock guards
+// registration and scrape-time family assembly only.
 package obs
 
 import (
@@ -44,45 +46,6 @@ func (k Kind) String() string {
 		return "untyped"
 	}
 }
-
-// Counter is a monotonically increasing integer. Safe for concurrent
-// use; Add/Inc are single atomic ops.
-type Counter struct {
-	labels string
-	v      atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a float64 that can go up and down. Safe for concurrent use.
-type Gauge struct {
-	labels string
-	bits   atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by delta (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative histogram. Bounds are upper
 // bucket edges (ascending); an implicit +Inf bucket catches the rest.
@@ -119,15 +82,12 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // seconds: 1ms to ~2min, roughly ×3 per step.
 var DurationBuckets = []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 120}
 
-// family groups every metric sharing one name (one kind, any number of
+// family groups every histogram sharing one name (any number of
 // distinct label sets) under a single HELP/TYPE header.
 type family struct {
-	name     string
-	help     string
-	kind     Kind
-	counters []*Counter
-	gauges   []*Gauge
-	hists    []*Histogram
+	name  string
+	help  string
+	hists []*Histogram
 }
 
 // Registry holds metric families and scrape-time collectors.
@@ -176,53 +136,6 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// familyLocked finds or creates a family; a name registered under a
-// different kind is a programming error and panics.
-func (r *Registry) familyLocked(name, help string, k Kind) *family {
-	if f, ok := r.families[name]; ok {
-		if f.kind != k {
-			panic(fmt.Sprintf("obs: metric %q already registered as %s, cannot re-register as %s", name, f.kind, k))
-		}
-		return f
-	}
-	f := &family{name: name, help: help, kind: k}
-	r.families[name] = f
-	return f
-}
-
-// Counter registers (or returns the existing) counter for name and the
-// given label pairs.
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	ls := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, KindCounter)
-	for _, c := range f.counters {
-		if c.labels == ls {
-			return c
-		}
-	}
-	c := &Counter{labels: ls}
-	f.counters = append(f.counters, c)
-	return c
-}
-
-// Gauge registers (or returns the existing) gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	ls := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, KindGauge)
-	for _, g := range f.gauges {
-		if g.labels == ls {
-			return g
-		}
-	}
-	g := &Gauge{labels: ls}
-	f.gauges = append(f.gauges, g)
-	return g
-}
-
 // Histogram registers (or returns the existing) histogram with the
 // given upper bucket bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
@@ -237,7 +150,11 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, KindHistogram)
+	f, ok := r.families[name]
+	if !ok {
+		f = &family{name: name, help: help}
+		r.families[name] = f
+	}
 	for _, h := range f.hists {
 		if h.labels == ls {
 			return h
@@ -263,7 +180,8 @@ func (r *Registry) Collect(c Collector) {
 }
 
 // Conflicts returns how many collector samples were dropped because
-// their name was already registered under a different kind.
+// their name was already taken by a histogram or by an earlier sample
+// of a different kind.
 func (r *Registry) Conflicts() uint64 { return r.conflicts.Load() }
 
 // sample is one collector-emitted value.
@@ -288,10 +206,10 @@ type Gather struct {
 }
 
 func (g *Gather) emit(name, help string, k Kind, v float64, labels []string) {
-	// A collector may not redefine a statically registered family's
-	// kind, nor an earlier collector's: drop and count, never corrupt
-	// the exposition.
-	if f, ok := g.reg.families[name]; ok && f.kind != k {
+	// A collector may not reuse a registered histogram's name, nor an
+	// earlier collector's under another kind: drop and count, never
+	// corrupt the exposition.
+	if _, ok := g.reg.families[name]; ok {
 		g.reg.conflicts.Add(1)
 		return
 	}
@@ -332,7 +250,7 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteText renders the full registry — static metrics plus collector
+// WriteText renders the full registry — histograms plus collector
 // samples — in the Prometheus text exposition format, families sorted
 // by name for a deterministic scrape.
 func (r *Registry) WriteText(w io.Writer) error {
@@ -341,27 +259,26 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, c := range r.collectors {
 		c(gath)
 	}
+	// emit keeps collector names apart from histogram names.
 	names := make([]string, 0, len(r.families)+len(gath.fams))
 	for n := range r.families {
 		names = append(names, n)
 	}
 	for n := range gath.fams {
-		if _, dup := r.families[n]; !dup {
-			names = append(names, n)
-		}
+		names = append(names, n)
 	}
 	sort.Strings(names)
 
 	var b strings.Builder
 	for _, n := range names {
 		if f, ok := r.families[n]; ok {
-			writeFamily(&b, f)
-			if gf, also := gath.fams[n]; also {
-				writeSamples(&b, gf, false)
+			writeHeader(&b, f.name, f.help, KindHistogram)
+			for _, h := range f.hists {
+				writeHistogram(&b, f.name, h)
 			}
 			continue
 		}
-		writeSamples(&b, gath.fams[n], true)
+		writeSamples(&b, gath.fams[n])
 	}
 	r.mu.Unlock()
 	_, err := io.WriteString(w, b.String())
@@ -381,27 +298,6 @@ func writeHeader(b *strings.Builder, name, help string, k Kind) {
 	b.WriteByte(' ')
 	b.WriteString(k.String())
 	b.WriteByte('\n')
-}
-
-func writeFamily(b *strings.Builder, f *family) {
-	writeHeader(b, f.name, f.help, f.kind)
-	for _, c := range f.counters {
-		b.WriteString(f.name)
-		b.WriteString(c.labels)
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatUint(c.Value(), 10))
-		b.WriteByte('\n')
-	}
-	for _, g := range f.gauges {
-		b.WriteString(f.name)
-		b.WriteString(g.labels)
-		b.WriteByte(' ')
-		b.WriteString(formatFloat(g.Value()))
-		b.WriteByte('\n')
-	}
-	for _, h := range f.hists {
-		writeHistogram(b, f.name, h)
-	}
 }
 
 // writeHistogram renders the cumulative _bucket series plus _sum and
@@ -445,12 +341,9 @@ func writeHistogram(b *strings.Builder, name string, h *Histogram) {
 	b.WriteByte('\n')
 }
 
-// writeSamples renders a collector family; header=false when a static
-// family of the same name already wrote HELP/TYPE.
-func writeSamples(b *strings.Builder, gf *gfamily, header bool) {
-	if header {
-		writeHeader(b, gf.name, gf.help, gf.kind)
-	}
+// writeSamples renders a collector family.
+func writeSamples(b *strings.Builder, gf *gfamily) {
+	writeHeader(b, gf.name, gf.help, gf.kind)
 	for _, s := range gf.samples {
 		b.WriteString(gf.name)
 		b.WriteString(s.labels)

@@ -1,18 +1,23 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestConcurrentUpdates hammers one counter, gauge and histogram from
-// many goroutines; run under -race this is the data-race gate, and the
-// final counts must be exact (no lost updates).
+// TestConcurrentUpdates hammers one histogram, and the state a
+// collector reads at scrape time, from many goroutines while they
+// scrape; run under -race this is the data-race gate, and the final
+// counts must be exact (no lost updates).
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("bump_test_ops_total", "ops")
-	g := r.Gauge("bump_test_depth", "depth")
+	var ops atomic.Uint64
+	r.Collect(func(g *Gather) {
+		g.Counter("bump_test_ops_total", "ops", float64(ops.Load()))
+	})
 	h := r.Histogram("bump_test_latency_seconds", "latency", []float64{0.01, 0.1, 1})
 
 	const goroutines = 16
@@ -23,8 +28,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
-				c.Inc()
-				g.Add(1)
+				ops.Add(1)
 				h.Observe(float64(k%3) * 0.05)
 				if k%100 == 0 {
 					var sb strings.Builder
@@ -37,11 +41,12 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := c.Value(); got != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if got := g.Value(); got != goroutines*perG {
-		t.Fatalf("gauge = %v, want %d", got, goroutines*perG)
+	if want := "bump_test_ops_total " + strconv.Itoa(goroutines*perG) + "\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("final scrape missing %q:\n%s", want, sb.String())
 	}
 	if got := h.Count(); got != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
@@ -80,18 +85,21 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 // TestExpositionGolden pins the full text exposition byte-for-byte:
-// family ordering (sorted by name), HELP/TYPE headers, label rendering,
-// histogram series shape, and collector samples merged under static
-// families.
+// family ordering (sorted by name, histograms and collector families
+// interleaved), HELP/TYPE headers, label rendering, histogram series
+// shape, and samples of one name from two collectors merged under one
+// header.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bump_jobs_total", "Jobs submitted.", "state", "done").Add(3)
-	r.Counter("bump_jobs_total", "Jobs submitted.", "state", "failed").Add(1)
-	r.Gauge("bump_queue_depth", "Queued jobs.").Set(2)
 	h := r.Histogram("bump_phase_seconds", "Phase latency.", []float64{0.1, 1}, "phase", "warmup")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(3)
+	r.Collect(func(g *Gather) {
+		g.Counter("bump_jobs_total", "Jobs submitted.", 3, "state", "done")
+		g.Counter("bump_jobs_total", "Jobs submitted.", 1, "state", "failed")
+		g.Gauge("bump_queue_depth", "Queued jobs.", 2)
+	})
 	r.Collect(func(g *Gather) {
 		g.Gauge("bump_workers_alive", "Live workers.", 3)
 		g.Counter("bump_jobs_total", "Jobs submitted.", 9, "state", "routed")
@@ -125,61 +133,61 @@ bump_workers_alive 3
 	}
 }
 
-// TestRegistrationConflict pins the conflict rules: re-registering a
-// name under a different kind panics (static path), and collector
-// samples that collide with a registered family of a different kind
-// are dropped and counted, never emitted.
+// TestRegistrationConflict pins the conflict rules: registering a
+// histogram twice under one name and label set returns the same one,
+// and collector samples that collide with a registered histogram, or
+// with an earlier sample of a different kind, are dropped and counted,
+// never emitted.
 func TestRegistrationConflict(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bump_conflict_total", "")
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("re-registering a counter as a gauge did not panic")
-			}
-		}()
-		r.Gauge("bump_conflict_total", "")
-	}()
-
-	// Same name and kind is idempotent, not a conflict.
-	a := r.Counter("bump_conflict_total", "")
-	b := r.Counter("bump_conflict_total", "")
+	a := r.Histogram("bump_conflict_seconds", "", nil)
+	b := r.Histogram("bump_conflict_seconds", "", nil)
 	if a != b {
-		t.Error("same name+kind+labels returned distinct counters")
+		t.Error("same name+labels returned distinct histograms")
 	}
 
 	r.Collect(func(g *Gather) {
-		g.Gauge("bump_conflict_total", "", 1) // kind conflict: dropped
+		g.Gauge("bump_conflict_seconds", "", 1) // a histogram's name: dropped
 		g.Counter("bump_ok_total", "", 2)
+		g.Gauge("bump_ok_total", "", 3) // an earlier counter's name: dropped
 	})
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if strings.Contains(out, "bump_conflict_total 1") {
+	if strings.Contains(out, "bump_conflict_seconds 1") || strings.Contains(out, "bump_ok_total 3") {
 		t.Errorf("conflicting collector sample was emitted:\n%s", out)
+	}
+	if !strings.Contains(out, "# TYPE bump_conflict_seconds histogram\n") {
+		t.Errorf("histogram family lost its type:\n%s", out)
 	}
 	if !strings.Contains(out, "bump_ok_total 2") {
 		t.Errorf("clean collector sample missing:\n%s", out)
 	}
-	if r.Conflicts() != 1 {
-		t.Errorf("Conflicts() = %d, want 1", r.Conflicts())
+	if r.Conflicts() != 2 {
+		t.Errorf("Conflicts() = %d, want 2", r.Conflicts())
 	}
 }
 
 // TestLabelEscaping pins label-value escaping of backslash, quote and
-// newline.
+// newline, on collector samples and on histogram series.
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bump_esc_total", "", "path", "a\\b\"c\nd").Inc()
+	const path = "a\\b\"c\nd"
+	r.Collect(func(g *Gather) { g.Counter("bump_esc_total", "", 1, "path", path) })
+	r.Histogram("bump_esc_seconds", "", []float64{1}, "path", path).Observe(0.5)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `bump_esc_total{path="a\\b\"c\nd"} 1`
-	if !strings.Contains(sb.String(), want) {
-		t.Errorf("escaped label missing %q:\n%s", want, sb.String())
+	for _, want := range []string{
+		`bump_esc_total{path="a\\b\"c\nd"} 1`,
+		`bump_esc_seconds_bucket{path="a\\b\"c\nd",le="1"} 1`,
+		`bump_esc_seconds_count{path="a\\b\"c\nd"} 1`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("escaped label missing %q:\n%s", want, sb.String())
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // The built-in scenario library: the consolidation patterns the ROADMAP's
@@ -136,61 +135,25 @@ func Library() []string {
 	return names
 }
 
-// registry holds scenarios registered at runtime (bumpd -scenario): the
-// daemon loads spec files once and jobs reference them by name.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Spec{}
-)
-
-// Register adds a named scenario to the process-wide registry so job
-// specs can reference it by name. Built-in names are reserved;
-// re-registering a name replaces the previous spec.
-func Register(s Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("scenario: cannot register an unnamed spec")
-	}
-	if _, ok := builtins[s.Name]; ok {
-		return fmt.Errorf("scenario: %q is a built-in scenario name", s.Name)
-	}
-	if err := s.Validate(0); err != nil {
-		return err
-	}
-	regMu.Lock()
-	registry[s.Name] = s
-	regMu.Unlock()
-	return nil
-}
-
-// ByName resolves a scenario by name: built-ins are generated for the
-// given core count; registered specs are returned as authored (their
-// fixed core ranges are validated against the run's core count later,
-// by sim.Config.Validate).
+// ByName builds a built-in scenario for the given core count.
 func ByName(name string, cores int) (Spec, bool) {
-	if b, ok := builtins[name]; ok {
-		return b(cores), true
+	b, ok := builtins[name]
+	if !ok {
+		return Spec{}, false
 	}
-	regMu.RLock()
-	s, ok := registry[name]
-	regMu.RUnlock()
-	return s, ok
+	return b(cores), true
 }
 
-// Known reports whether name resolves to a built-in or registered
-// scenario (as opposed to a spec file path).
+// Known reports whether name is a built-in scenario (as opposed to a
+// spec file path).
 func Known(name string) bool {
-	if _, ok := builtins[name]; ok {
-		return true
-	}
-	regMu.RLock()
-	_, ok := registry[name]
-	regMu.RUnlock()
+	_, ok := builtins[name]
 	return ok
 }
 
 // Resolve is the CLI-facing resolution rule shared by bumpsim, sweep
-// and figures: a known scenario name (built-in or registered) wins,
-// anything else is treated as a JSON spec file path. The error for a
+// and figures: a built-in scenario name wins, anything else is treated
+// as a JSON spec file path. The error for a
 // string that is neither names the library so a typoed built-in does
 // not surface as a bare file-not-found.
 func Resolve(nameOrPath string, cores int) (Spec, error) {

@@ -166,7 +166,7 @@ func TestScenarioLibrary(t *testing.T) {
 	}
 }
 
-// TestScenarioResolve: the shared CLI resolution rule — known names
+// TestScenarioResolve: the shared CLI resolution rule — built-in names
 // win, other strings are spec file paths, and a typo reports the
 // library rather than a bare file error.
 func TestScenarioResolve(t *testing.T) {
@@ -187,24 +187,6 @@ func TestScenarioResolve(t *testing.T) {
 	}
 	if !Known("phase-swap") || Known("phase-sawp") {
 		t.Error("Known misclassifies")
-	}
-}
-
-func TestScenarioRegister(t *testing.T) {
-	if err := Register(Spec{}); err == nil {
-		t.Error("unnamed spec registered")
-	}
-	if err := Register(Consolidated(16)); err == nil {
-		t.Error("built-in name hijacked")
-	}
-	s := twoTenant()
-	s.Name = "registered-test"
-	if err := Register(s); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ByName("registered-test", 99) // cores ignored for registered specs
-	if !ok || len(got.Tenants) != 2 {
-		t.Fatal("registered spec not resolvable")
 	}
 }
 

@@ -242,7 +242,7 @@ func (j jobRoutes) events(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		writeSSE(w, fl, string(st.State), PayloadFor(st))
 	case r.Context().Err() == nil:
-		writeSSE(w, fl, "error", map[string]string{"error": err.Error()})
+		writeSSEError(w, fl, err)
 	}
 }
 
@@ -282,7 +282,7 @@ func (j jobRoutes) batch(w http.ResponseWriter, r *http.Request) {
 		writeSSE(w, fl, "point", pt)
 	})
 	if err != nil {
-		writeSSE(w, fl, "error", map[string]string{"error": err.Error()})
+		writeSSEError(w, fl, err)
 		return
 	}
 	writeSSE(w, fl, "batch", res)
@@ -347,6 +347,20 @@ func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	return fl, true
+}
+
+// sseError is the data of an `error` event: a Backend error raised
+// after the stream started, with the status writeBackendError would
+// have answered before it.
+type sseError struct {
+	Error string `json:"error"`
+	Code  int    `json:"code"`
+}
+
+// writeSSEError ends a stream with a Backend error's message and
+// status.
+func writeSSEError(w http.ResponseWriter, fl http.Flusher, err error) {
+	writeSSE(w, fl, "error", sseError{Error: errMessage(err), Code: errStatus(err)})
 }
 
 // writeSSE sends one event whose data line is v as JSON.

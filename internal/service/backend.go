@@ -14,7 +14,7 @@ import (
 // error-to-status mapping (errStatus), so the four daemon × transport
 // pairs answer alike. *Client is a Backend too, over
 // whichever transport it negotiates, which lets a caller hold a local
-// pool, a remote server or an embedded coordinator behind one value.
+// pool or a remote server behind one value.
 type Backend interface {
 	// Submit queues a spec, joins an in-flight job with the same config
 	// hash, or answers from the result cache with a status born done.

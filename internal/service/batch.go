@@ -61,60 +61,57 @@ const MaxBatchPoints = 4096
 // to a configuration. RunBatch and the POST /v1/batch handler check it
 // before submitting anything, so a rejected batch executes no point.
 func (b BatchSpec) Validate() error {
-	if len(b.Specs) == 0 {
-		return fmt.Errorf("service: empty batch")
-	}
-	if len(b.Specs) > MaxBatchPoints {
-		return fmt.Errorf("service: batch of %d points exceeds the %d-point limit", len(b.Specs), MaxBatchPoints)
-	}
-	for i, s := range b.Specs {
-		if _, err := s.Config(); err != nil {
-			return fmt.Errorf("service: batch point %d: %w", i, err)
-		}
-	}
-	return nil
+	_, err := b.configs()
+	return err
 }
 
-// planBatch returns the submission order for a batch: points are
-// grouped by the checkpoint-tree ancestor they restore — the structural
-// warm key plus the restore cut — with shallower cuts first within a
-// structural family. A sweep whose points fork from a shared trunk is
-// therefore dispatched trunk-prefix first: the single-flight warm store
-// sees the shallow builders lead and the branches park as waiters,
-// instead of an arbitrary point racing to rebuild an ancestor another
-// point is already simulating. Only a spec that does not resolve to a
-// valid configuration (an unknown workload, say) has no warm identity,
-// since a zero warmup selects the default window. Such points keep their
-// relative order at the end. The result is a permutation of spec
-// indices; per-point results are still reported by original index.
-func planBatch(spec BatchSpec) []int {
+// configs is Validate returning every point's resolved configuration.
+func (b BatchSpec) configs() ([]sim.Config, error) {
+	if len(b.Specs) == 0 {
+		return nil, fmt.Errorf("service: empty batch")
+	}
+	if len(b.Specs) > MaxBatchPoints {
+		return nil, fmt.Errorf("service: batch of %d points exceeds the %d-point limit", len(b.Specs), MaxBatchPoints)
+	}
+	cfgs := make([]sim.Config, len(b.Specs))
+	for i, s := range b.Specs {
+		cfg, err := s.Config()
+		if err != nil {
+			return nil, fmt.Errorf("service: batch point %d: %w", i, err)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
+// planBatch returns the submission order for a batch whose points
+// resolved to cfgs: points are grouped by the checkpoint-tree ancestor
+// they restore — the structural warm key plus the restore cut — with
+// shallower cuts first within a structural family. A sweep whose points
+// fork from a shared trunk is therefore dispatched trunk-prefix first:
+// the single-flight warm store sees the shallow builders lead and the
+// branches park as waiters, instead of an arbitrary point racing to
+// rebuild an ancestor another point is already simulating. The result
+// is a permutation of spec indices; per-point results are still
+// reported by original index.
+func planBatch(spec BatchSpec, cfgs []sim.Config) []int {
 	type pt struct {
 		idx int
-		key string // structural warm key; "" = not warm-cacheable
+		key string // structural warm key
 		cut uint64 // restore cut: max(WarmupCycles, ForkAt)
 		pri int    // user priority, preserved as the leading sort key
 	}
-	pts := make([]pt, len(spec.Specs))
-	for i, s := range spec.Specs {
-		p := pt{idx: i, pri: s.Priority}
-		if cfg, err := s.Config(); err == nil {
-			if key, ok := sim.WarmKey(cfg); ok {
-				p.key = key
-				p.cut = cfg.WarmupCycles
-				if cfg.ForkAt > p.cut {
-					p.cut = cfg.ForkAt
-				}
-			}
-		}
-		pts[i] = p
+	pts := make([]pt, len(cfgs))
+	for i, cfg := range cfgs {
+		// Every resolved config has a warm key: a zero warmup selects
+		// the default window.
+		key, _ := sim.WarmKey(cfg)
+		pts[i] = pt{idx: i, key: key, cut: max(cfg.WarmupCycles, cfg.ForkAt), pri: spec.Specs[i].Priority}
 	}
 	sort.SliceStable(pts, func(a, b int) bool {
 		pa, pb := pts[a], pts[b]
 		if pa.pri != pb.pri {
 			return pa.pri > pb.pri
-		}
-		if (pa.key == "") != (pb.key == "") {
-			return pa.key != ""
 		}
 		if pa.key != pb.key {
 			return pa.key < pb.key
@@ -137,7 +134,8 @@ func planBatch(spec BatchSpec) []int {
 // (submitted jobs run on — they may be coalesced with other clients'
 // submissions) and returns with the unfinished points marked failed.
 func RunBatch(ctx context.Context, b Backend, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
-	if err := spec.Validate(); err != nil {
+	cfgs, err := spec.configs()
+	if err != nil {
 		return BatchResult{}, err
 	}
 
@@ -147,7 +145,7 @@ func RunBatch(ctx context.Context, b Backend, spec BatchSpec, onPoint func(Batch
 	// Submission order groups points by shared checkpoint-tree ancestor
 	// (see planBatch); results stay indexed by the caller's order.
 	ids := make([]string, len(spec.Specs))
-	for _, i := range planBatch(spec) {
+	for _, i := range planBatch(spec, cfgs) {
 		st, err := b.Submit(ctx, spec.Specs[i])
 		if err != nil {
 			return BatchResult{}, fmt.Errorf("service: batch point %d: %w", i, err)

@@ -8,9 +8,7 @@ import (
 
 // TestPlanBatchGroupsByAncestor: submission order groups points by
 // their checkpoint-tree ancestor, shallower restore cuts first within a
-// structural family, with user priority still the leading key and
-// points without a warm identity trailing in their original relative
-// order.
+// structural family, with user priority still the leading key.
 func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	base := JobSpec{Workload: "web-search", Mechanism: "bump",
 		WarmupCycles: 60_000, MeasureCycles: 120_000}
@@ -20,19 +18,18 @@ func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	deep.ForkCycles = []uint64{120_000}
 	deep2 := deep
 	deep2.MaxRowHitStreak = 7
-	// Only an unresolvable spec has no warm identity: an unknown
-	// workload, or a fork cycle outside the run's window.
-	unknown := base
-	unknown.Workload = "no-such-workload"
-	badFork := base
-	badFork.ForkAt = 1
+	plan := func(spec BatchSpec) []int {
+		cfgs, err := spec.configs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planBatch(spec, cfgs)
+	}
 
-	spec := BatchSpec{Specs: []JobSpec{deep, unknown, base, deep2, badFork}}
-	got := planBatch(spec)
-	// Root-cut point (base, index 2) leads its family; the two deep
-	// forks follow in submission order; the two unresolvable points
-	// trail in theirs.
-	want := []int{2, 0, 3, 1, 4}
+	got := plan(BatchSpec{Specs: []JobSpec{deep, base, deep2}})
+	// Root-cut point (base, index 1) leads its family; the two deep
+	// forks follow in submission order.
+	want := []int{1, 0, 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("planBatch order %v, want %v", got, want)
 	}
@@ -41,8 +38,7 @@ func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	// whole family.
 	urgent := deep
 	urgent.Priority = 5
-	spec = BatchSpec{Specs: []JobSpec{deep, base, urgent}}
-	got = planBatch(spec)
+	got = plan(BatchSpec{Specs: []JobSpec{deep, base, urgent}})
 	want = []int{2, 1, 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("planBatch priority order %v, want %v", got, want)

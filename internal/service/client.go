@@ -253,7 +253,8 @@ func (e Event) Terminal() bool {
 }
 
 // stream issues a streaming request and delivers each SSE event to fn
-// until the stream ends, fn returns an error, or ctx is canceled. The
+// until the stream ends, fn returns an error, or ctx is canceled. An
+// `error` event ends the stream with the *APIError it carries. The
 // connection setup (headers received) is bounded by RequestTimeout;
 // the stream itself is bounded by ctx only.
 func (c *Client) stream(ctx context.Context, method, url string, body []byte, fn func(Event) error) error {
@@ -301,6 +302,9 @@ func (c *Client) stream(ctx context.Context, method, url string, body []byte, fn
 		case strings.HasPrefix(line, "data: "):
 			cur.Data = json.RawMessage(strings.TrimPrefix(line, "data: "))
 		case line == "":
+			if cur.Name == "error" {
+				return c.streamError(cur.Data)
+			}
 			if cur.Name != "" {
 				if err := fn(cur); err != nil {
 					return err
@@ -316,6 +320,15 @@ func (c *Client) stream(ctx context.Context, method, url string, body []byte, fn
 		return fmt.Errorf("service: %s: stream: %w", c.base, err)
 	}
 	return nil
+}
+
+// streamError turns an `error` event's data into the APIError the
+// server would have answered before the stream started. A server that
+// sent no code is reported as 500.
+func (c *Client) streamError(data []byte) *APIError {
+	e := sseError{Error: "stream failed", Code: http.StatusInternalServerError}
+	_ = json.Unmarshal(data, &e) // an undecodable payload keeps the defaults
+	return &APIError{Code: e.Code, Message: e.Error, Worker: c.base}
 }
 
 // Events follows a job's SSE progress stream, delivering every event
@@ -359,14 +372,6 @@ func (c *Client) Batch(ctx context.Context, spec BatchSpec, onPoint func(BatchPo
 				return fmt.Errorf("service: %s: decode batch result: %w", c.base, err)
 			}
 			sawBatch = true
-		case "error":
-			var e struct {
-				Error string `json:"error"`
-			}
-			if json.Unmarshal(ev.Data, &e) == nil && e.Error != "" {
-				return &APIError{Code: http.StatusInternalServerError, Message: e.Error, Worker: c.base}
-			}
-			return &APIError{Code: http.StatusInternalServerError, Message: "batch failed", Worker: c.base}
 		}
 		return nil
 	})

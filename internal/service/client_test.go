@@ -148,6 +148,27 @@ func TestClientEventsCallbackError(t *testing.T) {
 	}
 }
 
+// TestClientStreamErrorEvent: an `error` event on a stream that has
+// already started carries the server's status and message, and Watch
+// and Batch both return them as an *APIError naming the server.
+func TestClientStreamErrorEvent(t *testing.T) {
+	c := faultServer(t, func(w http.ResponseWriter, r *http.Request, stop <-chan struct{}) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, "event: progress\ndata: {}\n\n")
+		fmt.Fprint(w, "event: error\ndata: {\"error\":\"cluster: no healthy workers\",\"code\":503}\n\n")
+	})
+	c.DisableWire = true
+	_, watchErr := c.Watch(context.Background(), "j1", nil)
+	_, batchErr := c.Batch(context.Background(), BatchSpec{Specs: []JobSpec{specFixture()}}, nil)
+	for name, err := range map[string]error{"watch": watchErr, "batch": batchErr} {
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != http.StatusServiceUnavailable ||
+			apiErr.Message != "cluster: no healthy workers" || apiErr.Worker != c.Base() {
+			t.Errorf("%s: %v, want a 503 APIError with the server's message", name, err)
+		}
+	}
+}
+
 // TestClientAgainstRealServer exercises the happy path of the new
 // client surface (Cancel, Events, Batch) against a live pool handler.
 func TestClientAgainstRealServer(t *testing.T) {

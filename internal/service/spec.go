@@ -21,12 +21,12 @@ type JobSpec struct {
 	// mechanism name (e.g. "bump", "base-open").
 	Workload  string `json:"workload,omitempty"`
 	Mechanism string `json:"mechanism"`
-	// Scenario names a built-in (or daemon-registered) scenario, and
-	// ScenarioSpec carries a full inline spec; either replaces Workload
-	// with a multi-phase, multi-tenant composition. ScenarioSpec wins
-	// when both are set; the resolved spec is part of the config hash,
-	// so two jobs coalesce/cache-hit iff their scenarios agree field
-	// for field.
+	// Scenario names a built-in scenario (any other name is refused),
+	// and ScenarioSpec carries a custom one inline; either replaces
+	// Workload with a multi-phase, multi-tenant composition.
+	// ScenarioSpec wins when both are set; the resolved spec is part of
+	// the config hash, so two jobs coalesce/cache-hit iff their
+	// scenarios agree field for field.
 	Scenario     string        `json:"scenario,omitempty"`
 	ScenarioSpec scenario.Spec `json:"scenario_spec,omitzero"`
 	// Seed defaults to 1, matching sim.DefaultConfig.
