@@ -24,11 +24,11 @@ func ablationConfig(m Mechanism, w Workload) Config {
 // repeated identical configs across benchmarks reuse their warm state
 // (bit-identical to cold runs) instead of re-simulating the warmup from
 // cycle 0, and structurally distinct points (different RDTT sizes,
-// window sizes, ...) keep their own warmups. The one semantic shift is
-// deliberate: BenchmarkAblationFairnessCap's capped points now share
-// one canonical (uncapped) warmup and apply the cap in the measurement
-// window only, which isolates the scheduler policy's effect instead of
-// conflating it with a differently warmed cache.
+// window sizes, ...) keep their own warmups. BenchmarkAblationFairnessCap's
+// capped points share one canonical (uncapped) warmup: the cap binds at
+// the warmup boundary, cold or warm, which isolates the scheduler
+// policy's effect instead of conflating it with a differently warmed
+// cache.
 var ablationWarm = sim.NewWarmStore(64)
 
 func mustRun(b *testing.B, cfg Config) Result {

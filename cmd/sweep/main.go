@@ -13,29 +13,30 @@
 // service.Client are both a service.Backend, so a sweep is one
 // Backend.Batch call whichever runs it. A server's warm and cache
 // counters are on its GET /metrics; the sweep reports only what this
-// process saw (the in-process -warm ledger, wire fast-path usage).
+// process saw (the in-process warm ledger, wire fast-path usage).
 //
-// With -warm the in-process pool shares warmup-end checkpoints between
-// sweep points whose configurations differ only in measured parameters:
-// the fairness mode's sixteen row-hit-streak caps then simulate one
-// warmup total instead of sixteen. (Against a -server, enable warm
-// starts on bumpd instead.) Adding -fork-at pushes the shared prefix
-// past the warmup boundary: the listed cycles become checkpoint-tree
-// cuts on the canonical trunk, every fairness point defers its cap to
-// the deepest cut, and the sweep costs one trunk plus sixteen short
-// branch tails instead of sixteen full measurement windows.
+// The in-process pool always shares checkpoints between sweep points
+// whose configurations differ only in measured parameters: the fairness
+// mode's sixteen row-hit-streak caps simulate one warmup total instead
+// of sixteen, and every point is still byte-identical to its cold run.
+// (Against a -server, enable warm starts on bumpd with its -warm flag.)
+// Adding -fork-at pushes the shared prefix past the warmup boundary:
+// the listed cycles become checkpoint-tree cuts on the canonical trunk,
+// every fairness point binds its cap at the deepest cut, and the sweep
+// costs one trunk plus sixteen short branch tails instead of sixteen
+// full measurement windows.
 //
 // Usage:
 //
 //	sweep -mode systems  > systems.csv
 //	sweep -mode design   > design.csv
 //	sweep -mode seeds -workload web-search -n 5 > seeds.csv
-//	sweep -mode fairness -workload web-search -warm > fairness.csv
-//	sweep -mode fairness -workload web-search -warm -fork-at 1200000,1600000 > fairness.csv
+//	sweep -mode fairness -workload web-search > fairness.csv
+//	sweep -mode fairness -workload web-search -fork-at 1200000,1600000 > fairness.csv
 //	sweep -mode systems -server http://localhost:8344 > systems.csv
 //	sweep -mode fairness -server http://bumpctl:8343 > fairness.csv
 //	sweep -mode scenarios > scenarios.csv      # built-in scenario library
-//	sweep -mode fairness -scenario phase-swap -warm > fairness.csv
+//	sweep -mode fairness -scenario phase-swap > fairness.csv
 //	sweep -mode systems -scenario my-scenario.json > systems.csv
 //
 // With -scenario (a built-in name or a JSON spec file), every mode runs
@@ -87,8 +88,7 @@ func main() {
 		warmup       = flag.Uint64("warmup", 700_000, "warmup cycles")
 		measure      = flag.Uint64("measure", 1_500_000, "measurement cycles")
 		server       = flag.String("server", "", "bumpd/bumpctl base URL; empty runs fully in-process")
-		warm         = flag.Bool("warm", false, "share warmup-end checkpoints between in-process sweep points that differ only in measured parameters")
-		forkAt       = flag.String("fork-at", "", "comma-separated absolute cycles inside the measurement window where -mode fairness points fork from a shared canonical trunk (deepest cut binds the streak cap; implies deferred measured parameters)")
+		forkAt       = flag.String("fork-at", "", "comma-separated absolute cycles inside the measurement window where -mode fairness points fork from a shared canonical trunk (the deepest cut binds the streak cap)")
 		jsonOnly     = flag.Bool("json-only", false, "talk HTTP/JSON to -server even when it advertises a binary wire listener")
 	)
 	flag.Parse()
@@ -120,9 +120,6 @@ func main() {
 	case strings.Contains(*server, ","):
 		fatal(fmt.Errorf("-server takes one base URL; to sweep across several bumpd workers, run bumpctl -workers %s and pass its URL", *server))
 	case *server != "":
-		if *warm {
-			fmt.Fprintln(os.Stderr, "sweep: -warm applies to in-process runs; enable warm starts on bumpd with its -warm flag")
-		}
 		cl := service.NewClient(*server)
 		cl.DisableWire = *jsonOnly
 		// After a remote sweep, show how the transport behaved (wire
@@ -135,7 +132,7 @@ func main() {
 		}()
 		run = cl
 	default:
-		pool = service.NewPool(service.Options{WarmStarts: *warm})
+		pool = service.NewPool(service.Options{WarmStarts: true})
 		defer pool.Close()
 		run = pool
 	}
@@ -267,7 +264,7 @@ func main() {
 		}
 	case "fairness":
 		// Sixteen FR-FCFS row-hit streak caps over one workload (or
-		// scenario). The cap is a measured parameter, so with -warm all
+		// scenario). The cap is a measured parameter, so in-process all
 		// sixteen points restore one shared warm checkpoint.
 		point := pointSpec(*workloadName, scenarioLabel, baseSpec, applyScenario)
 		var specs []service.JobSpec
@@ -275,7 +272,7 @@ func main() {
 			spec := point()
 			spec.MaxRowHitStreak = cap
 			if len(forkCuts) > 0 {
-				// Defer the cap to the deepest cut: all sixteen points
+				// Bind the cap at the deepest cut: all sixteen points
 				// share the canonical trunk through that cycle, so the
 				// sweep costs one trunk plus sixteen short branch tails.
 				spec.ForkCycles = forkCuts
@@ -296,7 +293,7 @@ func main() {
 			}
 			w.Write([]string{cap, f(res.RowHitRatio()), f(res.IPC()), f(res.EPATotal * 1e9), f(qd)})
 		}
-		if pool != nil && *warm {
+		if pool != nil {
 			st := pool.Stats()
 			fmt.Fprintf(os.Stderr, "sweep: warm checkpoints: %d simulated / %d reused warmup cycles (%d hits, %d misses)\n",
 				st.Warm.WarmupCyclesSimulated, st.Warm.WarmupCyclesReused, st.Warm.Hits, st.Warm.Misses)

@@ -764,7 +764,8 @@ func TestClusterE2ERestartWithShorterFleet(t *testing.T) {
 	waitUntil(t, 30*time.Second, func() bool { return a.pool.Stats().Executions > 0 },
 		"the job never started on worker a")
 	c1.Close()
-	if rec, _ := c1.Store().Job(st.ID); rec.State.Terminal() {
+	rec1, _ := c1.Store().Job(st.ID)
+	if rec1.State.Terminal() {
 		t.Fatal("the job finished before the restart — enlarge it")
 	}
 
@@ -784,6 +785,16 @@ func TestClusterE2ERestartWithShorterFleet(t *testing.T) {
 	}
 	if ref := singleNodeReference(t, []service.JobSpec{spec}); resultJSON(t, *fin.Result) != ref[0] {
 		t.Error("recovered job diverges from the single-node run")
+	}
+	// The dropped worker a is told to cancel its copy, under the
+	// record's pre-restart local ID, instead of simulating it to the end.
+	var aCopy service.JobStatus
+	waitUntil(t, 30*time.Second, func() bool {
+		aCopy, err = a.pool.Job(context.Background(), rec1.Local)
+		return err == nil && aCopy.State.Terminal()
+	}, "worker a's copy of the recovered job never ended")
+	if aCopy.State != service.StateCanceled {
+		t.Errorf("worker a's copy ended %s, want %s", aCopy.State, service.StateCanceled)
 	}
 
 	specs := make([]service.JobSpec, 8)

@@ -366,6 +366,12 @@ func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
 	named.Scenario = sc.Name
 	code, body = api.submit(t, named)
 	record("submit-unknown-scenario", code, body, "error")
+
+	// A negative streak cap is refused before anything runs.
+	negative := sweepSpec("web-search", 0)
+	negative.MaxRowHitStreak = -3
+	code, body = api.submit(t, negative)
+	record("submit-negative-streak", code, body, "error")
 	return steps
 }
 
@@ -408,8 +414,9 @@ func serveCoordinator(t *testing.T, coord *Coordinator) string {
 // TestJobAPIConformance runs one job-API script against bumpd and
 // bumpctl, each over HTTP and over the wire protocol: every status and
 // every compared payload field must agree across the four, batches
-// and scenarios included (a refused batch, and a job naming a scenario
-// that is not built in, are each a 400 with one message everywhere), and
+// and scenarios included (a refused batch, a job naming a scenario
+// that is not built in, and a job with a negative streak cap are each a
+// 400 with one message everywhere), and
 // each daemon's /v1/healthz carries only the HealthPayload fields. A failover
 // row then kills the worker running a watched coordinator job: the
 // watch must still end in done over both protocols.
@@ -432,6 +439,7 @@ func TestJobAPIConformance(t *testing.T) {
 		"cancel-canceled": 409, "cancel-done": 409,
 		"batch": 200, "batch-empty": 400, "batch-invalid": 400,
 		"submit-inline-scenario": 202, "submit-unknown-scenario": 400,
+		"submit-negative-streak": 400,
 	}
 	var refName string
 	var ref []conformanceStep

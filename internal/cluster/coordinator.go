@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -315,6 +316,7 @@ func (c *Coordinator) driveJob(id string) {
 			st, err = c.follow(c.ctx, wk, rec.Local, c.relay(id))
 		} else {
 			err = fmt.Errorf("cluster: worker %s is not in the fleet", rec.Worker)
+			c.cancelDropped(rec.Worker, rec.Local)
 		}
 		if c.ctx.Err() != nil {
 			return
@@ -338,6 +340,26 @@ func (c *Coordinator) driveJob(id string) {
 		rec.State = service.StateQueued
 		c.store.PutJob(rec)
 	}
+}
+
+// cancelDropped asks a worker the fleet no longer names to cancel a
+// recovered job, so that a dropped worker still alive does not simulate
+// it to the end while the failover target runs it again. It is best
+// effort and does not delay the failover: the DELETE runs on a one-off
+// client, bounded by the coordinator's context and the request timeout,
+// and its error is ignored. A record written before records named
+// workers by URL ("w0") has no address to send it to.
+func (c *Coordinator) cancelDropped(worker, local string) {
+	if local == "" || !strings.Contains(worker, "://") {
+		return
+	}
+	cl := service.NewClient(worker)
+	cl.RequestTimeout = c.opts.Registry.RequestTimeout
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		_, _ = cl.Cancel(c.ctx, local) // best effort; see above
+	}()
 }
 
 // follow watches a job on its worker to the job's end. The follow also

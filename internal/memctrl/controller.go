@@ -195,9 +195,10 @@ func (c *Controller) Stats() Stats { return c.stats }
 
 // SetMaxRowHitStreak rebinds the fairness cap mid-run. The cap is
 // consulted only at scheduler pick time, so rebinding at an event
-// boundary is exact: checkpoint-tree forking builds the controller with
-// the canonical (zero) cap, restores shared trunk state, then binds the
-// swept value at the fork cycle.
+// boundary is exact: the simulator builds the controller with the
+// canonical (zero) cap and binds the configured value at the run's bind
+// cycle, which lets runs that differ only in the cap share trunk state
+// up to it.
 func (c *Controller) SetMaxRowHitStreak(n int) { c.cfg.MaxRowHitStreak = n }
 
 // QueueLen returns the total queued transactions (reads+writes) across

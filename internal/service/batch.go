@@ -98,7 +98,7 @@ func planBatch(spec BatchSpec, cfgs []sim.Config) []int {
 	type pt struct {
 		idx int
 		key string // structural warm key
-		cut uint64 // restore cut: max(WarmupCycles, ForkAt)
+		cut uint64 // restore cut: the bind cycle
 		pri int    // user priority, preserved as the leading sort key
 	}
 	pts := make([]pt, len(cfgs))
@@ -106,7 +106,7 @@ func planBatch(spec BatchSpec, cfgs []sim.Config) []int {
 		// Every resolved config has a warm key: a zero warmup selects
 		// the default window.
 		key, _ := sim.WarmKey(cfg)
-		pts[i] = pt{idx: i, key: key, cut: max(cfg.WarmupCycles, cfg.ForkAt), pri: spec.Specs[i].Priority}
+		pts[i] = pt{idx: i, key: key, cut: cfg.BindCycle(), pri: spec.Specs[i].Priority}
 	}
 	sort.SliceStable(pts, func(a, b int) bool {
 		pa, pb := pts[a], pts[b]

@@ -20,7 +20,10 @@ import (
 // its always-zero line from the encoding.
 // v6: sim.Config gained Profile (the opt-in region-density profiler); a
 // profiled result carries a Profile an unprofiled one leaves zero.
-const hashVersion = "bump-config-v6"
+// v7: a MaxRowHitStreak with ForkAt 0 now takes effect at the warmup
+// boundary (sim.Config.BindCycle), not at cycle 0, so such a config
+// names a different result than under v6.
+const hashVersion = "bump-config-v7"
 
 // Hash returns the canonical content hash of a resolved configuration:
 // two configs hash equal iff every identity-bearing field is equal. The

@@ -48,17 +48,14 @@ type Options struct {
 	// ProgressInterval is the cycle stride between progress events
 	// (default: 1/64 of each run).
 	ProgressInterval uint64
-	// WarmStarts enables the warm-checkpoint store: jobs that share a
-	// warmup trajectory (identical configs up to the measured
-	// parameters — MeasureCycles and MaxRowHitStreak) simulate one
-	// canonical warmup (measured parameters at their zero values),
-	// checkpoint it, and all measure from the restored state. A sweep
-	// over a measured parameter then costs one warmup total, and every
-	// point's result is a deterministic function of its own config,
-	// independent of job order. Off by default: clients opt in to the
-	// shared-warmup methodology explicitly (a point with non-zero
-	// measured parameters applies them in the measurement window only,
-	// which differs from its cold whole-run-under-policy result).
+	// WarmStarts enables the warm-checkpoint store (sim.WarmStore): jobs
+	// that share a trunk (identical configs up to the measured
+	// parameters — MeasureCycles, MaxRowHitStreak and ForkAt) simulate
+	// it once, checkpoint it, and each restores it at its bind cycle. A
+	// sweep over a measured parameter then costs one warmup total. It
+	// trades checkpoint memory (WarmEntries of them, about 1.3 MB each
+	// for the paper machine) for fewer simulated warmups and changes no
+	// result: every job is byte-identical to its cold run.
 	WarmStarts bool
 	// WarmEntries bounds retained warm checkpoints (default 16).
 	WarmEntries int

@@ -414,26 +414,43 @@ func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 }
 
 // TestWarmPoolMatchesColdResult: enabling warm starts never changes a
-// job's answer. (Bit-identity of the restore path itself is pinned by
-// internal/sim's TestWarmStoreIdenticalConfigBitIdentical and the
-// randomized differential test.)
+// job's answer. A pool with warm starts and one without report the same
+// hash and byte-identical Result JSON, for a plain spec and for a
+// streak cap with ForkAt 0, which binds at the warmup boundary in both.
+// (Bit-identity of the restore path itself is pinned by internal/sim's
+// TestWarmStoreIdenticalConfigBitIdentical and the randomized
+// differential test.)
 func TestWarmPoolMatchesColdResult(t *testing.T) {
+	ctx := context.Background()
 	warm := newTestPool(t, Options{Workers: 1, WarmStarts: true})
-	spec := specFixture()
-	res, err := runSpec(context.Background(), warm, spec)
-	if err != nil {
-		t.Fatal(err)
+	cold := newTestPool(t, Options{Workers: 1})
+	capped := specFixture()
+	capped.MaxRowHitStreak = 3
+	for _, spec := range []JobSpec{specFixture(), capped} {
+		var hashes, results [2]string
+		for i, p := range []*Pool{warm, cold} {
+			st, err := p.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = p.Watch(ctx, st.ID, nil); err != nil || st.State != StateDone {
+				t.Fatalf("streak %d: job ended %s (%v %s)", spec.MaxRowHitStreak, st.State, err, st.Error)
+			}
+			data, err := json.Marshal(st.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashes[i], results[i] = st.Hash, string(data)
+		}
+		if hashes[0] != hashes[1] {
+			t.Errorf("streak %d: warm pool hash %s, cold pool hash %s", spec.MaxRowHitStreak, hashes[0], hashes[1])
+		}
+		if results[0] != results[1] {
+			t.Errorf("streak %d: warm-pool result diverges from the cold pool's", spec.MaxRowHitStreak)
+		}
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := sim.RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DRAM != cold.DRAM || res.Counters != cold.Counters || res.Cycles != cold.Cycles {
-		t.Fatal("warm-pool run diverges from cold sim run for an identical config")
+	if st := warm.Stats().Warm; st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("warm pool: %d misses / %d hits, want the capped job restoring the plain job's warmup", st.Misses, st.Hits)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestScenarioHashing(t *testing.T) {
 }
 
 // TestScenarioWarmSweepThroughPool is the CLI acceptance path in
-// miniature: sweep -scenario ... -warm submits N points differing only
+// miniature: sweep -scenario ... submits N points differing only
 // in a measured parameter; the pool must simulate exactly one warmup.
 func TestScenarioWarmSweepThroughPool(t *testing.T) {
 	p := newTestPool(t, Options{Workers: 4, WarmStarts: true})

@@ -36,10 +36,10 @@ type JobSpec struct {
 	WarmupCycles  uint64 `json:"warmup_cycles,omitempty"`
 	MeasureCycles uint64 `json:"measure_cycles,omitempty"`
 
-	// ForkAt defers the measured parameters (MaxRowHitStreak) to this
-	// absolute cycle; ForkCycles lists mid-measurement cuts where the
-	// canonical trunk publishes checkpoint-tree nodes. See
-	// sim.Config.ForkAt / sim.Config.ForkCycles.
+	// ForkAt moves the bind cycle of the measured parameters
+	// (MaxRowHitStreak) to this absolute cycle; 0 binds them at the
+	// warmup boundary. ForkCycles lists the mid-measurement cuts of the
+	// checkpoint-tree chain. See sim.Config.ForkAt / sim.Config.ForkCycles.
 	ForkAt     uint64   `json:"fork_at,omitempty"`
 	ForkCycles []uint64 `json:"fork_cycles,omitempty"`
 

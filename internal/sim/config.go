@@ -120,7 +120,8 @@ type Config struct {
 	// longer amortises a single activation).
 	ForceBlockInterleave bool
 	// MaxRowHitStreak caps consecutive row-hit-first scheduler picks
-	// (fairness-aware FR-FCFS, Section VI). 0 disables the cap.
+	// (fairness-aware FR-FCFS, Section VI). 0 disables the cap. It is a
+	// measured parameter: the cap takes effect at BindCycle.
 	MaxRowHitStreak int
 	BuMP            core.Config
 	DRAM            dram.Config
@@ -140,21 +141,30 @@ type Config struct {
 	WarmupCycles  uint64
 	MeasureCycles uint64
 
-	// ForkAt, when non-zero, defers the *measured* parameters
-	// (MaxRowHitStreak): the run simulates the canonical zero-valued
-	// policy up to absolute cycle ForkAt and binds the configured values
-	// there, so every sibling of a checkpoint-tree sweep shares one
-	// trunk trajectory through ForkAt and diverges only in the tail.
-	// Must lie in [WarmupCycles, WarmupCycles+MeasureCycles). ForkAt ==
-	// WarmupCycles is exactly the classic functional-warmup methodology.
+	// ForkAt sets the bind cycle (see BindCycle) past the warmup
+	// boundary: the run simulates the canonical zero-valued measured
+	// parameters up to absolute cycle ForkAt and binds the configured
+	// values there, so every sibling of a checkpoint-tree sweep shares
+	// one trunk trajectory through ForkAt and diverges only in the tail.
+	// 0 means at the warmup boundary; otherwise it must lie in
+	// [WarmupCycles, WarmupCycles+MeasureCycles).
 	ForkAt uint64
 	// ForkCycles lists mid-measurement cut cycles (strictly increasing,
-	// each in (WarmupCycles, WarmupCycles+MeasureCycles)) at which a
-	// canonical trunk run publishes checkpoint-tree nodes via a
-	// WarmStore. The cuts never alter simulated behaviour — they only
-	// tell the store where future forks may restore.
+	// each in (WarmupCycles, WarmupCycles+MeasureCycles)): the chain of
+	// checkpoint-tree nodes on the canonical trunk. A WarmStore builds
+	// the node at a run's bind cycle by extending the trunk from the
+	// deepest listed cut below it, so forks at several depths share the
+	// shallower nodes. The cuts never alter simulated behaviour.
 	ForkCycles []uint64
 }
+
+// BindCycle returns the absolute cycle at which the measured parameters
+// take effect: max(WarmupCycles, ForkAt). Every run, cold or restored
+// from a checkpoint, simulates the canonical zero-valued measured
+// parameters up to it, so a run restored from a trunk node at or before
+// its bind cycle is byte-identical to its own cold run. Of the measured
+// parameters only MaxRowHitStreak changes simulated behaviour.
+func (c Config) BindCycle() uint64 { return max(c.WarmupCycles, c.ForkAt) }
 
 // DefaultConfig returns the paper's system (Table II) for the given
 // mechanism and workload, with simulation windows sized for statistical
@@ -212,6 +222,9 @@ func (c Config) Validate() error {
 	}
 	if c.Mechanism > BuMPVWQ {
 		return fmt.Errorf("sim: unknown mechanism %d", c.Mechanism)
+	}
+	if c.MaxRowHitStreak < 0 {
+		return fmt.Errorf("sim: max row-hit streak %d is negative (0 disables the cap)", c.MaxRowHitStreak)
 	}
 	if err := c.BuMP.Validate(); err != nil {
 		return err

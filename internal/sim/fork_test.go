@@ -12,12 +12,12 @@ import (
 )
 
 // TestForkRestoreConformance is the fork restore-point conformance
-// test: a run snapshotted by the AtCycle hook at randomized
-// mid-measurement cuts and restored into a fresh system must finish
-// with the exact Result and the exact final machine state of an
+// test: a run stepped by runTo to randomized mid-measurement cuts,
+// snapshotted there and restored into a fresh system must finish with
+// the exact Result and the exact final machine state of an
 // uninterrupted run — across a stationary workload and a multi-tenant
-// scenario. One trunk run captures all cuts (the AtCycles contract);
-// each cut then replays its tail independently.
+// scenario. One trunk run captures all cuts and must itself finish
+// identically; each cut then replays its tail independently.
 func TestForkRestoreConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential fork test is not short")
@@ -54,19 +54,18 @@ func TestForkRestoreConformance(t *testing.T) {
 
 			snaps := make(map[uint64][]byte, len(cuts))
 			trunk := mustNewSys(t, tc.cfg)
-			_, err = trunk.RunWithHooks(Hooks{
-				AtCycles: cuts,
-				AtCycle: func(cut uint64) error {
-					var buf bytes.Buffer
-					if err := trunk.Snapshot(&buf); err != nil {
-						return err
-					}
-					snaps[cut] = buf.Bytes()
-					return nil
-				},
-			})
+			for _, cut := range cuts {
+				if err := trunk.runTo(cut, Hooks{}); err != nil {
+					t.Fatal(err)
+				}
+				snaps[cut] = snapBytes(t, trunk)
+			}
+			trunkRes, err := trunk.RunWithHooks(Hooks{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(trunkRes, refRes) {
+				t.Fatalf("trunk stepped through its cuts diverges from the uninterrupted run:\n got %+v\nwant %+v", trunkRes, refRes)
 			}
 
 			for _, cut := range cuts {
@@ -152,60 +151,34 @@ func TestForkSweepOneTrunkManyBranches(t *testing.T) {
 	}
 }
 
-// TestForkTrunkPublishesDeeperNodes: a canonical (zero measured
-// parameter) point whose measured tail passes configured cuts beyond
-// its own restore target publishes those tree nodes in-run, for free —
-// a later what-if fork at the deeper cycle restores instead of
-// extending the trunk.
-func TestForkTrunkPublishesDeeperNodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential fork test is not short")
-	}
-	cfg := smallConfig(BuMP, workload.DataServing(), 33)
-	c1 := cfg.WarmupCycles + cfg.MeasureCycles/4
-	c2 := cfg.WarmupCycles + cfg.MeasureCycles/2
-	cuts := []uint64{c1, c2}
-
-	ws := NewWarmStore(8)
-
-	// Point A: canonical cap, forks at the shallow cut; its tail crosses
-	// c2 and publishes that node as a side effect.
-	a := cfg
-	a.ForkAt = c1
-	a.ForkCycles = cuts
-	if _, err := ws.Run(a); err != nil {
-		t.Fatal(err)
-	}
-	if key, ok := ForkNodeKey(cfg, c2); !ok {
-		t.Fatal("config not tree-keyable")
-	} else if _, have := ws.Checkpoint(key); !have {
-		t.Fatal("canonical run did not publish the deeper tree node it passed")
-	}
-
-	// Point B: a what-if fork from the deeper cycle. The node must come
-	// from A's in-run publication — no further trunk extension.
-	b := cfg
-	b.MaxRowHitStreak = 3
-	b.ForkAt = c2
-	b.ForkCycles = cuts
-	res, err := ws.Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := RunOne(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, cold) {
-		t.Fatal("what-if fork diverges from its cold sequential run")
-	}
-	st := ws.Stats()
-	if st.TrunkCyclesSimulated != c1-cfg.WarmupCycles {
-		t.Fatalf("simulated %d trunk cycles, want only the shallow extension (%d): the deep node should come from in-run publication",
-			st.TrunkCyclesSimulated, c1-cfg.WarmupCycles)
-	}
-	if st.ForkHits != 1 {
-		t.Fatalf("fork hits %d, want 1 (point B restoring the published node)", st.ForkHits)
+// TestRestoreChecksTrajectory: a checkpoint cut past its bind cycle
+// restores only into a configuration whose measured parameters followed
+// the same trajectory; one cut at the bind cycle is still the canonical
+// trunk and restores into any cap.
+func TestRestoreChecksTrajectory(t *testing.T) {
+	cfg := smallConfig(BuMP, workload.WebSearch(), 12)
+	cfg.MaxRowHitStreak = 4
+	bind := cfg.BindCycle()
+	for _, tc := range []struct {
+		cut uint64
+		cap int
+		ok  bool
+	}{
+		{bind, 9, true},
+		{bind + 1_000, 4, true},
+		{bind + 1_000, 9, false},
+		{bind + 1_000, 0, false},
+	} {
+		s := mustNewSys(t, cfg)
+		if err := s.runTo(tc.cut, Hooks{}); err != nil {
+			t.Fatal(err)
+		}
+		into := cfg
+		into.MaxRowHitStreak = tc.cap
+		err := mustNewSys(t, into).Restore(bytes.NewReader(snapBytes(t, s)))
+		if (err == nil) != tc.ok {
+			t.Errorf("cut %d into cap %d: restore error %v, want success %v", tc.cut, tc.cap, err, tc.ok)
+		}
 	}
 }
 

@@ -218,7 +218,9 @@ type Progress struct {
 }
 
 // Hooks attaches observation and control to a run. The zero value runs
-// each window in a single uninterrupted chunk, exactly like Run.
+// each window in a single uninterrupted chunk, exactly like Run. No hook
+// changes what is simulated: a hooked run is byte-identical to an
+// unhooked one.
 type Hooks struct {
 	// Interval is the cycle stride between hook invocations; 0 picks
 	// 1/64 of the run when an observer is attached.
@@ -232,21 +234,11 @@ type Hooks struct {
 	Cancel func() bool
 	// AtWarmupEnd, if non-nil, runs exactly once per system, at the
 	// cycle the warmup window completes (immediately after the
-	// measurement baseline is captured). The checkpointing layers use it
-	// to snapshot warmed state. Returning an error aborts the run. It is
-	// not invoked on systems restored at or past the warmup boundary —
+	// measurement baseline is captured), so a caller can snapshot the
+	// warmed state. Returning an error aborts the run. It is not
+	// invoked on systems restored at or past the warmup boundary —
 	// their baseline was captured before the checkpoint.
 	AtWarmupEnd func() error
-	// AtCycles lists absolute engine cycles (sorted ascending, each
-	// inside the measurement window) at which AtCycle fires — the
-	// checkpoint-tree cut points. Cycles the system is already at or
-	// past are skipped: a restored system resumes beyond its own cut.
-	AtCycles []uint64
-	// AtCycle, if non-nil, runs when the engine reaches each AtCycles
-	// entry, after every event before the cut has dispatched and before
-	// any event at or after it. The checkpoint tree uses it to snapshot
-	// trunk state mid-measurement. Returning an error aborts the run.
-	AtCycle func(cycle uint64) error
 	// Phase, if non-nil, receives coarse wall-clock phase timings: the
 	// engine calls it a handful of times per run (never inside the event
 	// loop) with the phase name and its start/end instants. The
@@ -307,23 +299,16 @@ func (s *System) runUntil(target uint64, h Hooks, step, total uint64) error {
 	}
 }
 
-// Run executes the configured warmup and measurement windows and returns
-// the measurement-window result.
-func (s *System) Run() Result {
-	res, _ := s.RunWithHooks(Hooks{}) // zero hooks cannot cancel
-	return res
-}
-
-// RunWithHooks executes the run with periodic progress callbacks and
-// cancellation polling. On cancellation it returns ErrCanceled and a
-// zero Result.
-//
-// A freshly built system runs warmup then measurement; a system restored
-// from a checkpoint resumes wherever the checkpoint was taken (its
-// initial core events, measurement baseline and clock all travel with
-// the snapshot), so restore-then-run dispatches the exact event sequence
-// the uninterrupted run would have.
-func (s *System) RunWithHooks(h Hooks) (Result, error) {
+// runTo advances the run to absolute cycle target. Crossing the warmup
+// boundary captures the measurement baseline and calls h.AtWarmupEnd;
+// reaching the bind cycle (Config.BindCycle) applies the configured
+// measured parameters. A system restored from a checkpoint resumes
+// wherever the checkpoint was taken (its initial core events, baseline
+// and clock all travel with the snapshot) and re-applies the parameters
+// once it is at or past its bind cycle, since the cap is configuration,
+// not serialized state. Splitting the run at these cycles dispatches the
+// exact event sequence of an unsplit run (see runUntil).
+func (s *System) runTo(target uint64, h Hooks) error {
 	if !s.primed {
 		for _, c := range s.cores {
 			c.arm(0)
@@ -332,53 +317,56 @@ func (s *System) RunWithHooks(h Hooks) (Result, error) {
 	}
 	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles
 	step := h.stride(total)
-	var phaseT0 time.Time
-	if h.Phase != nil {
-		phaseT0 = time.Now()
-	}
-	if err := s.runUntil(s.cfg.WarmupCycles, h, step, total); err != nil {
-		return Result{}, err
-	}
-	if !s.baseTaken {
+	if warm := s.cfg.WarmupCycles; !s.baseTaken && target >= warm {
+		if err := s.runUntil(warm, h, step, total); err != nil {
+			return err
+		}
 		s.base = s.statsSnapshot()
 		s.baseTaken = true
 		if h.AtWarmupEnd != nil {
 			if err := h.AtWarmupEnd(); err != nil {
-				return Result{}, err
+				return err
 			}
 		}
+	}
+	if bind := s.cfg.BindCycle(); target >= bind {
+		if err := s.runUntil(bind, h, step, total); err != nil {
+			return err
+		}
+		// The cap honours the mechanism gating of controllerConfig:
+		// close-row and forced-block-interleave controllers never see it.
+		s.mc.SetMaxRowHitStreak(s.cfg.controllerConfig().MaxRowHitStreak)
+	}
+	return s.runUntil(target, h, step, total)
+}
+
+// Run executes the configured warmup and measurement windows and returns
+// the measurement-window result.
+func (s *System) Run() Result {
+	res, _ := s.RunWithHooks(Hooks{}) // zero hooks cannot cancel
+	return res
+}
+
+// RunWithHooks runs to the end of the measurement window with periodic
+// progress callbacks and cancellation polling, and returns the
+// measurement-window result. On cancellation it returns ErrCanceled and
+// a zero Result. A system restored from a checkpoint resumes where the
+// checkpoint was taken, so restore-then-run is byte-identical to the
+// uninterrupted run.
+func (s *System) RunWithHooks(h Hooks) (Result, error) {
+	var phaseT0 time.Time
+	if h.Phase != nil {
+		phaseT0 = time.Now()
+	}
+	if err := s.runTo(s.cfg.WarmupCycles, h); err != nil {
+		return Result{}, err
 	}
 	if h.Phase != nil {
 		now := time.Now()
 		h.Phase("warmup", phaseT0, now)
 		phaseT0 = now
 	}
-	// Deferred measured parameters (Config.ForkAt) bind at the fork
-	// cycle: run canonically up to it, then apply the configured values.
-	// Splitting the window at the bind point dispatches the exact event
-	// sequence of an unsplit run (see runUntil), so a system restored
-	// from a trunk node at the fork cycle is byte-identical to this cold
-	// path.
-	if s.cfg.ForkAt > 0 && !s.measuredBound {
-		if err := s.runUntil(s.cfg.ForkAt, h, step, total); err != nil {
-			return Result{}, err
-		}
-		s.bindMeasured()
-	}
-	if h.AtCycle != nil {
-		for _, cut := range h.AtCycles {
-			if cut <= s.eng.Now() || cut >= total {
-				continue
-			}
-			if err := s.runUntil(cut, h, step, total); err != nil {
-				return Result{}, err
-			}
-			if err := h.AtCycle(cut); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if err := s.runUntil(total, h, step, total); err != nil {
+	if err := s.runTo(s.cfg.WarmupCycles+s.cfg.MeasureCycles, h); err != nil {
 		return Result{}, err
 	}
 	if h.Phase != nil {

@@ -43,6 +43,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("invalid workload must fail")
 	}
+	bad = cfg
+	bad.MaxRowHitStreak = -3
+	if _, err := New(bad); err == nil {
+		t.Error("negative row-hit streak cap must fail")
+	}
 }
 
 func TestMechanismStrings(t *testing.T) {

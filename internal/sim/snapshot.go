@@ -48,20 +48,17 @@ func structuralDigest(cfg Config) ([32]byte, error) {
 }
 
 // latePrefix names the measured-parameter trajectory the simulated
-// state has followed up to absolute cycle `at`: "" while every measured
-// parameter still held its canonical zero value (the shared trunk), or
-// the bound values and their bind cycle once they apply. Snapshots
-// embed it in their node metadata so a restore can refuse state whose
-// pre-cut trajectory diverges from what the target config would have
-// simulated.
+// state has followed up to absolute cycle `at`: "" up to the bind cycle,
+// or whenever every measured parameter holds its canonical zero value
+// (the shared trunk), else the bound values and their bind cycle.
+// Snapshots embed it in their node metadata so a restore can refuse
+// state whose pre-cut trajectory diverges from what the target config
+// would have simulated.
 func latePrefix(cfg Config, at uint64) string {
-	if cfg.MaxRowHitStreak == 0 {
+	bind := cfg.BindCycle()
+	if cfg.MaxRowHitStreak == 0 || at <= bind {
 		return ""
 	}
-	if cfg.ForkAt > 0 && at <= cfg.ForkAt {
-		return ""
-	}
-	bind := cfg.ForkAt
 	return fmt.Sprintf("streak=%d@%d", cfg.MaxRowHitStreak, bind)
 }
 
@@ -314,17 +311,14 @@ func (s *System) readState(r *snapshot.Reader) error {
 		return fmt.Errorf("sim: snapshot of %s/%s seed %d (%d cores, cycle %d) is structurally incompatible with this configuration",
 			Mechanism(mech), wl, seed, cores, cycle)
 	}
-	// A node cut past the warmup boundary has simulated part of the
-	// measurement window; its measured-parameter trajectory up to the
-	// cut must match what this configuration would itself have
-	// simulated. (Warmup-end checkpoints stay permissive: sharing them
-	// across measured-parameter changes is the documented functional-
-	// warmup methodology.)
-	if meta := r.NodeMeta(); meta.Cut > s.cfg.WarmupCycles {
-		if want := latePrefix(s.cfg, meta.Cut); meta.Prefix != want {
-			return fmt.Errorf("sim: checkpoint cut at cycle %d followed measured-parameter trajectory %q; this configuration expects %q",
-				meta.Cut, meta.Prefix, want)
-		}
+	// The checkpoint's measured-parameter trajectory up to its cut must
+	// match what this configuration would itself have simulated. Up to
+	// the bind cycle that is the canonical trunk for every
+	// configuration, which is what lets siblings share a node.
+	meta := r.NodeMeta()
+	if want := latePrefix(s.cfg, meta.Cut); meta.Prefix != want {
+		return fmt.Errorf("sim: checkpoint cut at cycle %d followed measured-parameter trajectory %q; this configuration expects %q",
+			meta.Cut, meta.Prefix, want)
 	}
 
 	if err := s.eng.Restore(r, s.decodeEventObj); err != nil {

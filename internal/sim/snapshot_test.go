@@ -246,43 +246,35 @@ func TestWarmStoreSharesOneWarmup(t *testing.T) {
 }
 
 // TestWarmStoreIdenticalConfigBitIdentical: a run through the warm
-// store matches a cold run byte for byte, both on the pass that builds
-// the trunk checkpoints and on the pass that restores them. The cold
-// run is of the same configuration for a stationary workload, a
-// scenario, and a checkpoint-tree fork (deferred MaxRowHitStreak bound
-// mid-measurement at one published cut). A non-zero streak with ForkAt
-// 0 binds at the warmup boundary in the warm store but from cycle 0 in
-// a cold run of the same configuration, so those rows compare against
-// the cold run with ForkAt = WarmupCycles.
+// store matches the cold run of the same configuration byte for byte,
+// both on the pass that builds the trunk checkpoints and on the pass
+// that restores them — for a stationary workload, a scenario, a
+// checkpoint-tree fork (MaxRowHitStreak bound mid-measurement at one
+// cut), and streak caps bound at the warmup boundary (ForkAt 0).
 func TestWarmStoreIdenticalConfigBitIdentical(t *testing.T) {
 	fork := smallConfig(BaseClose, workload.WebSearch(), 8)
 	fork.MaxRowHitStreak = 4
 	fork.ForkAt = fork.WarmupCycles + fork.MeasureCycles/4
 	fork.ForkCycles = []uint64{fork.ForkAt}
 	type warmCase struct {
-		name       string
-		cfg        Config
-		coldForkAt uint64 // the matching cold run's ForkAt, when not cfg's
+		name string
+		cfg  Config
 	}
 	cases := []warmCase{
-		{name: "stationary/bump+vwq-web-serving", cfg: smallConfig(BuMPVWQ, workload.WebServing(), 6)},
-		{name: "scenario/sms+vwq-test-burst", cfg: smallScenarioConfig(SMSVWQ, testBurstSpec(), 7)},
-		{name: "fork/base-close-web-search", cfg: fork},
+		{"stationary/bump+vwq-web-serving", smallConfig(BuMPVWQ, workload.WebServing(), 6)},
+		{"scenario/sms+vwq-test-burst", smallScenarioConfig(SMSVWQ, testBurstSpec(), 7)},
+		{"fork/base-close-web-search", fork},
 	}
 	for _, m := range []Mechanism{BuMP, BaseOpen, SMSVWQ} {
 		for _, streak := range []int{1, 2, 7} {
 			cfg := smallConfig(m, workload.DataServing(), 9)
 			cfg.MaxRowHitStreak = streak
-			cases = append(cases, warmCase{fmt.Sprintf("warmup-bound/%s-data-serving/streak%d", m, streak), cfg, cfg.WarmupCycles})
+			cases = append(cases, warmCase{fmt.Sprintf("warmup-bound/%s-data-serving/streak%d", m, streak), cfg})
 		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cold := tc.cfg
-			if tc.coldForkAt != 0 {
-				cold.ForkAt = tc.coldForkAt
-			}
-			coldRes, err := RunOne(cold)
+			coldRes, err := RunOne(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

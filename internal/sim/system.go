@@ -129,11 +129,6 @@ type System struct {
 	// still reports exact measurement-window deltas.
 	base      snap
 	baseTaken bool
-	// measuredBound records that the deferred measured parameters
-	// (Config.ForkAt) have been applied. Derived from cfg and the engine
-	// clock, never serialized: a system built with ForkAt > 0 starts
-	// canonical and binds when the run reaches the fork cycle.
-	measuredBound bool
 }
 
 // New builds a system from cfg.
@@ -143,15 +138,11 @@ func New(cfg Config) (*System, error) {
 	}
 	eng := event.New()
 	d := dram.New(cfg.DRAM)
-	ctrlCfg := cfg
-	if cfg.ForkAt > 0 {
-		// Deferred measured parameters: the machine is built canonical
-		// (cap = 0) and bindMeasured applies the configured values when
-		// the run reaches the fork cycle, so the pre-fork trajectory is
-		// byte-shared with every sibling branch.
-		ctrlCfg.MaxRowHitStreak = 0
-	}
-	mc, err := memctrl.New(ctrlCfg.controllerConfig(), d, eng)
+	// The controller starts with the canonical zero cap; runTo applies
+	// the configured one at the bind cycle.
+	ctrlCfg := cfg.controllerConfig()
+	ctrlCfg.MaxRowHitStreak = 0
+	mc, err := memctrl.New(ctrlCfg, d, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +156,6 @@ func New(cfg Config) (*System, error) {
 		dram:        d,
 		regionShift: cfg.BuMP.RegionShift,
 		freeWaiter:  -1,
-
-		measuredBound: cfg.ForkAt == 0,
 	}
 	mc.Handler = s.onMemComplete
 	if cfg.Profile {
@@ -233,15 +222,6 @@ func New(cfg Config) (*System, error) {
 
 // Engine exposes the event engine (tests drive it directly).
 func (s *System) Engine() *event.Engine { return s.eng }
-
-// bindMeasured applies the deferred measured parameters at the fork
-// cycle. The cap honours the same mechanism gating as construction:
-// close-row and forced-block-interleave controllers never see it, so
-// binding sets exactly the value a cold build of cfg would have used.
-func (s *System) bindMeasured() {
-	s.measuredBound = true
-	s.mc.SetMaxRowHitStreak(s.cfg.controllerConfig().MaxRowHitStreak)
-}
 
 // Predictor exposes the BuMP predictor, if the mechanism has one.
 func (s *System) Predictor() *core.Predictor { return s.bump }

@@ -62,11 +62,12 @@ type WarmBackend interface {
 // WarmStore caches canonical trunk checkpoints keyed by ForkNodeKey —
 // warmup-end state under the plain WarmKey (the tree root), plus
 // mid-measurement nodes at the configured fork cycles — so a sweep over
-// measured parameters (MeasureCycles, MaxRowHitStreak) restores shared
-// trunk state instead of re-simulating it per point. Warming and trunk
-// extension are single-flight per node: concurrent runs needing the
-// same node wait for the first one to publish it rather than simulating
-// redundantly. Safe for concurrent use.
+// measured parameters (MeasureCycles, MaxRowHitStreak, ForkAt) restores
+// shared trunk state instead of re-simulating it per point. It is a pure
+// cache: a run through it is byte-identical to its cold run. Warming and
+// trunk extension are single-flight per node: concurrent runs needing
+// the same node wait for the first one to store it rather than
+// simulating redundantly. Safe for concurrent use.
 type WarmStore struct {
 	mu      sync.Mutex
 	max     int
@@ -165,20 +166,6 @@ func (ws *WarmStore) evict(key string) {
 	ws.stats.Evicted++
 }
 
-// publish installs a locally produced tree node and wakes any
-// single-flight waiters on its key.
-func (ws *WarmStore) publish(key string, data []byte) {
-	ws.put(key, data)
-	ws.release(key)
-}
-
-// Checkpoint returns the stored warm checkpoint for key, if any.
-func (ws *WarmStore) Checkpoint(key string) ([]byte, bool) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.lookupLocked(key)
-}
-
 // release wakes any waiters for key's in-flight warmup. Idempotent.
 func (ws *WarmStore) release(key string) {
 	ws.mu.Lock()
@@ -220,10 +207,6 @@ func (ws *WarmStore) waitPending(ch <-chan struct{}, h Hooks) error {
 func (ws *WarmStore) Run(cfg Config) (Result, error) {
 	return ws.RunWithHooks(cfg, Hooks{})
 }
-
-// errNodeCaptured aborts a trunk run once its checkpoint has been
-// captured (at warmup end for the root, at the cut for deeper nodes).
-var errNodeCaptured = errors.New("sim: warm checkpoint captured")
 
 // parentCut returns the deepest cut strictly below `cut` on cfg's trunk
 // chain — the warmup boundary when no configured fork cycle precedes
@@ -283,10 +266,10 @@ func (ws *WarmStore) nodeData(cfg Config, cut uint64, h Hooks) (data []byte, bui
 	return data, true, nil
 }
 
-// buildNode simulates cfg's canonical trunk up to cut and publishes the
-// node. The root (cut at the warmup boundary) warms from scratch;
-// deeper nodes restore their parent — the next shallower node on the
-// chain, built recursively — and simulate only (parent, cut]. Miss
+// buildNode simulates cfg's canonical trunk up to cut and stores the
+// node. The root (cut at the warmup boundary) is built from scratch;
+// a deeper node restores its parent — the next shallower node on the
+// chain, built recursively — and simulates only (parent, cut]. Miss
 // statistics are charged only once the simulation actually completes,
 // so a canceled builder plus its retrying successor never double-counts.
 func (ws *WarmStore) buildNode(cfg Config, cut uint64, h Hooks) ([]byte, error) {
@@ -295,124 +278,100 @@ func (ws *WarmStore) buildNode(cfg Config, cut uint64, h Hooks) ([]byte, error) 
 	trunk := cfg
 	trunk.MaxRowHitStreak = 0
 	trunk.ForkAt = 0
-	trunk.ForkCycles = nil
-	key, _ := ForkNodeKey(cfg, cut)
-	hk := Hooks{Interval: h.Interval, Progress: h.Progress, Cancel: h.Cancel}
-
-	if cut <= cfg.WarmupCycles {
-		// Tree root: simulate the canonical warmup.
-		s, err := New(trunk)
-		if err != nil {
-			return nil, err
-		}
-		var ck bytes.Buffer
-		hk.AtWarmupEnd = func() error {
-			if err := s.Snapshot(&ck); err != nil {
-				return err
-			}
-			return errNodeCaptured
-		}
-		if _, err = s.RunWithHooks(hk); !errors.Is(err, errNodeCaptured) {
-			if err == nil {
-				// Unreachable for cacheable configs (WarmupCycles > 0),
-				// but never let a warm-store bug silently drop a run.
-				err = errors.New("sim: warmup completed without checkpoint")
-			}
-			return nil, err
-		}
-		ws.mu.Lock()
+	root := cut <= cfg.WarmupCycles
+	parent := parentCut(cfg, cut)
+	var s *System
+	var err error
+	if root {
+		s, err = New(trunk)
+	} else {
+		// Recursion over strictly decreasing cuts bottoms out at the
+		// root, so concurrent single-flight producers can never
+		// deadlock on one another.
+		s, _, err = ws.restoreNode(trunk, parent, h, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := s.runTo(cut, h); err != nil {
+		return nil, err
+	}
+	var ck bytes.Buffer
+	if err := s.Snapshot(&ck); err != nil {
+		return nil, err
+	}
+	ws.mu.Lock()
+	if root {
 		ws.stats.Misses++
 		ws.stats.WarmupCyclesSimulated += cfg.WarmupCycles
-		ws.mu.Unlock()
-		ws.put(key, ck.Bytes())
-		return ck.Bytes(), nil
+	} else {
+		ws.stats.ForkMisses++
+		ws.stats.TrunkCyclesSimulated += cut - parent
 	}
+	ws.mu.Unlock()
+	key, _ := ForkNodeKey(cfg, cut)
+	ws.put(key, ck.Bytes())
+	return ck.Bytes(), nil
+}
 
-	// Deeper node: extend the trunk from its parent. Recursion over
-	// strictly decreasing cuts bottoms out at the root, so concurrent
-	// single-flight producers can never deadlock on one another.
-	parent := parentCut(cfg, cut)
+// restoreNode builds a System from cfg and restores into it cfg's trunk
+// node at cut, building the node (single-flight) when absent; the bool
+// reports whether this call built it. A cached node whose restore fails
+// (corrupt blob-tier bytes, version skew) is evicted from both tiers
+// and rebuilt once. Reused cycles are charged only after a successful
+// restore of a node this call did not build. phase, when non-nil,
+// receives the "warm.resolve" and "restore" spans.
+func (ws *WarmStore) restoreNode(cfg Config, cut uint64, h Hooks, phase func(string, time.Time, time.Time)) (*System, bool, error) {
 	for attempt := 0; ; attempt++ {
-		pdata, pbuilt, err := ws.nodeData(cfg, parent, h)
-		if err != nil {
-			return nil, err
+		var t0 time.Time
+		if phase != nil {
+			t0 = time.Now()
 		}
-		s, err := New(trunk)
+		data, built, err := ws.nodeData(cfg, cut, h)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		if err := s.Restore(bytes.NewReader(pdata)); err != nil {
-			// Poisoned ancestor: evict it from both tiers and rebuild,
-			// rather than failing this node forever.
-			pkey, _ := ForkNodeKey(cfg, parent)
-			ws.evict(pkey)
+		if phase != nil {
+			now := time.Now()
+			phase("warm.resolve", t0, now)
+			t0 = now
+		}
+		s, err := New(cfg)
+		if err != nil {
+			return nil, false, err
+		}
+		if err := s.Restore(bytes.NewReader(data)); err != nil {
+			key, _ := ForkNodeKey(cfg, cut)
+			ws.evict(key)
 			if attempt >= 1 {
-				return nil, err
+				return nil, false, err
 			}
 			continue
 		}
-		ws.accountReuse(pbuilt, cfg, parent)
-		var ck bytes.Buffer
-		hk.AtCycles = []uint64{cut}
-		hk.AtCycle = func(uint64) error {
-			if err := s.Snapshot(&ck); err != nil {
-				return err
-			}
-			return errNodeCaptured
+		if phase != nil {
+			phase("restore", t0, time.Now())
 		}
-		if _, err = s.RunWithHooks(hk); !errors.Is(err, errNodeCaptured) {
-			if err == nil {
-				err = errors.New("sim: trunk run passed its cut without checkpointing")
+		if !built {
+			ws.mu.Lock()
+			ws.stats.WarmupCyclesReused += cfg.WarmupCycles
+			if cut > cfg.WarmupCycles {
+				ws.stats.ForkCyclesReused += cut - cfg.WarmupCycles
 			}
-			return nil, err
+			ws.mu.Unlock()
 		}
-		ws.mu.Lock()
-		ws.stats.ForkMisses++
-		ws.stats.TrunkCyclesSimulated += cut - parent
-		ws.mu.Unlock()
-		ws.put(key, ck.Bytes())
-		return ck.Bytes(), nil
+		return s, built, nil
 	}
 }
 
-// accountReuse charges the cycle-reuse counters for a successful
-// restore of the node at cut. A caller that just built the node charges
-// nothing — its cycles were already recorded as simulated.
-func (ws *WarmStore) accountReuse(built bool, cfg Config, cut uint64) {
-	if built {
-		return
-	}
-	ws.mu.Lock()
-	ws.stats.WarmupCyclesReused += cfg.WarmupCycles
-	if cut > cfg.WarmupCycles {
-		ws.stats.ForkCyclesReused += cut - cfg.WarmupCycles
-	}
-	ws.mu.Unlock()
-}
-
-// RunWithHooks executes one configuration, restoring the deepest shared
-// checkpoint-tree node when an equivalent trunk has already been
-// simulated, and publishing trunk state when it has not.
-//
-// The trunk is always simulated under the *canonical* configuration —
-// cfg with its measured parameters (MaxRowHitStreak) at their zero
-// values — and every point, the builders included, measures from
-// restored trunk state. Results are therefore a deterministic function
-// of each point's configuration, independent of submission order or
-// which concurrent job happened to build which node. Points with
-// non-zero measured parameters get the shared-functional-warmup
-// methodology by construction: the policy applies from ForkAt, or from
-// the warmup boundary when ForkAt is zero. A point is bit-identical to
-// its own cold run when its measured parameters are zero or its ForkAt
-// is non-zero, because a cold run of the same Config binds them at the
-// same cycle. With non-zero measured parameters and ForkAt zero it is
-// not: the cold run applies them from cycle 0. Such a point is instead
-// bit-identical to the cold run of its Config with ForkAt set to
-// WarmupCycles.
-//
-// A cached node whose restore fails (corrupt blob-tier bytes, version
-// skew) is evicted from both tiers and re-simulated; hits are counted
-// only after a successful restore.
+// RunWithHooks executes one configuration from the checkpoint-tree node
+// at its bind cycle (Config.BindCycle), restoring the node when an
+// equivalent trunk has already been simulated and building it when it
+// has not. The store is a pure cache: the trunk is always simulated
+// under the canonical configuration (cfg with its measured parameters
+// at their zero values), and every run, cold or restored, simulates
+// exactly that up to its bind cycle, so every point — the builders
+// included — is byte-identical to its own cold run, independent of
+// submission order or which concurrent job built which node.
 func (ws *WarmStore) RunWithHooks(cfg Config, h Hooks) (Result, error) {
 	if _, cacheable := WarmKey(cfg); !cacheable {
 		ws.mu.Lock()
@@ -420,107 +379,32 @@ func (ws *WarmStore) RunWithHooks(cfg Config, h Hooks) (Result, error) {
 		ws.mu.Unlock()
 		return RunOneWithHooks(cfg, h)
 	}
-	// The store owns the checkpoint moments on cacheable runs (warm
-	// hits restore past them and would never fire a caller's hook);
-	// reject caller hooks rather than dropping them silently.
-	if h.AtWarmupEnd != nil || h.AtCycle != nil {
-		return Result{}, errors.New("sim: WarmStore owns the checkpoint hooks (AtWarmupEnd/AtCycle) for warm-cacheable configs")
+	// A restored run starts past the warmup boundary and would never
+	// fire the hook; reject it rather than dropping it silently.
+	if h.AtWarmupEnd != nil {
+		return Result{}, errors.New("sim: WarmStore cannot run an AtWarmupEnd hook on a warm-cacheable config")
 	}
-
-	// The restore point: the fork cycle when the configuration defers
-	// its measured parameters, the warmup boundary otherwise.
-	target := cfg.WarmupCycles
-	if cfg.ForkAt > target {
-		target = cfg.ForkAt
+	target := cfg.BindCycle()
+	s, built, err := ws.restoreNode(cfg, target, h, h.Phase)
+	if err != nil {
+		return Result{}, err
 	}
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-
-	for attempt := 0; ; attempt++ {
-		var t0 time.Time
-		if h.Phase != nil {
-			t0 = time.Now()
-		}
-		data, built, err := ws.nodeData(cfg, target, h)
-		if err != nil {
-			return Result{}, err
-		}
-		if h.Phase != nil {
-			now := time.Now()
-			h.Phase("warm.resolve", t0, now)
-			t0 = now
-		}
-		s, err := New(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := s.Restore(bytes.NewReader(data)); err != nil {
-			// Poisoned checkpoint: evict it from both tiers and fall
-			// through to re-warm as leader instead of failing this key
-			// on every future run.
-			if nkey, ok := ForkNodeKey(cfg, target); ok {
-				ws.evict(nkey)
-			}
-			if attempt >= 1 {
-				return Result{}, err
-			}
-			continue
-		}
-		if h.Phase != nil {
-			h.Phase("restore", t0, time.Now())
-		}
-		// Only a successful restore counts as a hit.
-		if !built {
-			ws.mu.Lock()
-			ws.stats.Hits++
-			ws.stats.WarmupCyclesReused += cfg.WarmupCycles
-			if target > cfg.WarmupCycles {
-				ws.stats.ForkHits++
-				ws.stats.ForkCyclesReused += target - cfg.WarmupCycles
-			}
-			ws.mu.Unlock()
-		}
-
-		hr := h
-		if cfg.MaxRowHitStreak == 0 {
-			// This point *is* the canonical trunk past its restore
-			// point: snapshot tree nodes at the configured cuts as the
-			// run passes them, so later forks restore instead of
-			// extending.
-			var cuts []uint64
-			for _, c := range cfg.ForkCycles {
-				if c > target && c < total {
-					cuts = append(cuts, c)
-				}
-			}
-			if len(cuts) > 0 {
-				hr.AtCycles = cuts
-				hr.AtCycle = func(cut uint64) error {
-					nkey, ok := ForkNodeKey(cfg, cut)
-					if !ok {
-						return nil
-					}
-					if _, have := ws.Checkpoint(nkey); have {
-						return nil
-					}
-					var buf bytes.Buffer
-					if err := s.Snapshot(&buf); err != nil {
-						return nil // best effort: never fail the run over a publish
-					}
-					ws.publish(nkey, buf.Bytes())
-					return nil
-				}
-			}
-		}
-
-		res, err := s.RunWithHooks(hr)
-		if err != nil {
-			return Result{}, err
-		}
+	if !built {
+		ws.mu.Lock()
+		ws.stats.Hits++
 		if target > cfg.WarmupCycles {
-			ws.mu.Lock()
-			ws.stats.BranchCyclesSimulated += total - target
-			ws.mu.Unlock()
+			ws.stats.ForkHits++
 		}
-		return res, nil
+		ws.mu.Unlock()
 	}
+	res, err := s.RunWithHooks(h)
+	if err != nil {
+		return Result{}, err
+	}
+	if target > cfg.WarmupCycles {
+		ws.mu.Lock()
+		ws.stats.BranchCyclesSimulated += cfg.WarmupCycles + cfg.MeasureCycles - target
+		ws.mu.Unlock()
+	}
+	return res, nil
 }

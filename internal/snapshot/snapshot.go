@@ -75,8 +75,9 @@ type NodeMeta struct {
 	Structural []byte
 	// Cut is the absolute engine cycle the snapshot was taken at.
 	Cut uint64
-	// ForkAt is the cycle at which deferred measured parameters bind
-	// (0 = bound from the start of the run).
+	// ForkAt is the producer's configured fork cycle (sim's
+	// Config.ForkAt; 0 = measured parameters bind at the warmup
+	// boundary).
 	ForkAt uint64
 	// Prefix names the measured-parameter trajectory the state followed
 	// up to Cut; "" is the canonical (all-zero) trunk.
