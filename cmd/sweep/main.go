@@ -15,11 +15,13 @@
 // counters are on its GET /metrics; the sweep reports only what this
 // process saw (the in-process warm ledger, wire fast-path usage).
 //
-// The in-process pool always shares checkpoints between sweep points
-// whose configurations differ only in measured parameters: the fairness
-// mode's sixteen row-hit-streak caps simulate one warmup total instead
-// of sixteen, and every point is still byte-identical to its cold run.
-// (Against a -server, enable warm starts on bumpd with its -warm flag.)
+// In fairness mode the in-process pool shares checkpoints between sweep
+// points whose configurations differ only in measured parameters: the
+// sixteen row-hit-streak caps simulate one warmup total instead of
+// sixteen, and every point is still byte-identical to its cold run. The
+// other modes' points share no warm key, so they run cold and
+// checkpoint nothing. (Against a -server, enable warm starts on bumpd
+// with its -warm flag.)
 // Adding -fork-at pushes the shared prefix past the warmup boundary:
 // the listed cycles become checkpoint-tree cuts on the canonical trunk,
 // every fairness point binds its cap at the deepest cut, and the sweep
@@ -132,7 +134,8 @@ func main() {
 		}()
 		run = cl
 	default:
-		pool = service.NewPool(service.Options{WarmStarts: true})
+		// Only fairness points share a warm key (see the package doc).
+		pool = service.NewPool(service.Options{WarmStarts: *mode == "fairness"})
 		defer pool.Close()
 		run = pool
 	}

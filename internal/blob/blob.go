@@ -1,10 +1,14 @@
 // Package blob is a content-addressed, size-bounded checkpoint store:
 // immutable blobs named by their digest (warm keys are hex
 // snapshot-derived structural digests), written atomically
-// (temp-file + rename), evicted LRU under a byte budget with
-// ref-counted GC — a blob still being read is logically evicted
-// immediately but physically deleted only when its last reader is
-// done — and rebuilt from the directory on restart.
+// (temp-file + rename), evicted LRU under a byte budget, and rebuilt
+// from the directory on restart.
+//
+// A read holds its file open: Get opens the blob under the store lock
+// and reads it outside, so an eviction or Delete that races the read
+// only unlinks the name. On Unix a file opened before its name is
+// unlinked or renamed over stays readable to the end, so the read still
+// returns the blob's bytes, and the next Get misses.
 //
 // The store backs sim.WarmStore (it satisfies sim.WarmBackend), giving
 // warm checkpoints a life beyond one process: a worker restarted on
@@ -14,6 +18,7 @@ package blob
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,13 +37,9 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// entry tracks one blob. dead marks a logically evicted blob whose
-// file lingers only for in-flight readers; its bytes are already off
-// the budget.
+// entry tracks one indexed blob; seq is its LRU stamp.
 type entry struct {
 	size int64
-	refs int
-	dead bool
 	seq  uint64
 }
 
@@ -49,9 +50,8 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	bytes   int64
 	clock   uint64
-	stats   Stats
+	stats   Stats // Bytes is the live total; Blobs and Capacity are filled by Stats
 	closed  bool
 }
 
@@ -105,7 +105,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	for _, f := range found {
 		s.clock++
 		s.entries[f.key] = &entry{size: f.size, seq: s.clock}
-		s.bytes += f.size
+		s.stats.Bytes += f.size
 	}
 	s.evictLocked("")
 	return s, nil
@@ -140,17 +140,7 @@ func (s *Store) Put(key string, data []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("blob: store closed")
 	}
-	if e, ok := s.entries[key]; ok {
-		if e.dead {
-			// Logically evicted but the file survives for a reader:
-			// resurrect it instead of racing its deferred delete.
-			e.dead = false
-			s.bytes += e.size
-			s.clock++
-			e.seq = s.clock
-			s.stats.Puts++
-			s.evictLocked(key)
-		}
+	if _, ok := s.entries[key]; ok {
 		s.mu.Unlock()
 		return nil
 	}
@@ -169,125 +159,93 @@ func (s *Store) Put(key string, data []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok && !e.dead {
+	if _, ok := s.entries[key]; ok {
 		os.Remove(tmp.Name())
 		return nil // concurrent identical put won the race
 	}
-	// Rename under the lock, so no deferred delete can remove the file
-	// between the rename and the index update below.
+	// Rename under the lock: every unlink also runs under it, so the
+	// file at a key's path is always the indexed entry's.
 	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("blob: %w", err)
 	}
 	s.clock++
 	s.entries[key] = &entry{size: int64(len(data)), seq: s.clock}
-	s.bytes += int64(len(data))
+	s.stats.Bytes += int64(len(data))
 	s.stats.Puts++
 	s.evictLocked(key)
 	return nil
 }
 
-// evictLocked enforces the byte budget, LRU first. Blobs with open
-// readers are marked dead (off the budget, unreachable for new Gets)
-// and their files deleted when the last reader finishes. keep is never
+// evictLocked enforces the byte budget, LRU first. keep is never
 // evicted (the blob just inserted).
 func (s *Store) evictLocked(keep string) {
-	for s.bytes > s.max {
+	for s.stats.Bytes > s.max {
 		victim := ""
 		var ve *entry
 		for k, e := range s.entries {
-			if k == keep || e.dead {
-				continue
-			}
-			if ve == nil || e.seq < ve.seq {
+			if k != keep && (ve == nil || e.seq < ve.seq) {
 				victim, ve = k, e
 			}
 		}
 		if ve == nil {
 			return
 		}
-		s.bytes -= ve.size
 		s.stats.Evictions++
-		if ve.refs > 0 {
-			ve.dead = true // deferred delete: a Get is still reading it
-			continue
-		}
-		delete(s.entries, victim)
-		os.Remove(s.path(victim))
+		s.removeLocked(victim, ve)
 	}
 }
 
-// decRefLocked releases one reader reference, completing a deferred
-// eviction when the last reader of a dead blob finishes.
-func (s *Store) decRefLocked(key string, e *entry) {
-	e.refs--
-	if e.refs == 0 && e.dead {
-		s.unlinkLocked(key, e)
-	}
-}
-
-// dropLocked removes a live entry whose file turned out to be
-// unreadable (deleted or corrupted out of band).
-func (s *Store) dropLocked(key string, e *entry) {
-	if !e.dead && s.entries[key] == e {
-		s.bytes -= e.size
-	}
-	s.unlinkLocked(key, e)
-}
-
-// unlinkLocked unindexes e and deletes key's file. A different entry
-// indexed under key is a live replacement that a concurrent Put
-// indexed after e died; the file is then the replacement's and stays.
-func (s *Store) unlinkLocked(key string, e *entry) {
-	if cur, ok := s.entries[key]; ok && cur != e {
+// removeLocked unindexes e and unlinks key's file, unless the index no
+// longer holds e under key: then the key was removed and put again
+// meanwhile, and the file is the live replacement's.
+func (s *Store) removeLocked(key string, e *entry) {
+	if s.entries[key] != e {
 		return
 	}
 	delete(s.entries, key)
+	s.stats.Bytes -= e.size
 	os.Remove(s.path(key))
 }
 
 // Delete removes a blob out of LRU order — the warm store's poisoning
 // path: bytes whose restore failed must not satisfy any future Get. A
-// blob still being read is marked dead and its file removed when the
-// last reader is done, like an eviction.
+// Get already reading the blob finishes on its open file.
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok || e.dead {
-		return
+	if e, ok := s.entries[key]; ok {
+		s.removeLocked(key, e)
 	}
-	s.bytes -= e.size
-	if e.refs > 0 {
-		e.dead = true
-		return
-	}
-	delete(s.entries, key)
-	os.Remove(s.path(key))
 }
 
-// Get returns the blob's bytes.
+// Get returns the blob's bytes. It opens the file under the lock, so
+// the file is the indexed entry's, and reads it outside.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if !ok || e.dead {
+	if !ok {
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	e.refs++
+	f, err := os.Open(s.path(key))
 	s.clock++
 	e.seq = s.clock
 	s.mu.Unlock()
 
-	data, err := os.ReadFile(s.path(key))
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(f)
+		f.Close()
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.decRefLocked(key, e)
 	if err != nil {
+		// The file was deleted or became unreadable out of band.
 		s.stats.Misses++
-		s.dropLocked(key, e)
+		s.removeLocked(key, e)
 		return nil, false
 	}
 	s.stats.Hits++
@@ -300,12 +258,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Capacity = s.max
-	st.Bytes = s.bytes
-	for _, e := range s.entries {
-		if !e.dead {
-			st.Blobs++
-		}
-	}
+	st.Blobs = len(s.entries)
 	return st
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -47,75 +47,6 @@ func TestPutGetRoundtrip(t *testing.T) {
 	st := s.Stats()
 	if st.Blobs != 1 || st.Puts != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestEvictionSparesInFlightRead: evicting a blob while a Get still
-// holds its reference must not delete the file under the read — the
-// blob goes logically dead at once (a miss for new readers, off the
-// budget) and its file is deleted when that reference is released.
-func TestEvictionSparesInFlightRead(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, 100)
-	if err := s.Put(key(0), bytes.Repeat([]byte{0xAA}, 80)); err != nil {
-		t.Fatal(err)
-	}
-	// Take the reference Get holds across its file read.
-	s.mu.Lock()
-	e := s.entries[key(0)]
-	e.refs++
-	s.mu.Unlock()
-
-	if err := s.Put(key(1), bytes.Repeat([]byte{0xBB}, 60)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(key(0)); ok {
-		t.Fatal("evicted blob still served to new readers")
-	}
-	if st := s.Stats(); st.Bytes > 100 || st.Evictions == 0 {
-		t.Fatalf("budget not reclaimed under an in-flight read: %+v", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, key(0))); err != nil {
-		t.Fatal("blob file deleted while a reader held it")
-	}
-
-	s.mu.Lock()
-	s.decRefLocked(key(0), e)
-	s.mu.Unlock()
-	if _, err := os.Stat(filepath.Join(dir, key(0))); !os.IsNotExist(err) {
-		t.Fatalf("deferred delete did not run when the read finished: %v", err)
-	}
-}
-
-// TestDeferredDeleteSparesLiveReplacement: a Put that began before a
-// key's entry existed re-indexes the key under a fresh entry once that
-// entry is dead. When the dead entry's last reader then finishes, its
-// deferred delete must leave the replacement's file in place.
-func TestDeferredDeleteSparesLiveReplacement(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 1<<20)
-	data := []byte("checkpoint bytes")
-	if err := s.Put(key(0), data); err != nil {
-		t.Fatal(err)
-	}
-	// Take the reference Get holds across its file read.
-	s.mu.Lock()
-	e := s.entries[key(0)]
-	e.refs++
-	s.mu.Unlock()
-
-	s.Delete(key(0)) // marks the read entry dead
-
-	// Put's second half: its file is in place and the indexed entry is
-	// dead, so it indexes a fresh one.
-	s.mu.Lock()
-	s.clock++
-	s.entries[key(0)] = &entry{size: int64(len(data)), seq: s.clock}
-	s.bytes += int64(len(data))
-	s.decRefLocked(key(0), e) // the read finishes
-	s.mu.Unlock()
-
-	if got, ok := s.Get(key(0)); !ok || !bytes.Equal(got, data) {
-		t.Fatalf("live replacement lost its file: ok=%v %q", ok, got)
 	}
 }
 
@@ -195,27 +126,78 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentPutGetChurn hammers overlapping keys under the race
-// detector; invariants (budget, no panics, served bytes intact) hold.
+// TestConcurrentPutGetChurn hammers overlapping keys with Puts, Gets
+// and Deletes under the race detector, once in a store roomy enough
+// that nothing is evicted and once in one whose budget makes evictions
+// race the reads. Every Get that hits returns the key's exact bytes,
+// the budget holds, the directory holds exactly the indexed blobs, and
+// in the roomy store a key put again after a Delete is served.
 func TestConcurrentPutGetChurn(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 2_000)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				k := key(i % 10)
-				want := strings.Repeat("x", 100+i%10)
-				s.Put(k, []byte(want))
-				if got, ok := s.Get(k); ok && len(got) != len(want) {
-					t.Errorf("blob %s: %d bytes, want %d", k, len(got), len(want))
+	blobOf := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 100+i) }
+	const shared, goroutines = 10, 8
+	for _, budget := range []int64{4_000, 500} {
+		roomy := budget == 4_000
+		dir := t.TempDir()
+		s := mustOpen(t, dir, budget)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				own := shared + g // no other goroutine touches this key
+				for i := 0; i < 50; i++ {
+					k := i % shared
+					if err := s.Put(key(k), blobOf(k)); err != nil {
+						t.Error(err)
+					}
+					if got, ok := s.Get(key(k)); ok && !bytes.Equal(got, blobOf(k)) {
+						t.Errorf("blob %d: served bytes differ from the put ones", k)
+					}
+					if i%goroutines == g {
+						s.Delete(key(k))
+					}
+
+					s.Delete(key(own))
+					if err := s.Put(key(own), blobOf(own)); err != nil {
+						t.Error(err)
+					}
+					got, ok := s.Get(key(own))
+					switch {
+					case ok && !bytes.Equal(got, blobOf(own)):
+						t.Errorf("blob %d: served bytes differ from the put ones", own)
+					case !ok && roomy:
+						t.Errorf("blob %d put again after a Delete is not served", own)
+					}
 				}
+			}(g)
+		}
+		wg.Wait()
+
+		st := s.Stats()
+		if st.Bytes > budget {
+			t.Fatalf("budget %d exceeded: %+v", budget, st)
+		}
+		if roomy != (st.Evictions == 0) {
+			t.Fatalf("budget %d: %d evictions", budget, st.Evictions)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held int64
+		for _, f := range files {
+			i, err := strconv.ParseInt(f.Name(), 16, 64)
+			if err != nil {
+				t.Fatalf("stray file %s", f.Name())
 			}
-		}(g)
-	}
-	wg.Wait()
-	if st := s.Stats(); st.Bytes > 2_000 {
-		t.Fatalf("budget exceeded: %+v", st)
+			got, ok := s.Get(f.Name())
+			if !ok || !bytes.Equal(got, blobOf(int(i)-1)) {
+				t.Fatalf("file %s: indexed %v, bytes intact %v", f.Name(), ok, bytes.Equal(got, blobOf(int(i)-1)))
+			}
+			held += int64(len(got))
+		}
+		if st := s.Stats(); st.Blobs != len(files) || st.Bytes != held {
+			t.Fatalf("index holds %d blobs of %d bytes, directory %d of %d", st.Blobs, st.Bytes, len(files), held)
+		}
 	}
 }

@@ -108,29 +108,65 @@ func (c *Coordinator) Job(ctx context.Context, id string) (service.JobStatus, er
 
 // Cancel aborts a job: a placed one on its worker, an unplaced one in
 // the store, where its driver sees the terminal record and stands down.
+// A job whose worker job another unfinished job follows too (the
+// worker's pool coalesced their identical specs) is canceled in the
+// store alone, so the other runs on; its driver is ended at once.
 func (c *Coordinator) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
+	rec, wk, err := c.cancelRecord(id)
+	switch {
+	case err != nil:
+		return service.JobStatus{}, err
+	case wk == nil:
+		return statusFromRecord(rec), nil
+	}
+	st, err := wk.Client.Cancel(ctx, rec.Local)
+	if err != nil {
+		return service.JobStatus{}, coerceAPIError(err)
+	}
+	st.ID = rec.ID
+	return st, nil
+}
+
+// cancelRecord returns the worker Cancel must forward to, or else
+// stores the job canceled and, if the job is placed, ends its driver.
+// An unplaced job's driver is left to finish its placement, so that it
+// learns the worker job to cancel. cancelRecord runs under c.mu: of two
+// jobs sharing one worker job and canceled at once, the second sees the
+// first canceled and forwards.
+func (c *Coordinator) cancelRecord(id string) (JobRecord, *Worker, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	rec, ok := c.store.Job(id)
 	switch {
 	case !ok:
-		return service.JobStatus{}, unknownJob(id)
+		return rec, nil, unknownJob(id)
 	case rec.State.Terminal():
-		return service.JobStatus{}, fmt.Errorf("%w: %s", service.ErrTerminal, id)
+		return rec, nil, fmt.Errorf("%w: %s", service.ErrTerminal, id)
 	}
-	if rec.Worker != "" {
-		if wk, okw := c.reg.Worker(rec.Worker); okw {
-			st, err := wk.Client.Cancel(ctx, rec.Local)
-			if err != nil {
-				return service.JobStatus{}, coerceAPIError(err)
-			}
-			st.ID = rec.ID
-			return st, nil
-		}
+	if wk, ok := c.reg.Worker(rec.Worker); ok && !c.sharedLocal(id, rec.Worker, rec.Local) {
+		return rec, wk, nil
 	}
 	rec.State = service.StateCanceled
-	if err := c.store.PutJob(rec); err != nil {
-		return service.JobStatus{}, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
+	if err := c.store.PutJob(rec); errors.Is(err, service.ErrTerminal) {
+		return rec, nil, err
+	} else if err != nil {
+		return rec, nil, &service.APIError{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
-	return statusFromRecord(rec), nil
+	if stop, ok := c.stops[id]; ok && rec.Local != "" {
+		stop()
+	}
+	return rec, nil, nil
+}
+
+// sharedLocal reports whether an unfinished job other than id follows
+// the worker job local on worker.
+func (c *Coordinator) sharedLocal(id, worker, local string) bool {
+	for _, j := range c.store.Jobs() {
+		if local != "" && j.ID != id && !j.State.Terminal() && j.Worker == worker && j.Local == local {
+			return true
+		}
+	}
+	return false
 }
 
 // Watch follows a job to its terminal state through its driver: it

@@ -815,3 +815,72 @@ func TestClusterE2ERestartWithShorterFleet(t *testing.T) {
 		t.Errorf("%d jobs ran on the dropped worker a after the restart", n)
 	}
 }
+
+// TestClusterE2ECancelSparesCoalescedJob: two coordinator jobs with the
+// same spec coalesce onto one job on their worker. Canceling the first
+// cancels it alone: its watch ends canceled while the worker still runs
+// the shared job, and the second runs on to done on that one execution,
+// byte-identical to the single-node run.
+func TestClusterE2ECancelSparesCoalescedJob(t *testing.T) {
+	ctx := context.Background()
+	fleet := newTestFleet(t, 1, service.Options{Workers: 1, WarmStarts: true})
+	coord := newTestCoordinator(t, fleet)
+	spec := service.JobSpec{Workload: "web-search", Mechanism: "bump",
+		WarmupCycles: 200_000, MeasureCycles: 2_000_000}
+
+	var ids [2]string
+	for i := range ids {
+		st, err := coord.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	first, _ := coord.Store().Job(ids[0])
+	if second, _ := coord.Store().Job(ids[1]); first.Local == "" || second.Local != first.Local {
+		t.Fatalf("jobs %s and %s run as worker jobs %q and %q, want one coalesced job", ids[0], ids[1], first.Local, second.Local)
+	}
+	local := first.Local
+	for {
+		st, err := fleet[0].pool.Job(ctx, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == service.StateRunning {
+			break
+		}
+		if st.State.Terminal() {
+			t.Fatalf("worker job %s ended %s before the cancel", local, st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan service.JobStatus, 1)
+	go func() {
+		st, err := coord.Watch(ctx, ids[1], nil)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- st
+	}()
+	if _, err := coord.Cancel(ctx, ids[0]); err != nil {
+		t.Fatalf("cancel %s: %v", ids[0], err)
+	}
+	if st, err := coord.Watch(ctx, ids[0], nil); err != nil || st.State != service.StateCanceled {
+		t.Fatalf("watch %s after its cancel: %v, state %s", ids[0], err, st.State)
+	}
+	if st, err := fleet[0].pool.Job(ctx, local); err != nil || st.State != service.StateRunning {
+		t.Errorf("worker job %s after the first cancel: %v, state %s; want it still running", local, err, st.State)
+	}
+
+	st := <-done
+	if st.State != service.StateDone || st.Result == nil {
+		t.Fatalf("job %s sharing the canceled job's execution ended %s (%s)", ids[1], st.State, st.Error)
+	}
+	if got, want := resultJSON(t, *st.Result), singleNodeReference(t, []service.JobSpec{spec})[0]; got != want {
+		t.Error("the surviving job's result diverges from the single-node run")
+	}
+	if n := fleet[0].pool.Stats().Executions; n != 1 {
+		t.Errorf("worker pool ran %d executions, want the one shared job", n)
+	}
+}

@@ -75,7 +75,9 @@ type Coordinator struct {
 	mu sync.Mutex
 	// tracks holds, per job a driver is carrying, the progress channels
 	// of its watchers; the driver closes them once the job has ended.
-	tracks   map[string]map[chan sim.Progress]struct{}
+	tracks map[string]map[chan sim.Progress]struct{}
+	// stops ends, per job a driver is carrying, the driver's context.
+	stops    map[string]context.CancelFunc
 	retained []string // terminal job IDs, oldest first
 
 	// wireAddr is the coordinator's own advertised binary listener (set
@@ -116,6 +118,7 @@ func New(ctx context.Context, opts Options) (*Coordinator, error) {
 		ctx:    rctx,
 		cancel: cancel,
 		tracks: make(map[string]map[chan sim.Progress]struct{}),
+		stops:  make(map[string]context.CancelFunc),
 		tracer: opts.Tracer,
 		log:    opts.Logger,
 	}
@@ -189,25 +192,28 @@ func applyStatus(rec *JobRecord, st service.JobStatus) {
 }
 
 // spawn opens a job's track and starts the driver that carries it to a
-// terminal state.
+// terminal state, under a context of its own that Cancel can end.
 func (c *Coordinator) spawn(id string) {
+	ctx, stop := context.WithCancel(c.ctx)
 	c.mu.Lock()
 	c.tracks[id] = make(map[chan sim.Progress]struct{})
+	c.stops[id] = stop
 	c.mu.Unlock()
 	c.wg.Add(1)
-	go c.drive(id)
+	go c.drive(ctx, id)
 }
 
 // drive runs one job's driver and closes its track when the driver
 // ends: after finish has persisted the terminal record, or when the
 // coordinator closes.
-func (c *Coordinator) drive(id string) {
+func (c *Coordinator) drive(ctx context.Context, id string) {
 	defer c.wg.Done()
 	defer c.untrack(id)
-	c.driveJob(id)
+	c.driveJob(ctx, id)
 }
 
-// untrack closes a job's track, ending every watch of it.
+// untrack closes a job's track, ending every watch of it, and releases
+// the driver's context.
 func (c *Coordinator) untrack(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -215,6 +221,8 @@ func (c *Coordinator) untrack(id string) {
 		close(ch)
 	}
 	delete(c.tracks, id)
+	c.stops[id]()
+	delete(c.stops, id)
 }
 
 // relay returns the driver's progress callback for a job: each snapshot
@@ -241,8 +249,10 @@ func (c *Coordinator) relay(id string) func(sim.Progress) {
 // eligible again once the registry readmits them). Re-execution after
 // failover is safe because results are a deterministic function of the
 // configuration — and a re-submission to a worker still running the job
-// coalesces onto the in-flight execution by config hash.
-func (c *Coordinator) driveJob(id string) {
+// coalesces onto the in-flight execution by config hash. ctx is the
+// job's own: once Cancel has stored the job canceled and ended it, the
+// driver re-reads the record and settles it.
+func (c *Coordinator) driveJob(ctx context.Context, id string) {
 	tried := make(map[string]bool)
 	for {
 		rec, ok := c.store.Job(id)
@@ -253,6 +263,9 @@ func (c *Coordinator) driveJob(id string) {
 			c.finish(rec, false)
 			return
 		}
+		if ctx.Err() != nil {
+			return
+		}
 		if rec.Worker == "" {
 			if c.tracer != nil {
 				// Begin is idempotent; recovered jobs get their ID minted
@@ -261,19 +274,18 @@ func (c *Coordinator) driveJob(id string) {
 				rec.Spec.TraceID = c.tracer.Begin(id, rec.Spec.TraceID)
 			}
 			routeT0 := time.Now()
-			st, wk, err := c.place(c.ctx, rec.Key, rec.Spec, tried)
+			st, wk, err := c.place(ctx, rec.Key, rec.Spec, tried)
 			switch {
 			case errors.Is(err, ErrNoWorkers):
 				tried = make(map[string]bool)
 				select {
-				case <-c.ctx.Done():
-					return
+				case <-ctx.Done():
 				case <-time.After(c.opts.RetryInterval):
 				}
 				continue
 			case err != nil:
-				if c.ctx.Err() != nil {
-					return
+				if ctx.Err() != nil {
+					continue
 				}
 				// Client fault (or every worker rejecting the spec):
 				// failing over further would only repeat the rejection.
@@ -290,9 +302,11 @@ func (c *Coordinator) driveJob(id string) {
 			c.log.Debug("job placed", "job", id, "trace", rec.Spec.TraceID,
 				"worker", wk.ID, "key", rec.Key)
 			// A cancel may have landed while the job was unplaced; don't
-			// resurrect it.
+			// resurrect it, nor end a worker job another job follows.
 			if cur, ok := c.store.Job(id); ok && cur.State.Terminal() {
-				wk.Client.Cancel(c.ctx, st.ID)
+				if !c.sharedLocal(id, wk.URL, st.ID) {
+					wk.Client.Cancel(ctx, st.ID)
+				}
 				c.finish(cur, false)
 				return
 			}
@@ -313,13 +327,13 @@ func (c *Coordinator) driveJob(id string) {
 		var err error
 		awaitT0 := time.Now()
 		if okw {
-			st, err = c.follow(c.ctx, wk, rec.Local, c.relay(id))
+			st, err = c.follow(ctx, wk, rec.Local, c.relay(id))
 		} else {
 			err = fmt.Errorf("cluster: worker %s is not in the fleet", rec.Worker)
 			c.cancelDropped(rec.Worker, rec.Local)
 		}
-		if c.ctx.Err() != nil {
-			return
+		if ctx.Err() != nil {
+			continue // the loop top settles a canceled job
 		}
 		if err == nil {
 			c.span(id, "await", awaitT0, time.Now(),

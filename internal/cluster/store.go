@@ -218,10 +218,15 @@ func (s *Store) NextJobID() string {
 	return fmt.Sprintf("c%08d", s.jobSeq)
 }
 
-// PutJob durably upserts a job record.
+// PutJob durably upserts a job record. A terminal record is final:
+// PutJob over one writes nothing and returns service.ErrTerminal, so a
+// driver's late write never replaces the record Cancel stored.
 func (s *Store) PutJob(j JobRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cur, ok := s.jobs[j.ID]; ok && cur.State.Terminal() {
+		return fmt.Errorf("%w: %s", service.ErrTerminal, j.ID)
+	}
 	if err := s.appendLocked(recJob, j); err != nil {
 		return err
 	}

@@ -3,10 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-
-	"bump/internal/sim"
 )
 
 // BatchSpec is the wire format of POST /v1/batch: a whole sweep in one
@@ -61,92 +58,41 @@ const MaxBatchPoints = 4096
 // to a configuration. RunBatch and the POST /v1/batch handler check it
 // before submitting anything, so a rejected batch executes no point.
 func (b BatchSpec) Validate() error {
-	_, err := b.configs()
-	return err
-}
-
-// configs is Validate returning every point's resolved configuration.
-func (b BatchSpec) configs() ([]sim.Config, error) {
 	if len(b.Specs) == 0 {
-		return nil, fmt.Errorf("service: empty batch")
+		return fmt.Errorf("service: empty batch")
 	}
 	if len(b.Specs) > MaxBatchPoints {
-		return nil, fmt.Errorf("service: batch of %d points exceeds the %d-point limit", len(b.Specs), MaxBatchPoints)
+		return fmt.Errorf("service: batch of %d points exceeds the %d-point limit", len(b.Specs), MaxBatchPoints)
 	}
-	cfgs := make([]sim.Config, len(b.Specs))
 	for i, s := range b.Specs {
-		cfg, err := s.Config()
-		if err != nil {
-			return nil, fmt.Errorf("service: batch point %d: %w", i, err)
+		if _, err := s.Config(); err != nil {
+			return fmt.Errorf("service: batch point %d: %w", i, err)
 		}
-		cfgs[i] = cfg
 	}
-	return cfgs, nil
-}
-
-// planBatch returns the submission order for a batch whose points
-// resolved to cfgs: points are grouped by the checkpoint-tree ancestor
-// they restore — the structural warm key plus the restore cut — with
-// shallower cuts first within a structural family. A sweep whose points
-// fork from a shared trunk is therefore dispatched trunk-prefix first:
-// the single-flight warm store sees the shallow builders lead and the
-// branches park as waiters, instead of an arbitrary point racing to
-// rebuild an ancestor another point is already simulating. The result
-// is a permutation of spec indices; per-point results are still
-// reported by original index.
-func planBatch(spec BatchSpec, cfgs []sim.Config) []int {
-	type pt struct {
-		idx int
-		key string // structural warm key
-		cut uint64 // restore cut: the bind cycle
-		pri int    // user priority, preserved as the leading sort key
-	}
-	pts := make([]pt, len(cfgs))
-	for i, cfg := range cfgs {
-		// Every resolved config has a warm key: a zero warmup selects
-		// the default window.
-		key, _ := sim.WarmKey(cfg)
-		pts[i] = pt{idx: i, key: key, cut: cfg.BindCycle(), pri: spec.Specs[i].Priority}
-	}
-	sort.SliceStable(pts, func(a, b int) bool {
-		pa, pb := pts[a], pts[b]
-		if pa.pri != pb.pri {
-			return pa.pri > pb.pri
-		}
-		if pa.key != pb.key {
-			return pa.key < pb.key
-		}
-		return pa.cut < pb.cut
-	})
-	order := make([]int, len(pts))
-	for i, p := range pts {
-		order[i] = p.idx
-	}
-	return order
+	return nil
 }
 
 // RunBatch executes every point of a batch on b: it validates the
-// batch, submits every point in planBatch order, then follows each
+// batch, submits every point in the caller's order, then follows each
 // through b.Watch, invoking onPoint (which may be nil) from a single
 // goroutine at a time as each point completes. It returns the aggregate
 // in submission order. Duplicate specs within the batch coalesce like
-// any concurrent submissions. A canceled ctx abandons the watches
+// any concurrent submissions, and points that share a checkpoint-tree
+// node share its one build through the warm store's single-flight,
+// whichever is submitted first. A canceled ctx abandons the watches
 // (submitted jobs run on — they may be coalesced with other clients'
 // submissions) and returns with the unfinished points marked failed.
 func RunBatch(ctx context.Context, b Backend, spec BatchSpec, onPoint func(BatchPoint)) (BatchResult, error) {
-	cfgs, err := spec.configs()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return BatchResult{}, err
 	}
 
 	res := BatchResult{Points: make([]BatchPoint, len(spec.Specs))}
 	// Submit everything up front so the backend sees the whole sweep
 	// (coalescing duplicates), then watch per point concurrently.
-	// Submission order groups points by shared checkpoint-tree ancestor
-	// (see planBatch); results stay indexed by the caller's order.
 	ids := make([]string, len(spec.Specs))
-	for _, i := range planBatch(spec, cfgs) {
-		st, err := b.Submit(ctx, spec.Specs[i])
+	for i, ps := range spec.Specs {
+		st, err := b.Submit(ctx, ps)
 		if err != nil {
 			return BatchResult{}, fmt.Errorf("service: batch point %d: %w", i, err)
 		}

@@ -2,14 +2,39 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+
+	"bump/internal/sim"
 )
 
-// TestPlanBatchGroupsByAncestor: submission order groups points by
-// their checkpoint-tree ancestor, shallower restore cuts first within a
-// structural family, with user priority still the leading key.
-func TestPlanBatchGroupsByAncestor(t *testing.T) {
+// recordingBackend records the specs submitted to it, in order, and
+// answers every watch with done. It runs nothing.
+type recordingBackend struct {
+	Backend // the methods RunBatch does not call stay nil
+	mu      sync.Mutex
+	got     []JobSpec
+}
+
+func (b *recordingBackend) Submit(_ context.Context, spec JobSpec) (JobStatus, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.got = append(b.got, spec)
+	return JobStatus{ID: fmt.Sprintf("r%d", len(b.got)), State: StateQueued}, nil
+}
+
+func (b *recordingBackend) Watch(_ context.Context, id string, _ func(sim.Progress)) (JobStatus, error) {
+	return JobStatus{ID: id, State: StateDone}, nil
+}
+
+// TestRunBatchSubmitsInCallerOrder: RunBatch submits a batch in the
+// caller's order, a point forked past the warmup boundary ahead of the
+// root-cut point whose trunk it extends included (the warm store builds
+// each node once, whoever asks first), and reports every point under
+// its own index.
+func TestRunBatchSubmitsInCallerOrder(t *testing.T) {
 	base := JobSpec{Workload: "web-search", Mechanism: "bump",
 		WarmupCycles: 60_000, MeasureCycles: 120_000}
 	deep := base
@@ -18,30 +43,24 @@ func TestPlanBatchGroupsByAncestor(t *testing.T) {
 	deep.ForkCycles = []uint64{120_000}
 	deep2 := deep
 	deep2.MaxRowHitStreak = 7
-	plan := func(spec BatchSpec) []int {
-		cfgs, err := spec.configs()
-		if err != nil {
-			t.Fatal(err)
+	specs := []JobSpec{deep, base, deep2}
+
+	rec := &recordingBackend{}
+	res, err := RunBatch(context.Background(), rec, BatchSpec{Specs: specs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.got, specs) {
+		streaks := make([]int, len(rec.got))
+		for i, s := range rec.got {
+			streaks[i] = s.MaxRowHitStreak
 		}
-		return planBatch(spec, cfgs)
+		t.Fatalf("submitted streak caps %v, want the caller's order [3 0 7]", streaks)
 	}
-
-	got := plan(BatchSpec{Specs: []JobSpec{deep, base, deep2}})
-	// Root-cut point (base, index 1) leads its family; the two deep
-	// forks follow in submission order.
-	want := []int{1, 0, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planBatch order %v, want %v", got, want)
-	}
-
-	// Priority outranks grouping: a high-priority deep fork jumps the
-	// whole family.
-	urgent := deep
-	urgent.Priority = 5
-	got = plan(BatchSpec{Specs: []JobSpec{deep, base, urgent}})
-	want = []int{2, 1, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planBatch priority order %v, want %v", got, want)
+	for i, pt := range res.Points {
+		if id := fmt.Sprintf("r%d", i+1); pt.Index != i || pt.Status.ID != id {
+			t.Errorf("point %d: index %d, job %s; want job %s", i, pt.Index, pt.Status.ID, id)
+		}
 	}
 }
 

@@ -2,15 +2,19 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"bump/internal/blob"
 	"bump/internal/sim"
+	"bump/internal/snapshot"
 )
 
 // longSpec is big enough that it cannot finish before the test reacts
@@ -360,47 +364,24 @@ func TestWarmSweepReusesCheckpoint(t *testing.T) {
 // directory spills its warm checkpoint there, so a fresh pool reopened
 // on the same directory (a bumpd restarted with the same -warm-dir)
 // restores the warmup instead of simulating it, and answers exactly as
-// one warm pool running the whole sweep does.
+// one warm pool running the whole sweep does. A checkpoint of an older
+// snapshot format (a store written by an earlier build) fails its
+// restore, is deleted from the store, and is re-warmed exactly once.
 func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
 	point := func(streak int) JobSpec {
 		s := specFixture()
 		s.MaxRowHitStreak = streak
 		return s
 	}
-
-	bs, err := blob.Open(dir, 0)
+	cfg, err := point(0).Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := NewPool(Options{Workers: 1, WarmBackend: bs, ProgressInterval: 5_000})
-	if _, err := runSpec(ctx, first, point(0)); err != nil {
-		t.Fatal(err)
-	}
-	first.Close()
-	bs.Close()
-
-	reopened, err := blob.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(reopened.Close)
-	restarted := newTestPool(t, Options{Workers: 1, WarmBackend: reopened})
-	got, err := runSpec(ctx, restarted, point(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := restarted.Stats().Warm; st.Hits != 1 || st.WarmupCyclesSimulated != 0 {
-		t.Fatalf("restarted pool: %d warm hits, %d warmup cycles simulated; want 1 hit and none", st.Hits, st.WarmupCyclesSimulated)
-	}
+	key, _ := sim.WarmKey(cfg)
 
 	ref := newTestPool(t, Options{Workers: 1, WarmStarts: true})
 	want, err := runSpec(ctx, ref, point(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +389,74 @@ func TestRestartedPoolRestoresFromBlobStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(gotJSON) != string(wantJSON) {
-		t.Error("restored run diverges from a single warm pool's result")
+
+	for _, tc := range []struct {
+		name      string
+		version   uint16 // the stored checkpoint's format version
+		hits      uint64 // warm ledger of the restarted pool
+		misses    uint64
+		evictions uint64
+	}{
+		{"current format", snapshot.FormatVersion, 1, 0, 0},
+		{"older format", snapshot.FormatVersion - 1, 0, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			bs, err := blob.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := NewPool(Options{Workers: 1, WarmBackend: bs, ProgressInterval: 5_000})
+			if _, err := runSpec(ctx, first, point(0)); err != nil {
+				t.Fatal(err)
+			}
+			first.Close()
+			bs.Close()
+
+			// The container's format version is its bytes 8-9.
+			path := filepath.Join(dir, key)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint16(data[8:], tc.version)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, err := blob.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(reopened.Close)
+			restarted := newTestPool(t, Options{Workers: 1, WarmBackend: reopened})
+			got, err := runSpec(ctx, restarted, point(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := restarted.Stats().Warm
+			if st.Hits != tc.hits || st.Misses != tc.misses || st.Evicted != tc.evictions {
+				t.Fatalf("restarted pool: %d hits, %d misses, %d evicted; want %d, %d, %d",
+					st.Hits, st.Misses, st.Evicted, tc.hits, tc.misses, tc.evictions)
+			}
+			if want := tc.misses * cfg.WarmupCycles; st.WarmupCyclesSimulated != want {
+				t.Fatalf("restarted pool simulated %d warmup cycles, want %d", st.WarmupCyclesSimulated, want)
+			}
+			stored, ok := reopened.Get(key)
+			if !ok {
+				t.Fatal("blob store lost the warm checkpoint")
+			}
+			if v := binary.LittleEndian.Uint16(stored[8:]); v != snapshot.FormatVersion {
+				t.Fatalf("blob store serves a format-%d checkpoint, want %d", v, snapshot.FormatVersion)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotJSON) != string(wantJSON) {
+				t.Error("restored run diverges from a single warm pool's result")
+			}
+		})
 	}
 }
 

@@ -51,9 +51,9 @@ func structuralDigest(cfg Config) ([32]byte, error) {
 // state has followed up to absolute cycle `at`: "" up to the bind cycle,
 // or whenever every measured parameter holds its canonical zero value
 // (the shared trunk), else the bound values and their bind cycle.
-// Snapshots embed it in their node metadata so a restore can refuse
-// state whose pre-cut trajectory diverges from what the target config
-// would have simulated.
+// Snapshots write it as the last field of their meta section so a
+// restore can refuse state whose pre-cut trajectory diverges from what
+// the target config would have simulated.
 func latePrefix(cfg Config, at uint64) string {
 	bind := cfg.BindCycle()
 	if cfg.MaxRowHitStreak == 0 || at <= bind {
@@ -159,12 +159,6 @@ func (s *System) writeState(w *snapshot.Writer) error {
 	if err != nil {
 		return fmt.Errorf("sim: snapshot: %w", err)
 	}
-	w.SetNodeMeta(snapshot.NodeMeta{
-		Structural: digest[:],
-		Cut:        s.eng.Now(),
-		ForkAt:     s.cfg.ForkAt,
-		Prefix:     latePrefix(s.cfg, s.eng.Now()),
-	})
 	w.Section("meta")
 	w.Bytes(digest[:])
 	w.U8(uint8(s.cfg.Mechanism))
@@ -172,6 +166,7 @@ func (s *System) writeState(w *snapshot.Writer) error {
 	w.I64(s.cfg.Seed)
 	w.U32(uint32(s.cfg.Cores))
 	w.U64(s.eng.Now())
+	w.String(latePrefix(s.cfg, s.eng.Now()))
 
 	if err := s.eng.Snapshot(w, s.encodeEventObj); err != nil {
 		return fmt.Errorf("sim: snapshot: %w", err)
@@ -304,6 +299,7 @@ func (s *System) readState(r *snapshot.Reader) error {
 	seed := r.I64()
 	cores := r.U32()
 	cycle := r.U64()
+	prefix := r.String()
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -315,10 +311,9 @@ func (s *System) readState(r *snapshot.Reader) error {
 	// match what this configuration would itself have simulated. Up to
 	// the bind cycle that is the canonical trunk for every
 	// configuration, which is what lets siblings share a node.
-	meta := r.NodeMeta()
-	if want := latePrefix(s.cfg, meta.Cut); meta.Prefix != want {
+	if want := latePrefix(s.cfg, cycle); prefix != want {
 		return fmt.Errorf("sim: checkpoint cut at cycle %d followed measured-parameter trajectory %q; this configuration expects %q",
-			meta.Cut, meta.Prefix, want)
+			cycle, prefix, want)
 	}
 
 	if err := s.eng.Restore(r, s.decodeEventObj); err != nil {

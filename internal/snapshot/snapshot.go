@@ -4,23 +4,18 @@
 // A snapshot is a framed byte stream:
 //
 //	magic (8B) | format version (u16) | CRC32-IEEE of body (u32) |
-//	body length (u64) | meta length (u32) | CRC32-IEEE of meta (u32) |
-//	meta | body
-//
-// The meta block (v2) is a small, independently CRC-framed node
-// descriptor (NodeMeta): which structural configuration the body
-// belongs to, the engine cycle it was cut at, and the
-// measured-parameter trajectory it has followed. A restore reads it
-// through Reader.NodeMeta to check the cut and trajectory before
-// decoding simulator state.
+//	body length (u64) | body
 //
 // The body is a flat little-endian sequence of primitive values written
-// by the component serializers (sim.System orchestrates the order). The
-// encoding is *canonical*: serializing the same semantic simulator state
-// always produces the same bytes — maps are emitted in sorted key order,
-// pooled free slots are reduced to their live links, and transient
-// scratch state is skipped — which is what lets the golden-state
-// regression corpus compare checkpoints byte-for-byte.
+// by the component serializers. sim.System orchestrates the order and
+// opens the body with its "meta" section — the structural digest, the
+// cut cycle and the measured-parameter trajectory — which a restore
+// checks before decoding any state. The encoding is *canonical*:
+// serializing the same semantic simulator state always produces the
+// same bytes — maps are emitted in sorted key order, pooled free slots
+// are reduced to their live links, and transient scratch state is
+// skipped — which is what lets the golden-state regression corpus
+// compare checkpoints byte-for-byte.
 //
 // Decoding is defensive by construction: every length field is validated
 // against the bytes actually present before any allocation, the body is
@@ -55,114 +50,19 @@ const (
 	// resident line encodes as flags, block and LRU stamp.
 	// v4: a simulator snapshot carries the region-density profiler's
 	// section only when the run is profiled (sim.Config.Profile).
-	FormatVersion = 4
+	// v5: the node-metadata block and the header's meta length and CRC
+	// fields are gone; the trajectory prefix is the last field of the
+	// body's meta section.
+	FormatVersion = 5
 
 	magic     = "BUMPSNP\x00"
-	headerLen = len(magic) + 2 + 4 + 8 + 4 + 4
-
-	// maxMetaLen bounds the meta block — a node descriptor is tens of
-	// bytes; anything larger is a corrupt length field.
-	maxMetaLen = 4096
+	headerLen = len(magic) + 2 + 4 + 8
 )
 
-// NodeMeta identifies a checkpoint-tree node: which structural
-// configuration the snapshot belongs to, the engine cycle it was cut
-// at, and the measured-parameter trajectory the state has followed. A
-// zero NodeMeta encodes as an empty meta block.
-type NodeMeta struct {
-	// Structural is the producer's structural-configuration digest
-	// (sim's structuralDigest; 32 bytes, nil when unset).
-	Structural []byte
-	// Cut is the absolute engine cycle the snapshot was taken at.
-	Cut uint64
-	// ForkAt is the producer's configured fork cycle (sim's
-	// Config.ForkAt; 0 = measured parameters bind at the warmup
-	// boundary).
-	ForkAt uint64
-	// Prefix names the measured-parameter trajectory the state followed
-	// up to Cut; "" is the canonical (all-zero) trunk.
-	Prefix string
-}
-
-// isZero reports whether the meta carries no information (legacy
-// callers that never set it).
-func (m NodeMeta) isZero() bool {
-	return len(m.Structural) == 0 && m.Cut == 0 && m.ForkAt == 0 && m.Prefix == ""
-}
-
-func (m NodeMeta) encode() []byte {
-	if m.isZero() {
-		return nil
-	}
-	out := make([]byte, 0, 8+8+4+len(m.Structural)+4+len(m.Prefix))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], m.Cut)
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], m.ForkAt)
-	out = append(out, b8[:]...)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(m.Structural)))
-	out = append(out, b4[:]...)
-	out = append(out, m.Structural...)
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(m.Prefix)))
-	out = append(out, b4[:]...)
-	out = append(out, m.Prefix...)
-	return out
-}
-
-func decodeNodeMeta(data []byte) (NodeMeta, error) {
-	var m NodeMeta
-	if len(data) == 0 {
-		return m, nil
-	}
-	off := 0
-	need := func(n int) ([]byte, error) {
-		if len(data)-off < n {
-			return nil, formatErrf("truncated meta block: need %d bytes, have %d", n, len(data)-off)
-		}
-		b := data[off : off+n]
-		off += n
-		return b, nil
-	}
-	b, err := need(8)
-	if err != nil {
-		return m, err
-	}
-	m.Cut = binary.LittleEndian.Uint64(b)
-	if b, err = need(8); err != nil {
-		return m, err
-	}
-	m.ForkAt = binary.LittleEndian.Uint64(b)
-	if b, err = need(4); err != nil {
-		return m, err
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if b, err = need(n); err != nil {
-		return m, err
-	}
-	m.Structural = append([]byte(nil), b...)
-	if b, err = need(4); err != nil {
-		return m, err
-	}
-	n = int(binary.LittleEndian.Uint32(b))
-	if b, err = need(n); err != nil {
-		return m, err
-	}
-	m.Prefix = string(b)
-	if off != len(data) {
-		return m, formatErrf("%d trailing bytes in meta block", len(data)-off)
-	}
-	return m, nil
-}
-
-// ErrFormat wraps all container-level decode failures (bad magic,
-// version mismatch, truncation, CRC).
-type errFormat struct{ msg string }
-
-func (e *errFormat) Error() string { return "snapshot: " + e.msg }
-
+// formatErrf builds a decode error: a container failure (bad magic,
+// version mismatch, truncation, CRC) or a malformed body.
 func formatErrf(format string, args ...any) error {
-	return &errFormat{msg: fmt.Sprintf(format, args...)}
+	return fmt.Errorf("snapshot: "+format, args...)
 }
 
 // ---- Writer -----------------------------------------------------------
@@ -170,15 +70,7 @@ func formatErrf(format string, args ...any) error {
 // Writer accumulates a snapshot body in memory; Flush frames it with the
 // header and writes the whole snapshot out. Writer methods never fail
 // (the body is an in-memory buffer); errors surface at Flush.
-type Writer struct {
-	buf  bytes.Buffer
-	meta NodeMeta
-}
-
-// SetNodeMeta attaches the node descriptor the container's meta block
-// will carry. Call any time before Flush; the zero value (the default)
-// writes an empty block.
-func (w *Writer) SetNodeMeta(m NodeMeta) { w.meta = m }
+type Writer struct{ buf bytes.Buffer }
 
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer { return &Writer{} }
@@ -242,9 +134,6 @@ func (w *Writer) Section(name string) {
 	w.String(name)
 }
 
-// Len returns the current body size in bytes.
-func (w *Writer) Len() int { return w.buf.Len() }
-
 // Body returns the accumulated body bytes without the container header.
 // The slice aliases the writer's buffer: it is valid until the next
 // write and must not be mutated. Transports that carry their own
@@ -255,18 +144,12 @@ func (w *Writer) Body() []byte { return w.buf.Bytes() }
 // Flush frames the accumulated body and writes the full snapshot to out.
 func (w *Writer) Flush(out io.Writer) error {
 	body := w.buf.Bytes()
-	meta := w.meta.encode()
 	var hdr [headerLen]byte
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint16(hdr[8:], FormatVersion)
 	binary.LittleEndian.PutUint32(hdr[10:], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint64(hdr[14:], uint64(len(body)))
-	binary.LittleEndian.PutUint32(hdr[22:], uint32(len(meta)))
-	binary.LittleEndian.PutUint32(hdr[26:], crc32.ChecksumIEEE(meta))
 	if _, err := out.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := out.Write(meta); err != nil {
 		return err
 	}
 	_, err := out.Write(body)
@@ -282,56 +165,23 @@ type Reader struct {
 	data []byte
 	off  int
 	err  error
-	meta NodeMeta
 }
 
-// NodeMeta returns the node descriptor carried by the container's meta
-// block (the zero value for snapshots written without one, and always
-// for bare-body readers).
-func (r *Reader) NodeMeta() NodeMeta { return r.meta }
-
-// readHeader validates magic/version and decodes the CRC-framed meta
-// block, leaving r positioned at the start of the body.
-func readHeader(r io.Reader) (meta NodeMeta, bodyCRC uint32, bodyLen uint64, err error) {
+// NewReader validates the snapshot header, then reads and CRC-checks
+// the body, returning a reader positioned at its start.
+func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return NodeMeta{}, 0, 0, formatErrf("short header: %v", err)
+		return nil, formatErrf("short header: %v", err)
 	}
 	if string(hdr[:len(magic)]) != magic {
-		return NodeMeta{}, 0, 0, formatErrf("bad magic")
+		return nil, formatErrf("bad magic")
 	}
 	if v := binary.LittleEndian.Uint16(hdr[8:]); v != FormatVersion {
-		return NodeMeta{}, 0, 0, formatErrf("format version %d, this build reads %d", v, FormatVersion)
+		return nil, formatErrf("format version %d, this build reads %d", v, FormatVersion)
 	}
-	bodyCRC = binary.LittleEndian.Uint32(hdr[10:])
-	bodyLen = binary.LittleEndian.Uint64(hdr[14:])
-	metaLen := binary.LittleEndian.Uint32(hdr[22:])
-	metaCRC := binary.LittleEndian.Uint32(hdr[26:])
-	if metaLen > maxMetaLen {
-		return NodeMeta{}, 0, 0, formatErrf("meta block of %d bytes exceeds the %d-byte bound", metaLen, maxMetaLen)
-	}
-	metaBytes := make([]byte, metaLen)
-	if _, err := io.ReadFull(r, metaBytes); err != nil {
-		return NodeMeta{}, 0, 0, formatErrf("short meta block: %v", err)
-	}
-	if got := crc32.ChecksumIEEE(metaBytes); got != metaCRC {
-		return NodeMeta{}, 0, 0, formatErrf("meta CRC mismatch: %08x != %08x", got, metaCRC)
-	}
-	meta, err = decodeNodeMeta(metaBytes)
-	if err != nil {
-		return NodeMeta{}, 0, 0, err
-	}
-	return meta, bodyCRC, bodyLen, nil
-}
-
-// NewReader validates the snapshot header, decodes the meta block, and
-// reads and CRC-checks the body, returning a reader positioned at its
-// start.
-func NewReader(r io.Reader) (*Reader, error) {
-	meta, wantCRC, bodyLen, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
+	wantCRC := binary.LittleEndian.Uint32(hdr[10:])
+	bodyLen := binary.LittleEndian.Uint64(hdr[14:])
 
 	// Read the body incrementally: a lying length prefix cannot force a
 	// large allocation, because the buffer only grows as real bytes
@@ -350,22 +200,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if got := crc32.ChecksumIEEE(buf.Bytes()); got != wantCRC {
 		return nil, formatErrf("body CRC mismatch: %08x != %08x", got, wantCRC)
 	}
-	return &Reader{data: buf.Bytes(), meta: meta}, nil
+	return &Reader{data: buf.Bytes()}, nil
 }
 
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Fail records a decode error (the first one wins).
-func (r *Reader) Fail(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
-	}
-}
-
-// Failf records a formatted decode error.
+// Failf records a formatted decode error (the first one wins).
 func (r *Reader) Failf(format string, args ...any) {
-	r.Fail(formatErrf(format, args...))
+	if r.err == nil {
+		r.err = formatErrf(format, args...)
+	}
 }
 
 // Remaining returns the unread body byte count.

@@ -192,79 +192,6 @@ func TestAnyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNodeMetaRoundTrip(t *testing.T) {
-	structural := bytes.Repeat([]byte{0xA5}, 32)
-	in := NodeMeta{Structural: structural, Cut: 1_234_567, ForkAt: 900_000, Prefix: "streak=8@900000"}
-	w := NewWriter()
-	w.Section("body")
-	w.U64(42)
-	w.SetNodeMeta(in)
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// The reader carries the descriptor alongside the body.
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.NodeMeta()
-	if !bytes.Equal(got.Structural, in.Structural) || got.Cut != in.Cut ||
-		got.ForkAt != in.ForkAt || got.Prefix != in.Prefix {
-		t.Fatalf("reader meta %+v != written %+v", got, in)
-	}
-	r.Section("body")
-	if v := r.U64(); v != 42 {
-		t.Fatalf("body U64 = %d", v)
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNodeMetaZeroOmitted(t *testing.T) {
-	w := NewWriter()
-	w.U64(1)
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta := r.NodeMeta(); !(len(meta.Structural) == 0 && meta.Cut == 0 && meta.ForkAt == 0 && meta.Prefix == "") {
-		t.Fatalf("descriptor-less container read non-zero meta %+v", meta)
-	}
-}
-
-func TestNodeMetaCorruptionDetected(t *testing.T) {
-	w := NewWriter()
-	w.SetNodeMeta(NodeMeta{Structural: bytes.Repeat([]byte{3}, 32), Cut: 99, Prefix: "p"})
-	w.Section("s")
-	w.U64(7)
-	var buf bytes.Buffer
-	if err := w.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	// With a non-zero meta block present, every single-byte corruption —
-	// header, meta, or body — must still be rejected.
-	for i := range good {
-		bad := append([]byte(nil), good...)
-		bad[i] ^= 0xFF
-		if _, err := NewReader(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("corruption at byte %d accepted", i)
-		}
-	}
-	for n := 0; n < len(good); n++ {
-		if _, err := NewReader(bytes.NewReader(good[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
-		}
-	}
-}
-
 func TestCanonicalDigest(t *testing.T) {
 	type cfg struct {
 		N    int

@@ -49,8 +49,10 @@ import (
 // positional, so the extra JobSpec field alone forces the bump); v3
 // dropped the JobSpec workers field; v4 follows snapshot format 3
 // (cache lines without PC and core); v5 follows snapshot format 4 (the
-// profiler section only in profiled snapshots).
-const FormatVersion = 5
+// profiler section only in profiled snapshots); v6 follows snapshot
+// format 5 (the container's node-metadata block is gone; frames carry
+// bare bodies, so no wire byte changes).
+const FormatVersion = 6
 
 // Hello flag bits, advertised symmetrically in the hello's flags word.
 const (
