@@ -48,3 +48,30 @@ func BenchmarkNew(b *testing.B) {
 		}
 	}
 }
+
+// checkpointGrowthLimit bounds how much a paper-machine checkpoint may
+// grow from the 2.2M-cycle cut to the end of the measurement window.
+// The load-latency distribution keeps one count per cycle value, so a
+// checkpoint follows the machine's state, not the run's length; one that
+// kept every sample grew by 0.55 MB over this stretch.
+const checkpointGrowthLimit = 64 << 10
+
+func TestCheckpointSizeFollowsState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the paper machine for 3.4M cycles")
+	}
+	cfg := DefaultConfig(BuMP, workload.WebSearch())
+	s := mustNewSys(t, cfg)
+	sizeAt := func(cycle uint64) int {
+		if err := s.runTo(cycle, Hooks{}); err != nil {
+			t.Fatal(err)
+		}
+		return len(snapBytes(t, s))
+	}
+	cut := sizeAt(2_200_000)
+	end := sizeAt(cfg.WarmupCycles + cfg.MeasureCycles)
+	t.Logf("checkpoint at cycle 2,200,000: %d bytes; at the end of measurement: %d bytes", cut, end)
+	if end-cut > checkpointGrowthLimit {
+		t.Errorf("checkpoint grew by %d bytes over the measurement tail, limit %d", end-cut, checkpointGrowthLimit)
+	}
+}

@@ -23,6 +23,9 @@ func fuzzRestoreConfig() Config {
 	return cfg
 }
 
+// fuzzSeedSnapshot splits the run inside its measurement window, so the
+// seed carries a non-empty load-latency distribution and the fuzzer
+// starts from valid input to every decoder.
 var fuzzSeedSnapshot = sync.OnceValue(func() []byte {
 	cfg := fuzzRestoreConfig()
 	s, err := New(cfg)
@@ -31,9 +34,12 @@ var fuzzSeedSnapshot = sync.OnceValue(func() []byte {
 	}
 	if _, err := s.RunWithHooks(Hooks{
 		Interval: 250,
-		Cancel:   func() bool { return s.Engine().Now() >= 1_000 },
+		Cancel:   func() bool { return s.Engine().Now() >= 2_500 },
 	}); !errors.Is(err, ErrCanceled) {
 		panic("fuzz seed run did not split")
+	}
+	if s.loadLatency.N() == 0 {
+		panic("fuzz seed carries no load latencies")
 	}
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {

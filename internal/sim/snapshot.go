@@ -281,10 +281,19 @@ func (s *System) Restore(in io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := s.readState(r); err != nil {
+	return s.readState(r)
+}
+
+// restoreInPlace is Restore for a freshly built System from checkpoint
+// bytes held in memory. The body is decoded where it lies
+// (snapshot.Open), so concurrent restores of one cached node share its
+// bytes instead of each copying them; no restored state aliases data.
+func (s *System) restoreInPlace(data []byte) error {
+	r, err := snapshot.Open(data)
+	if err != nil {
 		return err
 	}
-	return r.Finish()
+	return s.readState(r)
 }
 
 func (s *System) readState(r *snapshot.Reader) error {
@@ -512,7 +521,7 @@ func (s *System) readState(r *snapshot.Reader) error {
 			return err
 		}
 	}
-	return r.Err()
+	return r.Finish()
 }
 
 func writeAccess(w *snapshot.Writer, a mem.Access) {

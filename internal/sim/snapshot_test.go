@@ -2,10 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bump/internal/workload"
@@ -341,6 +344,75 @@ func TestWarmStoreOrderIndependent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fwd[0], cold) {
 		t.Fatal("canonical point diverges from cold run")
+	}
+}
+
+// TestWarmStoreConcurrentInPlaceRestore: eight runs restore one stored
+// checkpoint-tree node at once, each decoding the store's bytes in
+// place. Every run must match its cold run, and the stored bytes must
+// come out unchanged.
+func TestWarmStoreConcurrentInPlaceRestore(t *testing.T) {
+	cfg := smallConfig(BuMP, workload.WebSearch(), 13)
+	cfg.ForkAt = cfg.WarmupCycles + cfg.MeasureCycles/4
+	cfg.ForkCycles = []uint64{cfg.ForkAt}
+	const points = 8
+	pts := make([]Config, points)
+	want := make([][]byte, points)
+	for i := range pts {
+		pts[i] = cfg
+		pts[i].MaxRowHitStreak = i + 1
+		res, err := RunOne(pts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = marshalResult(t, res)
+	}
+
+	ws := NewWarmStore(4)
+	if _, err := ws.Run(cfg); err != nil { // builds the root and the node
+		t.Fatal(err)
+	}
+	key, _ := ForkNodeKey(cfg, cfg.ForkAt)
+	ws.mu.Lock()
+	node := ws.entries[key]
+	ws.mu.Unlock()
+	if node == nil {
+		t.Fatal("the node at ForkAt was not stored")
+	}
+	sum := sha256.Sum256(node)
+
+	start := make(chan struct{})
+	got := make([][]byte, points)
+	errs := make([]error, points)
+	var wg sync.WaitGroup
+	for i := range pts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := ws.Run(pts[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i], errs[i] = json.MarshalIndent(res, "", "  ")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range pts {
+		if errs[i] != nil {
+			t.Fatalf("point %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(append(got[i], '\n'), want[i]) {
+			t.Errorf("point %d (streak %d) diverges from its cold run", i, pts[i].MaxRowHitStreak)
+		}
+	}
+	if st := ws.Stats(); st.ForkHits != points || st.ForkMisses != 1 {
+		t.Errorf("warm store stats %+v, want %d fork hits on one built node", st, points)
+	}
+	if sha256.Sum256(node) != sum {
+		t.Fatal("concurrent restores modified the stored checkpoint bytes")
 	}
 }
 

@@ -115,8 +115,8 @@ type System struct {
 	// scratch is the reusable buffer for region scans on the bulk
 	// generation paths.
 	scratch []mem.BlockAddr
-	// loadLatency samples demand-load round trips (issue to data back at
-	// the core) within the measurement window.
+	// loadLatency counts demand-load round trips (issue to data back at
+	// the core, in whole cycles) within the measurement window.
 	loadLatency stats.Dist
 
 	// primed records that the cores' initial advance events have been
@@ -505,7 +505,7 @@ func (s *System) deliver(tok uint64, b mem.BlockAddr) {
 	now := s.eng.Now()
 	s.freeWaiterSlot(idx)
 	if load && now >= s.cfg.WarmupCycles && now < s.cfg.WarmupCycles+s.cfg.MeasureCycles {
-		s.loadLatency.Add(float64(now - issue))
+		s.loadLatency.Add(now - issue)
 	}
 	cr.mshrs--
 	if load {

@@ -340,7 +340,7 @@ func (ws *WarmStore) restoreNode(cfg Config, cut uint64, h Hooks, phase func(str
 		if err != nil {
 			return nil, false, err
 		}
-		if err := s.Restore(bytes.NewReader(data)); err != nil {
+		if err := s.restoreInPlace(data); err != nil {
 			key, _ := ForkNodeKey(cfg, cut)
 			ws.evict(key)
 			if attempt >= 1 {

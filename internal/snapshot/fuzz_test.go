@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -30,17 +31,26 @@ func fuzzSeed() []byte {
 	return buf.Bytes()
 }
 
-// FuzzReader feeds arbitrary bytes through the container layer and the
-// primitive decoders: any input must either decode or error — never
-// panic, and never allocate beyond the input's own size.
+// FuzzReader feeds arbitrary bytes through the container layer's two
+// sources and the primitive decoders: NewReader over a stream and Open
+// in place must return the same error or the same body, and any input
+// must either decode or error — never panic, and never allocate beyond
+// the input's own size.
 func FuzzReader(f *testing.F) {
 	f.Add(fuzzSeed())
 	f.Add([]byte{})
 	f.Add([]byte(magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
+		inPlace, errInPlace := Open(data)
+		if fmt.Sprint(err) != fmt.Sprint(errInPlace) {
+			t.Fatalf("NewReader error %v, Open error %v", err, errInPlace)
+		}
 		if err != nil {
 			return // rejected at the container layer: fine
+		}
+		if !bytes.Equal(r.data, inPlace.data) {
+			t.Fatalf("NewReader and Open disagree on the body")
 		}
 		// Drain the body through a representative mix of typed reads.
 		r.Section("meta")

@@ -19,11 +19,12 @@
 //
 // Decoding is defensive by construction: every length field is validated
 // against the bytes actually present before any allocation, the body is
-// read incrementally (a corrupt length prefix cannot force a large
-// allocation), booleans must be 0 or 1, and the CRC is verified before
-// the reader hands out a single value. Corrupt or truncated input yields
-// an error, never a panic or an out-of-memory allocation — the fuzz
-// harnesses in this package and in internal/sim enforce that.
+// read incrementally from a stream (a corrupt length prefix cannot force
+// a large allocation) or decoded in place from memory (Open), booleans
+// must be 0 or 1, and the CRC is verified before the reader hands out a
+// single value. Corrupt or truncated input yields an error, never a
+// panic or an out-of-memory allocation — the fuzz harnesses in this
+// package and in internal/sim enforce that.
 //
 // Format versioning policy: FormatVersion is bumped whenever the byte
 // layout of any serialized component changes (fields added, removed,
@@ -53,7 +54,10 @@ const (
 	// v5: the node-metadata block and the header's meta length and CRC
 	// fields are gone; the trajectory prefix is the last field of the
 	// body's meta section.
-	FormatVersion = 5
+	// v6: a distribution (stats.Dist) encodes as one count per value
+	// instead of its samples, so a checkpoint's latency section no
+	// longer grows with the measured window.
+	FormatVersion = 6
 
 	magic     = "BUMPSNP\x00"
 	headerLen = len(magic) + 2 + 4 + 8
@@ -167,13 +171,54 @@ type Reader struct {
 	err  error
 }
 
-// NewReader validates the snapshot header, then reads and CRC-checks
-// the body, returning a reader positioned at its start.
+// NewReader reads one snapshot from r: it checks the header, reads the
+// body incrementally, then checks the body's length and CRC, returning a
+// reader positioned at the body's start.
 func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, formatErrf("short header: %v", err)
 	}
+	return decode(hdr[:], func(bodyLen uint64) ([]byte, error) {
+		// A lying length prefix cannot force a large allocation: the
+		// buffer only grows as real bytes arrive (pre-growing is capped
+		// at 1MB).
+		var buf bytes.Buffer
+		if bodyLen < 1<<20 {
+			buf.Grow(int(bodyLen))
+		}
+		_, err := io.Copy(&buf, io.LimitReader(r, int64(bodyLen)))
+		return buf.Bytes(), err
+	})
+}
+
+// Open is NewReader over a snapshot held in memory: it runs the same
+// checks on the snapshot at the start of data, then returns a reader
+// over the body in place, without copying it. The reader aliases data,
+// which must stay unmodified while it is read; nothing the reader
+// returns aliases it (Bytes, String and AnyInto copy), so many readers
+// may share one read-only slice.
+func Open(data []byte) (*Reader, error) {
+	if len(data) < headerLen {
+		err := io.ErrUnexpectedEOF
+		if len(data) == 0 {
+			err = io.EOF
+		}
+		return nil, formatErrf("short header: %v", err)
+	}
+	return decode(data[:headerLen], func(bodyLen uint64) ([]byte, error) {
+		body := data[headerLen:]
+		if uint64(len(body)) > bodyLen {
+			body = body[:bodyLen]
+		}
+		return body, nil
+	})
+}
+
+// decode is the one container decoder behind NewReader and Open: it
+// checks the header's magic and version, takes the body the header
+// announces from its source, and checks the body's length and CRC.
+func decode(hdr []byte, body func(bodyLen uint64) ([]byte, error)) (*Reader, error) {
 	if string(hdr[:len(magic)]) != magic {
 		return nil, formatErrf("bad magic")
 	}
@@ -182,25 +227,20 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[10:])
 	bodyLen := binary.LittleEndian.Uint64(hdr[14:])
-
-	// Read the body incrementally: a lying length prefix cannot force a
-	// large allocation, because the buffer only grows as real bytes
-	// arrive (pre-growing is capped at 1MB).
-	var buf bytes.Buffer
-	if bodyLen < 1<<20 {
-		buf.Grow(int(bodyLen))
+	if bodyLen > math.MaxInt64 {
+		return nil, formatErrf("body length %d out of range", bodyLen)
 	}
-	n, err := io.Copy(&buf, io.LimitReader(r, int64(bodyLen)))
+	data, err := body(bodyLen)
 	if err != nil {
 		return nil, formatErrf("body read: %v", err)
 	}
-	if uint64(n) != bodyLen {
-		return nil, formatErrf("truncated body: %d of %d bytes", n, bodyLen)
+	if uint64(len(data)) != bodyLen {
+		return nil, formatErrf("truncated body: %d of %d bytes", len(data), bodyLen)
 	}
-	if got := crc32.ChecksumIEEE(buf.Bytes()); got != wantCRC {
+	if got := crc32.ChecksumIEEE(data); got != wantCRC {
 		return nil, formatErrf("body CRC mismatch: %08x != %08x", got, wantCRC)
 	}
-	return &Reader{data: buf.Bytes()}, nil
+	return &Reader{data: data}, nil
 }
 
 // Err returns the first decode error, if any.

@@ -99,12 +99,15 @@ func TestCorruptionDetected(t *testing.T) {
 	good := buf.Bytes()
 
 	// Flip every byte in turn: each corruption must be rejected by the
-	// header checks or the CRC.
+	// header checks or the CRC, from a stream and in place alike.
 	for i := range good {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0xFF
 		if _, err := NewReader(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
+		}
+		if _, err := Open(bad); err == nil {
+			t.Fatalf("corruption at byte %d accepted in place", i)
 		}
 	}
 	// Every truncation must be rejected too.
@@ -112,6 +115,43 @@ func TestCorruptionDetected(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(good[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
+		if _, err := Open(good[:n]); err == nil {
+			t.Fatalf("truncation to %d bytes accepted in place", n)
+		}
+	}
+}
+
+// TestOpenDecodesInPlace: Open reads the body where it lies, yet nothing
+// a reader returns aliases the caller's bytes.
+func TestOpenDecodesInPlace(t *testing.T) {
+	w := NewWriter()
+	w.Section("s")
+	w.Bytes([]byte{1, 2, 3})
+	w.String("x")
+	var buf bytes.Buffer
+	if err := w.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	want := append([]byte(nil), data...)
+	r, err := Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &r.data[0] != &data[headerLen] {
+		t.Fatal("Open copied the body")
+	}
+	r.Section("s")
+	got := r.Bytes()
+	if s := r.String(); s != "x" {
+		t.Fatalf("String = %q", s)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	got[0] = 9
+	if !bytes.Equal(data, want) {
+		t.Fatal("Bytes aliases the snapshot")
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit used across the
-// simulator: counters, ratios, weighted means, online distributions, and
+// simulator: counters, ratios, weighted means, exact distributions, and
 // fixed-width text tables for the figure/table regeneration harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -95,101 +94,63 @@ func MeanCI95(xs []float64) (mean, half float64) {
 	return mean, q * sd / math.Sqrt(float64(n))
 }
 
-// Dist is an online distribution accumulator (count/mean/min/max and an
-// exact reservoir of values for percentile queries; the simulator produces
-// at most a few hundred thousand samples per Dist, which fits in memory).
+// Dist is an exact distribution of whole-number samples, such as
+// latencies in cycles. It keeps one count per value, from 0 up to the
+// largest sample seen, so its size follows the range of the values, not
+// the number of samples, and a percentile is a walk over the counts.
 type Dist struct {
-	vals []float64
-	min  float64
-	max  float64
-	sum  float64
+	counts []uint64 // counts[v] is the number of samples equal to v
+	n      uint64
+	// sum is exact: the simulator's samples are cycle counts, so every
+	// partial sum stays far below 2^53 and float64(sum) is the value a
+	// float64 running sum of the same samples would hold, bit for bit.
+	sum uint64
 }
 
 // Add records one sample.
-func (d *Dist) Add(x float64) {
-	if len(d.vals) == 0 {
-		d.min, d.max = x, x
-	} else {
-		if x < d.min {
-			d.min = x
-		}
-		if x > d.max {
-			d.max = x
-		}
+func (d *Dist) Add(x uint64) {
+	if x >= uint64(len(d.counts)) {
+		d.counts = append(d.counts, make([]uint64, x+1-uint64(len(d.counts)))...)
 	}
-	d.vals = append(d.vals, x)
+	d.counts[x]++
+	d.n++
 	d.sum += x
 }
 
 // N returns the number of samples.
-func (d *Dist) N() int { return len(d.vals) }
+func (d *Dist) N() int { return int(d.n) }
 
 // Mean returns the sample mean (0 if empty).
 func (d *Dist) Mean() float64 {
-	if len(d.vals) == 0 {
+	if d.n == 0 {
 		return 0
 	}
-	return d.sum / float64(len(d.vals))
+	return float64(d.sum) / float64(d.n)
 }
 
-// Min returns the smallest sample (0 if empty).
-func (d *Dist) Min() float64 { return d.min }
-
-// Max returns the largest sample (0 if empty).
-func (d *Dist) Max() float64 { return d.max }
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
+// Percentile returns the p-th percentile (0..100) by nearest rank: the
+// sample at 0-based rank ceil(p/100*N)-1 in sorted order, clamped to
+// the samples.
 func (d *Dist) Percentile(p float64) float64 {
-	if len(d.vals) == 0 {
+	if d.n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), d.vals...)
-	sort.Float64s(s)
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
+	rank := int(math.Ceil(p/100*float64(d.n))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(s) {
-		rank = len(s) - 1
+	if uint64(rank) >= d.n {
+		rank = int(d.n - 1)
 	}
-	return s[rank]
-}
-
-// Histogram counts samples into fixed buckets [bounds[i-1], bounds[i]).
-type Histogram struct {
-	Bounds []float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-// A final implicit bucket catches values >= the last bound.
-func NewHistogram(bounds ...float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
+	var seen uint64
+	for v, c := range d.counts {
+		seen += c
+		if seen > uint64(rank) {
+			return float64(v)
 		}
 	}
-	return &Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
+	return float64(len(d.counts) - 1)
 }
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := sort.SearchFloat64s(h.Bounds, x)
-	// SearchFloat64s returns the first index with bounds[i] >= x; a value
-	// exactly equal to a bound belongs in the next bucket.
-	if i < len(h.Bounds) && h.Bounds[i] == x {
-		i++
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fraction returns the fraction of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 { return Ratio(h.Counts[i], h.total) }
 
 // Table renders fixed-width text tables; the figure harness uses it so
 // every regenerated figure prints the same way in tests, benches and cmds.

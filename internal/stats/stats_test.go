@@ -2,9 +2,13 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"bump/internal/snapshot"
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -60,11 +64,11 @@ func TestDist(t *testing.T) {
 	if d.Mean() != 0 || d.Percentile(50) != 0 {
 		t.Error("empty Dist must report zeros")
 	}
-	for _, v := range []float64{5, 1, 3, 2, 4} {
+	for _, v := range []uint64{5, 1, 3, 2, 4} {
 		d.Add(v)
 	}
-	if d.N() != 5 || d.Min() != 1 || d.Max() != 5 {
-		t.Errorf("N/Min/Max = %d/%v/%v", d.N(), d.Min(), d.Max())
+	if d.N() != 5 {
+		t.Errorf("N = %d", d.N())
 	}
 	if !almostEq(d.Mean(), 3) {
 		t.Errorf("Mean = %v", d.Mean())
@@ -80,51 +84,147 @@ func TestDist(t *testing.T) {
 	}
 }
 
-// Property: for any sample set, min <= mean <= max and P0 <= P50 <= P100.
+// Property: for any sample set, P0 <= mean <= P100 and P0 <= P50 <= P100,
+// with P0 and P100 the smallest and largest samples.
 func TestDistInvariantsProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		var d Dist
+		lo, hi := float64(raw[0]), float64(raw[0])
 		for _, r := range raw {
-			d.Add(float64(r))
-		}
-		if d.Mean() < d.Min() || d.Mean() > d.Max() {
-			return false
+			d.Add(uint64(r))
+			lo, hi = math.Min(lo, float64(r)), math.Max(hi, float64(r))
 		}
 		p0, p50, p100 := d.Percentile(0), d.Percentile(50), d.Percentile(100)
-		return p0 <= p50 && p50 <= p100 && p0 == d.Min() && p100 == d.Max()
+		if d.Mean() < p0 || d.Mean() > p100 {
+			return false
+		}
+		return p0 <= p50 && p50 <= p100 && p0 == lo && p100 == hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0.25, 0.5)
-	for _, v := range []float64{0.1, 0.3, 0.25, 0.7, 0.5} {
-		h.Add(v)
+// reservoirDist is the reference Dist: every sample kept as a float64,
+// a float64 running sum, and a sorted copy per percentile query.
+type reservoirDist struct {
+	vals []float64
+	sum  float64
+}
+
+func (d *reservoirDist) Add(x float64) {
+	d.vals = append(d.vals, x)
+	d.sum += x
+}
+
+func (d *reservoirDist) Mean() float64 {
+	if len(d.vals) == 0 {
+		return 0
 	}
-	// Buckets: [<0.25), [0.25,0.5), [>=0.5]
-	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[2] != 2 {
-		t.Errorf("counts = %v", h.Counts)
+	return d.sum / float64(len(d.vals))
+}
+
+func (d *reservoirDist) Percentile(p float64) float64 {
+	if len(d.vals) == 0 {
+		return 0
 	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
+	s := append([]float64(nil), d.vals...)
+	sort.Float64s(s)
+	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
+	if rank < 0 {
+		rank = 0
 	}
-	if !almostEq(h.Fraction(1), 0.4) {
-		t.Errorf("fraction = %v", h.Fraction(1))
+	if rank >= len(s) {
+		rank = len(s) - 1
+	}
+	return s[rank]
+}
+
+// TestDistMatchesReservoir feeds the counting Dist and the reference
+// reservoir the same integer samples (duplicates, zeros and a few very
+// large values among them): N, the mean's bits and every percentile
+// must agree exactly, and so must a Dist restored from a checkpoint.
+func TestDistMatchesReservoir(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 60; trial++ {
+		var d Dist
+		var ref reservoirDist
+		n := rng.Intn(3000)
+		if trial < 3 {
+			n = trial
+		}
+		for i := 0; i < n; i++ {
+			var x uint64
+			switch k := rng.Intn(100); {
+			case k < 5:
+				x = 0
+			case k < 7:
+				x = uint64(50_000 + rng.Intn(150_000))
+			default:
+				x = uint64(rng.Intn(400))
+			}
+			d.Add(x)
+			ref.Add(float64(x))
+		}
+		restored := roundTrip(t, &d)
+		ps := []float64{0, 1, 50, 95, 99, 100}
+		for i := 0; i < 20; i++ {
+			ps = append(ps, rng.Float64()*100)
+		}
+		for _, got := range []*Dist{&d, restored} {
+			if got.N() != len(ref.vals) {
+				t.Fatalf("trial %d: N = %d, want %d", trial, got.N(), len(ref.vals))
+			}
+			if math.Float64bits(got.Mean()) != math.Float64bits(ref.Mean()) {
+				t.Fatalf("trial %d: mean %v, want %v", trial, got.Mean(), ref.Mean())
+			}
+			for _, p := range ps {
+				if g, w := got.Percentile(p), ref.Percentile(p); g != w {
+					t.Fatalf("trial %d: P%v = %v, want %v", trial, p, g, w)
+				}
+			}
+		}
 	}
 }
 
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-ascending bounds")
+func roundTrip(t *testing.T, d *Dist) *Dist {
+	t.Helper()
+	w := snapshot.NewWriter()
+	d.SnapshotTo(w)
+	var out Dist
+	r := snapshot.NewBodyReader(w.Body())
+	if err := out.RestoreFrom(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestDistRestoreRejectsMalformed: a count array longer than its bytes,
+// or one ending in a zero count (no sample at the largest value), is
+// refused.
+func TestDistRestoreRejectsMalformed(t *testing.T) {
+	for name, build := range map[string]func(*snapshot.Writer){
+		"lying length": func(w *snapshot.Writer) { w.U32(1 << 30); w.U64(1) },
+		"trailing zero": func(w *snapshot.Writer) {
+			w.U32(2)
+			w.U64(1)
+			w.U64(0)
+		},
+	} {
+		w := snapshot.NewWriter()
+		w.Section("dist")
+		build(w)
+		var d Dist
+		if err := d.RestoreFrom(snapshot.NewBodyReader(w.Body())); err == nil {
+			t.Errorf("%s: restore accepted a malformed count array", name)
 		}
-	}()
-	NewHistogram(1, 1)
+	}
 }
 
 func TestTableRendering(t *testing.T) {

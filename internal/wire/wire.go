@@ -51,8 +51,9 @@ import (
 // (cache lines without PC and core); v5 follows snapshot format 4 (the
 // profiler section only in profiled snapshots); v6 follows snapshot
 // format 5 (the container's node-metadata block is gone; frames carry
-// bare bodies, so no wire byte changes).
-const FormatVersion = 6
+// bare bodies, so no wire byte changes); v7 follows snapshot format 6
+// (a distribution encodes as per-value counts; no wire byte changes).
+const FormatVersion = 7
 
 // Hello flag bits, advertised symmetrically in the hello's flags word.
 const (
