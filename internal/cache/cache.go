@@ -10,9 +10,9 @@
 // Fig. 8).
 //
 // The state is laid out struct-of-arrays: a tag array that lookups and
-// region scans read (a 16-way set's tags span two host cache lines), an
-// LRU-stamp array that only the fill's victim search reads, and one flag
-// byte per line.
+// region scans read (a 16-way set's tags span two host cache lines), one
+// flag byte per line, and one recency word per set (Order) that hits and
+// fills update and only the fill's victim search reads.
 package cache
 
 import (
@@ -94,15 +94,15 @@ type Cache struct {
 	ways int
 	// Per-line state, sets*ways entries each, set-major.
 	tags  []mem.BlockAddr // invalidTag for an empty way
-	stamp []uint64        // LRU clock value of the line's last use
 	flags []Flags
-	tick  uint64
+	order []Order // per set
 	stats Stats
 }
 
-// New builds a cache of totalBytes capacity with the given associativity.
-// totalBytes must be a multiple of ways*mem.BlockBytes and the resulting
-// set count must be a power of two (matching real indexing hardware).
+// New builds a cache of totalBytes capacity with the given associativity,
+// at most MaxWays. totalBytes must be a multiple of ways*mem.BlockBytes
+// and the resulting set count must be a power of two (matching real
+// indexing hardware).
 func New(totalBytes, ways int) *Cache {
 	if ways <= 0 {
 		panic("cache: ways must be positive")
@@ -122,8 +122,8 @@ func New(totalBytes, ways int) *Cache {
 		sets:  sets,
 		ways:  ways,
 		tags:  make([]mem.BlockAddr, blocks),
-		stamp: make([]uint64, blocks),
 		flags: make([]Flags, blocks),
+		order: NewOrders(sets, ways),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -168,8 +168,8 @@ func (c *Cache) Lookup(b mem.BlockAddr, touch bool) Way {
 		return NoWay
 	}
 	c.stats.Hits++
-	c.tick++
-	c.stamp[w] = c.tick
+	s := c.setOf(b)
+	c.order[s].Touch(int(w) - s*c.ways)
 	f := c.flags[w]
 	if f&(Prefetched|Referenced) == Prefetched {
 		c.stats.PrefetchUsed++
@@ -195,13 +195,14 @@ func (c *Cache) Fill(b mem.BlockAddr, prefetched bool) (Way, Eviction) {
 		panic(fmt.Sprintf("cache: block %#x is reserved", uint64(b)))
 	}
 	c.stats.Fills++
-	base := c.setOf(b) * c.ways
+	s := c.setOf(b)
+	base := s * c.ways
 	tags := c.tags[base : base+c.ways]
+	order := &c.order[s]
 	victim := -1
 	for i, t := range tags {
 		if t == b { // already resident: refresh
-			c.tick++
-			c.stamp[base+i] = c.tick
+			order.Touch(i)
 			return Way(base + i), Eviction{}
 		}
 		if t == invalidTag && victim < 0 {
@@ -209,13 +210,7 @@ func (c *Cache) Fill(b mem.BlockAddr, prefetched bool) (Way, Eviction) {
 		}
 	}
 	if victim < 0 { // full set: the least recently used line goes
-		stamps := c.stamp[base : base+c.ways]
-		victim = 0
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < stamps[victim] {
-				victim = i
-			}
-		}
+		victim = order.LRU(c.ways)
 	}
 	w := base + victim
 	var ev Eviction
@@ -223,9 +218,8 @@ func (c *Cache) Fill(b mem.BlockAddr, prefetched bool) (Way, Eviction) {
 		ev = Eviction{Valid: true, Line: Line{Block: tags[victim], Flags: c.flags[w]}}
 		c.noteEvict(c.flags[w])
 	}
-	c.tick++
+	order.Touch(victim)
 	tags[victim] = b
-	c.stamp[w] = c.tick
 	c.flags[w] = 0
 	if prefetched {
 		c.flags[w] = Prefetched
@@ -252,7 +246,7 @@ func (c *Cache) Invalidate(b mem.BlockAddr) (Line, bool) {
 	}
 	l := Line{Block: b, Flags: c.flags[w]}
 	c.noteEvict(l.Flags)
-	c.tags[w], c.stamp[w], c.flags[w] = invalidTag, 0, 0
+	c.tags[w], c.flags[w] = invalidTag, 0
 	return l, true
 }
 

@@ -15,6 +15,7 @@ func TestNewValidation(t *testing.T) {
 		{64 * 3, 1},   // 3 sets, not power of two
 		{64 * 16, 0},  // zero ways
 		{64 * 16, -1}, // negative ways
+		{64 * 32, 32}, // more ways than a recency word ranks
 	} {
 		func() {
 			defer func() {

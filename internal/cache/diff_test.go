@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,7 +15,9 @@ import (
 // refCache is the array-of-structs cache this package used before the
 // struct-of-arrays layout (one struct per line, LRU stamp inside it),
 // kept as the reference the differential test drives side by side with
-// Cache. Only the dead per-line PC and core fields are gone.
+// Cache. Only the dead per-line PC and core fields are gone; it keeps
+// its stamps and global tick, against which each set's recency word is
+// checked.
 type refCache struct {
 	sets, ways int
 	lines      []refLine
@@ -169,17 +172,41 @@ func sameLine(c *Cache, w Way, l *refLine) error {
 	if w == NoWay {
 		return nil
 	}
-	if c.tags[w] != l.Block || c.flags[w] != l.flags() || c.stamp[w] != l.lastUse {
-		return fmt.Errorf("line %#x flags %#x stamp %d, reference %#x flags %#x stamp %d",
-			uint64(c.tags[w]), c.flags[w], c.stamp[w], uint64(l.Block), l.flags(), l.lastUse)
+	if c.tags[w] != l.Block || c.flags[w] != l.flags() {
+		return fmt.Errorf("line %#x flags %#x, reference %#x flags %#x",
+			uint64(c.tags[w]), c.flags[w], uint64(l.Block), l.flags())
 	}
 	return nil
 }
 
-// sameState compares every line, the LRU clock and the statistics.
+// sameOrder fails unless set s's recency word ranks the reference's
+// valid ways as their LRU stamps do, most recent first. An empty way
+// keeps a stale place in the word, so only valid ways are compared.
+func sameOrder(c *Cache, ref *refCache, s int) error {
+	set := ref.lines[s*ref.ways : (s+1)*ref.ways]
+	var want, got []int
+	for i := range set {
+		if set[i].Valid {
+			want = append(want, i)
+		}
+	}
+	slices.SortFunc(want, func(a, b int) int { return cmp.Compare(set[b].lastUse, set[a].lastUse) })
+	for k := 0; k < c.ways; k++ {
+		if w := int(c.order[s] >> (4 * k) & 0xF); set[w].Valid {
+			got = append(got, w)
+		}
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("set %d: recency word %#x ranks valid ways %v, reference stamps rank %v", s, uint64(c.order[s]), got, want)
+	}
+	return nil
+}
+
+// sameState compares every line, every set's recency order and the
+// statistics.
 func sameState(c *Cache, ref *refCache) error {
-	if c.tick != ref.tick || c.stats != ref.stats {
-		return fmt.Errorf("tick %d stats %+v, reference tick %d stats %+v", c.tick, c.stats, ref.tick, ref.stats)
+	if err := sameStats(c, ref); err != nil {
+		return err
 	}
 	for i := range ref.lines {
 		l := &ref.lines[i]
@@ -191,6 +218,11 @@ func sameState(c *Cache, ref *refCache) error {
 		}
 		if err := sameLine(c, Way(i), l); err != nil {
 			return fmt.Errorf("line %d: %w", i, err)
+		}
+	}
+	for s := 0; s < c.sets; s++ {
+		if err := sameOrder(c, ref, s); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -211,9 +243,9 @@ var diffGeometries = []diffGeometry{
 // with seeded random op streams — touching and probing lookups, fills,
 // stores that dirty a hit line the way the simulator does, invalidates,
 // cleans and both region scans — comparing every return value, every
-// eviction record and the statistics after each op. Half way through,
-// the Cache is snapshotted and restored into a fresh one, which carries
-// on against the same reference.
+// eviction record, the statistics and the recency order of the op's set
+// after each op. Half way through, the Cache is snapshotted and restored
+// into a fresh one, which carries on against the same reference.
 func TestDifferentialAgainstArrayOfStructs(t *testing.T) {
 	const shift = mem.DefaultRegionShift
 	for _, g := range diffGeometries {
@@ -239,10 +271,14 @@ func TestDifferentialAgainstArrayOfStructs(t *testing.T) {
 					if i == ops/2 {
 						c = snapshotRoundTrip(t, c, g)
 					}
-					if err := diffOp(c, ref, rng, block(), shift); err != nil {
+					b := block()
+					if err := diffOp(c, ref, rng, b, shift); err != nil {
 						t.Fatalf("op %d: %v", i, err)
 					}
 					if err := sameStats(c, ref); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+					if err := sameOrder(c, ref, c.setOf(b)); err != nil {
 						t.Fatalf("op %d: %v", i, err)
 					}
 				}

@@ -13,14 +13,14 @@ import (
 // carries its Flags in the bits above it.
 const lineValid = 1 << 0
 
-// SnapshotTo serializes the cache: geometry (validated on restore), LRU
-// clock, statistics, and every line. Invalid lines collapse to a single
-// zero flag byte, so semantically equal caches encode identically.
+// SnapshotTo serializes the cache: geometry (validated on restore), each
+// set's recency word, statistics, and every line. Invalid lines collapse
+// to a single zero flag byte.
 func (c *Cache) SnapshotTo(w *snapshot.Writer) {
 	w.Section("cache")
 	w.U32(uint32(c.sets))
 	w.U32(uint32(c.ways))
-	w.U64(c.tick)
+	SnapshotOrders(w, c.order)
 	w.Any(c.stats)
 	for i, t := range c.tags {
 		if t == invalidTag {
@@ -29,7 +29,6 @@ func (c *Cache) SnapshotTo(w *snapshot.Writer) {
 		}
 		w.U8(lineValid | uint8(c.flags[i]))
 		w.U64(uint64(t))
-		w.U64(c.stamp[i])
 	}
 }
 
@@ -44,7 +43,9 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 	if int(sets) != c.sets || int(ways) != c.ways {
 		return fmt.Errorf("cache: snapshot geometry %dx%d, cache is %dx%d", sets, ways, c.sets, c.ways)
 	}
-	c.tick = r.U64()
+	if err := RestoreOrders(r, c.order, c.ways); err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
 	r.AnyInto(&c.stats)
 	for i := range c.tags {
 		bits := r.U8()
@@ -55,7 +56,7 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 			if bits != 0 {
 				return fmt.Errorf("cache: invalid line with non-zero flags %#x", bits)
 			}
-			c.tags[i], c.stamp[i], c.flags[i] = invalidTag, 0, 0
+			c.tags[i], c.flags[i] = invalidTag, 0
 			continue
 		}
 		f := Flags(bits &^ lineValid)
@@ -63,7 +64,6 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 			return fmt.Errorf("cache: line %d has unknown flags %#x", i, bits)
 		}
 		b := mem.BlockAddr(r.U64())
-		stamp := r.U64()
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -80,7 +80,7 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 				return fmt.Errorf("cache: set %d holds block %#x in ways %d and %d", set, uint64(b), j-set*c.ways, i-set*c.ways)
 			}
 		}
-		c.tags[i], c.stamp[i], c.flags[i] = b, stamp, f
+		c.tags[i], c.flags[i] = b, f
 	}
 	return r.Err()
 }

@@ -30,8 +30,8 @@ type jobAPI interface {
 	job(t *testing.T, id string) (int, []byte)
 	cancel(t *testing.T, id string) (int, []byte)
 	// watch follows a job to its terminal payload, counting progress
-	// snapshots on the way.
-	watch(t *testing.T, id string) (progress, code int, payload []byte)
+	// snapshots on the way and calling onProgress (if not nil) on each.
+	watch(t *testing.T, id string, onProgress func()) (progress, code int, payload []byte)
 	result(t *testing.T, hash string) (int, []byte)
 	// batch runs a sweep, streaming its points, and reports the
 	// aggregate, or {"error": message} when the batch is refused.
@@ -92,14 +92,20 @@ func (a httpAPI) result(t *testing.T, hash string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-func (a httpAPI) watch(t *testing.T, id string) (int, int, []byte) {
-	resp, data := a.do(t, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
+// watch reads the event stream as it arrives, so onProgress runs while
+// the job does.
+func (a httpAPI) watch(t *testing.T, id string, onProgress func()) (int, int, []byte) {
+	resp, err := http.Get(a.base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatalf("GET events of %s: %v", id, err)
+	}
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return 0, resp.StatusCode, nil
 	}
 	var progress int
 	var name, last string
-	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -108,10 +114,16 @@ func (a httpAPI) watch(t *testing.T, id string) (int, int, []byte) {
 			name = strings.TrimPrefix(line, "event: ")
 			if name == "progress" {
 				progress++
+				if onProgress != nil {
+					onProgress()
+				}
 			}
 		case strings.HasPrefix(line, "data: ") && name != "progress":
 			last = strings.TrimPrefix(line, "data: ")
 		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("events of %s: %v", id, err)
 	}
 	if !service.State(name).Terminal() {
 		t.Fatalf("event stream for %s ended on %q, not a terminal event", id, name)
@@ -217,9 +229,14 @@ func (a clientAPI) cancel(t *testing.T, id string) (int, []byte) {
 	return clientStatus(t, st, err, http.StatusOK)
 }
 
-func (a clientAPI) watch(t *testing.T, id string) (int, int, []byte) {
+func (a clientAPI) watch(t *testing.T, id string, onProgress func()) (int, int, []byte) {
 	var progress int
-	st, err := a.c.Watch(context.Background(), id, func(sim.Progress) { progress++ })
+	st, err := a.c.Watch(context.Background(), id, func(sim.Progress) {
+		progress++
+		if onProgress != nil {
+			onProgress()
+		}
+	})
 	code, payload := clientStatus(t, st, err, http.StatusOK)
 	return progress, code, payload
 }
@@ -311,7 +328,7 @@ func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
 	hash, _ := sub["hash"].(string)
 	code, body = api.job(t, id)
 	record("status", code, body, "hash", "spec")
-	progress, code, body := api.watch(t, id)
+	progress, code, body := api.watch(t, id, nil)
 	if progress == 0 {
 		t.Error("watch: no progress snapshot before the terminal payload")
 	}
@@ -327,15 +344,32 @@ func conformanceScript(t *testing.T, api jobAPI) []conformanceStep {
 	record("status-unknown", code, nil)
 	code, _ = api.cancel(t, "j-missing")
 	record("cancel-unknown", code, nil)
-	_, code, _ = api.watch(t, "j-missing")
+	_, code, _ = api.watch(t, "j-missing", nil)
 	record("watch-unknown", code, nil)
 
+	// DELETE the long job once its first progress event shows it
+	// running: the answer is its state at that moment, running, and its
+	// watch ends canceled at the next progress interval.
 	code, body = api.submit(t, long)
 	lid, _ := record("submit-long", code, body, "hash", "state", "spec")["id"].(string)
-	code, body = api.cancel(t, lid)
-	record("cancel", code, body, "hash", "spec")
-	_, code, body = api.watch(t, lid)
-	record("watch-canceled", code, body, "hash", "state", "spec")
+	var canceled bool
+	var cancelCode int
+	var cancelBody []byte
+	_, code, body = api.watch(t, lid, func() {
+		if !canceled {
+			canceled = true
+			cancelCode, cancelBody = api.cancel(t, lid)
+		}
+	})
+	if !canceled {
+		t.Fatal("watch: the long job ended before its first progress event")
+	}
+	if st := record("cancel", cancelCode, cancelBody, "hash", "state", "spec")["state"]; st != string(service.StateRunning) {
+		t.Errorf("cancel of a running job answered state %v, want %s", st, service.StateRunning)
+	}
+	if st := record("watch-canceled", code, body, "hash", "state", "spec")["state"]; st != string(service.StateCanceled) {
+		t.Errorf("watch of the canceled job ended %v, want %s", st, service.StateCanceled)
+	}
 	code, _ = api.cancel(t, lid)
 	record("cancel-canceled", code, nil)
 	code, _ = api.cancel(t, id)

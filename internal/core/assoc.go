@@ -1,17 +1,19 @@
 package core
 
+import "bump/internal/cache"
+
 // assoc is a fixed-geometry set-associative table with LRU replacement,
 // shared by the RDTT's trigger and density tables, the bulk history table
 // and the dirty region table. Keys are uint64 tags (region addresses or
-// PC⊕offset signatures); values are small per-entry structs.
+// PC⊕offset signatures); values are small per-entry structs. Each set
+// keeps one recency word (cache.Order).
 type assoc[V any] struct {
-	sets int
-	ways int
-	tags []uint64
-	ok   []bool
-	val  []V
-	use  []uint64
-	tick uint64
+	sets  int
+	ways  int
+	tags  []uint64
+	ok    []bool
+	val   []V
+	order []cache.Order // per set
 }
 
 func newAssoc[V any](entries, ways int) *assoc[V] {
@@ -23,12 +25,12 @@ func newAssoc[V any](entries, ways int) *assoc[V] {
 		panic("core: table set count must be a power of two")
 	}
 	return &assoc[V]{
-		sets: sets,
-		ways: ways,
-		tags: make([]uint64, entries),
-		ok:   make([]bool, entries),
-		val:  make([]V, entries),
-		use:  make([]uint64, entries),
+		sets:  sets,
+		ways:  ways,
+		tags:  make([]uint64, entries),
+		ok:    make([]bool, entries),
+		val:   make([]V, entries),
+		order: cache.NewOrders(sets, ways),
 	}
 }
 
@@ -37,10 +39,10 @@ func (t *assoc[V]) setOf(tag uint64) int { return int(tag & uint64(t.sets-1)) }
 // lookup returns a pointer to tag's value, touching LRU state on hit.
 func (t *assoc[V]) lookup(tag uint64) (*V, bool) {
 	s := t.setOf(tag)
-	for i := s * t.ways; i < (s+1)*t.ways; i++ {
+	base := s * t.ways
+	for i := base; i < base+t.ways; i++ {
 		if t.ok[i] && t.tags[i] == tag {
-			t.tick++
-			t.use[i] = t.tick
+			t.order[s].Touch(i - base)
 			return &t.val[i], true
 		}
 	}
@@ -49,34 +51,32 @@ func (t *assoc[V]) lookup(tag uint64) (*V, bool) {
 
 // insert places tag with value v, returning the displaced entry (if any)
 // so the caller can run its termination logic (RDTT conflicts inform the
-// BHT/DRT).
+// BHT/DRT). The scan stops at the set's first empty way, which takes the
+// entry even if tag sits in a later way.
 func (t *assoc[V]) insert(tag uint64, v V) (victimTag uint64, victimVal V, displaced bool) {
 	s := t.setOf(tag)
-	victim := s * t.ways
-	for i := s * t.ways; i < (s+1)*t.ways; i++ {
+	base := s * t.ways
+	victim := -1
+	for i := base; i < base+t.ways; i++ {
 		if t.ok[i] && t.tags[i] == tag {
 			// Overwrite in place.
-			t.tick++
 			t.val[i] = v
-			t.use[i] = t.tick
+			t.order[s].Touch(i - base)
 			return 0, victimVal, false
 		}
 		if !t.ok[i] {
 			victim = i
 			break
 		}
-		if t.use[i] < t.use[victim] {
-			victim = i
-		}
 	}
-	if t.ok[victim] {
+	if victim < 0 { // full set: the least recently used entry goes
+		victim = base + t.order[s].LRU(t.ways)
 		victimTag, victimVal, displaced = t.tags[victim], t.val[victim], true
 	}
-	t.tick++
 	t.tags[victim] = tag
 	t.ok[victim] = true
 	t.val[victim] = v
-	t.use[victim] = t.tick
+	t.order[s].Touch(victim - base)
 	return victimTag, victimVal, displaced
 }
 

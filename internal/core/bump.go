@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 
+	"bump/internal/cache"
 	"bump/internal/mem"
 )
 
@@ -43,7 +44,7 @@ type Config struct {
 	DensityEntries int // 256
 	BHTEntries     int // 1024
 	DRTEntries     int // 1024
-	Ways           int // 16 (all structures are 16-way set-associative)
+	Ways           int // 16 (all structures are 16-way set-associative; at most 16)
 
 	// FullRegion disables prediction and bulk-transfers every region on
 	// any LLC miss / dirty eviction (the "Full-region" strawman of
@@ -83,8 +84,8 @@ func (c Config) Validate() error {
 	if c.DensityThreshold == 0 || c.DensityThreshold > n {
 		return fmt.Errorf("core: threshold %d invalid for %d-block regions", c.DensityThreshold, n)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("core: ways must be positive")
+	if c.Ways <= 0 || c.Ways > cache.MaxWays {
+		return fmt.Errorf("core: %d ways outside 1..%d", c.Ways, cache.MaxWays)
 	}
 	for _, e := range []int{c.TriggerEntries, c.DensityEntries, c.BHTEntries, c.DRTEntries} {
 		if e < c.Ways || e%c.Ways != 0 {

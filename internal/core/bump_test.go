@@ -23,6 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DensityThreshold = 0 },
 		func(c *Config) { c.DensityThreshold = 99 },
 		func(c *Config) { c.Ways = 0 },
+		func(c *Config) { c.Ways = 32 },
 		func(c *Config) { c.BHTEntries = 3 },
 	} {
 		c := DefaultConfig()

@@ -3,17 +3,18 @@ package core
 import (
 	"fmt"
 
+	"bump/internal/cache"
 	"bump/internal/mem"
 	"bump/internal/snapshot"
 )
 
-// snapAssoc serializes a set-associative table. Invalid ways collapse to
-// a single zero byte (their stale tag/use words are unreachable), so
-// semantically equal tables encode identically.
+// snapAssoc serializes a set-associative table: geometry, each set's
+// recency word, and every entry. Invalid ways collapse to a single zero
+// byte (their stale tags are unreachable).
 func snapAssoc[V any](w *snapshot.Writer, t *assoc[V], enc func(*snapshot.Writer, V)) {
 	w.U32(uint32(t.sets))
 	w.U32(uint32(t.ways))
-	w.U64(t.tick)
+	cache.SnapshotOrders(w, t.order)
 	for i := range t.tags {
 		if !t.ok[i] {
 			w.Bool(false)
@@ -21,7 +22,6 @@ func snapAssoc[V any](w *snapshot.Writer, t *assoc[V], enc func(*snapshot.Writer
 		}
 		w.Bool(true)
 		w.U64(t.tags[i])
-		w.U64(t.use[i])
 		enc(w, t.val[i])
 	}
 }
@@ -34,7 +34,9 @@ func restoreAssoc[V any](r *snapshot.Reader, t *assoc[V], dec func(*snapshot.Rea
 	if int(sets) != t.sets || int(ways) != t.ways {
 		return fmt.Errorf("core: table geometry %dx%d, have %dx%d", sets, ways, t.sets, t.ways)
 	}
-	t.tick = r.U64()
+	if err := cache.RestoreOrders(r, t.order, t.ways); err != nil {
+		return fmt.Errorf("core: table %w", err)
+	}
 	var zero V
 	for i := range t.tags {
 		ok := r.Bool()
@@ -43,11 +45,10 @@ func restoreAssoc[V any](r *snapshot.Reader, t *assoc[V], dec func(*snapshot.Rea
 		}
 		t.ok[i] = ok
 		if !ok {
-			t.tags[i], t.use[i], t.val[i] = 0, 0, zero
+			t.tags[i], t.val[i] = 0, zero
 			continue
 		}
 		t.tags[i] = r.U64()
-		t.use[i] = r.U64()
 		t.val[i] = dec(r)
 		if r.Err() == nil && t.setOf(t.tags[i]) != i/t.ways {
 			return fmt.Errorf("core: entry %d holds tag %#x belonging to set %d", i, t.tags[i], t.setOf(t.tags[i]))

@@ -128,6 +128,9 @@ type Controller struct {
 	eng    *event.Engine
 	queues []channelQueue
 	stats  Stats
+	// burstSlot is one burst time in CPU cycles (TBurst × ClockRatio):
+	// how long a channel's command pipeline stays busy after each burst.
+	burstSlot uint64
 
 	txns    []txn
 	freeTxn int32
@@ -158,17 +161,19 @@ func New(cfg Config, d *dram.DRAM, eng *event.Engine) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	mapper, err := NewMapper(cfg.Interleave, d.Config(), cfg.RegionShift)
+	dcfg := d.Config()
+	mapper, err := NewMapper(cfg.Interleave, dcfg, cfg.RegionShift)
 	if err != nil {
 		return nil, err
 	}
 	return &Controller{
-		cfg:     cfg,
-		mapper:  mapper,
-		dram:    d,
-		eng:     eng,
-		queues:  make([]channelQueue, d.Config().Channels),
-		freeTxn: -1,
+		cfg:       cfg,
+		mapper:    mapper,
+		dram:      d,
+		eng:       eng,
+		queues:    make([]channelQueue, dcfg.Channels),
+		burstSlot: uint64(dcfg.Timing.TBurst) * cfg.ClockRatio,
+		freeTxn:   -1,
 	}, nil
 }
 
@@ -321,7 +326,7 @@ func (c *Controller) issue(ch int) {
 
 	// The channel can issue its next command once this burst's slot on
 	// the command pipeline passes (one burst time).
-	q.decideFree = now + uint64(c.dram.Config().Timing.TBurst)*ratio
+	q.decideFree = now + c.burstSlot
 
 	if c.Handler != nil {
 		t.outcome = outcome

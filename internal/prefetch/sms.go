@@ -1,6 +1,9 @@
 package prefetch
 
-import "bump/internal/mem"
+import (
+	"bump/internal/cache"
+	"bump/internal/mem"
+)
 
 // SMS implements Spatial Memory Streaming (Somogyi et al., ISCA 2006),
 // the state-of-the-art spatial prefetcher the paper compares against.
@@ -41,14 +44,14 @@ type smsGen struct {
 	pattern uint64
 }
 
-// phtTable is a set-associative pattern history table.
+// phtTable is a set-associative pattern history table with LRU
+// replacement, one recency word (cache.Order) per set.
 type phtTable struct {
 	sets, ways int
 	tags       []uint64
 	pats       []uint64
 	valid      []bool
-	use        []uint64
-	tick       uint64
+	order      []cache.Order // per set
 }
 
 func newPHT(entries, ways int) *phtTable {
@@ -61,43 +64,43 @@ func newPHT(entries, ways int) *phtTable {
 		tags:  make([]uint64, entries),
 		pats:  make([]uint64, entries),
 		valid: make([]bool, entries),
-		use:   make([]uint64, entries),
+		order: cache.NewOrders(sets, ways),
 	}
 }
 
+func (t *phtTable) setOf(sig uint64) int { return int(sig & uint64(t.sets-1)) }
+
 func (t *phtTable) lookup(sig uint64) (uint64, bool) {
-	s := int(sig % uint64(t.sets))
-	for i := s * t.ways; i < (s+1)*t.ways; i++ {
+	s := t.setOf(sig)
+	base := s * t.ways
+	for i := base; i < base+t.ways; i++ {
 		if t.valid[i] && t.tags[i] == sig {
-			t.tick++
-			t.use[i] = t.tick
+			t.order[s].Touch(i - base)
 			return t.pats[i], true
 		}
 	}
 	return 0, false
 }
 
+// insert stores sig's pattern in the set's first way that is empty or
+// holds sig, or else in its least recently used way.
 func (t *phtTable) insert(sig, pattern uint64) {
-	s := int(sig % uint64(t.sets))
-	victim := s * t.ways
-	for i := s * t.ways; i < (s+1)*t.ways; i++ {
-		if t.valid[i] && t.tags[i] == sig {
+	s := t.setOf(sig)
+	base := s * t.ways
+	victim := -1
+	for i := base; i < base+t.ways; i++ {
+		if !t.valid[i] || t.tags[i] == sig {
 			victim = i
 			break
-		}
-		if !t.valid[i] {
-			victim = i
-			break
-		}
-		if t.use[i] < t.use[victim] {
-			victim = i
 		}
 	}
-	t.tick++
+	if victim < 0 {
+		victim = base + t.order[s].LRU(t.ways)
+	}
 	t.tags[victim] = sig
 	t.pats[victim] = pattern
 	t.valid[victim] = true
-	t.use[victim] = t.tick
+	t.order[s].Touch(victim - base)
 }
 
 // NewSMS builds an SMS prefetcher over regions of 2^regionShift bytes

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"fmt"
 
+	"bump/internal/cache"
 	"bump/internal/mem"
 	"bump/internal/snapshot"
 )
@@ -91,7 +92,7 @@ func (s *SMS) SnapshotTo(w *snapshot.Writer) {
 	t := s.pht
 	w.U32(uint32(t.sets))
 	w.U32(uint32(t.ways))
-	w.U64(t.tick)
+	cache.SnapshotOrders(w, t.order)
 	for i := range t.tags {
 		if !t.valid[i] {
 			w.Bool(false)
@@ -100,7 +101,6 @@ func (s *SMS) SnapshotTo(w *snapshot.Writer) {
 		w.Bool(true)
 		w.U64(t.tags[i])
 		w.U64(t.pats[i])
-		w.U64(t.use[i])
 	}
 }
 
@@ -151,7 +151,9 @@ func (s *SMS) RestoreFrom(r *snapshot.Reader) error {
 	if int(sets) != t.sets || int(ways) != t.ways {
 		return fmt.Errorf("prefetch: PHT geometry %dx%d, have %dx%d", sets, ways, t.sets, t.ways)
 	}
-	t.tick = r.U64()
+	if err := cache.RestoreOrders(r, t.order, t.ways); err != nil {
+		return fmt.Errorf("prefetch: PHT %w", err)
+	}
 	for i := range t.tags {
 		ok := r.Bool()
 		if r.Err() != nil {
@@ -159,14 +161,13 @@ func (s *SMS) RestoreFrom(r *snapshot.Reader) error {
 		}
 		t.valid[i] = ok
 		if !ok {
-			t.tags[i], t.pats[i], t.use[i] = 0, 0, 0
+			t.tags[i], t.pats[i] = 0, 0
 			continue
 		}
 		t.tags[i] = r.U64()
 		t.pats[i] = r.U64()
-		t.use[i] = r.U64()
-		if r.Err() == nil && int(t.tags[i]%uint64(t.sets)) != i/t.ways {
-			return fmt.Errorf("prefetch: PHT entry %d holds signature %#x belonging to set %d", i, t.tags[i], t.tags[i]%uint64(t.sets))
+		if r.Err() == nil && t.setOf(t.tags[i]) != i/t.ways {
+			return fmt.Errorf("prefetch: PHT entry %d holds signature %#x belonging to set %d", i, t.tags[i], t.setOf(t.tags[i]))
 		}
 	}
 	return r.Err()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"bump/internal/cache"
 	"bump/internal/core"
 	"bump/internal/dram"
 	"bump/internal/mem"
@@ -89,12 +90,12 @@ type Config struct {
 	RetireWidth     int // 3-way
 	L1MSHRs         int // 10
 	L1Bytes         int // 32KB
-	L1Ways          int // 2
+	L1Ways          int // 2 (at most cache.MaxWays, 16)
 	L1LatencyCycles uint64
 
 	// LLC.
 	LLCBytes         int // 4MB
-	LLCWays          int // 16
+	LLCWays          int // 16 (at most cache.MaxWays)
 	LLCLatencyCycles uint64
 
 	// NOC.
@@ -216,6 +217,9 @@ func (c Config) Validate() error {
 	}
 	if c.WindowSize <= 0 || c.RetireWidth <= 0 || c.L1MSHRs <= 0 {
 		return fmt.Errorf("sim: core model parameters must be positive")
+	}
+	if c.L1Ways > cache.MaxWays || c.LLCWays > cache.MaxWays {
+		return fmt.Errorf("sim: L1 and LLC ways must be at most %d (L1 %d, LLC %d)", cache.MaxWays, c.L1Ways, c.LLCWays)
 	}
 	if c.MeasureCycles == 0 {
 		return fmt.Errorf("sim: measure window must be positive")

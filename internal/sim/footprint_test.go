@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -9,11 +11,12 @@ import (
 
 // newFootprintLimit bounds what sim.New allocates for the paper's machine
 // (Table II: 16 cores, 32 KB 2-way L1-Ds, a 4 MB 16-way LLC). The caches
-// are struct-of-arrays, 17 bytes per line (tag, LRU stamp, flag byte),
-// and tables grow with their live entries, so the machine needs about
-// 1.6 MB. A fill queue pre-sized to its 65,536-entry capacity (2.4 MB)
-// or an 8-byte field per line (0.6 MB) breaks the bound.
-const newFootprintLimit = 2 << 20
+// are struct-of-arrays, 9 bytes per line (tag, flag byte) and one 8-byte
+// recency word per set, and tables grow with their live entries, so the
+// machine needs about 1.0 MB. A fill queue pre-sized to its 65,536-entry
+// capacity (2.4 MB) or an 8-byte field per line, such as an LRU stamp
+// (0.6 MB), breaks the bound.
+const newFootprintLimit = 12 << 20 / 10
 
 func TestNewFootprint(t *testing.T) {
 	for _, m := range Mechanisms() {
@@ -73,5 +76,34 @@ func TestCheckpointSizeFollowsState(t *testing.T) {
 	t.Logf("checkpoint at cycle 2,200,000: %d bytes; at the end of measurement: %d bytes", cut, end)
 	if end-cut > checkpointGrowthLimit {
 		t.Errorf("checkpoint grew by %d bytes over the measurement tail, limit %d", end-cut, checkpointGrowthLimit)
+	}
+}
+
+// warmupCheckpointLimit bounds the warmup-end checkpoint of the paper
+// machine (BuMP, web-search, seed 1, 1M-cycle warmup), the checkpoint
+// the benchmark's snapshot probe encodes and restores. A resident cache
+// line encodes as its flag byte and block, and each set as one recency
+// word; an 8-byte LRU stamp per line read 1.34 MB here.
+const warmupCheckpointLimit = 850_000
+
+func TestWarmupCheckpointSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the paper machine for 1M cycles")
+	}
+	cfg := DefaultConfig(BuMP, workload.WebSearch())
+	cfg.Seed = 1
+	cfg.WarmupCycles = 1_000_000
+	s := mustNewSys(t, cfg)
+	errWarm := errors.New("warm")
+	if _, err := s.RunWithHooks(Hooks{AtWarmupEnd: func() error { return errWarm }}); !errors.Is(err, errWarm) {
+		t.Fatalf("warmup: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("warmup-end checkpoint: %d bytes", buf.Len())
+	if buf.Len() > warmupCheckpointLimit {
+		t.Errorf("warmup-end checkpoint is %d bytes, limit %d", buf.Len(), warmupCheckpointLimit)
 	}
 }

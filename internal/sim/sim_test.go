@@ -48,6 +48,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("negative row-hit streak cap must fail")
 	}
+	bad = cfg
+	bad.L1Ways = 32
+	if _, err := New(bad); err == nil {
+		t.Error("a 32-way L1 must fail")
+	}
+	bad = cfg
+	bad.LLCWays = 32
+	if _, err := New(bad); err == nil {
+		t.Error("a 32-way LLC must fail")
+	}
 }
 
 func TestMechanismStrings(t *testing.T) {

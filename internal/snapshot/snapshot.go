@@ -57,7 +57,10 @@ const (
 	// v6: a distribution (stats.Dist) encodes as one count per value
 	// instead of its samples, so a checkpoint's latency section no
 	// longer grows with the measured window.
-	FormatVersion = 6
+	// v7: the caches, the BuMP predictor's tables and the SMS pattern
+	// history table write one LRU recency word per set in place of their
+	// clock tick, and their entries no longer carry an LRU stamp.
+	FormatVersion = 7
 
 	magic     = "BUMPSNP\x00"
 	headerLen = len(magic) + 2 + 4 + 8

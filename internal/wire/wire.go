@@ -52,8 +52,10 @@ import (
 // profiler section only in profiled snapshots); v6 follows snapshot
 // format 5 (the container's node-metadata block is gone; frames carry
 // bare bodies, so no wire byte changes); v7 follows snapshot format 6
-// (a distribution encodes as per-value counts; no wire byte changes).
-const FormatVersion = 7
+// (a distribution encodes as per-value counts; no wire byte changes);
+// v8 follows snapshot format 7 (one LRU recency word per set instead of
+// a stamp per entry; no wire byte changes).
+const FormatVersion = 8
 
 // Hello flag bits, advertised symmetrically in the hello's flags word.
 const (
