@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"iter"
+
 	"bump/internal/addrmap"
 	"bump/internal/mem"
 )
@@ -95,6 +97,17 @@ func (t *MSHRTable) newEntry(b mem.BlockAddr, demand bool, waiter uint64) *MSHR 
 		e.Waiters = append(e.Waiters, waiter)
 	}
 	return e
+}
+
+// All yields every outstanding entry, in no particular order.
+func (t *MSHRTable) All() iter.Seq[*MSHR] {
+	return func(yield func(*MSHR) bool) {
+		for _, e := range t.entries.All() {
+			if !yield(*e) {
+				return
+			}
+		}
+	}
 }
 
 // Complete removes and returns the entry for block b when its fill

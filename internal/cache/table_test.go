@@ -1,4 +1,4 @@
-package core
+package cache
 
 import (
 	"bytes"
@@ -11,9 +11,9 @@ import (
 	"bump/internal/snapshot"
 )
 
-// refAssoc is assoc as it was before the per-set recency word: an LRU
+// refAssoc is Table as it was before the per-set recency word: an LRU
 // stamp per entry and a global tick, victim = the smallest stamp. It is
-// the reference the differential test drives side by side with assoc.
+// the reference the differential test drives side by side with Table.
 type refAssoc struct {
 	sets, ways int
 	tags       []uint64
@@ -101,7 +101,7 @@ func (t *refAssoc) remove(tag uint64) (int, bool) {
 // sameSet fails unless set s holds the same entries in the same ways in
 // both tables and its recency word ranks the valid ways as the
 // reference's stamps do, most recent first.
-func sameSet(a *assoc[int], ref *refAssoc, s int) error {
+func sameSet(a *Table[int], ref *refAssoc, s int) error {
 	var want, got []int
 	for i := s * a.ways; i < (s+1)*a.ways; i++ {
 		if a.ok[i] != ref.ok[i] || a.ok[i] && (a.tags[i] != ref.tags[i] || a.val[i] != ref.val[i]) {
@@ -125,12 +125,12 @@ func sameSet(a *assoc[int], ref *refAssoc, s int) error {
 
 // roundTrip encodes a, restores it into a fresh table of the same
 // geometry, checks the copy re-encodes to the same bytes, and returns it.
-func roundTrip(t *testing.T, a *assoc[int], entries int) *assoc[int] {
+func roundTrip(t *testing.T, a *Table[int], entries int) *Table[int] {
 	t.Helper()
 	enc := func(w *snapshot.Writer, v int) { w.I64(int64(v)) }
-	encode := func(a *assoc[int]) []byte {
+	encode := func(a *Table[int]) []byte {
 		w := snapshot.NewWriter()
-		snapAssoc(w, a, enc)
+		a.SnapshotTo(w, enc)
 		var buf bytes.Buffer
 		if err := w.Flush(&buf); err != nil {
 			t.Fatal(err)
@@ -142,8 +142,8 @@ func roundTrip(t *testing.T, a *assoc[int], entries int) *assoc[int] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := newAssoc[int](entries, a.ways)
-	if err := restoreAssoc(r, restored, func(r *snapshot.Reader) int { return int(r.I64()) }); err != nil {
+	restored := NewTable[int](entries, a.ways)
+	if err := restored.RestoreFrom(r, func(r *snapshot.Reader) int { return int(r.I64()) }); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if err := r.Finish(); err != nil {
@@ -155,7 +155,7 @@ func roundTrip(t *testing.T, a *assoc[int], entries int) *assoc[int] {
 	return restored
 }
 
-// TestAssocDifferentialAgainstStamps drives assoc and the stamp-based
+// TestAssocDifferentialAgainstStamps drives Table and the stamp-based
 // reference with seeded streams of lookups (some writing through the
 // returned pointer, as the predictor does), inserts and removes over a
 // few sets with twice as many tags as ways, so sets fill, evict and
@@ -167,7 +167,7 @@ func TestAssocDifferentialAgainstStamps(t *testing.T) {
 	for _, g := range []struct{ entries, ways int }{{256, 16}, {16, 2}, {12, 3}, {4, 1}} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%dx%d/seed%d", g.entries/g.ways, g.ways, seed), func(t *testing.T) {
-				a, ref := newAssoc[int](g.entries, g.ways), newRefAssoc(g.entries, g.ways)
+				a, ref := NewTable[int](g.entries, g.ways), newRefAssoc(g.entries, g.ways)
 				rng := rand.New(rand.NewSource(seed))
 				sets := min(a.sets, 4)
 				var displaced, removed, doubled int
@@ -179,7 +179,7 @@ func TestAssocDifferentialAgainstStamps(t *testing.T) {
 					tag := uint64(rng.Intn(sets) + a.sets*rng.Intn(2*g.ways))
 					switch rng.Intn(6) {
 					case 0, 1:
-						v, ok := a.lookup(tag)
+						v, ok := a.Lookup(tag)
 						rv, rok := ref.lookup(tag)
 						if ok != rok || ok && *v != *rv {
 							t.Fatalf("op %d: lookup(%#x) disagrees", i, tag)
@@ -193,7 +193,7 @@ func TestAssocDifferentialAgainstStamps(t *testing.T) {
 						if ref.emptyBefore(tag) {
 							doubled++
 						}
-						vt, vv, d := a.insert(tag, v)
+						vt, vv, d := a.Insert(tag, v)
 						rt, rv, rd := ref.insert(tag, v)
 						if vt != rt || vv != rv || d != rd {
 							t.Fatalf("op %d: insert(%#x) displaced %v %#x=%d, reference %v %#x=%d", i, tag, d, vt, vv, rd, rt, rv)
@@ -202,7 +202,7 @@ func TestAssocDifferentialAgainstStamps(t *testing.T) {
 							displaced++
 						}
 					case 5:
-						v, ok := a.remove(tag)
+						v, ok := a.Remove(tag)
 						rv, rok := ref.remove(tag)
 						if v != rv || ok != rok {
 							t.Fatalf("op %d: remove(%#x) = %d,%v, reference %d,%v", i, tag, v, ok, rv, rok)

@@ -145,10 +145,10 @@ type drtEntry struct{}
 // Predictor is the BuMP engine.
 type Predictor struct {
 	cfg     Config
-	trigger *assoc[rdttEntry]
-	density *assoc[rdttEntry]
-	bht     *assoc[uint64] // trained footprint pattern (union)
-	drt     *assoc[drtEntry]
+	trigger *cache.Table[rdttEntry]
+	density *cache.Table[rdttEntry]
+	bht     *cache.Table[uint64] // trained footprint pattern (union)
+	drt     *cache.Table[drtEntry]
 	stats   Stats
 }
 
@@ -160,10 +160,10 @@ func New(cfg Config) *Predictor {
 	}
 	return &Predictor{
 		cfg:     cfg,
-		trigger: newAssoc[rdttEntry](cfg.TriggerEntries, cfg.Ways),
-		density: newAssoc[rdttEntry](cfg.DensityEntries, cfg.Ways),
-		bht:     newAssoc[uint64](cfg.BHTEntries, cfg.Ways),
-		drt:     newAssoc[drtEntry](cfg.DRTEntries, cfg.Ways),
+		trigger: cache.NewTable[rdttEntry](cfg.TriggerEntries, cfg.Ways),
+		density: cache.NewTable[rdttEntry](cfg.DensityEntries, cfg.Ways),
+		bht:     cache.NewTable[uint64](cfg.BHTEntries, cfg.Ways),
+		drt:     cache.NewTable[drtEntry](cfg.DRTEntries, cfg.Ways),
 	}
 }
 
@@ -207,18 +207,18 @@ func (p *Predictor) Touch(pc mem.PC, b mem.BlockAddr, write bool) {
 	off := b.Offset(p.cfg.RegionShift)
 	bit := uint64(1) << off
 
-	if e, ok := p.density.lookup(region); ok {
+	if e, ok := p.density.Lookup(region); ok {
 		e.pattern |= bit
 		e.dirty = e.dirty || write
 		return
 	}
-	if e, ok := p.trigger.lookup(region); ok {
+	if e, ok := p.trigger.Lookup(region); ok {
 		// Second distinct access: transfer to the density table.
 		ent := *e
-		p.trigger.remove(region)
+		p.trigger.Remove(region)
 		ent.pattern |= bit
 		ent.dirty = ent.dirty || write
-		if vTag, vVal, displaced := p.density.insert(region, ent); displaced {
+		if vTag, vVal, displaced := p.density.Insert(region, ent); displaced {
 			p.terminate(mem.RegionAddr(vTag), vVal, false)
 			p.stats.ConflictTerminations++
 		}
@@ -228,7 +228,7 @@ func (p *Predictor) Touch(pc mem.PC, b mem.BlockAddr, write bool) {
 	ent := rdttEntry{pc: pc, offset: off, pattern: bit, dirty: write}
 	// Trigger-table conflicts carry no density information; the victim
 	// is dropped (it had a single accessed block: low density).
-	if _, _, displaced := p.trigger.insert(region, ent); displaced {
+	if _, _, displaced := p.trigger.Insert(region, ent); displaced {
 		p.stats.LowDensityRegions++
 	}
 }
@@ -242,17 +242,17 @@ func (p *Predictor) terminate(region mem.RegionAddr, e rdttEntry, evictedDirtyBl
 		p.stats.HighDensityRegions++
 		sig := p.signature(e.pc, e.offset)
 		pattern := e.pattern
-		if old, ok := p.bht.lookup(sig); ok {
+		if old, ok := p.bht.Lookup(sig); ok {
 			pattern |= *old // footprints accumulate across generations
 		}
-		p.bht.insert(sig, pattern)
+		p.bht.Insert(sig, pattern)
 		if e.dirty {
 			modifiedHigh = true
 			if !evictedDirtyBlock {
 				// Still cache-resident (conflict) or terminated by a
 				// clean eviction: remember it for a later dirty
 				// eviction (Section IV.C).
-				p.drt.insert(uint64(region), drtEntry{})
+				p.drt.Insert(uint64(region), drtEntry{})
 				p.stats.DRTInserts++
 			}
 		}
@@ -282,7 +282,7 @@ func (p *Predictor) ReadMissFootprint(pc mem.PC, b mem.BlockAddr) (stream bool, 
 		return true, whole
 	}
 	off := b.Offset(p.cfg.RegionShift)
-	if pat, ok := p.bht.lookup(p.signature(pc, off)); ok {
+	if pat, ok := p.bht.Lookup(p.signature(pc, off)); ok {
 		p.stats.BHTHits++
 		p.stats.BulkReads++
 		if p.cfg.Footprint {
@@ -309,7 +309,7 @@ func (p *Predictor) Evict(b mem.BlockAddr, dirty bool) (bulkWriteback bool) {
 	tag := uint64(region)
 
 	// An eviction inside an active region terminates it.
-	if e, ok := p.density.remove(tag); ok {
+	if e, ok := p.density.Remove(tag); ok {
 		p.stats.EvictTerminations++
 		modifiedHigh := p.terminate(region, e, dirty)
 		if modifiedHigh && dirty {
@@ -318,7 +318,7 @@ func (p *Predictor) Evict(b mem.BlockAddr, dirty bool) (bulkWriteback bool) {
 		}
 		return false
 	}
-	if _, ok := p.trigger.remove(tag); ok {
+	if _, ok := p.trigger.Remove(tag); ok {
 		// Single-access region: low density by definition.
 		p.stats.EvictTerminations++
 		p.stats.LowDensityRegions++
@@ -328,7 +328,7 @@ func (p *Predictor) Evict(b mem.BlockAddr, dirty bool) (bulkWriteback bool) {
 	// Not RDTT-active: probe the DRT for a previously identified
 	// high-density modified region.
 	if dirty {
-		if _, ok := p.drt.remove(tag); ok {
+		if _, ok := p.drt.Remove(tag); ok {
 			p.stats.DRTHits++
 			p.stats.BulkWrites++
 			return true
@@ -340,5 +340,5 @@ func (p *Predictor) Evict(b mem.BlockAddr, dirty bool) (bulkWriteback bool) {
 // TableLens returns the live entry counts (introspection for tests and
 // the design-space study).
 func (p *Predictor) TableLens() (trigger, density, bht, drt int) {
-	return p.trigger.len(), p.density.len(), p.bht.len(), p.drt.len()
+	return p.trigger.Len(), p.density.Len(), p.bht.Len(), p.drt.Len()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bump/internal/cache"
 	"bump/internal/mem"
 )
 
@@ -43,33 +44,36 @@ func TestStorageBudgetIsRoughly14KB(t *testing.T) {
 	}
 }
 
+// TestAssocTable pins the table behaviour the predictor's RDTT, BHT and
+// DRT build on: LRU displacement reported to the caller, overwrite in
+// place, and removal.
 func TestAssocTable(t *testing.T) {
-	a := newAssoc[int](4, 2) // 2 sets x 2 ways
-	if _, ok := a.lookup(0); ok {
+	a := cache.NewTable[int](4, 2) // 2 sets x 2 ways
+	if _, ok := a.Lookup(0); ok {
 		t.Fatal("empty table lookup must miss")
 	}
-	a.insert(0, 10)
-	a.insert(2, 20) // same set (even tags)
-	if v, ok := a.lookup(0); !ok || *v != 10 {
+	a.Insert(0, 10)
+	a.Insert(2, 20) // same set (even tags)
+	if v, ok := a.Lookup(0); !ok || *v != 10 {
 		t.Fatal("lookup after insert")
 	}
 	// Insert a third even tag: LRU (tag 2) is displaced.
-	vTag, vVal, displaced := a.insert(4, 40)
+	vTag, vVal, displaced := a.Insert(4, 40)
 	if !displaced || vTag != 2 || vVal != 20 {
 		t.Errorf("displacement = %v %d %d", displaced, vTag, vVal)
 	}
 	// Overwrite in place does not displace.
-	if _, _, d := a.insert(0, 11); d {
+	if _, _, d := a.Insert(0, 11); d {
 		t.Error("overwrite must not displace")
 	}
-	if v, _ := a.lookup(0); *v != 11 {
+	if v, _ := a.Lookup(0); *v != 11 {
 		t.Error("overwrite value lost")
 	}
-	if v, ok := a.remove(0); !ok || v != 11 {
+	if v, ok := a.Remove(0); !ok || v != 11 {
 		t.Error("remove")
 	}
-	if a.len() != 1 {
-		t.Errorf("len = %d", a.len())
+	if a.Len() != 1 {
+		t.Errorf("len = %d", a.Len())
 	}
 	func() {
 		defer func() {
@@ -77,7 +81,7 @@ func TestAssocTable(t *testing.T) {
 				t.Error("bad geometry must panic")
 			}
 		}()
-		newAssoc[int](3, 2)
+		cache.NewTable[int](3, 2)
 	}()
 }
 

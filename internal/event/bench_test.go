@@ -30,12 +30,12 @@ type replayStep struct {
 // pending events stays where it started.
 type replay struct {
 	e *Engine
-	// handlers stand in for replayMix's, index for index: six distinct
-	// functions, so dispatch makes indirect calls to six targets as the
-	// simulator does.
-	handlers [len(replayMix)]Handler
-	steps    []replayStep
-	next     int
+	// ports stand in for replayMix's handlers, index for index: six
+	// distinct functions, so dispatch makes indirect calls to six
+	// targets as the simulator does.
+	ports [len(replayMix)]Port
+	steps []replayStep
+	next  int
 }
 
 // newReplay draws a schedule of handlers in replayMix's proportions and
@@ -44,13 +44,13 @@ type replay struct {
 func newReplay(seed int64, pending int) *replay {
 	rng := rand.New(rand.NewSource(seed))
 	r := &replay{e: New(), steps: make([]replayStep, 1<<16)}
-	r.handlers = [...]Handler{
-		func(obj any, _, _ uint64) { obj.(*replay).fire() },
-		func(obj any, _, _ uint64) { obj.(*replay).fire() },
-		func(obj any, _, _ uint64) { obj.(*replay).fire() },
-		func(obj any, _, _ uint64) { obj.(*replay).fire() },
-		func(obj any, _, _ uint64) { obj.(*replay).fire() },
-		func(obj any, _, _ uint64) { obj.(*replay).fire() },
+	r.ports = [...]Port{
+		r.e.Port(replayMix[0].name, 0, func(_, _ uint64) { r.fire() }),
+		r.e.Port(replayMix[1].name, 0, func(_, _ uint64) { r.fire() }),
+		r.e.Port(replayMix[2].name, 0, func(_, _ uint64) { r.fire() }),
+		r.e.Port(replayMix[3].name, 0, func(_, _ uint64) { r.fire() }),
+		r.e.Port(replayMix[4].name, 0, func(_, _ uint64) { r.fire() }),
+		r.e.Port(replayMix[5].name, 0, func(_, _ uint64) { r.fire() }),
 	}
 	for i := range r.steps {
 		pick, h := rng.Intn(100), 0
@@ -73,7 +73,7 @@ func newReplay(seed int64, pending int) *replay {
 func (r *replay) fire() {
 	st := r.steps[r.next]
 	r.next = (r.next + 1) & (len(r.steps) - 1)
-	r.e.PostAfter(uint64(st.delta), r.handlers[st.handler], r, uint64(r.next), 0)
+	r.e.Post(r.e.Now()+uint64(st.delta), r.ports[st.handler], uint64(r.next), 0)
 }
 
 // BenchmarkEngine times the engine alone on the simulator's handler mix

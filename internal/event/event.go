@@ -1,18 +1,25 @@
 // Package event provides the discrete-event engine that drives the
-// simulator. Components schedule callbacks at absolute or relative CPU
-// cycles; the engine runs them in time order (FIFO within a cycle, in
-// scheduling order, so component interactions are deterministic).
+// simulator. A component registers a port on the engine for each of
+// its handlers and the receiver it binds — a handler name, a receiver
+// reference and the bound function (Engine.Port) — and schedules events
+// on that port with Post. The engine runs events in time order (FIFO
+// within a cycle, in scheduling order, so component interactions are
+// deterministic).
 //
 // The scheduler is a bucketed timing wheel: a power-of-two ring of
 // per-cycle FIFO buckets covers the near horizon (the common case —
 // core, NOC, LLC and DRAM latencies are small constants), and a typed
-// min-heap holds the overflow of far-future events. Event records are
-// intrusive nodes recycled through a free list, so steady-state
-// scheduling performs no allocation. The hot path is closure-free: the
-// Post family carries a fixed (handler, receiver, two-word payload)
-// record instead of a heap-allocated func() closure. At/After remain for
-// call sites where the closure cost does not matter.
+// min-heap holds the overflow of far-future events. An event record is
+// a 40-byte node holding no pointers — time, sequence number, two
+// payload words, port index and a link — recycled through a free list,
+// so steady-state scheduling performs no allocation and the garbage
+// collector never scans the slab. Because a port carries its handler's
+// name and receiver reference, a checkpoint names every pending event's
+// port itself (Snapshot), and a restore resolves each one to a port the
+// restoring engine registered or fails (Restore).
 package event
+
+import "fmt"
 
 // wheelBits sizes the timing wheel. The horizon must comfortably exceed
 // the longest common scheduling delta (worst-case DRAM transaction
@@ -24,15 +31,18 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// Handler is a closure-free event callback: obj is the receiver
-// (typically a component pointer) and a0/a1 are payload words whose
-// meaning the handler defines.
-type Handler func(obj any, a0, a1 uint64)
+// Port schedules one handler bound to one receiver; Engine.Port
+// registers it. It is an index into the engine's port table, so an
+// event record stores it without a pointer.
+type Port uint32
 
-// closureH adapts the legacy func() interface onto the handler path.
-// A func value stored in an interface carries no extra allocation beyond
-// the closure itself.
-var closureH Handler = func(obj any, _, _ uint64) { obj.(func())() }
+// port is one registered event target: the handler's name and receiver
+// reference, which a checkpoint records, and the bound handler.
+type port struct {
+	name string
+	ref  uint32
+	fn   func(a0, a1 uint64)
+}
 
 const nilIdx = -1
 
@@ -44,8 +54,7 @@ type node struct {
 	seq  uint64
 	a0   uint64
 	a1   uint64
-	h    Handler
-	obj  any
+	port Port
 	next int32
 }
 
@@ -59,6 +68,8 @@ type Engine struct {
 	// for run-away detection in tests).
 	Executed uint64
 
+	ports []port
+
 	nodes []node
 	free  int32 // free-list head into nodes
 
@@ -70,7 +81,7 @@ type Engine struct {
 	overflow []int32
 }
 
-// New returns an engine with the clock at zero.
+// New returns an engine with the clock at zero and no ports.
 func New() *Engine {
 	e := &Engine{free: nilIdx}
 	for i := range e.buckets {
@@ -79,35 +90,47 @@ func New() *Engine {
 	return e
 }
 
+// Port registers fn as handler name bound to the receiver its owner
+// calls ref, and returns the port that schedules it. A checkpoint
+// records each pending event's port as this (name, ref) pair, so both
+// must be stable across builds of the same system. Registering one
+// pair twice panics.
+func (e *Engine) Port(name string, ref uint32, fn func(a0, a1 uint64)) Port {
+	if _, dup := e.lookup(name, ref); dup {
+		panic(fmt.Sprintf("event: port %s on receiver %d registered twice", name, ref))
+	}
+	e.ports = append(e.ports, port{name: name, ref: ref, fn: fn})
+	return Port(len(e.ports) - 1)
+}
+
+// lookup returns the port registered as (name, ref).
+func (e *Engine) lookup(name string, ref uint32) (Port, bool) {
+	for i := range e.ports {
+		if p := &e.ports[i]; p.name == name && p.ref == ref {
+			return Port(i), true
+		}
+	}
+	return 0, false
+}
+
 // Now returns the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int { return e.wheelCount + len(e.overflow) }
 
-// At schedules fn to run at absolute cycle t. Scheduling in the past runs
-// the event at the current cycle (never before: time is monotonic).
-func (e *Engine) At(t uint64, fn func()) { e.Post(t, closureH, fn, 0, 0) }
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d uint64, fn func()) { e.Post(e.now+d, closureH, fn, 0, 0) }
-
-// Post schedules h(obj, a0, a1) at absolute cycle t without allocating a
-// closure. Past times clamp to the current cycle, like At.
-func (e *Engine) Post(t uint64, h Handler, obj any, a0, a1 uint64) {
+// Post schedules port p's handler with payload (a0, a1) at absolute
+// cycle t. Scheduling in the past runs the event at the current cycle
+// (never before: time is monotonic).
+func (e *Engine) Post(t uint64, p Port, a0, a1 uint64) {
 	if t < e.now {
 		t = e.now
 	}
 	idx := e.alloc()
 	n := &e.nodes[idx]
 	e.seq++
-	n.at, n.seq, n.h, n.obj, n.a0, n.a1, n.next = t, e.seq, h, obj, a0, a1, nilIdx
+	n.at, n.seq, n.a0, n.a1, n.port, n.next = t, e.seq, a0, a1, p, nilIdx
 	e.insert(idx)
-}
-
-// PostAfter schedules h(obj, a0, a1) d cycles from now.
-func (e *Engine) PostAfter(d uint64, h Handler, obj any, a0, a1 uint64) {
-	e.Post(e.now+d, h, obj, a0, a1)
 }
 
 func (e *Engine) alloc() int32 {
@@ -121,9 +144,7 @@ func (e *Engine) alloc() int32 {
 }
 
 func (e *Engine) release(idx int32) {
-	n := &e.nodes[idx]
-	n.h, n.obj = nil, nil // drop references for the GC
-	n.next = e.free
+	e.nodes[idx].next = e.free
 	e.free = idx
 }
 
@@ -199,21 +220,10 @@ func (e *Engine) dispatch(idx int32) {
 	}
 	e.now = n.at
 	e.migrate()
-	h, obj, a0, a1 := n.h, n.obj, n.a0, n.a1
+	p, a0, a1 := n.port, n.a0, n.a1
 	e.release(idx)
 	e.Executed++
-	h(obj, a0, a1)
-}
-
-// Step dispatches the next event, advancing the clock to its time.
-// Returns false if no events remain.
-func (e *Engine) Step() bool {
-	idx := e.next()
-	if idx == nilIdx {
-		return false
-	}
-	e.dispatch(idx)
-	return true
+	e.ports[p].fn(a0, a1)
 }
 
 // Run dispatches events until the queue is empty or the clock would pass
@@ -234,15 +244,6 @@ func (e *Engine) Run(until uint64) uint64 {
 	if e.now < until {
 		e.now = until
 		e.migrate()
-	}
-	return n
-}
-
-// Drain dispatches every remaining event.
-func (e *Engine) Drain() uint64 {
-	var n uint64
-	for e.Step() {
-		n++
 	}
 	return n
 }

@@ -2,56 +2,10 @@ package event
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
-	"sync"
 
 	"bump/internal/snapshot"
 )
-
-// Handler registry: checkpointing an engine requires naming the handler
-// of every pending event, so handlers used on steady-state simulation
-// paths register themselves under a stable string key at package init.
-// Closure events (At/After) are intentionally unregistered — they cannot
-// be serialized — and snapshotting an engine with one pending is an
-// error.
-var handlerReg = struct {
-	sync.RWMutex
-	byName map[string]Handler
-	byPtr  map[uintptr]string
-}{
-	byName: make(map[string]Handler),
-	byPtr:  make(map[uintptr]string),
-}
-
-// RegisterHandler records h under a stable name for snapshot/restore and
-// returns h (so call sites can register at var-initialization time).
-// Registering two different handlers under one name panics.
-func RegisterHandler(name string, h Handler) Handler {
-	ptr := reflect.ValueOf(h).Pointer()
-	handlerReg.Lock()
-	defer handlerReg.Unlock()
-	if old, ok := handlerReg.byName[name]; ok && reflect.ValueOf(old).Pointer() != ptr {
-		panic("event: handler name registered twice: " + name)
-	}
-	handlerReg.byName[name] = h
-	handlerReg.byPtr[ptr] = name
-	return h
-}
-
-func handlerName(h Handler) (string, bool) {
-	handlerReg.RLock()
-	defer handlerReg.RUnlock()
-	name, ok := handlerReg.byPtr[reflect.ValueOf(h).Pointer()]
-	return name, ok
-}
-
-func handlerByName(name string) (Handler, bool) {
-	handlerReg.RLock()
-	defer handlerReg.RUnlock()
-	h, ok := handlerReg.byName[name]
-	return h, ok
-}
 
 // liveOrder returns the indices of all pending events in canonical
 // dispatch-independent order: wheel events by cycle then FIFO position,
@@ -73,27 +27,20 @@ func (e *Engine) liveOrder() []int32 {
 }
 
 // Snapshot serializes the engine: clock, sequence counter, executed
-// count, and every pending event as (at, seq, payload, handler name,
-// object reference). encObj maps each event's receiver to a stable
-// reference the owning simulator defines; it must reject objects it does
-// not recognise.
-func (e *Engine) Snapshot(w *snapshot.Writer, encObj func(any) (uint32, error)) error {
+// count, the handler names of the pending events' ports in
+// first-appearance order, and every pending event as (at, seq, payload,
+// handler-name index, receiver reference).
+func (e *Engine) Snapshot(w *snapshot.Writer) {
 	w.Section("engine")
 	w.U64(e.now)
 	w.U64(e.seq)
 	w.U64(e.Executed)
 
 	order := e.liveOrder()
-
-	// Handler name table, in first-appearance order.
 	names := make([]string, 0, 8)
 	nameIdx := make(map[string]uint32, 8)
 	for _, idx := range order {
-		n := &e.nodes[idx]
-		name, ok := handlerName(n.h)
-		if !ok {
-			return fmt.Errorf("event: pending event at cycle %d has an unregistered handler (closure events cannot be checkpointed)", n.at)
-		}
+		name := e.ports[e.nodes[idx].port].name
 		if _, seen := nameIdx[name]; !seen {
 			nameIdx[name] = uint32(len(names))
 			names = append(names, name)
@@ -107,48 +54,31 @@ func (e *Engine) Snapshot(w *snapshot.Writer, encObj func(any) (uint32, error)) 
 	w.U32(uint32(len(order)))
 	for _, idx := range order {
 		n := &e.nodes[idx]
-		obj, err := encObj(n.obj)
-		if err != nil {
-			return fmt.Errorf("event: pending event at cycle %d: %w", n.at, err)
-		}
+		p := &e.ports[n.port]
 		w.U64(n.at)
 		w.U64(n.seq)
 		w.U64(n.a0)
 		w.U64(n.a1)
-		w.U32(nameIdx[handlerMustName(n.h)])
-		w.U32(obj)
+		w.U32(nameIdx[p.name])
+		w.U32(p.ref)
 	}
-	return nil
 }
 
-func handlerMustName(h Handler) string {
-	name, _ := handlerName(h)
-	return name
-}
-
-// Restore replaces the engine's entire state with the snapshot's. decObj
-// resolves the object references encObj produced. The engine's previous
-// events, clock and counters are discarded.
-func (e *Engine) Restore(r *snapshot.Reader, decObj func(uint32) (any, error)) error {
+// Restore replaces the engine's clock, counters and pending events with
+// the snapshot's; its ports stay as registered. Each event must name a
+// port of this engine by handler name and receiver reference, else
+// Restore fails: no event can reach a handler bound to another
+// receiver.
+func (e *Engine) Restore(r *snapshot.Reader) error {
 	r.Section("engine")
 	now := r.U64()
 	seq := r.U64()
 	executed := r.U64()
 
-	nNames := r.Len(5) // string: u32 len + >=1 byte
-	handlers := make([]Handler, 0, nNames)
-	for i := 0; i < nNames; i++ {
-		name := r.String()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		h, ok := handlerByName(name)
-		if !ok {
-			return fmt.Errorf("event: snapshot references unknown handler %q", name)
-		}
-		handlers = append(handlers, h)
+	names := make([]string, r.Len(5)) // string: u32 len + >=1 byte
+	for i := range names {
+		names[i] = r.String()
 	}
-
 	nEvents := r.Len(8*4 + 4 + 4)
 	if r.Err() != nil {
 		return r.Err()
@@ -171,13 +101,17 @@ func (e *Engine) Restore(r *snapshot.Reader, decObj func(uint32) (any, error)) e
 		evSeq := r.U64()
 		a0 := r.U64()
 		a1 := r.U64()
-		hIdx := r.U32()
-		objRef := r.U32()
+		nameIdx := r.U32()
+		ref := r.U32()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if int(hIdx) >= len(handlers) {
-			return fmt.Errorf("event: handler index %d out of range", hIdx)
+		if int(nameIdx) >= len(names) {
+			return fmt.Errorf("event: handler index %d out of range", nameIdx)
+		}
+		p, ok := e.lookup(names[nameIdx], ref)
+		if !ok {
+			return fmt.Errorf("event: snapshot schedules %s on receiver %d, which has no port here", names[nameIdx], ref)
 		}
 		if at < now {
 			return fmt.Errorf("event: pending event at cycle %d predates clock %d", at, now)
@@ -185,17 +119,27 @@ func (e *Engine) Restore(r *snapshot.Reader, decObj func(uint32) (any, error)) e
 		if evSeq > seq {
 			return fmt.Errorf("event: event sequence %d beyond counter %d", evSeq, seq)
 		}
-		obj, err := decObj(objRef)
-		if err != nil {
-			return err
-		}
 		idx := e.alloc()
-		n := &e.nodes[idx]
-		n.at, n.seq, n.h, n.obj, n.a0, n.a1, n.next = at, evSeq, handlers[hIdx], obj, a0, a1, nilIdx
+		e.nodes[idx] = node{at: at, seq: evSeq, a0: a0, a1: a1, port: p, next: nilIdx}
 		// Inserting in snapshot order reproduces each bucket's FIFO
 		// chain exactly; overflow events re-heapify by (at, seq), which
 		// is a total order, so pop order is preserved too.
 		e.insert(idx)
 	}
 	return r.Err()
+}
+
+// EachPending calls fn with the time and payload of every event pending
+// on port p, in canonical order, and returns the first error fn
+// returns. A component restored after the engine uses it to refuse
+// pending events it could not run.
+func (e *Engine) EachPending(p Port, fn func(at, a0, a1 uint64) error) error {
+	for _, idx := range e.liveOrder() {
+		if n := &e.nodes[idx]; n.port == p {
+			if err := fn(n.at, n.a0, n.a1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -2,42 +2,49 @@ package event
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"bump/internal/snapshot"
 )
 
-// test handlers: the receiver is a *recorder, payloads identify events.
+// recorder is the test receiver: its two ports append each event's
+// first payload word to fired. A chain event reschedules itself up to
+// min(a1, 3) more times, so a restored schedule keeps posting.
 type recorder struct {
-	fired []uint64
-	eng   *Engine
+	e      *Engine
+	record Port
+	chain  Port
+	fired  []uint64
 }
 
-var recordH = RegisterHandler("event.test.record", func(obj any, a0, _ uint64) {
-	obj.(*recorder).fired = append(obj.(*recorder).fired, a0)
-})
-
-// chainH reschedules itself a few times to exercise post-restore
-// scheduling.
-var chainH Handler
-
-func init() {
-	chainH = RegisterHandler("event.test.chain", func(obj any, a0, a1 uint64) {
-		rec := obj.(*recorder)
+// newRecorder registers a recorder's ports on e for receiver ref.
+func newRecorder(e *Engine, ref uint32) *recorder {
+	rec := &recorder{e: e}
+	rec.record = e.Port("event.test.record", ref, func(a0, _ uint64) {
+		rec.fired = append(rec.fired, a0)
+	})
+	rec.chain = e.Port("event.test.chain", ref, func(a0, a1 uint64) {
 		rec.fired = append(rec.fired, a0)
 		if a1 > 0 {
-			rec.eng.PostAfter(3, chainH, rec, a0+100, a1-1)
+			e.Post(e.Now()+3, rec.chain, a0+100, min(a1, 3)-1)
 		}
 	})
+	return rec
 }
 
-func snapEngine(t *testing.T, e *Engine, enc func(any) (uint32, error)) []byte {
+// drain runs rec's engine until nothing is pending.
+func (rec *recorder) drain() {
+	for rec.e.Pending() > 0 {
+		rec.e.Run(rec.e.Now() + wheelSize)
+	}
+}
+
+func snapEngine(t *testing.T, e *Engine) []byte {
 	t.Helper()
 	w := snapshot.NewWriter()
-	if err := e.Snapshot(w, enc); err != nil {
-		t.Fatal(err)
-	}
+	e.Snapshot(w)
 	var buf bytes.Buffer
 	if err := w.Flush(&buf); err != nil {
 		t.Fatal(err)
@@ -45,20 +52,15 @@ func snapEngine(t *testing.T, e *Engine, enc func(any) (uint32, error)) []byte {
 	return buf.Bytes()
 }
 
-func restoreEngine(t *testing.T, data []byte, dec func(uint32) (any, error)) *Engine {
-	t.Helper()
+func restoreEngine(data []byte, e *Engine) error {
 	r, err := snapshot.NewReader(bytes.NewReader(data))
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	e := New()
-	if err := e.Restore(r, dec); err != nil {
-		t.Fatal(err)
+	if err := e.Restore(r); err != nil {
+		return err
 	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return r.Finish()
 }
 
 // TestEngineSnapshotRoundTrip runs a randomized schedule split at an
@@ -66,61 +68,47 @@ func restoreEngine(t *testing.T, data []byte, dec func(uint32) (any, error)) *En
 // remaining sequence as the uninterrupted one.
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-
-		build := func(rec *recorder) *Engine {
-			e := New()
-			rec.eng = e
+		build := func() (*recorder, *rand.Rand) {
+			rec := newRecorder(New(), 0)
+			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
 				at := uint64(rng.Intn(3 * wheelSize))
 				if rng.Intn(4) == 0 {
-					e.Post(at, chainH, rec, uint64(i), uint64(rng.Intn(3)))
+					rec.e.Post(at, rec.chain, uint64(i), uint64(rng.Intn(3)))
 				} else {
-					e.Post(at, recordH, rec, uint64(i), 0)
+					rec.e.Post(at, rec.record, uint64(i), 0)
 				}
 			}
-			return e
+			return rec, rng
 		}
 
 		// Reference: run to completion in one go.
-		rngRef := rand.New(rand.NewSource(seed))
-		_ = rngRef
-		recRef := &recorder{}
-		rngSave := *rng
-		eRef := build(recRef)
-		eRef.Drain()
+		ref, _ := build()
+		ref.drain()
 
 		// Split run: same schedule, snapshot mid-flight, restore, drain.
-		*rng = rngSave // not needed (build consumed rng); rebuild fresh
-		rng = rand.New(rand.NewSource(seed))
-		recA := &recorder{}
-		eA := build(recA)
-		split := uint64(rng.Intn(2 * wheelSize))
-		eA.Run(split)
-
-		recB := &recorder{}
-		enc := func(obj any) (uint32, error) { return 0, nil }
-		dec := func(ref uint32) (any, error) { return recB, nil }
-		data := snapEngine(t, eA, enc)
-		eB := restoreEngine(t, data, dec)
-		recB.eng = eB
-
-		if eB.Now() != eA.Now() || eB.Pending() != eA.Pending() || eB.Executed != eA.Executed {
+		a, rng := build()
+		a.e.Run(uint64(rng.Intn(2 * wheelSize)))
+		b := newRecorder(New(), 0)
+		if err := restoreEngine(snapEngine(t, a.e), b.e); err != nil {
+			t.Fatal(err)
+		}
+		if b.e.Now() != a.e.Now() || b.e.Pending() != a.e.Pending() || b.e.Executed != a.e.Executed {
 			t.Fatalf("seed %d: restored clock/pending/executed mismatch", seed)
 		}
-		eB.Drain()
+		b.drain()
 
-		got := append(append([]uint64(nil), recA.fired...), recB.fired...)
-		if len(got) != len(recRef.fired) {
-			t.Fatalf("seed %d: %d events fired, want %d", seed, len(got), len(recRef.fired))
+		got := append(append([]uint64(nil), a.fired...), b.fired...)
+		if len(got) != len(ref.fired) {
+			t.Fatalf("seed %d: %d events fired, want %d", seed, len(got), len(ref.fired))
 		}
 		for i := range got {
-			if got[i] != recRef.fired[i] {
-				t.Fatalf("seed %d: event %d = %d, want %d", seed, i, got[i], recRef.fired[i])
+			if got[i] != ref.fired[i] {
+				t.Fatalf("seed %d: event %d = %d, want %d", seed, i, got[i], ref.fired[i])
 			}
 		}
-		if eB.Executed != eRef.Executed {
-			t.Fatalf("seed %d: executed %d, want %d", seed, eB.Executed, eRef.Executed)
+		if b.e.Executed != ref.e.Executed {
+			t.Fatalf("seed %d: executed %d, want %d", seed, b.e.Executed, ref.e.Executed)
 		}
 	}
 }
@@ -129,67 +117,110 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 // exact bytes it was restored from (slab/heap layout differences never
 // leak into the encoding).
 func TestEngineSnapshotCanonical(t *testing.T) {
-	rec := &recorder{}
-	e := New()
-	rec.eng = e
+	rec := newRecorder(New(), 0)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		e.Post(uint64(rng.Intn(4*wheelSize)), recordH, rec, uint64(i), 0)
+		rec.e.Post(uint64(rng.Intn(4*wheelSize)), rec.record, uint64(i), 0)
 	}
-	e.Run(wheelSize / 2)
+	rec.e.Run(wheelSize / 2)
 
-	enc := func(obj any) (uint32, error) { return 0, nil }
-	dec := func(ref uint32) (any, error) { return rec, nil }
-	data := snapEngine(t, e, enc)
-	e2 := restoreEngine(t, data, dec)
-	data2 := snapEngine(t, e2, enc)
-	if !bytes.Equal(data, data2) {
+	data := snapEngine(t, rec.e)
+	rec2 := newRecorder(New(), 0)
+	if err := restoreEngine(data, rec2.e); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, snapEngine(t, rec2.e)) {
 		t.Fatal("restored engine serializes to different bytes")
 	}
 }
 
-// TestSnapshotRejectsClosures: At/After events are unregistered closures
-// and must fail a snapshot loudly.
-func TestSnapshotRejectsClosures(t *testing.T) {
-	e := New()
-	e.At(10, func() {})
-	w := snapshot.NewWriter()
-	err := e.Snapshot(w, func(any) (uint32, error) { return 0, nil })
-	if err == nil {
-		t.Fatal("closure event accepted by Snapshot")
-	}
-}
-
-func TestRegisterHandlerDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterHandler("event.test.dup", func(any, uint64, uint64) {})
-	RegisterHandler("event.test.dup", func(any, uint64, uint64) {})
-}
-
+// TestRestoreRejectsUnknownHandler: an event whose port the restoring
+// engine has not registered, by handler name or by receiver, is refused.
 func TestRestoreRejectsUnknownHandler(t *testing.T) {
-	rec := &recorder{}
-	e := New()
-	e.Post(5, recordH, rec, 1, 0)
-	data := snapEngine(t, e, func(any) (uint32, error) { return 0, nil })
+	rec := newRecorder(New(), 3)
+	rec.e.Post(5, rec.record, 1, 0)
+	data := snapEngine(t, rec.e)
 
-	// Corrupt the handler name by rebuilding a snapshot that names a
-	// never-registered handler. Simpler: restoring with a decoder that
-	// errors must propagate.
-	r, err := snapshot.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	if err := restoreEngine(data, newRecorder(New(), 3).e); err != nil {
+		t.Fatalf("engine with the port refused the snapshot: %v", err)
 	}
-	e2 := New()
-	wantErr := restoreErr{}
-	if err := e2.Restore(r, func(uint32) (any, error) { return nil, wantErr }); err == nil {
-		t.Fatal("object-decode error not propagated")
+	if err := restoreEngine(data, newRecorder(New(), 4).e); err == nil {
+		t.Error("engine with the handler on another receiver accepted the snapshot")
+	}
+	other := New()
+	other.Port("event.test.other", 3, func(uint64, uint64) {})
+	if err := restoreEngine(data, other); err == nil {
+		t.Error("engine without the handler accepted the snapshot")
 	}
 }
 
-type restoreErr struct{}
+// TestSnapshotRejectsClosures: a closure never crosses a checkpoint. A
+// snapshot records a callback scheduled through a port only as the
+// port's (name, ref), so an engine that has not registered that port
+// refuses the event, and one that has runs its own bound function with
+// the event's payload, never the snapshotted engine's callback.
+func TestSnapshotRejectsClosures(t *testing.T) {
+	c := newClosures()
+	ran := false
+	c.At(10, func() { ran = true })
+	data := snapEngine(t, c.e)
 
-func (restoreErr) Error() string { return "no such object" }
+	if err := restoreEngine(data, New()); err == nil {
+		t.Error("engine without the closure port accepted a pending closure event")
+	}
+	if err := restoreEngine(data, newRecorder(New(), 0).e); err == nil {
+		t.Error("engine with other handlers on the closure's receiver accepted a pending closure event")
+	}
+
+	e := New()
+	var got []uint64
+	e.Port("event.test.closure", 0, func(id, _ uint64) { got = append(got, id) })
+	if err := restoreEngine(data, e); err != nil {
+		t.Fatalf("engine with the closure port refused the snapshot: %v", err)
+	}
+	e.Run(10)
+	if ran || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("restored event ran the snapshotted callback %v, the restoring port with %v; want only the port, with [1]", ran, got)
+	}
+}
+
+// fuzzSeedEngine is a valid engine section: record and chain events on
+// receivers 0 and 1, in the wheel and beyond its horizon, after the
+// first cycle's events ran. It stays small: the fuzzer minimizes every
+// new input in time quadratic in its length.
+func fuzzSeedEngine() []byte {
+	e := New()
+	r0, r1 := newRecorder(e, 0), newRecorder(e, 1)
+	e.Post(10, r0.record, 1, 0)
+	e.Post(10, r1.chain, 2, 2)
+	e.Post(20, r1.record, 3, 0)
+	e.Post(wheelSize+5, r0.chain, 4, 1)
+	e.Post(3*wheelSize, r1.record, 5, 0)
+	e.Run(12)
+	w := snapshot.NewWriter()
+	e.Snapshot(w)
+	return w.Body()
+}
+
+// FuzzEngineRestore reads arbitrary bytes as an engine section, with no
+// CRC in front of the decoder, into an engine whose ports are the
+// record and chain handlers on receivers 0 and 1. Every input must
+// either be refused or restore and then run every event to completion.
+func FuzzEngineRestore(f *testing.F) {
+	seed := fuzzSeedEngine()
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := New()
+		newRecorder(e, 0)
+		newRecorder(e, 1)
+		if err := e.Restore(snapshot.NewBodyReader(data)); err != nil {
+			return
+		}
+		pending := e.Pending()
+		if n := e.Run(math.MaxUint64); n < uint64(pending) || e.Pending() != 0 {
+			t.Fatalf("ran %d of %d restored events, %d still pending", n, pending, e.Pending())
+		}
+	})
+}

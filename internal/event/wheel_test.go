@@ -67,37 +67,37 @@ func (e *refEngine) Drain() {
 // the overflow heap) must still run before a same-cycle event scheduled
 // later but directly into the wheel.
 func TestWheelOverflowFIFO(t *testing.T) {
-	e := New()
+	c := newClosures()
 	far := uint64(2 * wheelSize)
 	var got []int
-	e.At(far, func() { got = append(got, 1) }) // overflow at now=0
+	c.At(far, func() { got = append(got, 1) }) // overflow at now=0
 	// From within the horizon, schedule a second event at the same
 	// far-future cycle — this one lands in the wheel.
-	e.At(far-10, func() { e.At(far, func() { got = append(got, 2) }) })
-	e.Drain()
+	c.At(far-10, func() { c.At(far, func() { got = append(got, 2) }) })
+	c.Drain()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("dispatch order = %v, want [1 2]", got)
 	}
-	if e.Now() != far {
-		t.Errorf("Now = %d, want %d", e.Now(), far)
+	if c.e.Now() != far {
+		t.Errorf("Now = %d, want %d", c.e.Now(), far)
 	}
 }
 
 // TestWheelWrapAround exercises bucket reuse across several full laps of
 // the ring.
 func TestWheelWrapAround(t *testing.T) {
-	e := New()
+	c := newClosures()
 	const laps = 5
 	var fired []uint64
+	record := func() { fired = append(fired, c.e.Now()) }
 	// All these cycles map to the same bucket (congruent mod wheelSize).
 	for lap := uint64(1); lap <= laps; lap++ {
-		at := lap * wheelSize
-		e.At(at, func() { fired = append(fired, e.Now()) })
+		c.At(lap*wheelSize, record)
 	}
 	// Neighbouring buckets on different laps, scheduled out of order.
-	e.At(3*wheelSize+1, func() { fired = append(fired, e.Now()) })
-	e.At(wheelSize-1, func() { fired = append(fired, e.Now()) })
-	e.Drain()
+	c.At(3*wheelSize+1, record)
+	c.At(wheelSize-1, record)
+	c.Drain()
 	want := []uint64{wheelSize - 1, wheelSize, 2 * wheelSize, 3 * wheelSize,
 		3*wheelSize + 1, 4 * wheelSize, 5 * wheelSize}
 	if len(fired) != len(want) {
@@ -114,11 +114,12 @@ func TestWheelWrapAround(t *testing.T) {
 // events sit beyond the wheel horizon: events at exactly `until` run, the
 // clock lands exactly on `until`, and later events stay pending.
 func TestRunBoundaryAcrossHorizon(t *testing.T) {
-	e := New()
+	c := newClosures()
+	e := c.e
 	fired := 0
-	e.At(wheelSize+500, func() { fired++ })
-	e.At(wheelSize+500, func() { fired++ }) // same cycle, FIFO
-	e.At(3*wheelSize, func() { fired++ })
+	c.At(wheelSize+500, func() { fired++ })
+	c.At(wheelSize+500, func() { fired++ }) // same cycle, FIFO
+	c.At(3*wheelSize, func() { fired++ })
 	if n := e.Run(wheelSize + 500); n != 2 || fired != 2 {
 		t.Errorf("Run dispatched %d (fired %d), want 2", n, fired)
 	}
@@ -141,35 +142,37 @@ func TestRunBoundaryAcrossHorizon(t *testing.T) {
 // TestPastSchedulingFromOverflowDispatch schedules into the past from a
 // handler that was itself dispatched out of the overflow heap.
 func TestPastSchedulingFromOverflowDispatch(t *testing.T) {
-	e := New()
+	c := newClosures()
 	var at uint64
-	e.At(2*wheelSize, func() {
-		e.At(10, func() { at = e.Now() }) // in the past: clamps to now
+	c.At(2*wheelSize, func() {
+		c.At(10, func() { at = c.e.Now() }) // in the past: clamps to now
 	})
-	e.Drain()
+	c.Drain()
 	if at != 2*wheelSize {
 		t.Errorf("clamped event fired at %d, want %d", at, uint64(2*wheelSize))
 	}
 }
 
-// TestPostPayload checks the closure-free path end to end: receiver and
-// both payload words arrive intact, in FIFO order with At events.
+// TestPostPayload checks the port path end to end: each port's receiver
+// and both payload words arrive intact, in FIFO order across ports.
 func TestPostPayload(t *testing.T) {
-	e := New()
 	type rec struct {
+		port   string
 		a0, a1 uint64
 	}
 	var recv []rec
-	h := func(obj any, a0, a1 uint64) {
-		*(obj.(*[]rec)) = append(*(obj.(*[]rec)), rec{a0, a1})
-	}
-	e.Post(5, h, &recv, 1, 100)
-	e.At(5, func() { recv = append(recv, rec{2, 200}) })
-	e.PostAfter(5, h, &recv, 3, 300)
-	e.Drain()
-	want := []rec{{1, 100}, {2, 200}, {3, 300}}
-	if len(recv) != 3 {
-		t.Fatalf("received %d events, want 3", len(recv))
+	c := newClosures()
+	e := c.e
+	p := e.Port("event.test.payload", 7, func(a0, a1 uint64) {
+		recv = append(recv, rec{"payload", a0, a1})
+	})
+	e.Post(5, p, 1, 100)
+	c.At(5, func() { recv = append(recv, rec{"closure", 2, 200}) })
+	e.Post(e.Now()+5, p, 3, 300)
+	c.Drain()
+	want := []rec{{"payload", 1, 100}, {"closure", 2, 200}, {"payload", 3, 300}}
+	if len(recv) != len(want) {
+		t.Fatalf("received %d events, want %d", len(recv), len(want))
 	}
 	for i := range want {
 		if recv[i] != want[i] {
@@ -232,8 +235,8 @@ func runScenario(seed int64, sched scheduler, now func() uint64, drain func()) [
 
 func TestDifferentialAgainstReferenceHeap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		e := New()
-		gotTrace := runScenario(seed, e, e.Now, func() { e.Drain() })
+		c := newClosures()
+		gotTrace := runScenario(seed, c, c.e.Now, c.Drain)
 
 		r := &refEngine{}
 		wantTrace := runScenario(seed, r, func() uint64 { return r.now }, r.Drain)
@@ -248,8 +251,8 @@ func TestDifferentialAgainstReferenceHeap(t *testing.T) {
 					seed, i, gotTrace[i], wantTrace[i])
 			}
 		}
-		if e.Pending() != 0 {
-			t.Errorf("seed %d: %d events left pending", seed, e.Pending())
+		if c.e.Pending() != 0 {
+			t.Errorf("seed %d: %d events left pending", seed, c.e.Pending())
 		}
 	}
 }

@@ -126,8 +126,12 @@ type Controller struct {
 	mapper *Mapper
 	dram   *dram.DRAM
 	eng    *event.Engine
-	queues []channelQueue
-	stats  Stats
+	// kickP runs a channel's next scheduling decision (payload: the
+	// channel); completeP delivers a finished transaction (payload: its
+	// slab slot).
+	kickP, completeP event.Port
+	queues           []channelQueue
+	stats            Stats
 	// burstSlot is one burst time in CPU cycles (TBurst × ClockRatio):
 	// how long a channel's command pipeline stays busy after each burst.
 	burstSlot uint64
@@ -139,25 +143,9 @@ type Controller struct {
 	Handler func(Completion)
 }
 
-// Closure-free event handlers (event.Handler): the receiver rides in
-// obj, the channel or transaction-slot index in a0. They are registered
-// with the event package so pending kicks/completions survive a
-// checkpoint.
-var kickH, completeH event.Handler
-
-func init() {
-	kickH = event.RegisterHandler("memctrl.kick", func(obj any, ch, _ uint64) {
-		c := obj.(*Controller)
-		c.queues[ch].kickArmed = false
-		c.issue(int(ch))
-	})
-	completeH = event.RegisterHandler("memctrl.complete", func(obj any, idx, _ uint64) {
-		obj.(*Controller).complete(int32(idx))
-	})
-}
-
-// New wires a controller to a DRAM device and an event engine.
-func New(cfg Config, d *dram.DRAM, eng *event.Engine) (*Controller, error) {
+// New wires a controller to a DRAM device and an event engine, on which
+// it registers its ports under receiver reference ref.
+func New(cfg Config, d *dram.DRAM, eng *event.Engine, ref uint32) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -166,7 +154,7 @@ func New(cfg Config, d *dram.DRAM, eng *event.Engine) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:       cfg,
 		mapper:    mapper,
 		dram:      d,
@@ -174,7 +162,13 @@ func New(cfg Config, d *dram.DRAM, eng *event.Engine) (*Controller, error) {
 		queues:    make([]channelQueue, dcfg.Channels),
 		burstSlot: uint64(dcfg.Timing.TBurst) * cfg.ClockRatio,
 		freeTxn:   -1,
-	}, nil
+	}
+	c.kickP = eng.Port("memctrl.kick", ref, func(ch, _ uint64) {
+		c.queues[ch].kickArmed = false
+		c.issue(int(ch))
+	})
+	c.completeP = eng.Port("memctrl.complete", ref, func(idx, _ uint64) { c.complete(int32(idx)) })
+	return c, nil
 }
 
 func (c *Controller) allocTxn() int32 {
@@ -249,7 +243,7 @@ func (c *Controller) kick(ch int) {
 	if at < q.decideFree {
 		at = q.decideFree
 	}
-	c.eng.Post(at, kickH, c, uint64(ch), 0)
+	c.eng.Post(at, c.kickP, uint64(ch), 0)
 }
 
 // pickFRFCFS returns the index of the transaction to issue from list under
@@ -330,7 +324,7 @@ func (c *Controller) issue(ch int) {
 
 	if c.Handler != nil {
 		t.outcome = outcome
-		c.eng.Post(done, completeH, c, uint64(idx), 0)
+		c.eng.Post(done, c.completeP, uint64(idx), 0)
 	} else {
 		c.releaseTxn(idx)
 	}

@@ -113,11 +113,19 @@ func TestRegionRowCapacityProperty(t *testing.T) {
 	}
 }
 
+// drain runs eng until nothing is pending, leaving the clock at the
+// last event's cycle.
+func drain(eng *event.Engine) {
+	for eng.Pending() > 0 {
+		eng.Run(eng.Now() + 1)
+	}
+}
+
 func defaultController(t *testing.T, p Policy, il Interleave) (*Controller, *dram.DRAM, *event.Engine) {
 	t.Helper()
 	eng := event.New()
 	d := dram.New(dram.DefaultConfig())
-	c, err := New(DefaultConfig(p, il), d, eng)
+	c, err := New(DefaultConfig(p, il), d, eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +137,18 @@ func TestControllerConfigValidation(t *testing.T) {
 	d := dram.New(dram.DefaultConfig())
 	bad := DefaultConfig(OpenRow, BlockInterleave)
 	bad.QueueDepth = 0
-	if _, err := New(bad, d, eng); err == nil {
+	if _, err := New(bad, d, eng, 0); err == nil {
 		t.Error("zero queue depth must fail")
 	}
 	bad = DefaultConfig(OpenRow, BlockInterleave)
 	bad.ClockRatio = 0
-	if _, err := New(bad, d, eng); err == nil {
+	if _, err := New(bad, d, eng, 0); err == nil {
 		t.Error("zero clock ratio must fail")
 	}
 	bad = DefaultConfig(OpenRow, BlockInterleave)
 	bad.WriteHighWatermark = 1
 	bad.WriteLowWatermark = 5
-	if _, err := New(bad, d, eng); err == nil {
+	if _, err := New(bad, d, eng, 0); err == nil {
 		t.Error("inverted watermarks must fail")
 	}
 }
@@ -150,7 +158,7 @@ func TestSingleReadCompletes(t *testing.T) {
 	var got []Completion
 	c.Handler = func(cp Completion) { got = append(got, cp) }
 	c.Enqueue(mem.Request{Op: mem.MemRead, Addr: 0x10000, PC: 0x400})
-	eng.Drain()
+	drain(eng)
 	if len(got) != 1 {
 		t.Fatalf("completions = %d", len(got))
 	}
@@ -177,7 +185,7 @@ func TestFRFCFSPrioritisesRowHits(t *testing.T) {
 	// (same bank, different row) and a row hit (same region). The hit
 	// must complete first despite arriving later.
 	c.Enqueue(mem.Request{Op: mem.MemRead, Addr: 0})
-	eng.Drain()
+	drain(eng)
 	conflictAddr := func() mem.Addr {
 		// Find an address mapping to the same bank, different row.
 		base := c.Mapper().Map(0)
@@ -191,7 +199,7 @@ func TestFRFCFSPrioritisesRowHits(t *testing.T) {
 	}()
 	c.Enqueue(mem.Request{Op: mem.MemRead, Addr: conflictAddr})
 	c.Enqueue(mem.Request{Op: mem.MemRead, Addr: 64}) // block 1 of region 0: row hit
-	eng.Drain()
+	drain(eng)
 	if len(order) != 3 {
 		t.Fatalf("completions = %d", len(order))
 	}
@@ -209,7 +217,7 @@ func TestCloseRowNeverHits(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.Enqueue(mem.Request{Op: mem.MemRead, Addr: mem.Addr(i * 64)})
 	}
-	eng.Drain()
+	drain(eng)
 	if hits := d.Stats().RowHits; hits != 0 {
 		t.Errorf("close-row policy produced %d row hits", hits)
 	}
@@ -222,7 +230,7 @@ func TestOpenRowSequentialRegionHits(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.Enqueue(mem.Request{Op: mem.MemRead, Addr: mem.Addr(i * 64)})
 	}
-	eng.Drain()
+	drain(eng)
 	s := d.Stats()
 	if s.Activations != 1 {
 		t.Errorf("activations = %d, want 1", s.Activations)
@@ -251,7 +259,7 @@ func TestWriteDrainHysteresis(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Enqueue(mem.Request{Op: mem.MemRead, Addr: mem.Addr(1 << 30)})
 	}
-	eng.Drain()
+	drain(eng)
 	if writes != 50 || reads != 10 {
 		t.Errorf("writes=%d reads=%d", writes, reads)
 	}
@@ -270,7 +278,7 @@ func TestReadsPreferredOverIdleWrites(t *testing.T) {
 	c.Enqueue(mem.Request{Op: mem.MemWrite, Addr: 0})
 	c.Enqueue(mem.Request{Op: mem.MemWrite, Addr: 2048})
 	c.Enqueue(mem.Request{Op: mem.MemRead, Addr: 4096})
-	eng.Drain()
+	drain(eng)
 	if order[len(order)-1] == mem.MemRead {
 		t.Errorf("read starved behind idle writes: %v", order)
 	}
@@ -285,7 +293,7 @@ func TestQueueLenAndDelayAccounting(t *testing.T) {
 	if c.QueueLen() == 0 {
 		t.Error("queue should hold pending transactions")
 	}
-	eng.Drain()
+	drain(eng)
 	if c.QueueLen() != 0 {
 		t.Error("queue must drain")
 	}
@@ -307,7 +315,7 @@ func TestCompletionConservationProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		eng := event.New()
 		d := dram.New(dram.DefaultConfig())
-		c, err := New(DefaultConfig(OpenRow, RegionInterleave), d, eng)
+		c, err := New(DefaultConfig(OpenRow, RegionInterleave), d, eng, 0)
 		if err != nil {
 			return false
 		}
@@ -320,7 +328,7 @@ func TestCompletionConservationProperty(t *testing.T) {
 			}
 			c.Enqueue(mem.Request{Op: op, Addr: mem.Addr(r) * mem.BlockBytes})
 		}
-		eng.Drain()
+		drain(eng)
 		return completed == len(raw) && c.QueueLen() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -338,14 +346,14 @@ func TestRowHitStreakCap(t *testing.T) {
 		d := dram.New(dram.DefaultConfig())
 		cfg := DefaultConfig(OpenRow, RegionInterleave)
 		cfg.MaxRowHitStreak = cap
-		c, err := New(cfg, d, eng)
+		c, err := New(cfg, d, eng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var order []mem.Addr
 		c.Handler = func(cp Completion) { order = append(order, cp.Req.Addr) }
 		c.Enqueue(mem.Request{Op: mem.MemRead, Addr: 0})
-		eng.Drain()
+		drain(eng)
 		// Conflicting address: same bank, different row.
 		base := c.Mapper().Map(0)
 		var conflict mem.Addr
@@ -359,7 +367,7 @@ func TestRowHitStreakCap(t *testing.T) {
 		for i := 1; i < 10; i++ {
 			c.Enqueue(mem.Request{Op: mem.MemRead, Addr: mem.Addr(i * 64)}) // row hits
 		}
-		eng.Drain()
+		drain(eng)
 		for i, a := range order {
 			if a == conflict {
 				return i

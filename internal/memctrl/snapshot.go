@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
 
 	"bump/internal/dram"
 	"bump/internal/mem"
@@ -181,6 +182,47 @@ func (c *Controller) RestoreFrom(r *snapshot.Reader) error {
 	r.AnyInto(&c.stats)
 	if err := r.Err(); err != nil {
 		return err
+	}
+
+	// The engine is restored first, so the pending kicks and completions
+	// are known: they must be exactly the ones this controller runs. An
+	// armed channel has one pending kick, and no other channel has one.
+	kicked := make([]bool, len(queues))
+	if err := c.eng.EachPending(c.kickP, func(_, ch, _ uint64) error {
+		if ch >= uint64(len(queues)) || !queues[ch].kickArmed || kicked[ch] {
+			return fmt.Errorf("memctrl: pending kick on channel %d, which has no kick armed", ch)
+		}
+		kicked[ch] = true
+		return nil
+	}); err != nil {
+		return err
+	}
+	for ch := range queues {
+		if queues[ch].kickArmed && !kicked[ch] {
+			return fmt.Errorf("memctrl: channel %d is armed with no kick pending", ch)
+		}
+	}
+	// A slot is free, queued or completing: exactly one of the three.
+	held := free
+	for i := range queues {
+		for _, idx := range slices.Concat(queues[i].reads, queues[i].writes) {
+			if held[idx] {
+				return fmt.Errorf("memctrl: transaction %d queued twice", idx)
+			}
+			held[idx] = true
+		}
+	}
+	if err := c.eng.EachPending(c.completeP, func(_, idx, _ uint64) error {
+		if idx >= uint64(len(txns)) || held[idx] {
+			return fmt.Errorf("memctrl: pending completion of transaction %d, which is outside the slab, free, queued or already completing", idx)
+		}
+		held[idx] = true
+		return nil
+	}); err != nil {
+		return err
+	}
+	if idx := slices.Index(held, false); idx >= 0 {
+		return fmt.Errorf("memctrl: transaction %d is neither free, queued nor completing", idx)
 	}
 
 	c.txns = txns

@@ -4,7 +4,10 @@
 // LLC as the paper does.
 package prefetch
 
-import "bump/internal/mem"
+import (
+	"bump/internal/mem"
+	"bump/internal/snapshot"
+)
 
 // Prefetcher consumes the LLC demand-access stream and emits block
 // addresses to prefetch into the LLC.
@@ -18,13 +21,8 @@ type Prefetcher interface {
 	// OnEvict observes an LLC eviction (SMS closes pattern generations
 	// at eviction time).
 	OnEvict(b mem.BlockAddr)
+	// SnapshotTo writes the prefetcher's state to a checkpoint, and
+	// RestoreFrom replaces it with a checkpoint's.
+	SnapshotTo(w *snapshot.Writer)
+	RestoreFrom(r *snapshot.Reader) error
 }
-
-// Nil is a no-op prefetcher.
-type Nil struct{}
-
-// OnAccess implements Prefetcher.
-func (Nil) OnAccess(int, mem.PC, mem.BlockAddr, bool) []mem.BlockAddr { return nil }
-
-// OnEvict implements Prefetcher.
-func (Nil) OnEvict(mem.BlockAddr) {}

@@ -6,14 +6,6 @@ import (
 	"bump/internal/mem"
 )
 
-func TestNilPrefetcher(t *testing.T) {
-	var n Nil
-	if got := n.OnAccess(0, 1, 2, true); got != nil {
-		t.Error("Nil must not prefetch")
-	}
-	n.OnEvict(2) // must not panic
-}
-
 func TestStrideDetection(t *testing.T) {
 	s := DefaultStride()
 	pc := mem.PC(0x400)

@@ -30,7 +30,8 @@ type SMS struct {
 	agtCap  int
 	agtFIFO []mem.RegionAddr
 
-	pht *phtTable
+	// pht is the pattern history table: trigger signature -> pattern.
+	pht *cache.Table[uint64]
 
 	// Trained counts generations committed to the PHT; Triggered counts
 	// PHT hits that started a stream.
@@ -44,65 +45,6 @@ type smsGen struct {
 	pattern uint64
 }
 
-// phtTable is a set-associative pattern history table with LRU
-// replacement, one recency word (cache.Order) per set.
-type phtTable struct {
-	sets, ways int
-	tags       []uint64
-	pats       []uint64
-	valid      []bool
-	order      []cache.Order // per set
-}
-
-func newPHT(entries, ways int) *phtTable {
-	sets := entries / ways
-	if sets <= 0 || sets&(sets-1) != 0 || entries%ways != 0 {
-		panic("prefetch: PHT geometry invalid")
-	}
-	return &phtTable{
-		sets: sets, ways: ways,
-		tags:  make([]uint64, entries),
-		pats:  make([]uint64, entries),
-		valid: make([]bool, entries),
-		order: cache.NewOrders(sets, ways),
-	}
-}
-
-func (t *phtTable) setOf(sig uint64) int { return int(sig & uint64(t.sets-1)) }
-
-func (t *phtTable) lookup(sig uint64) (uint64, bool) {
-	s := t.setOf(sig)
-	base := s * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if t.valid[i] && t.tags[i] == sig {
-			t.order[s].Touch(i - base)
-			return t.pats[i], true
-		}
-	}
-	return 0, false
-}
-
-// insert stores sig's pattern in the set's first way that is empty or
-// holds sig, or else in its least recently used way.
-func (t *phtTable) insert(sig, pattern uint64) {
-	s := t.setOf(sig)
-	base := s * t.ways
-	victim := -1
-	for i := base; i < base+t.ways; i++ {
-		if !t.valid[i] || t.tags[i] == sig {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = base + t.order[s].LRU(t.ways)
-	}
-	t.tags[victim] = sig
-	t.pats[victim] = pattern
-	t.valid[victim] = true
-	t.order[s].Touch(victim - base)
-}
-
 // NewSMS builds an SMS prefetcher over regions of 2^regionShift bytes
 // with the given PHT geometry and active-generation capacity.
 func NewSMS(regionShift uint, phtEntries, phtWays, agtCap int) *SMS {
@@ -113,7 +55,7 @@ func NewSMS(regionShift uint, phtEntries, phtWays, agtCap int) *SMS {
 		regionShift: regionShift,
 		agt:         make(map[mem.RegionAddr]*smsGen, agtCap),
 		agtCap:      agtCap,
-		pht:         newPHT(phtEntries, phtWays),
+		pht:         cache.NewTable[uint64](phtEntries, phtWays),
 	}
 }
 
@@ -154,10 +96,11 @@ func (s *SMS) OnAccess(_ int, pc mem.PC, b mem.BlockAddr, miss bool) []mem.Block
 	s.agt[region] = &smsGen{pc: pc, offset: off, pattern: bit}
 	s.agtFIFO = append(s.agtFIFO, region)
 
-	pattern, ok := s.pht.lookup(s.signature(pc, off))
+	p, ok := s.pht.Lookup(s.signature(pc, off))
 	if !ok {
 		return nil
 	}
+	pattern := *p
 	s.Triggered++
 	var out []mem.BlockAddr
 	n := mem.BlocksPerRegion(s.regionShift)
@@ -174,7 +117,7 @@ func (s *SMS) train(g *smsGen) {
 	if g.pattern&(g.pattern-1) == 0 {
 		return
 	}
-	s.pht.insert(s.signature(g.pc, g.offset), g.pattern)
+	s.pht.Insert(s.signature(g.pc, g.offset), g.pattern)
 	s.Trained++
 }
 

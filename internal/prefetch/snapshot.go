@@ -3,18 +3,9 @@ package prefetch
 import (
 	"fmt"
 
-	"bump/internal/cache"
 	"bump/internal/mem"
 	"bump/internal/snapshot"
 )
-
-// Snapshotter is the optional checkpointing interface a Prefetcher may
-// implement; the simulator refuses to snapshot configurations whose
-// prefetcher does not.
-type Snapshotter interface {
-	SnapshotTo(w *snapshot.Writer)
-	RestoreFrom(r *snapshot.Reader) error
-}
 
 // SnapshotTo serializes the stride prefetcher's reference-prediction
 // table. Invalid entries collapse to one byte so equal states encode
@@ -88,20 +79,7 @@ func (s *SMS) SnapshotTo(w *snapshot.Writer) {
 			w.U64(g.pattern)
 		}
 	}
-	// PHT.
-	t := s.pht
-	w.U32(uint32(t.sets))
-	w.U32(uint32(t.ways))
-	cache.SnapshotOrders(w, t.order)
-	for i := range t.tags {
-		if !t.valid[i] {
-			w.Bool(false)
-			continue
-		}
-		w.Bool(true)
-		w.U64(t.tags[i])
-		w.U64(t.pats[i])
-	}
+	s.pht.SnapshotTo(w, func(w *snapshot.Writer, pattern uint64) { w.U64(pattern) })
 }
 
 // RestoreFrom replaces the SMS state with a snapshot's.
@@ -143,43 +121,8 @@ func (s *SMS) RestoreFrom(r *snapshot.Reader) error {
 			}
 		}
 	}
-	t := s.pht
-	sets, ways := r.U32(), r.U32()
-	if r.Err() != nil {
-		return r.Err()
+	if err := s.pht.RestoreFrom(r, func(r *snapshot.Reader) uint64 { return r.U64() }); err != nil {
+		return fmt.Errorf("prefetch: PHT: %w", err)
 	}
-	if int(sets) != t.sets || int(ways) != t.ways {
-		return fmt.Errorf("prefetch: PHT geometry %dx%d, have %dx%d", sets, ways, t.sets, t.ways)
-	}
-	if err := cache.RestoreOrders(r, t.order, t.ways); err != nil {
-		return fmt.Errorf("prefetch: PHT %w", err)
-	}
-	for i := range t.tags {
-		ok := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		t.valid[i] = ok
-		if !ok {
-			t.tags[i], t.pats[i] = 0, 0
-			continue
-		}
-		t.tags[i] = r.U64()
-		t.pats[i] = r.U64()
-		if r.Err() == nil && t.setOf(t.tags[i]) != i/t.ways {
-			return fmt.Errorf("prefetch: PHT entry %d holds signature %#x belonging to set %d", i, t.tags[i], t.setOf(t.tags[i]))
-		}
-	}
-	return r.Err()
-}
-
-// Nil streams have no state.
-
-// SnapshotTo implements Snapshotter.
-func (Nil) SnapshotTo(w *snapshot.Writer) { w.Section("nil-prefetcher") }
-
-// RestoreFrom implements Snapshotter.
-func (Nil) RestoreFrom(r *snapshot.Reader) error {
-	r.Section("nil-prefetcher")
 	return r.Err()
 }

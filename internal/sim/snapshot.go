@@ -10,8 +10,6 @@ import (
 
 	"bump/internal/addrmap"
 	"bump/internal/mem"
-	"bump/internal/memctrl"
-	"bump/internal/prefetch"
 	"bump/internal/snapshot"
 )
 
@@ -25,13 +23,6 @@ import (
 // v4: Config gained Profile (covered by the digest walk), so a profiled
 // system never restores a checkpoint that lacks the profiler's state.
 const structuralDigestVersion = "bump-snapshot-struct-v4"
-
-// Stable event-receiver references for the engine snapshot.
-const (
-	objRefSystem   = 0
-	objRefMemctrl  = 1
-	objRefCoreBase = 16
-)
 
 // structuralDigest identifies the configurations a snapshot can restore
 // into: every Config field except the *measured* parameters —
@@ -109,36 +100,6 @@ func WarmKey(cfg Config) (key string, ok bool) {
 	return hex.EncodeToString(d[:]), true
 }
 
-func (s *System) encodeEventObj(obj any) (uint32, error) {
-	switch o := obj.(type) {
-	case *System:
-		if o == s {
-			return objRefSystem, nil
-		}
-	case *memctrl.Controller:
-		if o == s.mc {
-			return objRefMemctrl, nil
-		}
-	case *coreRunner:
-		if o.sys == s && o.id < len(s.cores) && s.cores[o.id] == o {
-			return objRefCoreBase + uint32(o.id), nil
-		}
-	}
-	return 0, fmt.Errorf("receiver %T does not belong to this system", obj)
-}
-
-func (s *System) decodeEventObj(ref uint32) (any, error) {
-	switch {
-	case ref == objRefSystem:
-		return s, nil
-	case ref == objRefMemctrl:
-		return s.mc, nil
-	case ref >= objRefCoreBase && int(ref-objRefCoreBase) < len(s.cores):
-		return s.cores[ref-objRefCoreBase], nil
-	}
-	return nil, fmt.Errorf("sim: snapshot references unknown event receiver %d", ref)
-}
-
 // Snapshot serializes the complete simulator state — event queue, caches
 // and MSHRs, predictor tables, memory-system queues and bank state,
 // workload stream positions, and every statistics counter — as one
@@ -168,9 +129,7 @@ func (s *System) writeState(w *snapshot.Writer) error {
 	w.U64(s.eng.Now())
 	w.String(latePrefix(s.cfg, s.eng.Now()))
 
-	if err := s.eng.Snapshot(w, s.encodeEventObj); err != nil {
-		return fmt.Errorf("sim: snapshot: %w", err)
-	}
+	s.eng.Snapshot(w)
 
 	w.Section("system")
 	w.Bool(s.primed)
@@ -226,11 +185,7 @@ func (s *System) writeState(w *snapshot.Writer) error {
 	}
 	w.Bool(s.pf != nil)
 	if s.pf != nil {
-		sn, ok := s.pf.(prefetch.Snapshotter)
-		if !ok {
-			return fmt.Errorf("sim: snapshot: prefetcher %T is not checkpointable", s.pf)
-		}
-		sn.SnapshotTo(w)
+		s.pf.SnapshotTo(w)
 	}
 	w.Bool(s.vwq != nil)
 	if s.vwq != nil {
@@ -325,7 +280,7 @@ func (s *System) readState(r *snapshot.Reader) error {
 			cycle, prefix, want)
 	}
 
-	if err := s.eng.Restore(r, s.decodeEventObj); err != nil {
+	if err := s.eng.Restore(r); err != nil {
 		return err
 	}
 
@@ -424,6 +379,9 @@ func (s *System) readState(r *snapshot.Reader) error {
 	if err := s.llcMSHRs.RestoreFrom(r); err != nil {
 		return err
 	}
+	if err := s.checkIssueCycles(cycle); err != nil {
+		return err
+	}
 	if err := s.xbar.RestoreFrom(r); err != nil {
 		return err
 	}
@@ -450,11 +408,7 @@ func (s *System) readState(r *snapshot.Reader) error {
 			return errors.New("sim: restore: prefetcher presence mismatch")
 		}
 		if hasPf {
-			sn, ok := s.pf.(prefetch.Snapshotter)
-			if !ok {
-				return fmt.Errorf("sim: restore: prefetcher %T is not checkpointable", s.pf)
-			}
-			if err := sn.RestoreFrom(r); err != nil {
+			if err := s.pf.RestoreFrom(r); err != nil {
 				return err
 			}
 		}
@@ -522,6 +476,41 @@ func (s *System) readState(r *snapshot.Reader) error {
 		}
 	}
 	return r.Finish()
+}
+
+// checkIssueCycles refuses a waiter that could deliver before its issue
+// cycle: its load-latency sample would wrap. A waiter issued past the
+// checkpoint's clock is still in NOC flight to the LLC, so it is
+// active, no MSHR holds its token, and every pending llcAccess naming
+// it runs at or after its issue cycle.
+func (s *System) checkIssueCycles(cycle uint64) error {
+	ahead := make(map[uint64]uint64) // token -> issue cycle past the clock
+	for i := range s.waiters {
+		w := &s.waiters[i]
+		if w.state == waiterFree || w.issue <= cycle {
+			continue
+		}
+		if w.state != waiterActive {
+			return fmt.Errorf("sim: restore: waiter %d holds its data before its issue cycle %d (clock %d)", i, w.issue, cycle)
+		}
+		ahead[waiterTok(int32(i), w.gen)] = w.issue
+	}
+	if len(ahead) == 0 {
+		return nil
+	}
+	for m := range s.llcMSHRs.All() {
+		for _, tok := range m.Waiters {
+			if issue, ok := ahead[tok]; ok {
+				return fmt.Errorf("sim: restore: a waiter issued at cycle %d, past the clock %d, waits on an MSHR", issue, cycle)
+			}
+		}
+	}
+	return s.eng.EachPending(s.llcAccessP, func(at, tok, _ uint64) error {
+		if issue, ok := ahead[tok]; ok && at < issue {
+			return fmt.Errorf("sim: restore: a waiter issued at cycle %d reaches the LLC at cycle %d", issue, at)
+		}
+		return nil
+	})
 }
 
 func writeAccess(w *snapshot.Writer, a mem.Access) {

@@ -74,23 +74,22 @@ const (
 	waiterClaimed       // data on its way back to the core
 )
 
-// Closure-free event handlers (event.Handler): the receiver rides in
-// obj; payload words carry the token / chain id / block address. They
-// are registered with the event package so pending events survive a
-// checkpoint (internal/snapshot).
-var coreAdvanceH, chainDoneH, llcAccessH, deliverH event.Handler
-
-func init() {
-	coreAdvanceH = event.RegisterHandler("sim.coreAdvance", func(obj any, _, _ uint64) { obj.(*coreRunner).advance() })
-	chainDoneH = event.RegisterHandler("sim.chainDone", func(obj any, chain, _ uint64) { obj.(*coreRunner).chainDone(uint32(chain)) })
-	llcAccessH = event.RegisterHandler("sim.llcAccess", func(obj any, tok, _ uint64) { obj.(*System).llcAccess(tok) })
-	deliverH = event.RegisterHandler("sim.deliver", func(obj any, tok, blk uint64) { obj.(*System).deliver(tok, mem.BlockAddr(blk)) })
-}
+// Receiver references of the simulator's event ports: a checkpoint
+// names each pending event's port by its handler name and one of these.
+const (
+	objRefSystem   = 0
+	objRefMemctrl  = 1
+	objRefCoreBase = 16 // core i is objRefCoreBase+i
+)
 
 // System is one fully wired simulated server.
 type System struct {
 	cfg Config
 	eng *event.Engine
+	// llcAccessP lands a core's access at the LLC (payload: waiter
+	// token); deliverP lands the response at the core (payload: token,
+	// block).
+	llcAccessP, deliverP event.Port
 
 	cores    []*coreRunner
 	llc      *cache.Cache
@@ -142,7 +141,7 @@ func New(cfg Config) (*System, error) {
 	// the configured one at the bind cycle.
 	ctrlCfg := cfg.controllerConfig()
 	ctrlCfg.MaxRowHitStreak = 0
-	mc, err := memctrl.New(ctrlCfg, d, eng)
+	mc, err := memctrl.New(ctrlCfg, d, eng, objRefMemctrl)
 	if err != nil {
 		return nil, err
 	}
@@ -158,6 +157,8 @@ func New(cfg Config) (*System, error) {
 		freeWaiter:  -1,
 	}
 	mc.Handler = s.onMemComplete
+	s.llcAccessP = eng.Port("sim.llcAccess", objRefSystem, func(tok, _ uint64) { s.llcAccess(tok) })
+	s.deliverP = eng.Port("sim.deliver", objRefSystem, func(tok, blk uint64) { s.deliver(tok, mem.BlockAddr(blk)) })
 	if cfg.Profile {
 		s.prof = NewProfile(cfg.BuMP.RegionShift)
 	}
@@ -209,13 +210,17 @@ func New(cfg Config) (*System, error) {
 			}
 			stream = gen
 		}
-		s.cores[i] = &coreRunner{
+		c := &coreRunner{
 			id:     i,
 			sys:    s,
 			stream: stream,
 			l1:     cache.New(cfg.L1Bytes, cfg.L1Ways),
 			chains: make(map[uint32]bool),
 		}
+		ref := objRefCoreBase + uint32(i)
+		c.advanceP = eng.Port("sim.coreAdvance", ref, func(_, _ uint64) { c.advance() })
+		c.chainDoneP = eng.Port("sim.chainDone", ref, func(chain, _ uint64) { c.chainDone(uint32(chain)) })
+		s.cores[i] = c
 	}
 	return s, nil
 }
@@ -239,8 +244,11 @@ func (s *System) allocWaiter(acc mem.Access, core int, load bool, pos uint64, is
 	w := &s.waiters[idx]
 	w.acc, w.core, w.load, w.pos, w.chain, w.issue = acc, int32(core), load, pos, acc.Chain, issue
 	w.state = waiterActive
-	return uint64(w.gen)<<32 | uint64(uint32(idx+1))
+	return waiterTok(idx, w.gen)
 }
+
+// waiterTok is the token of slab slot idx at generation gen.
+func waiterTok(idx int32, gen uint32) uint64 { return uint64(gen)<<32 | uint64(uint32(idx+1)) }
 
 // waiterByTok resolves a token, returning nil for stale or invalid ones.
 func (s *System) waiterByTok(tok uint64) (int32, *waiterSlot) {
@@ -270,6 +278,9 @@ type coreRunner struct {
 	sys    *System
 	stream workload.Stream
 	l1     *cache.Cache
+	// advanceP runs the issue loop; chainDoneP ends a dependent chain
+	// after an L1 hit (payload: chain id).
+	advanceP, chainDoneP event.Port
 
 	cur     mem.Access
 	hasCur  bool
@@ -288,7 +299,7 @@ func (c *coreRunner) arm(at uint64) {
 		return
 	}
 	c.armed = true
-	c.sys.eng.Post(at, coreAdvanceH, c, 0, 0)
+	c.sys.eng.Post(at, c.advanceP, 0, 0)
 }
 
 func (c *coreRunner) wake() {
@@ -350,7 +361,7 @@ func (c *coreRunner) advance() {
 			if acc.Chain != 0 {
 				c.chains[acc.Chain] = true
 				done := issueAt + s.cfg.L1LatencyCycles
-				s.eng.Post(done, chainDoneH, c, uint64(acc.Chain), 0)
+				s.eng.Post(done, c.chainDoneP, uint64(acc.Chain), 0)
 			}
 		} else {
 			c.mshrs++
@@ -362,7 +373,7 @@ func (c *coreRunner) advance() {
 			}
 			tok := s.allocWaiter(acc, c.id, isLoad, c.pos, issueAt)
 			lat := s.xbar.Send(noc.Control, s.carriesPC)
-			s.eng.Post(issueAt+lat, llcAccessH, s, tok, 0)
+			s.eng.Post(issueAt+lat, s.llcAccessP, tok, 0)
 		}
 
 		if c.freeAt > now {
@@ -489,7 +500,7 @@ func (s *System) finishWaiter(tok uint64, b mem.BlockAddr, at uint64) {
 	if w.load {
 		s.xbar.Send(noc.Data, false)
 	}
-	s.eng.Post(at+s.cfg.NOCLatencyCycles, deliverH, s, tok, uint64(b))
+	s.eng.Post(at+s.cfg.NOCLatencyCycles, s.deliverP, tok, uint64(b))
 }
 
 // deliver lands the response at the core: latency accounting, MSHR and
